@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -289,7 +290,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls
+    (parsing leaves no state in it): scripts/reproduce_all.py calls main
+    once per step in one process."""
     parser = _Parser(prog="affinedescent", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key=value config file")

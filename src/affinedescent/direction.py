@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateTangentBlock, SingularHessian, ZeroGradient
 from .numerics import (DefinitenessTag, Frame, Matrix, SymmetricClass, Vector,
                        as_vector, build_gradient_frame, classify_symmetric,
-                       inf_norm, solve_spd)
+                       inf_norm, norm2, solve_spd)
 from .objective import Objective
 
 # Relative width of the near-orthogonality band that triggers the
@@ -101,16 +101,17 @@ def _classify_block(cls_B: SymmetricClass) -> PointClass:
 
 def _third_tensor_tangent(obj: Objective, x: Vector, frame: Frame) -> np.ndarray:
     """D3f(x)[t_p, t_q, t_i] over the tangent directions, using symmetry
-    in the first pair."""
-    T = frame.tangent
-    m = T.shape[1]
+    in the first pair: m*m(m+1)/2 oracle calls, ordered by p, q >= p, i."""
+    rows = np.ascontiguousarray(frame.tangent.T)   # rows[i] = t_i
+    m = rows.shape[0]
+    third = obj.third_directional
     M = np.empty((m, m, m))
     for p in range(m):
+        t_p = rows[p]
         for q in range(p, m):
-            for i in range(m):
-                val = obj.third_directional(x, T[:, p], T[:, q], T[:, i])
-                M[p, q, i] = val
-                M[q, p, i] = val
+            t_q = rows[q]
+            M[p, q] = [third(x, t_p, t_q, t_i) for t_i in rows]
+            M[q, p] = M[p, q]
     return M
 
 
@@ -198,7 +199,7 @@ def descent_direction(obj: Objective, x, eps_orth: float = EPS_ORTH,
     except DegenerateTangentBlock:
         return _fallback_result(frame_, pc, m)
     d = frame_.tangent @ tau - frame_.normal
-    d_norm = float(np.linalg.norm(d))
+    d_norm = norm2(d)
     inner_raw = omega * float(g @ d)
     band = eps_orth * gnorm * d_norm
     if inner_raw < -band:
@@ -207,7 +208,7 @@ def descent_direction(obj: Objective, x, eps_orth: float = EPS_ORTH,
         case = DirectionCase.FLIPPED_AN
     else:
         return _fallback_result(frame_, pc, m)
-    T = float(np.linalg.norm(tau))
+    T = norm2(tau)
     cos_theta = -float(d @ frame_.normal) / d_norm
     return DirectionResult(d=d, case=case, tau=tau, T=T, cos_theta=cos_theta,
                            point_class=pc, step_scale=step_scale)

@@ -1,16 +1,20 @@
 """Dense linear-algebra kernels: gradient-aligned frames, symmetric
 classification with a reusable Cholesky factor, and small utilities.
 
-Everything here is deterministic and works on float64 numpy arrays.
+Everything here is deterministic and works on float64 numpy arrays. The
+Cholesky kernels call LAPACK's potrf/potrs directly, the same routines and
+arguments scipy.linalg.cho_factor/cho_solve use, without their per-call
+argument handling; results are bit-identical to those wrappers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NotFactorized, NotSymmetric, ZeroGradient
 
@@ -29,6 +33,16 @@ def as_vector(x) -> Vector:
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     return v
+
+
+def norm2(v) -> float:
+    """Euclidean norm of a 1-d float vector.
+
+    Performs the same operations as np.linalg.norm(v), hence returns the
+    same bits, without its dispatch overhead.
+    """
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def inf_norm(M) -> float:
@@ -63,7 +77,7 @@ def build_gradient_frame(grad) -> Frame:
     g = as_vector(grad)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient has non-finite entries")
-    gnorm = float(np.linalg.norm(g))
+    gnorm = norm2(g)
     if gnorm <= ZERO_GRAD_FLOOR:
         raise ZeroGradient(f"gradient norm {gnorm:g} below {ZERO_GRAD_FLOOR:g}")
     n_hat = g / gnorm
@@ -90,13 +104,18 @@ class DefinitenessTag(Enum):
 @dataclass(frozen=True)
 class SymmetricClass:
     """Classification of a symmetric matrix with its spectrum endpoints
-    and, when positive definite, a Cholesky factor reusable by solve_spd."""
+    and, when positive definite, a Cholesky factor reusable by solve_spd.
+
+    `factor` is the raw LAPACK potrf output for the lower triangle: L sits
+    on and below the diagonal, and the strict upper triangle still holds
+    the matrix entries (potrf's clean=0). Only solve_spd should read it.
+    """
 
     tag: DefinitenessTag
     min_eig: float
     max_eig: float
     matrix: Matrix
-    factor: object | None = None
+    factor: Matrix | None = None
 
     @property
     def is_positive_definite(self) -> bool:
@@ -123,7 +142,10 @@ def classify_symmetric(M) -> SymmetricClass:
     thresh = DEGENERACY_TOL * scale
     if min_eig > thresh:
         tag = DefinitenessTag.POSITIVE_DEFINITE
-        factor = cho_factor(S, lower=True)
+        factor, info = dpotrf(S, lower=1, clean=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"potrf failed (info={info}): leading minor not positive definite")
     elif abs(min_eig) <= thresh:
         tag = DefinitenessTag.SINGULAR
         factor = None
@@ -135,25 +157,34 @@ def classify_symmetric(M) -> SymmetricClass:
 
 
 def solve_spd(cls: SymmetricClass, rhs) -> Vector:
-    """Solve M x = rhs using the Cholesky factor stored by
-    classify_symmetric. Raises NotFactorized for non-SPD input."""
+    """Solve M x = rhs (a vector or a matrix of columns) using the Cholesky
+    factor stored by classify_symmetric. rhs is left unmodified.
+
+    Raises NotFactorized for non-SPD input and ValueError when rhs holds
+    infs or NaNs.
+    """
     if cls.factor is None:
         raise NotFactorized(f"no factor available (tag={cls.tag.value})")
     b = np.asarray(rhs, dtype=float)
-    return cho_solve(cls.factor, b)
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must not contain infs or NaNs")
+    x, info = dpotrs(cls.factor, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
 
 
 def angle_between(u, v) -> float:
     """Angle in radians between two nonzero vectors, stable near 0 and pi."""
     a = as_vector(u)
     b = as_vector(v)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na = norm2(a)
+    nb = norm2(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("angle undefined for a zero vector")
     a = a / na
     b = b / nb
     # atan2 of the rejection norm against the dot product.
     dot = float(a @ b)
-    rej = float(np.linalg.norm(a - dot * b))
+    rej = norm2(a - dot * b)
     return float(np.arctan2(rej, dot))

@@ -11,8 +11,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from math import isfinite
 
-import numpy as np
-
 from .direction import DirectionResult, descent_direction, newton_direction
 from .errors import (DegenerateTangentBlock, NotDescent, SingularHessian,
                      ZeroGradient)
@@ -20,7 +18,7 @@ from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
                           LineSearchResult, LineSearchSpec, LineSearchStatus,
                           StrongWolfeSearch, armijo_backtrack, bb_initial_step,
                           exact_search, strong_wolfe_search)
-from .numerics import Vector, as_vector
+from .numerics import Vector, as_vector, norm2
 from .objective import Objective
 from .problems import Problem
 
@@ -78,8 +76,7 @@ class RunReport:
 
 
 def _run_line_search(obj: Objective, x: Vector, g: Vector, d: Vector,
-                     f_curr: float, ls: LineSearchSpec,
-                     bb_state: dict) -> LineSearchResult:
+                     ls: LineSearchSpec, bb_state: dict) -> LineSearchResult:
     def phi(alpha: float) -> float:
         return obj.value(x + alpha * d)
 
@@ -111,7 +108,7 @@ def _loop(problem: Problem, method: Method,
     if not isfinite(f_curr):
         raise ValueError("start point is outside the domain")
     g = obj.gradient(x)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = norm2(g)
     records = [IterateRecord(k=0, x=x.copy(), f=f_curr, grad_norm=gnorm,
                              alpha=0.0, case="-", T=0.0, cos_theta=1.0)]
     iters = 0
@@ -123,9 +120,6 @@ def _loop(problem: Problem, method: Method,
             break
         if iters >= stop.max_iter:
             status = RunStatus.MAX_ITER_REACHED
-            break
-        if gnorm == 0.0:
-            status = RunStatus.DEGENERATE_STOP
             break
         try:
             d, case, T, cos_theta = direction_fn(x, g)
@@ -142,7 +136,7 @@ def _loop(problem: Problem, method: Method,
                 break
         else:
             try:
-                res = _run_line_search(obj, x, g, d, f_curr, ls, bb_state)
+                res = _run_line_search(obj, x, g, d, ls, bb_state)
             except NotDescent:
                 status = RunStatus.LINE_SEARCH_FAILURE
                 break
@@ -157,7 +151,7 @@ def _loop(problem: Problem, method: Method,
         bb_state["s"] = x_new - x
         bb_state["y"] = g_new - g
         x, f_curr, g = x_new, f_new, g_new
-        gnorm = float(np.linalg.norm(g))
+        gnorm = norm2(g)
         iters += 1
         records.append(IterateRecord(k=iters, x=x.copy(), f=f_curr,
                                      grad_norm=gnorm, alpha=float(alpha),
@@ -241,7 +235,7 @@ def empirical_rates(report: RunReport, x_star=None,
             linear.append((r1.f - f_star) / gap0 if gap0 > 0.0 else float("inf"))
     if x_star is not None:
         xs = as_vector(x_star)
-        errs = [float(np.linalg.norm(r.x - xs)) for r in recs]
+        errs = [norm2(r.x - xs) for r in recs]
         for e0, e1 in zip(errs, errs[1:]):
             quad.append(e1 / (e0 * e0) if e0 > 0.0 else float("inf"))
     return RateTable(linear_ratios=linear, quad_ratios=quad)

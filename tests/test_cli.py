@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from affinedescent.cli import (Config, _fmt, _parse_ls, cmd_verify, main,
-                               parse_config_file)
+from affinedescent.cli import (Config, _build_parser, _fmt, _parse_ls,
+                               cmd_verify, main, parse_config_file)
 from affinedescent.line_search import ArmijoSearch, ExactSearch, FixedStep
 from affinedescent.objective import Objective
 from affinedescent.problems import Problem, catalog
@@ -131,6 +131,44 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+
+class TestSharedParser:
+    CALLS = [
+        ["run", "rosenbrock", "yand", "wolfe", "--out", "run1.csv"],
+        ["run", "quad_well", "yand", "exact", "--max-iter", "ten"],
+        ["table2", "--out", "table2.csv"],
+        ["run", "rosenbrock", "yand", "armijo", "--max-iter", "3",
+         "--out", "run2.csv"],
+    ]
+
+    def _call_all(self, out_dir, fresh):
+        codes = []
+        for argv in self.CALLS:
+            if fresh:
+                _build_parser.cache_clear()
+            argv = [str(out_dir / a) if a.endswith(".csv") else a
+                    for a in argv]
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+        return codes
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_repeated_calls_match_fresh_parsers(self, tmp_path, capsys):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        shared.mkdir()
+        fresh.mkdir()
+        assert self._call_all(shared, fresh=False) == [0, 1, 0, 2]
+        assert self._call_all(fresh, fresh=True) == [0, 1, 0, 2]
+        names = sorted(p.name for p in shared.iterdir())
+        assert names == ["run1.csv", "run2.csv", "table2.csv"]
+        assert names == sorted(p.name for p in fresh.iterdir())
+        for name in names:
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
 
 
 class TestTable2Command:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinedescent.direction import (DirectionCase, PointTag,
+                                     _third_tensor_tangent,
                                      affine_normal_direction, block_decompose,
                                      classify_point, descent_direction,
                                      newton_direction)
@@ -314,6 +317,61 @@ class TestFrameInvariance:
         assert np.max(np.abs(r0.d - r1.d)) <= 1e-9
         assert r0.T == pytest.approx(r1.T, rel=1e-9, abs=1e-12)
         assert r0.step_scale == pytest.approx(r1.step_scale, rel=1e-9)
+
+
+def coupled_quartic(a, c):
+    """f = (a.x)^3/6 + sum_i c_i x_i^4/24: a non-separable third derivative
+    D3f[u,v,w] = (a.u)(a.v)(a.w) + sum_i c_i x_i u_i v_i w_i, built from
+    elementwise products and sums only."""
+    return make_objective(
+        dim=a.size,
+        value=lambda x: np.sum(a * x) ** 3 / 6.0 + np.sum(c * x ** 4) / 24.0,
+        gradient=lambda x: 0.5 * np.sum(a * x) ** 2 * a + c * x ** 3 / 6.0,
+        hessian=lambda x: (np.sum(a * x) * np.outer(a, a)
+                           + np.diag(0.5 * c * x * x)),
+        third_directional=lambda x, u, v, w: float(
+            np.sum(a * u) * np.sum(a * v) * np.sum(a * w)
+            + np.sum(c * x * u * v * w)),
+    )
+
+
+class TestThirdTensorTangent:
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        self.obj = coupled_quartic(rng.normal(size=5),
+                                   rng.uniform(1.0, 2.0, size=5))
+        self.x = rng.normal(size=5)
+        self.frame = build_gradient_frame(self.obj.gradient(self.x))
+
+    def test_matches_scalar_definition_and_is_symmetric(self):
+        M = _third_tensor_tangent(self.obj, self.x, self.frame)
+        T = self.frame.tangent
+        m = T.shape[1]
+        for p in range(m):
+            for q in range(p, m):
+                for i in range(m):
+                    assert M[p, q, i] == self.obj.third_directional(
+                        self.x, T[:, p], T[:, q], T[:, i])
+        assert np.array_equal(M, M.transpose(1, 0, 2))
+
+    def test_one_oracle_call_per_upper_entry_in_order(self):
+        calls = []
+
+        def counted(x, u, v, w):
+            calls.append((u.copy(), v.copy(), w.copy()))
+            return self.obj.third_directional(x, u, v, w)
+
+        obj = replace(self.obj, third_directional=counted)
+        _third_tensor_tangent(obj, self.x, self.frame)
+        T = self.frame.tangent
+        m = T.shape[1]
+        expected = [(p, q, i) for p in range(m) for q in range(p, m)
+                    for i in range(m)]
+        assert len(calls) == m * m * (m + 1) // 2 == len(expected)
+        for (u, v, w), (p, q, i) in zip(calls, expected):
+            assert np.array_equal(u, T[:, p])
+            assert np.array_equal(v, T[:, q])
+            assert np.array_equal(w, T[:, i])
 
 
 class TestNewtonDirection:

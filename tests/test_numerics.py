@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_factor, cho_solve
 
 from affinedescent.errors import NotFactorized, ZeroGradient
 from affinedescent.numerics import (DefinitenessTag, angle_between,
                                     build_gradient_frame, classify_symmetric,
-                                    inf_norm, solve_spd)
+                                    inf_norm, norm2, solve_spd)
 
 
 def finite_vectors(dim):
@@ -93,10 +94,47 @@ def test_spd_solve_residual_is_small(dim, data):
     assert np.linalg.norm(S @ x - rhs) <= 1e-8 * max(1.0, np.linalg.norm(rhs))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.data())
+def test_spd_solve_is_bitwise_scipy_cho_solve(dim, ncols, data):
+    M = data.draw(arrays(np.float64, (dim, dim),
+                         elements=st.floats(-10, 10, allow_nan=False)))
+    shape = (dim,) if ncols == 0 else (dim, ncols)
+    rhs = data.draw(arrays(np.float64, shape,
+                           elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    cls = classify_symmetric(M @ M.T + dim * np.eye(dim))
+    expected = cho_solve(cho_factor(cls.matrix, lower=True), rhs)
+    assert np.array_equal(solve_spd(cls, rhs), expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spd_solve_rejects_non_finite_rhs(bad):
+    cls = classify_symmetric(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    with pytest.raises(ValueError):
+        solve_spd(cls, np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rhs", [[1.0, -2.0], [[1.0, 2.0, 3.0], [-4.0, 5.0, 6.0]]])
+def test_spd_solve_leaves_rhs_unmodified(rhs, order):
+    cls = classify_symmetric(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    rhs = np.array(rhs, order=order)
+    before = rhs.copy()
+    solve_spd(cls, rhs)
+    assert np.array_equal(rhs, before)
+
+
 def test_solve_requires_positive_definite_factor():
     cls = classify_symmetric(np.diag([1.0, -1.0]))
     with pytest.raises(NotFactorized):
         solve_spd(cls, np.ones(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(finite_vectors))
+def test_norm2_is_bitwise_numpy_norm(v):
+    for view in (v, v[::-1], v[::2], np.stack([v, v], axis=1)[:, 0]):
+        assert norm2(view) == np.linalg.norm(view)
 
 
 def test_angle_between_basics():
