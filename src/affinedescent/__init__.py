@@ -2,55 +2,19 @@
 the Hessian block structure in a gradient-aligned frame, with exact, Armijo,
 and strong Wolfe line searches, a slice-centroid geometric estimator, and
 gradient-descent / Newton baselines on a small problem catalog.
+
+Everything beyond the names in __all__ is imported from its submodule.
 """
-from .direction import (BlockHessian, DirectionCase, DirectionResult,
-                        PointClass, PointTag, affine_normal_direction,
-                        block_decompose, classify_point, descent_direction,
-                        newton_direction)
-from .errors import (AffineDescentError, DegenerateTangentBlock,
-                     DomainViolation, EmptySlice, MissingReference,
-                     NoFiniteStep, NotDescent, NotFactorized, NotSymmetric,
-                     SingularB, SingularHessian, UnknownProblem, ZeroGradient)
-from .invariance import (InvarianceReport, compose_scaled,
-                         direction_covariance_angle, run_invariance)
-from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
-                          LineSearchResult, LineSearchStatus,
-                          StrongWolfeSearch, armijo_backtrack,
-                          bb_initial_step, exact_search, strong_wolfe_search)
-from .numerics import (DefinitenessTag, Frame, SymmetricClass, angle_between,
-                       build_gradient_frame, classify_symmetric, solve_spd)
-from .objective import (DerivativeReport, Objective, fd_gradient, fd_hessian,
-                        fd_third_directional, make_objective,
-                        verify_derivatives)
-from .optimizer import (IterateRecord, Method, RateTable, RunReport,
-                        RunStatus, StoppingSpec, empirical_rates,
-                        gradient_descent_run, newton_run, yand_run)
-from .problems import (CATALOG_NAMES, AffineScalingSpec, Problem, catalog,
-                       inverse_barrier_optimum, make_affine_scaled)
-from .slice_centroid import (SliceParams, SliceRegion,
-                             slice_centroid_direction, slice_region_2d)
+from .direction import descent_direction
+from .line_search import ArmijoSearch, ExactSearch, StrongWolfeSearch
+from .objective import Objective, make_objective, verify_derivatives
+from .optimizer import StoppingSpec, yand_run
+from .problems import Problem, catalog
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineDescentError", "AffineScalingSpec", "ArmijoSearch",
-    "BlockHessian", "CATALOG_NAMES", "DefinitenessTag",
-    "DegenerateTangentBlock", "DerivativeReport", "DirectionCase",
-    "DirectionResult", "DomainViolation", "EmptySlice", "ExactSearch",
-    "FixedStep", "Frame", "InvarianceReport", "IterateRecord",
-    "LineSearchResult", "LineSearchStatus", "Method", "MissingReference",
-    "NoFiniteStep", "NotDescent", "NotFactorized", "NotSymmetric",
-    "Objective", "PointClass", "PointTag", "Problem", "RateTable",
-    "RunReport", "RunStatus", "SingularB", "SingularHessian", "SliceParams",
-    "SliceRegion", "StoppingSpec", "StrongWolfeSearch", "SymmetricClass",
-    "UnknownProblem", "ZeroGradient", "affine_normal_direction",
-    "angle_between", "armijo_backtrack", "bb_initial_step",
-    "block_decompose", "build_gradient_frame", "catalog",
-    "classify_point", "classify_symmetric", "compose_scaled",
-    "descent_direction", "direction_covariance_angle", "empirical_rates",
-    "exact_search", "fd_gradient", "fd_hessian", "fd_third_directional",
-    "gradient_descent_run", "inverse_barrier_optimum", "make_affine_scaled",
-    "make_objective", "newton_direction", "newton_run", "run_invariance",
-    "slice_centroid_direction", "slice_region_2d", "solve_spd",
-    "strong_wolfe_search", "verify_derivatives", "yand_run",
+    "ArmijoSearch", "ExactSearch", "StrongWolfeSearch", "StoppingSpec",
+    "Objective", "Problem", "make_objective", "verify_derivatives",
+    "catalog", "descent_direction", "yand_run",
 ]

@@ -11,7 +11,7 @@ All floating-point output uses 17 significant digits; repeated invocations
 with the same config and seed produce byte-identical files.
 
 Exit codes: 0 converged/ok, 1 bad arguments, 2 iteration cap, 3 line-search
-or degeneracy failure, 4 check failure.
+failure, degeneracy or non-finite gradient, 4 check failure.
 """
 from __future__ import annotations
 
@@ -114,6 +114,7 @@ _EXIT_BY_STATUS = {
     RunStatus.MAX_ITER_REACHED: 2,
     RunStatus.LINE_SEARCH_FAILURE: 3,
     RunStatus.DEGENERATE_STOP: 3,
+    RunStatus.NON_FINITE_GRADIENT: 3,
 }
 
 
@@ -127,7 +128,7 @@ def cmd_run(problem_name: str, method: str, ls_token: str, cfg: Config,
     elif method == "gd":
         report = gradient_descent_run(problem, ls, stop)
     elif method == "newton":
-        report = newton_run(problem, damped=False, ls=None, stop=stop)
+        report = newton_run(problem, damped=False, stop=stop)
     elif method == "dnewton":
         report = newton_run(problem, damped=True, ls=ls, stop=stop)
     else:
@@ -164,7 +165,7 @@ def cmd_table2(cfg: Config, out_path: str | Path) -> int:
             _count_cell(gradient_descent_run(problem, specs["exact"], stop)),
             _count_cell(gradient_descent_run(
                 problem, FixedStep(alpha=1.0 / (gamma * gamma)), stop)),
-            _count_cell(newton_run(problem, damped=False, ls=None, stop=stop)),
+            _count_cell(newton_run(problem, damped=False, stop=stop)),
         ]
         lines.append(",".join(cells))
     Path(out_path).write_text("\n".join(lines) + "\n")
@@ -252,12 +253,11 @@ def cmd_invariance(gammas, cfg: Config, out_path: str | Path) -> int:
 
 def _verify_points(problem, rng) -> list[np.ndarray]:
     """Five deterministic in-domain sample points per problem."""
+    radius = 0.3
     if problem.name == "inverse_barrier":
         anchor = np.array([-0.2, -0.2])   # keeps the barrier slack in [0.8, 2]
-        radius = 0.3
     else:
         anchor = np.asarray(problem.x0, dtype=float)
-        radius = 0.3
     points = []
     while len(points) < 5:
         p = anchor + radius * rng.uniform(-1.0, 1.0, size=problem.objective.dim)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import sqrt
 
 import numpy as np
 
@@ -171,7 +172,7 @@ def affine_normal_direction(obj: Objective, x,
     return tau, d
 
 
-def descent_direction(obj: Objective, x, eps_orth: float = EPS_ORTH,
+def descent_direction(obj: Objective, x,
                       frame: Frame | None = None) -> DirectionResult:
     """Geometric descent direction with case logic.
 
@@ -179,7 +180,7 @@ def descent_direction(obj: Objective, x, eps_orth: float = EPS_ORTH,
     Case FlippedAN: it points uphill (orientation sign flips with the
     tangent-block determinant) and is negated. SteepestFallback: the
     tangent block is numerically singular, or the direction is orthogonal
-    to the gradient within eps_orth; the unit negative gradient is used.
+    to the gradient within EPS_ORTH; the unit negative gradient is used.
     The returned d always has frame-normal component -1.
     """
     x = as_vector(x)
@@ -201,7 +202,7 @@ def descent_direction(obj: Objective, x, eps_orth: float = EPS_ORTH,
     d = frame_.tangent @ tau - frame_.normal
     d_norm = norm2(d)
     inner_raw = omega * float(g @ d)
-    band = eps_orth * gnorm * d_norm
+    band = EPS_ORTH * gnorm * d_norm
     if inner_raw < -band:
         case = DirectionCase.AN
     elif inner_raw > band:
@@ -209,7 +210,9 @@ def descent_direction(obj: Objective, x, eps_orth: float = EPS_ORTH,
     else:
         return _fallback_result(frame_, pc, m)
     T = norm2(tau)
-    cos_theta = -float(d @ frame_.normal) / d_norm
+    # d = tangent @ tau - normal, so ||d||^2 = 1 + T^2; -d.normal / ||d||
+    # would carry an error of about eps * T, large when d is nearly tangent.
+    cos_theta = 1.0 / sqrt(1.0 + T * T)
     return DirectionResult(d=d, case=case, tau=tau, T=T, cos_theta=cos_theta,
                            point_class=pc, step_scale=step_scale)
 

@@ -10,8 +10,8 @@ import numpy as np
 from .direction import descent_direction
 from .errors import SingularB
 from .line_search import LineSearchSpec
-from .numerics import Vector, angle_between, as_vector
-from .objective import Objective, make_objective
+from .numerics import angle_between, as_vector
+from .objective import make_objective
 from .problems import Problem
 
 

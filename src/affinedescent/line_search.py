@@ -12,8 +12,6 @@ from enum import Enum
 from math import isfinite, sqrt
 from typing import Callable
 
-import numpy as np
-
 from .errors import NoFiniteStep, NotDescent
 
 Phi = Callable[[float], float]
@@ -24,13 +22,10 @@ _GOLDEN = 0.5 * (3.0 - sqrt(5.0))   # minor golden ratio, ~0.382
 @dataclass(frozen=True)
 class ExactSearch:
     alpha_max: float = 10.0
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.alpha_max <= 0.0:
             raise ValueError("alpha_max must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -38,9 +33,6 @@ class ArmijoSearch:
     sigma: float = 1e-4
     beta: float = 0.5
     alpha0: float = 1.0
-    use_bb: bool = False
-    alpha_min_bb: float = 1e-8
-    alpha_max_bb: float = 1e4
 
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
@@ -57,7 +49,6 @@ class StrongWolfeSearch:
     c2: float = 0.9
     alpha0: float = 1.0
     alpha_max: float = 10.0
-    max_zoom: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.c1 < self.c2 < 1.0:
@@ -93,14 +84,16 @@ class LineSearchResult:
 
 
 MAX_BACKTRACKS = 60
+MAX_ZOOM = 50
+# Final bracket width of the exact search.
+EXACT_TOL = 1e-10
 
 
-def exact_search(phi: Phi, alpha_max: float = 10.0,
-                 tol: float = 1e-10) -> LineSearchResult:
+def exact_search(phi: Phi, alpha_max: float = 10.0) -> LineSearchResult:
     """Derivative-free minimization of phi on [0, U], U <= alpha_max.
 
     U is halved until phi(U) is finite, then a golden-section bracket is
-    shrunk to width tol, with parabolic-interpolation trial points taken
+    shrunk to width EXACT_TOL, with parabolic-interpolation trial points taken
     whenever the three best iterates admit a vertex strictly inside the
     bracket (this resolves quadratic phi to machine precision). Returns
     the best evaluated point.
@@ -148,7 +141,7 @@ def exact_search(phi: Phi, alpha_max: float = 10.0,
     d_prev = b - a
     d_curr = b - a
     for _ in range(500):
-        if b - a <= tol:
+        if b - a <= EXACT_TOL:
             break
         m = 0.5 * (a + b)
         trial = None
@@ -254,7 +247,7 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
 
     def zoom(lo: float, f_lo: float, d_lo: float, hi: float,
              f_hi: float) -> LineSearchResult:
-        for _ in range(spec.max_zoom):
+        for _ in range(MAX_ZOOM):
             left, right = (lo, hi) if lo < hi else (hi, lo)
             width = right - left
             if width <= 1e-16 * max(1.0, right):
@@ -299,23 +292,3 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
         alpha = min(2.0 * alpha, spec.alpha_max)
         first = False
 
-
-def bb_initial_step(s_prev, y_prev, variant: str = "BB1",
-                    alpha_min_bb: float = 1e-8,
-                    alpha_max_bb: float = 1e4) -> float:
-    """Spectral initial step from the last iterate/gradient displacement:
-    BB1 = s's/s'y, BB2 = s'y/y'y, clamped; 1 when s'y <= 0."""
-    s = np.asarray(s_prev, dtype=float)
-    y = np.asarray(y_prev, dtype=float)
-    if s.shape != y.shape:
-        raise ValueError("s and y must have the same shape")
-    sy = float(s @ y)
-    if sy <= 0.0:
-        return 1.0
-    if variant == "BB1":
-        raw = float(s @ s) / sy
-    elif variant == "BB2":
-        raw = sy / float(y @ y)
-    else:
-        raise ValueError(f"unknown BB variant {variant!r}")
-    return float(min(max(raw, alpha_min_bb), alpha_max_bb))

@@ -7,7 +7,7 @@ iterate k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
 
@@ -16,8 +16,8 @@ from .errors import (DegenerateTangentBlock, NotDescent, SingularHessian,
                      ZeroGradient)
 from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
                           LineSearchResult, LineSearchSpec, LineSearchStatus,
-                          StrongWolfeSearch, armijo_backtrack, bb_initial_step,
-                          exact_search, strong_wolfe_search)
+                          StrongWolfeSearch, armijo_backtrack, exact_search,
+                          strong_wolfe_search)
 from .numerics import Vector, as_vector, norm2
 from .objective import Objective
 from .problems import Problem
@@ -35,18 +35,12 @@ class StoppingSpec:
             raise ValueError("max_iter must be positive")
 
 
-class Method(Enum):
-    YAND = "YAND"
-    GRADIENT_DESCENT = "GradientDescent"
-    NEWTON = "Newton"
-    DAMPED_NEWTON = "DampedNewton"
-
-
 class RunStatus(Enum):
     CONVERGED = "Converged"
     MAX_ITER_REACHED = "MaxIterReached"
     LINE_SEARCH_FAILURE = "LineSearchFailure"
     DEGENERATE_STOP = "DegenerateStop"
+    NON_FINITE_GRADIENT = "NonFiniteGradient"
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,6 @@ class IterateRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    method: Method
-    ls: LineSearchSpec | FixedStep | None
     records: list[IterateRecord]
     status: RunStatus
     iters: int
@@ -76,20 +68,15 @@ class RunReport:
 
 
 def _run_line_search(obj: Objective, x: Vector, g: Vector, d: Vector,
-                     ls: LineSearchSpec, bb_state: dict) -> LineSearchResult:
+                     ls: LineSearchSpec) -> LineSearchResult:
     def phi(alpha: float) -> float:
         return obj.value(x + alpha * d)
 
     dphi0 = float(g @ d)
     if isinstance(ls, ExactSearch):
-        return exact_search(phi, alpha_max=ls.alpha_max, tol=ls.tol)
+        return exact_search(phi, alpha_max=ls.alpha_max)
     if isinstance(ls, ArmijoSearch):
-        spec = ls
-        if ls.use_bb and bb_state.get("s") is not None:
-            a0 = bb_initial_step(bb_state["s"], bb_state["y"], "BB1",
-                                 ls.alpha_min_bb, ls.alpha_max_bb)
-            spec = replace(ls, alpha0=a0)
-        return armijo_backtrack(phi, dphi0, spec)
+        return armijo_backtrack(phi, dphi0, ls)
     if isinstance(ls, StrongWolfeSearch):
         def dphi(alpha: float) -> float:
             return float(obj.gradient(x + alpha * d) @ d)
@@ -98,8 +85,7 @@ def _run_line_search(obj: Objective, x: Vector, g: Vector, d: Vector,
     raise TypeError(f"unsupported line-search spec {ls!r}")
 
 
-def _loop(problem: Problem, method: Method,
-          ls: LineSearchSpec | FixedStep | None,
+def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
           stop: StoppingSpec, direction_fn) -> RunReport:
     """Shared driver. direction_fn(x, g) -> (step vector, case, T, cos)."""
     obj = problem.objective
@@ -113,8 +99,10 @@ def _loop(problem: Problem, method: Method,
                              alpha=0.0, case="-", T=0.0, cos_theta=1.0)]
     iters = 0
     max_T = 0.0
-    bb_state: dict = {"s": None, "y": None}
     while True:
+        if not isfinite(gnorm):   # at the start point or an accepted iterate
+            status = RunStatus.NON_FINITE_GRADIENT
+            break
         if gnorm <= stop.tol_grad:
             status = RunStatus.CONVERGED
             break
@@ -127,8 +115,8 @@ def _loop(problem: Problem, method: Method,
             status = RunStatus.DEGENERATE_STOP
             break
         max_T = max(max_T, T)
-        if ls is None or isinstance(ls, FixedStep):
-            alpha = 1.0 if ls is None else ls.alpha
+        if isinstance(ls, FixedStep):
+            alpha = ls.alpha
             x_new = x + alpha * d
             f_new = obj.value(x_new)
             if not isfinite(f_new):
@@ -136,7 +124,7 @@ def _loop(problem: Problem, method: Method,
                 break
         else:
             try:
-                res = _run_line_search(obj, x, g, d, ls, bb_state)
+                res = _run_line_search(obj, x, g, d, ls)
             except NotDescent:
                 status = RunStatus.LINE_SEARCH_FAILURE
                 break
@@ -147,32 +135,27 @@ def _loop(problem: Problem, method: Method,
             alpha = res.alpha
             x_new = x + alpha * d
             f_new = res.f_new
-        g_new = obj.gradient(x_new)
-        bb_state["s"] = x_new - x
-        bb_state["y"] = g_new - g
-        x, f_curr, g = x_new, f_new, g_new
+        x, f_curr, g = x_new, f_new, obj.gradient(x_new)
         gnorm = norm2(g)
         iters += 1
         records.append(IterateRecord(k=iters, x=x.copy(), f=f_curr,
                                      grad_norm=gnorm, alpha=float(alpha),
                                      case=case, T=T, cos_theta=cos_theta))
-    return RunReport(method=method, ls=ls, records=records, status=status,
-                     iters=iters, max_T=max_T)
+    return RunReport(records=records, status=status, iters=iters, max_T=max_T)
 
 
 def yand_run(problem: Problem, ls: LineSearchSpec,
-             stop: StoppingSpec | None = None,
-             eps_orth: float = 1e-12) -> RunReport:
+             stop: StoppingSpec | None = None) -> RunReport:
     """Geometric descent: search along step_scale * d at every iterate."""
     if stop is None:
         stop = StoppingSpec()
     obj = problem.objective
 
     def direction(x, g):
-        res: DirectionResult = descent_direction(obj, x, eps_orth=eps_orth)
+        res: DirectionResult = descent_direction(obj, x)
         return (res.step_scale * res.d, res.case.value, res.T, res.cos_theta)
 
-    return _loop(problem, Method.YAND, ls, stop, direction)
+    return _loop(problem, ls, stop, direction)
 
 
 def gradient_descent_run(problem: Problem,
@@ -184,7 +167,7 @@ def gradient_descent_run(problem: Problem,
     def direction(x, g):
         return (-g, "GD", 0.0, 1.0)
 
-    return _loop(problem, Method.GRADIENT_DESCENT, step, stop, direction)
+    return _loop(problem, step, stop, direction)
 
 
 def newton_run(problem: Problem, damped: bool = False,
@@ -196,17 +179,16 @@ def newton_run(problem: Problem, damped: bool = False,
     if stop is None:
         stop = StoppingSpec()
     obj = problem.objective
-    method = Method.DAMPED_NEWTON if damped else Method.NEWTON
-    if damped and ls is None:
-        ls = StrongWolfeSearch()
     if not damped:
-        ls = None   # classical Newton: always the unit step
-    case = method.value
+        ls = FixedStep(1.0)   # classical Newton: always the unit step
+    elif ls is None:
+        ls = StrongWolfeSearch()
+    case = "DampedNewton" if damped else "Newton"
 
     def direction(x, g):
         return (newton_direction(obj, x, regularize=damped), case, 0.0, 1.0)
 
-    return _loop(problem, method, ls, stop, direction)
+    return _loop(problem, ls, stop, direction)
 
 
 @dataclass(frozen=True)

@@ -17,22 +17,20 @@ from .numerics import Frame, Vector, as_vector, build_gradient_frame
 from .objective import Objective
 
 
+GRID_POINTS = 2049   # odd, so that t = 0 lies on the scan grid
+BISECT_TOL = 1e-12   # width to which each feasibility crossing is refined
+
+
 @dataclass(frozen=True)
 class SliceParams:
     delta: float = 1e-4
-    samples: int = 2048
     window: float | None = None   # half-width of the scan; None = automatic
-    bisect_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-        if self.samples < 16:
-            raise ValueError("samples must be at least 16")
+        if not self.delta * 1e-3 >= BISECT_TOL:
+            raise ValueError("delta must be at least BISECT_TOL * 1e3 = 1e-9")
         if self.window is not None and self.window <= 0.0:
             raise ValueError("window must be positive")
-        if self.bisect_tol > self.delta * 1e-3:
-            raise ValueError("bisect_tol must be <= delta * 1e-3")
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,6 @@ class SliceRegion:
     total_length: float
     centroid_param: float
     centroid: Vector
-    window: float
     frame: Frame = field(repr=False)
 
 
@@ -58,11 +55,10 @@ def _auto_window(obj: Objective, z: Vector, offset: float,
     return max(1.0, 10.0 * float(np.sqrt(2.0 * offset / lam)))
 
 
-def _bisect_edge(feasible, lo: float, hi: float, lo_feasible: bool,
-                 tol: float) -> float:
-    """Refine a feasibility crossing in (lo, hi) to width tol. lo_feasible
-    says which endpoint is inside the region."""
-    while hi - lo > tol:
+def _bisect_edge(feasible, lo: float, hi: float, lo_feasible: bool) -> float:
+    """Refine a feasibility crossing in (lo, hi) to width BISECT_TOL.
+    lo_feasible says which endpoint is inside the region."""
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid) == lo_feasible:
             lo = mid
@@ -98,7 +94,7 @@ def slice_region_2d(obj: Objective, z, C: float,
     def feasible(t: float) -> bool:
         return obj.value(foot + t * t_hat) <= f0
 
-    n = params.samples + (1 - params.samples % 2)   # odd count => t=0 on grid
+    n = GRID_POINTS
     grid = np.linspace(-R, R, n)
     flags = np.fromiter((feasible(t) for t in grid), dtype=bool, count=n)
     if not flags.any():
@@ -114,9 +110,9 @@ def slice_region_2d(obj: Objective, z, C: float,
         while j + 1 < n and flags[j + 1]:
             j += 1
         lo = grid[i] if i == 0 else _bisect_edge(
-            feasible, grid[i - 1], grid[i], False, params.bisect_tol)
+            feasible, grid[i - 1], grid[i], False)
         hi = grid[j] if j == n - 1 else _bisect_edge(
-            feasible, grid[j], grid[j + 1], True, params.bisect_tol)
+            feasible, grid[j], grid[j + 1], True)
         intervals.append((float(lo), float(hi)))
         i = j + 1
 
@@ -128,7 +124,7 @@ def slice_region_2d(obj: Objective, z, C: float,
     centroid = foot + centroid_param * t_hat
     return SliceRegion(intervals=intervals, total_length=float(total),
                        centroid_param=float(centroid_param),
-                       centroid=centroid, window=float(R), frame=frame)
+                       centroid=centroid, frame=frame)
 
 
 def slice_centroid_direction(obj: Objective, z,

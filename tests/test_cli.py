@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from affinedescent import cli
 from affinedescent.cli import (Config, _build_parser, _fmt, _parse_ls,
                                cmd_verify, main, parse_config_file)
 from affinedescent.line_search import ArmijoSearch, ExactSearch, FixedStep
 from affinedescent.objective import Objective
 from affinedescent.problems import Problem, catalog
+from test_optimizer import nan_gradient_problem
 
 
 def run_main(argv, capsys):
@@ -121,6 +123,18 @@ class TestRunCommand:
             ["run", "quad_well", "cg", "exact",
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("method", ["yand", "gd"])
+    def test_non_finite_gradient_exits_three(self, method, tmp_path, capsys,
+                                             monkeypatch):
+        broken = nan_gradient_problem("quad_well")
+        monkeypatch.setattr(cli, "catalog", lambda name: broken)
+        out = tmp_path / "t.csv"
+        code, stdout, _ = run_main(
+            ["run", "quad_well", method, "exact", "--out", str(out)], capsys)
+        assert code == 3
+        assert stdout.split()[:2] == ["NonFiniteGradient", "1"]
+        assert out.read_text().splitlines()[-1].split(",")[4] == "nan"
 
     def test_bad_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

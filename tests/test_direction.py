@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinedescent import direction
 from affinedescent.direction import (DirectionCase, PointTag,
                                      _third_tensor_tangent,
                                      affine_normal_direction, block_decompose,
@@ -190,9 +191,11 @@ class TestCases:
         assert np.allclose(res.d, np.array([0.0, -1.0]), atol=1e-15)
         assert res.T == 0.0 and res.cos_theta == 1.0 and res.step_scale == 1.0
 
-    def test_fallback_when_band_swallows_inner_product(self):
+    def test_fallback_when_band_swallows_inner_product(self, monkeypatch):
+        # |g.d| <= ||g|| ||d|| always, so a band of width 2 swallows it
+        monkeypatch.setattr(direction, "EPS_ORTH", 2.0)
         obj = catalog("quad_51").objective
-        res = descent_direction(obj, np.array([2.0, 0.0]), eps_orth=2.0)
+        res = descent_direction(obj, np.array([2.0, 0.0]))
         assert res.case is DirectionCase.STEEPEST_FALLBACK
 
     def test_fallback_on_indefinite_block_with_zero_eigenvalue(self):

@@ -7,16 +7,14 @@ from affinedescent.errors import NoFiniteStep, NotDescent
 from affinedescent.line_search import (MAX_BACKTRACKS, ArmijoSearch,
                                        ExactSearch, FixedStep,
                                        LineSearchStatus, StrongWolfeSearch,
-                                       armijo_backtrack, bb_initial_step,
-                                       exact_search, strong_wolfe_search)
+                                       armijo_backtrack, exact_search,
+                                       strong_wolfe_search)
 
 
 class TestSpecValidation:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             ExactSearch(alpha_max=0.0)
-        with pytest.raises(ValueError):
-            ExactSearch(tol=-1.0)
         with pytest.raises(ValueError):
             ArmijoSearch(sigma=0.0)
         with pytest.raises(ValueError):
@@ -181,41 +179,3 @@ class TestStrongWolfe:
         dphi = lambda a: curv * (a - t)
         self.check(phi, dphi)
 
-
-class TestBarzilaiBorwein:
-    def test_bb1_and_bb2_formulas(self):
-        s = np.array([1.0, 2.0])
-        y = np.array([0.5, 1.0])
-        assert bb_initial_step(s, y, "BB1") == pytest.approx(5.0 / 2.5)
-        assert bb_initial_step(s, y, "BB2") == pytest.approx(2.5 / 1.25)
-
-    def test_nonpositive_curvature_falls_back_to_one(self):
-        assert bb_initial_step(np.array([1.0]), np.array([-1.0])) == 1.0
-        assert bb_initial_step(np.array([1.0]), np.array([0.0])) == 1.0
-
-    def test_clamping(self):
-        s = np.array([1e6])
-        y = np.array([1e-6])
-        assert bb_initial_step(s, y, "BB1") == 1e4
-        s = np.array([1e-6])
-        y = np.array([1e6])
-        assert bb_initial_step(s, y, "BB1") == 1e-8
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            bb_initial_step(np.array([1.0]), np.array([1.0]), "BB3")
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            bb_initial_step(np.array([1.0]), np.array([1.0, 2.0]))
-
-    def test_bb1_dominates_bb2(self):
-        # Cauchy-Schwarz: s's/s'y >= s'y/y'y whenever s'y > 0
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            s = rng.normal(size=4)
-            y = rng.normal(size=4)
-            if float(s @ y) <= 0.0:
-                continue
-            assert bb_initial_step(s, y, "BB1") >= \
-                bb_initial_step(s, y, "BB2") - 1e-12

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from affinedescent.errors import MissingReference
 from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
                                        StrongWolfeSearch)
 from affinedescent.objective import make_objective
-from affinedescent.optimizer import (Method, RunStatus, StoppingSpec,
+from affinedescent.optimizer import (RunStatus, StoppingSpec,
                                      empirical_rates, gradient_descent_run,
                                      newton_run, yand_run)
 from affinedescent.problems import Problem, catalog, make_affine_scaled
@@ -26,6 +28,21 @@ def flat_valley_problem():
     return Problem(name="flat_valley", objective=obj,
                    x0=np.array([3.0, 2.0]), x_star=None, f_star=None,
                    notes="")
+
+
+def nan_gradient_problem(name, at_start=False):
+    """Catalog problem whose gradient is NaN everywhere except at x0 (or,
+    with at_start, everywhere)."""
+    p = catalog(name)
+    grad = p.objective.gradient
+
+    def gradient(x):
+        g = grad(x)
+        if at_start or not np.array_equal(x, p.x0):
+            return np.full_like(g, np.nan)
+        return g
+
+    return replace(p, objective=replace(p.objective, gradient=gradient))
 
 
 class TestRecordConventions:
@@ -85,6 +102,28 @@ class TestStatuses:
                                    FixedStep(alpha=100.0), STOP)
         assert rep.status is RunStatus.LINE_SEARCH_FAILURE
 
+    @pytest.mark.parametrize("run", [
+        lambda p: yand_run(p, ExactSearch(), STOP),
+        lambda p: yand_run(p, ArmijoSearch(), STOP),
+        lambda p: gradient_descent_run(p, ExactSearch(), STOP),
+        lambda p: gradient_descent_run(p, FixedStep(alpha=0.1), STOP),
+        lambda p: newton_run(p, stop=STOP)],
+        ids=["yand-exact", "yand-armijo", "gd-exact", "gd-fixed", "newton"])
+    def test_non_finite_gradient_at_accepted_iterate(self, run):
+        rep = run(nan_gradient_problem("quad_well"))
+        assert rep.status is RunStatus.NON_FINITE_GRADIENT
+        assert rep.iters == 1
+        assert np.isnan(rep.final.grad_norm) and np.isfinite(rep.final.f)
+
+    @pytest.mark.parametrize("run", [
+        lambda p: yand_run(p, ExactSearch(), STOP),
+        lambda p: gradient_descent_run(p, ExactSearch(), STOP)],
+        ids=["yand", "gd"])
+    def test_non_finite_gradient_at_start(self, run):
+        rep = run(nan_gradient_problem("quad_well", at_start=True))
+        assert rep.status is RunStatus.NON_FINITE_GRADIENT
+        assert rep.iters == 0 and len(rep.records) == 1
+
     def test_outside_domain_start_rejected(self):
         p = catalog("inverse_barrier")
         bad = Problem(name="bad_start", objective=p.objective,
@@ -112,10 +151,6 @@ class TestConvergence:
         rep = yand_run(catalog("rosenbrock"), ls, STOP)
         assert rep.status is RunStatus.CONVERGED
         assert rep.iters <= 200
-
-    def test_bb_initialization_on_rosenbrock(self):
-        rep = yand_run(catalog("rosenbrock"), ArmijoSearch(use_bb=True), STOP)
-        assert rep.status is RunStatus.CONVERGED
 
     def test_damped_newton_on_nonconvex(self):
         for name in ("rosenbrock", "ring_tilted", "four_well"):

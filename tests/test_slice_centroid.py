@@ -99,11 +99,11 @@ class TestSliceParams:
         with pytest.raises(ValueError):
             SliceParams(delta=0.0)
         with pytest.raises(ValueError):
-            SliceParams(samples=4)
-        with pytest.raises(ValueError):
             SliceParams(window=-1.0)
+        # bisection resolves crossings to BISECT_TOL, so delta >= 1e-9
         with pytest.raises(ValueError):
-            SliceParams(delta=1e-6, bisect_tol=1e-6)
+            SliceParams(delta=0.5e-9)
+        SliceParams(delta=1e-9)
 
 
 class TestSliceDirection:
