@@ -115,6 +115,7 @@ _EXIT_BY_STATUS = {
     RunStatus.LINE_SEARCH_FAILURE: 3,
     RunStatus.DEGENERATE_STOP: 3,
     RunStatus.NON_FINITE_GRADIENT: 3,
+    RunStatus.NON_FINITE_HESSIAN: 3,
 }
 
 

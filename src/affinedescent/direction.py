@@ -15,10 +15,10 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DegenerateTangentBlock, SingularHessian, ZeroGradient
+from .errors import DegenerateTangentBlock, NonFiniteHessian, SingularHessian
 from .numerics import (DefinitenessTag, Frame, Matrix, SymmetricClass, Vector,
                        as_vector, build_gradient_frame, classify_symmetric,
-                       inf_norm, norm2, solve_spd)
+                       inf_norm, norm2, solve_symmetric)
 from .objective import Objective
 
 # Relative width of the near-orthogonality band that triggers the
@@ -38,18 +38,6 @@ class BlockHessian:
     d_nn: float      # normal-normal entry
 
 
-class PointTag(Enum):
-    ELLIPTIC = "Elliptic"
-    DEGENERATE = "Degenerate"
-    NON_ELLIPTIC = "NonElliptic"
-
-
-@dataclass(frozen=True)
-class PointClass:
-    tag: PointTag
-    min_eig_B: float
-
-
 class DirectionCase(Enum):
     AN = "AN"
     FLIPPED_AN = "FlippedAN"
@@ -63,8 +51,15 @@ class DirectionResult:
     tau: Vector            # tangential coefficients of d in the frame
     T: float               # ||tau||
     cos_theta: float       # cosine of the angle between d and -grad
-    point_class: PointClass
+    point_class: SymmetricClass   # classification of the tangent block B
     step_scale: float      # multiplier making step_scale*d a unit-step-friendly length
+
+
+def _hessian(obj: Objective, x: Vector) -> Matrix:
+    H = np.asarray(obj.hessian(x), dtype=float)
+    if not np.isfinite(H).all():
+        raise NonFiniteHessian("Hessian has infs or NaNs")
+    return H
 
 
 def block_decompose(obj: Objective, x, frame: Frame | None = None) -> BlockHessian:
@@ -72,11 +67,12 @@ def block_decompose(obj: Objective, x, frame: Frame | None = None) -> BlockHessi
 
     A frame may be passed explicitly (its last column must be the unit
     gradient); by default the deterministic Householder frame is built.
+    Raises NonFiniteHessian when the Hessian holds infs or NaNs.
     """
     x = as_vector(x)
     if frame is None:
         frame = build_gradient_frame(obj.gradient(x))
-    H = np.asarray(obj.hessian(x), dtype=float)
+    H = _hessian(obj, x)
     Hf = frame.basis.T @ H @ frame.basis
     B = 0.5 * (Hf[:-1, :-1] + Hf[:-1, :-1].T)
     c = Hf[:-1, -1].copy()
@@ -84,20 +80,10 @@ def block_decompose(obj: Objective, x, frame: Frame | None = None) -> BlockHessi
     return BlockHessian(frame=frame, B=B, c=c, d_nn=d_nn)
 
 
-def classify_point(obj: Objective, x, frame: Frame | None = None) -> PointClass:
-    """Ellipticity of the level set at x, from the tangent Hessian block."""
-    block = block_decompose(obj, x, frame=frame)
-    return _classify_block(classify_symmetric(block.B))
-
-
-def _classify_block(cls_B: SymmetricClass) -> PointClass:
-    if cls_B.tag is DefinitenessTag.POSITIVE_DEFINITE:
-        tag = PointTag.ELLIPTIC
-    elif cls_B.tag is DefinitenessTag.SINGULAR:
-        tag = PointTag.DEGENERATE
-    else:
-        tag = PointTag.NON_ELLIPTIC
-    return PointClass(tag=tag, min_eig_B=cls_B.min_eig)
+def classify_point(obj: Objective, x, frame: Frame | None = None) -> SymmetricClass:
+    """Classification of the tangent Hessian block at x. The level set is
+    elliptic there exactly when the block is positive definite."""
+    return classify_symmetric(block_decompose(obj, x, frame=frame).B)
 
 
 def _third_tensor_tangent(obj: Objective, x: Vector, frame: Frame) -> np.ndarray:
@@ -116,41 +102,17 @@ def _third_tensor_tangent(obj: Objective, x: Vector, frame: Frame) -> np.ndarray
     return M
 
 
-def _tangent_solve(cls_B: SymmetricClass, rhs: np.ndarray) -> np.ndarray:
-    if cls_B.is_positive_definite:
-        return solve_spd(cls_B, rhs)
-    try:
-        return np.linalg.solve(cls_B.matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        # indefinite block with an exactly zero eigenvalue
-        raise DegenerateTangentBlock(str(exc)) from exc
-
-
-def _tau_and_scale(obj: Objective, x: Vector, block: BlockHessian,
-                   cls_B: SymmetricClass) -> tuple[Vector, float, float]:
-    """Tangential coefficients tau, orientation sign, and step scale."""
+def _tau(obj: Objective, x: Vector, block: BlockHessian,
+         cls_B: SymmetricClass) -> Vector:
+    """Tangential coefficients of the geometric direction; B nonsingular."""
     frame = block.frame
     m = block.B.shape[0]
-    gnorm = frame.grad_norm
     M3 = _third_tensor_tangent(obj, x, frame)
-    Binv_M = _tangent_solve(cls_B, M3.reshape(m, m * m)).reshape(m, m, m)
+    Binv_M = solve_symmetric(cls_B, M3.reshape(m, m * m)).reshape(m, m, m)
     # s_i = sum_pq (B^-1)_pq D3[t_p, t_q, t_i] = trace of the solved slab.
     s = np.einsum("ppi->i", Binv_M)
-    rhs = block.c - (gnorm / (m + 2.0)) * s
-    tau = _tangent_solve(cls_B, rhs)
-    # Orientation of the underlying geometric normal: for an odd number of
-    # tangent directions it flips with sign(det B); for an even number the
-    # real root does not exist for negative det and the sign is taken +1.
-    if m % 2 == 1:
-        sign, _ = np.linalg.slogdet(cls_B.matrix)
-        omega = 1.0 if sign >= 0.0 else -1.0
-    else:
-        omega = 1.0
-    Binv_c = _tangent_solve(cls_B, block.c)
-    schur = block.d_nn - float(block.c @ Binv_c)
-    floor = SCALE_FLOOR * max(1.0, abs(block.d_nn), inf_norm(block.B))
-    step_scale = gnorm / schur if schur > floor else 1.0
-    return tau, omega, step_scale
+    rhs = block.c - (frame.grad_norm / (m + 2.0)) * s
+    return solve_symmetric(cls_B, rhs)
 
 
 def affine_normal_direction(obj: Objective, x,
@@ -166,8 +128,8 @@ def affine_normal_direction(obj: Objective, x,
     cls_B = classify_symmetric(block.B)
     if cls_B.tag is DefinitenessTag.SINGULAR:
         raise DegenerateTangentBlock(
-            f"tangent block min |eig| = {abs(cls_B.min_eig):.3e}")
-    tau, _, _ = _tau_and_scale(obj, x, block, cls_B)
+            f"tangent block min |eig| = {np.abs(cls_B.eigs).min():.3e}")
+    tau = _tau(obj, x, block, cls_B)
     d = block.frame.tangent @ tau - block.frame.normal
     return tau, d
 
@@ -189,38 +151,41 @@ def descent_direction(obj: Objective, x,
     frame_ = block.frame
     gnorm = frame_.grad_norm
     cls_B = classify_symmetric(block.B)
-    pc = _classify_block(cls_B)
     m = block.B.shape[0]
 
     if cls_B.tag is DefinitenessTag.SINGULAR:
-        return _fallback_result(frame_, pc, m)
+        return _fallback_result(frame_, cls_B, m)
 
-    try:
-        tau, omega, step_scale = _tau_and_scale(obj, x, block, cls_B)
-    except DegenerateTangentBlock:
-        return _fallback_result(frame_, pc, m)
+    tau = _tau(obj, x, block, cls_B)
     d = frame_.tangent @ tau - frame_.normal
-    d_norm = norm2(d)
+    # Orientation of the underlying geometric normal: for an odd number of
+    # tangent directions it flips with sign(det B); for an even number the
+    # real root does not exist for negative det and the sign is taken +1.
+    omega = cls_B.det_sign if m % 2 else 1.0
     inner_raw = omega * float(g @ d)
-    band = EPS_ORTH * gnorm * d_norm
+    band = EPS_ORTH * gnorm * norm2(d)
     if inner_raw < -band:
         case = DirectionCase.AN
     elif inner_raw > band:
         case = DirectionCase.FLIPPED_AN
     else:
-        return _fallback_result(frame_, pc, m)
+        return _fallback_result(frame_, cls_B, m)
+    Binv_c = solve_symmetric(cls_B, block.c)
+    schur = block.d_nn - float(block.c @ Binv_c)
+    floor = SCALE_FLOOR * max(1.0, abs(block.d_nn), inf_norm(block.B))
+    step_scale = gnorm / schur if schur > floor else 1.0
     T = norm2(tau)
     # d = tangent @ tau - normal, so ||d||^2 = 1 + T^2; -d.normal / ||d||
     # would carry an error of about eps * T, large when d is nearly tangent.
     cos_theta = 1.0 / sqrt(1.0 + T * T)
     return DirectionResult(d=d, case=case, tau=tau, T=T, cos_theta=cos_theta,
-                           point_class=pc, step_scale=step_scale)
+                           point_class=cls_B, step_scale=step_scale)
 
 
-def _fallback_result(frame: Frame, pc: PointClass, m: int) -> DirectionResult:
+def _fallback_result(frame: Frame, cls_B: SymmetricClass, m: int) -> DirectionResult:
     return DirectionResult(
         d=-frame.normal, case=DirectionCase.STEEPEST_FALLBACK,
-        tau=np.zeros(m), T=0.0, cos_theta=1.0, point_class=pc,
+        tau=np.zeros(m), T=0.0, cos_theta=1.0, point_class=cls_B,
         step_scale=1.0)
 
 
@@ -228,21 +193,16 @@ def newton_direction(obj: Objective, x, regularize: bool = False) -> Vector:
     """Newton step -H^-1 grad; optionally with an SPD-restoring shift.
 
     Without regularization a singular Hessian raises SingularHessian; an
-    indefinite invertible one is solved as-is.
+    indefinite invertible one is solved as-is. A Hessian holding infs or
+    NaNs raises NonFiniteHessian.
     """
     x = as_vector(x)
     g = obj.gradient(x)
-    H = np.asarray(obj.hessian(x), dtype=float)
+    H = _hessian(obj, x)
     cls = classify_symmetric(H)
-    if cls.is_positive_definite:
-        return -solve_spd(cls, g)
-    if regularize:
+    if regularize and not cls.is_positive_definite:
         shift = max(0.0, -cls.min_eig) + 1e-8 * max(1.0, inf_norm(H))
-        shifted = classify_symmetric(cls.matrix + shift * np.eye(obj.dim))
-        return -solve_spd(shifted, g)
+        cls = classify_symmetric(cls.matrix + shift * np.eye(obj.dim))
     if cls.tag is DefinitenessTag.SINGULAR:
-        raise SingularHessian(f"min |eig| = {abs(cls.min_eig):.3e}")
-    try:
-        return -np.linalg.solve(cls.matrix, g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHessian(str(exc)) from exc
+        raise SingularHessian(f"min |eig| = {np.abs(cls.eigs).min():.3e}")
+    return -solve_symmetric(cls, g)

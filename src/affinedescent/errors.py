@@ -25,6 +25,10 @@ class SingularHessian(AffineDescentError):
     """Newton solve on a singular Hessian without regularization."""
 
 
+class NonFiniteHessian(AffineDescentError):
+    """Hessian oracle returned infs or NaNs."""
+
+
 class DomainViolation(AffineDescentError):
     """A finite-difference stencil left the objective's domain."""
 

@@ -1,5 +1,6 @@
 """Dense linear-algebra kernels: gradient-aligned frames, symmetric
-classification with a reusable Cholesky factor, and small utilities.
+classification with a reusable Cholesky factor, the one symmetric solve,
+and small utilities.
 
 Everything here is deterministic and works on float64 numpy arrays. The
 Cholesky kernels call LAPACK's potrf/potrs directly, the same routines and
@@ -103,7 +104,7 @@ class DefinitenessTag(Enum):
 
 @dataclass(frozen=True)
 class SymmetricClass:
-    """Classification of a symmetric matrix with its spectrum endpoints
+    """Classification of a symmetric matrix with its ascending eigenvalues
     and, when positive definite, a Cholesky factor reusable by solve_spd.
 
     `factor` is the raw LAPACK potrf output for the lower triangle: L sits
@@ -112,22 +113,36 @@ class SymmetricClass:
     """
 
     tag: DefinitenessTag
-    min_eig: float
-    max_eig: float
+    eigs: Vector     # ascending
     matrix: Matrix
     factor: Matrix | None = None
 
     @property
+    def min_eig(self) -> float:
+        return float(self.eigs[0])
+
+    @property
+    def max_eig(self) -> float:
+        return float(self.eigs[-1])
+
+    @property
     def is_positive_definite(self) -> bool:
         return self.tag is DefinitenessTag.POSITIVE_DEFINITE
+
+    @property
+    def det_sign(self) -> float:
+        """sign(det M) from the parity of the negative eigenvalues; only
+        meaningful when the matrix is not Singular."""
+        return -1.0 if np.count_nonzero(self.eigs < 0.0) % 2 else 1.0
 
 
 def classify_symmetric(M) -> SymmetricClass:
     """Classify a symmetric matrix as positive definite, numerically
     singular, or otherwise indefinite.
 
-    Symmetry is required up to 1e-12 * max(1, ||M||_inf); eigenvalues
-    within 1e-10 * max(1, ||M||_inf) of zero count as singular.
+    Symmetry is required up to 1e-12 * max(1, ||M||_inf); the matrix is
+    singular when any eigenvalue lies within 1e-10 * max(1, ||M||_inf) of
+    zero, whatever the signs of the others.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -137,23 +152,19 @@ def classify_symmetric(M) -> SymmetricClass:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     S = 0.5 * (A + A.T)
     eigs = np.linalg.eigvalsh(S)
-    min_eig = float(eigs[0])
-    max_eig = float(eigs[-1])
     thresh = DEGENERACY_TOL * scale
-    if min_eig > thresh:
+    factor = None
+    if eigs[0] > thresh:
         tag = DefinitenessTag.POSITIVE_DEFINITE
         factor, info = dpotrf(S, lower=1, clean=0)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"potrf failed (info={info}): leading minor not positive definite")
-    elif abs(min_eig) <= thresh:
+    elif np.abs(eigs).min() <= thresh:
         tag = DefinitenessTag.SINGULAR
-        factor = None
     else:
         tag = DefinitenessTag.OTHER_INDEFINITE
-        factor = None
-    return SymmetricClass(tag=tag, min_eig=min_eig, max_eig=max_eig,
-                          matrix=S, factor=factor)
+    return SymmetricClass(tag=tag, eigs=eigs, matrix=S, factor=factor)
 
 
 def solve_spd(cls: SymmetricClass, rhs) -> Vector:
@@ -172,6 +183,14 @@ def solve_spd(cls: SymmetricClass, rhs) -> Vector:
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return x
+
+
+def solve_symmetric(cls: SymmetricClass, rhs) -> Vector:
+    """Solve M x = rhs for a classified matrix that is not Singular: by its
+    Cholesky factor when positive definite, by LU otherwise."""
+    if cls.is_positive_definite:
+        return solve_spd(cls, rhs)
+    return np.linalg.solve(cls.matrix, rhs)
 
 
 def angle_between(u, v) -> float:

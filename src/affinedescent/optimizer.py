@@ -12,8 +12,8 @@ from enum import Enum
 from math import isfinite
 
 from .direction import DirectionResult, descent_direction, newton_direction
-from .errors import (DegenerateTangentBlock, NotDescent, SingularHessian,
-                     ZeroGradient)
+from .errors import (DegenerateTangentBlock, NonFiniteHessian, NotDescent,
+                     SingularHessian, ZeroGradient)
 from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
                           LineSearchResult, LineSearchSpec, LineSearchStatus,
                           StrongWolfeSearch, armijo_backtrack, exact_search,
@@ -41,6 +41,7 @@ class RunStatus(Enum):
     LINE_SEARCH_FAILURE = "LineSearchFailure"
     DEGENERATE_STOP = "DegenerateStop"
     NON_FINITE_GRADIENT = "NonFiniteGradient"
+    NON_FINITE_HESSIAN = "NonFiniteHessian"
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,9 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
             d, case, T, cos_theta = direction_fn(x, g)
         except (SingularHessian, DegenerateTangentBlock, ZeroGradient):
             status = RunStatus.DEGENERATE_STOP
+            break
+        except NonFiniteHessian:   # at the start point or an accepted iterate
+            status = RunStatus.NON_FINITE_HESSIAN
             break
         max_T = max(max_T, T)
         if isinstance(ls, FixedStep):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .direction import PointTag, classify_point
+from .direction import classify_point
 from .errors import EmptySlice
 from .numerics import Frame, Vector, as_vector, build_gradient_frame
 from .objective import Objective
@@ -50,8 +50,7 @@ def _auto_window(obj: Objective, z: Vector, offset: float,
     """Scan half-width from the tangent curvature at z: covers ~10x the
     chord half-width sqrt(2|C| / lambda), with the curvature floored at
     |C| so non-elliptic points get a wide but finite window."""
-    pc = classify_point(obj, z, frame=frame)
-    lam = max(pc.min_eig_B, offset)
+    lam = max(classify_point(obj, z, frame=frame).min_eig, offset)
     return max(1.0, 10.0 * float(np.sqrt(2.0 * offset / lam)))
 
 
@@ -145,7 +144,6 @@ def slice_centroid_direction(obj: Objective, z,
     region = slice_region_2d(obj, z, -params.delta, params)
     gnorm = region.frame.grad_norm
     v = (region.centroid - z) * (gnorm / params.delta)
-    pc = classify_point(obj, z, frame=region.frame)
-    if pc.tag is PointTag.ELLIPTIC:
+    if classify_point(obj, z, frame=region.frame).is_positive_definite:
         return v
     return -v

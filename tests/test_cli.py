@@ -7,7 +7,7 @@ from affinedescent.cli import (Config, _build_parser, _fmt, _parse_ls,
 from affinedescent.line_search import ArmijoSearch, ExactSearch, FixedStep
 from affinedescent.objective import Objective
 from affinedescent.problems import Problem, catalog
-from test_optimizer import nan_gradient_problem
+from test_optimizer import nan_gradient_problem, nan_hessian_problem
 
 
 def run_main(argv, capsys):
@@ -135,6 +135,18 @@ class TestRunCommand:
         assert code == 3
         assert stdout.split()[:2] == ["NonFiniteGradient", "1"]
         assert out.read_text().splitlines()[-1].split(",")[4] == "nan"
+
+    @pytest.mark.parametrize("method", ["yand", "newton", "dnewton"])
+    def test_non_finite_hessian_exits_three(self, method, tmp_path, capsys,
+                                            monkeypatch):
+        broken = nan_hessian_problem("rosenbrock")
+        monkeypatch.setattr(cli, "catalog", lambda name: broken)
+        out = tmp_path / "t.csv"
+        code, stdout, _ = run_main(
+            ["run", "rosenbrock", method, "armijo", "--out", str(out)], capsys)
+        assert code == 3
+        assert stdout.split()[:2] == ["NonFiniteHessian", "1"]
+        assert len(out.read_text().splitlines()) == 3   # header, k = 0, 1
 
     def test_bad_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

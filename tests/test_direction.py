@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinedescent import direction
-from affinedescent.direction import (DirectionCase, PointTag,
-                                     _third_tensor_tangent,
+from affinedescent.direction import (DirectionCase, _third_tensor_tangent,
                                      affine_normal_direction, block_decompose,
                                      classify_point, descent_direction,
                                      newton_direction)
-from affinedescent.errors import (DegenerateTangentBlock, SingularHessian,
-                                  ZeroGradient)
-from affinedescent.numerics import Frame, angle_between, build_gradient_frame
+from affinedescent.errors import (DegenerateTangentBlock, NonFiniteHessian,
+                                  SingularHessian, ZeroGradient)
+from affinedescent.numerics import (DefinitenessTag, Frame, angle_between,
+                                    build_gradient_frame)
 from affinedescent.objective import make_objective
 from affinedescent.problems import catalog
 
@@ -21,14 +21,15 @@ S17 = np.sqrt(17.0)
 S10 = np.sqrt(10.0)
 
 
-def spd_quadratic(A, b):
-    A = np.asarray(A, dtype=float)
+def quadratic(H, b):
+    """f = x.H.x/2 + b.x for any symmetric H (no definiteness required)."""
+    H = np.asarray(H, dtype=float)
     b = np.asarray(b, dtype=float)
     return make_objective(
         dim=b.size,
-        value=lambda x: 0.5 * x @ A @ x + b @ x,
-        gradient=lambda x: A @ x + b,
-        hessian=lambda x: A.copy(),
+        value=lambda x: 0.5 * x @ H @ x + b @ x,
+        gradient=lambda x: H @ x + b,
+        hessian=lambda x: H.copy(),
         third_directional=lambda x, u, v, w: 0.0,
     )
 
@@ -107,7 +108,7 @@ class TestWorkedQuadratic2d:
     def test_case_and_telemetry(self):
         res = descent_direction(self.problem.objective, self.x)
         assert res.case is DirectionCase.AN
-        assert res.point_class.tag is PointTag.ELLIPTIC
+        assert res.point_class.tag is DefinitenessTag.POSITIVE_DEFINITE
         assert res.T == pytest.approx(0.6, abs=1e-13)
         assert res.cos_theta == pytest.approx(1.0 / np.sqrt(1.36), rel=1e-13)
 
@@ -177,7 +178,7 @@ class TestCases:
         x = np.array([0.0, -1.5])
         res = descent_direction(obj, x)
         assert res.case is DirectionCase.FLIPPED_AN
-        assert res.point_class.tag is PointTag.NON_ELLIPTIC
+        assert res.point_class.tag is DefinitenessTag.OTHER_INDEFINITE
         assert np.array_equal(res.d, np.array([0.0, 1.0]))
         g = obj.gradient(x)
         assert float(g @ res.d) < 0.0
@@ -187,7 +188,7 @@ class TestCases:
         x = np.array([3.0, 2.0])
         res = descent_direction(obj, x)
         assert res.case is DirectionCase.STEEPEST_FALLBACK
-        assert res.point_class.tag is PointTag.DEGENERATE
+        assert res.point_class.tag is DefinitenessTag.SINGULAR
         assert np.allclose(res.d, np.array([0.0, -1.0]), atol=1e-15)
         assert res.T == 0.0 and res.cos_theta == 1.0 and res.step_scale == 1.0
 
@@ -199,7 +200,8 @@ class TestCases:
         assert res.case is DirectionCase.STEEPEST_FALLBACK
 
     def test_fallback_on_indefinite_block_with_zero_eigenvalue(self):
-        # tangent block diag(-2, 0): indefinite tag but exactly singular
+        # tangent block diag(-2, 0): Singular, though its lowest eigenvalue
+        # is far from zero
         obj = make_objective(
             dim=3,
             value=lambda x: -x[0] ** 2 + 0.5 * x[2] ** 2,
@@ -213,6 +215,32 @@ class TestCases:
         with pytest.raises(DegenerateTangentBlock):
             affine_normal_direction(obj, x)
 
+    def test_fallback_on_indefinite_block_with_near_zero_eigenvalue(self):
+        # frame at 0 is (e1, e2 | e3): tangent block diag(-2, 1e-11), c = (0, 0.5)
+        obj = quadratic([[-2.0, 0.0, 0.0], [0.0, 1e-11, 0.5], [0.0, 0.5, 1.0]],
+                        [0.0, 0.0, 1.0])
+        x = np.zeros(3)
+        res = descent_direction(obj, x)
+        assert res.case is DirectionCase.STEEPEST_FALLBACK
+        assert res.point_class.tag is DefinitenessTag.SINGULAR
+        with pytest.raises(DegenerateTangentBlock):
+            affine_normal_direction(obj, x)
+
+    @pytest.mark.parametrize("negatives, case", [
+        (0, DirectionCase.AN), (1, DirectionCase.FLIPPED_AN),
+        (2, DirectionCase.AN), (3, DirectionCase.FLIPPED_AN)])
+    def test_orientation_on_three_dim_tangent_block(self, negatives, case):
+        # frame at 0 is (e1, e2, e3 | e4), so B is the leading 3x3 block;
+        # with m = 3 the orientation is sign(det B)
+        H = np.diag([1.0, 2.0, 3.0, 1.0])
+        H[:negatives, :negatives] *= -1.0
+        H[:3, 3] = H[3, :3] = [0.5, 0.3, 0.1]
+        obj = quadratic(H, [0.0, 0.0, 0.0, 1.0])
+        res = descent_direction(obj, np.zeros(4))
+        assert np.count_nonzero(res.point_class.eigs < 0.0) == negatives
+        assert res.case is case
+        assert float(obj.gradient(np.zeros(4)) @ res.d) < 0.0
+
     def test_degenerate_block_raises_in_plain_direction(self):
         with pytest.raises(DegenerateTangentBlock):
             affine_normal_direction(flat_valley(), np.array([3.0, 2.0]))
@@ -223,12 +251,24 @@ class TestCases:
             descent_direction(obj, catalog("quad_well").x_star)
 
     def test_classify_point_tags(self):
-        assert classify_point(catalog("quad_51").objective,
-                              np.array([2.0, 0.0])).tag is PointTag.ELLIPTIC
-        assert classify_point(catalog("four_well").objective,
-                              np.array([0.0, -1.5])).tag is PointTag.NON_ELLIPTIC
-        assert classify_point(flat_valley(),
-                              np.array([3.0, 2.0])).tag is PointTag.DEGENERATE
+        # elliptic <=> the tangent block is positive definite
+        assert classify_point(catalog("quad_51").objective, np.array(
+            [2.0, 0.0])).tag is DefinitenessTag.POSITIVE_DEFINITE
+        assert classify_point(catalog("four_well").objective, np.array(
+            [0.0, -1.5])).tag is DefinitenessTag.OTHER_INDEFINITE
+        assert classify_point(flat_valley(), np.array(
+            [3.0, 2.0])).tag is DefinitenessTag.SINGULAR
+
+    def test_non_finite_hessian_raises(self):
+        obj = replace(catalog("rosenbrock").objective,
+                      hessian=lambda x: np.full((2, 2), np.nan))
+        x = np.array([0.5, 0.5])
+        for call in (block_decompose, classify_point, descent_direction,
+                     affine_normal_direction, newton_direction):
+            with pytest.raises(NonFiniteHessian):
+                call(obj, x)
+        with pytest.raises(NonFiniteHessian):
+            newton_direction(obj, x, regularize=True)
 
 
 class TestAngleIdentity:
@@ -264,7 +304,7 @@ class TestNewtonAgreement:
         M = rng.normal(size=(dim, dim))
         A = M @ M.T + dim * np.eye(dim)
         b = rng.normal(size=dim)
-        obj = spd_quadratic(A, b)
+        obj = quadratic(A, b)
         x = rng.normal(size=dim)
         g = obj.gradient(x)
         if np.linalg.norm(g) < 1e-8:
@@ -280,7 +320,7 @@ class TestNewtonAgreement:
         M = rng.normal(size=(dim, dim))
         A = M @ M.T + dim * np.eye(dim)
         b = rng.normal(size=dim)
-        obj = spd_quadratic(A, b)
+        obj = quadratic(A, b)
         x = rng.normal(size=dim)
         g = obj.gradient(x)
         if np.linalg.norm(g) < 1e-8:
@@ -379,7 +419,7 @@ class TestThirdTensorTangent:
 
 class TestNewtonDirection:
     def test_spd_solve(self):
-        obj = spd_quadratic(np.diag([2.0, 8.0]), np.array([0.1, 0.2]))
+        obj = quadratic(np.diag([2.0, 8.0]), np.array([0.1, 0.2]))
         x = np.array([1.0, 1.0])
         d = newton_direction(obj, x)
         assert np.allclose(x + d, np.array([-0.05, -0.025]), atol=1e-12)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_factor, cho_solve
@@ -8,7 +8,8 @@ from scipy.linalg import cho_factor, cho_solve
 from affinedescent.errors import NotFactorized, ZeroGradient
 from affinedescent.numerics import (DefinitenessTag, angle_between,
                                     build_gradient_frame, classify_symmetric,
-                                    inf_norm, norm2, solve_spd)
+                                    inf_norm, norm2, solve_spd,
+                                    solve_symmetric)
 
 
 def finite_vectors(dim):
@@ -70,14 +71,52 @@ def test_classification_agrees_with_eigenvalues(S):
     eigs = np.linalg.eigvalsh(0.5 * (S + S.T))
     assert cls.min_eig == pytest.approx(eigs[0], rel=1e-9, abs=1e-9)
     assert cls.max_eig == pytest.approx(eigs[-1], rel=1e-9, abs=1e-9)
-    # tag is driven by the minimum eigenvalue alone
+    # singular when any eigenvalue is near zero, whatever the others' signs
     thresh = 1e-10 * max(1.0, inf_norm(S))
     if eigs[0] > thresh:
         assert cls.tag is DefinitenessTag.POSITIVE_DEFINITE
-    elif abs(eigs[0]) <= thresh:
+    elif np.min(np.abs(eigs)) <= thresh:
         assert cls.tag is DefinitenessTag.SINGULAR
     else:
         assert cls.tag is DefinitenessTag.OTHER_INDEFINITE
+
+
+def test_near_zero_eigenvalue_above_a_negative_one_is_singular():
+    assert classify_symmetric(np.diag([-2.0, 1e-11])).tag is \
+        DefinitenessTag.SINGULAR
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_near_zero_eigenvalue_at_any_rank_is_singular(dim, data):
+    # dim - 1 eigenvalues of magnitude in [0.5, 100], each of either sign,
+    # plus one of magnitude <= 1e-11, in a random orthonormal basis
+    signs = data.draw(arrays(np.float64, (dim - 1,),
+                             elements=st.sampled_from([-1.0, 1.0])))
+    mags = data.draw(arrays(np.float64, (dim - 1,),
+                            elements=st.floats(0.5, 100.0)))
+    tiny = data.draw(st.floats(-1e-11, 1e-11))
+    seed = data.draw(st.integers(0, 2 ** 31 - 1))
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))
+    S = Q @ np.diag(np.append(signs * mags, tiny)) @ Q.T
+    assert classify_symmetric(0.5 * (S + S.T)).tag is DefinitenessTag.SINGULAR
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(symmetric_matrices))
+def test_det_sign_is_eigenvalue_parity(S):
+    cls = classify_symmetric(S)
+    assume(cls.tag is not DefinitenessTag.SINGULAR)
+    assert cls.det_sign == np.linalg.slogdet(S)[0]
+
+
+def test_solve_symmetric_picks_cholesky_or_lu():
+    spd = classify_symmetric(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    rhs = np.array([1.0, -2.0])
+    assert np.array_equal(solve_symmetric(spd, rhs), solve_spd(spd, rhs))
+    indef = classify_symmetric(np.array([[1.0, 2.0], [2.0, -3.0]]))
+    assert np.array_equal(solve_symmetric(indef, rhs),
+                          np.linalg.solve(indef.matrix, rhs))
 
 
 @settings(max_examples=100, deadline=None)

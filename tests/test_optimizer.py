@@ -45,6 +45,20 @@ def nan_gradient_problem(name, at_start=False):
     return replace(p, objective=replace(p.objective, gradient=gradient))
 
 
+def nan_hessian_problem(name):
+    """Catalog problem whose Hessian is NaN everywhere except at x0."""
+    p = catalog(name)
+    hess = p.objective.hessian
+
+    def hessian(x):
+        H = hess(x)
+        if not np.array_equal(x, p.x0):
+            return np.full_like(H, np.nan)
+        return H
+
+    return replace(p, objective=replace(p.objective, hessian=hessian))
+
+
 class TestRecordConventions:
     def test_start_row_and_step_rows(self):
         rep = yand_run(catalog("quad_well"), ExactSearch(), STOP)
@@ -114,6 +128,18 @@ class TestStatuses:
         assert rep.status is RunStatus.NON_FINITE_GRADIENT
         assert rep.iters == 1
         assert np.isnan(rep.final.grad_norm) and np.isfinite(rep.final.f)
+
+    @pytest.mark.parametrize("run", [
+        lambda p: yand_run(p, ExactSearch(), STOP),
+        lambda p: yand_run(p, ArmijoSearch(), STOP),
+        lambda p: newton_run(p, damped=True, stop=STOP),
+        lambda p: newton_run(p, stop=STOP)],
+        ids=["yand-exact", "yand-armijo", "dnewton", "newton"])
+    def test_non_finite_hessian_at_accepted_iterate(self, run):
+        rep = run(nan_hessian_problem("rosenbrock"))
+        assert rep.status is RunStatus.NON_FINITE_HESSIAN
+        assert rep.iters == 1 and len(rep.records) == 2
+        assert np.isfinite(rep.final.f) and np.isfinite(rep.final.grad_norm)
 
     @pytest.mark.parametrize("run", [
         lambda p: yand_run(p, ExactSearch(), STOP),
