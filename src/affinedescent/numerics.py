@@ -2,10 +2,11 @@
 classification with a reusable Cholesky factor, the one symmetric solve,
 and small utilities.
 
-Everything here is deterministic and works on float64 numpy arrays. The
-Cholesky kernels call LAPACK's potrf/potrs directly, the same routines and
-arguments scipy.linalg.cho_factor/cho_solve use, without their per-call
-argument handling; results are bit-identical to those wrappers.
+Everything here is deterministic and works on float64 numpy arrays. A
+positive-definite matrix M = L L^T is solved through W = L^{-T}, so that
+M^{-1} = W W^T and a solve is two matrix-vector products. On a 1x1 or
+diagonal system this computes (b * (1/sqrt(a))) * (1/sqrt(a)), the same
+bits as LAPACK's potrf/potrs.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NotFactorized, NotSymmetric, ZeroGradient
 
@@ -47,7 +47,8 @@ def norm2(v) -> float:
 
 
 def inf_norm(M) -> float:
-    return float(np.max(np.abs(M))) if np.asarray(M).size else 0.0
+    a = np.abs(M)
+    return float(a.max()) if a.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,9 @@ class SymmetricClass:
     """Classification of a symmetric matrix with its ascending eigenvalues
     and, when positive definite, a Cholesky factor reusable by solve_spd.
 
-    `factor` is the raw LAPACK potrf output for the lower triangle: L sits
-    on and below the diagonal, and the strict upper triangle still holds
-    the matrix entries (potrf's clean=0). Only solve_spd should read it.
+    `factor` is W = L^{-T} for the lower Cholesky factor L of `matrix`, so
+    that W W^T = matrix^{-1}. It comes from a general inverse of L, so its
+    strict lower triangle holds rounding noise rather than exact zeros.
     """
 
     tag: DefinitenessTag
@@ -142,12 +143,16 @@ def classify_symmetric(M) -> SymmetricClass:
 
     Symmetry is required up to 1e-12 * max(1, ||M||_inf); the matrix is
     singular when any eigenvalue lies within 1e-10 * max(1, ||M||_inf) of
-    zero, whatever the signs of the others.
+    zero, whatever the signs of the others. Raises ValueError when M holds
+    infs or NaNs.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {A.shape}")
-    scale = max(1.0, inf_norm(A))
+    norm = inf_norm(A)
+    if not math.isfinite(norm):
+        raise ValueError("matrix must not contain infs or NaNs")
+    scale = max(1.0, norm)
     if inf_norm(A - A.T) > SYMMETRY_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     S = 0.5 * (A + A.T)
@@ -156,10 +161,7 @@ def classify_symmetric(M) -> SymmetricClass:
     factor = None
     if eigs[0] > thresh:
         tag = DefinitenessTag.POSITIVE_DEFINITE
-        factor, info = dpotrf(S, lower=1, clean=0)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"potrf failed (info={info}): leading minor not positive definite")
+        factor = np.linalg.inv(np.linalg.cholesky(S)).T
     elif np.abs(eigs).min() <= thresh:
         tag = DefinitenessTag.SINGULAR
     else:
@@ -168,21 +170,20 @@ def classify_symmetric(M) -> SymmetricClass:
 
 
 def solve_spd(cls: SymmetricClass, rhs) -> Vector:
-    """Solve M x = rhs (a vector or a matrix of columns) using the Cholesky
-    factor stored by classify_symmetric. rhs is left unmodified.
+    """Solve M x = rhs (a vector or a matrix of columns) as W (W^T rhs),
+    with the Cholesky factor W stored by classify_symmetric. rhs is left
+    unmodified.
 
     Raises NotFactorized for non-SPD input and ValueError when rhs holds
     infs or NaNs.
     """
-    if cls.factor is None:
+    W = cls.factor
+    if W is None:
         raise NotFactorized(f"no factor available (tag={cls.tag.value})")
     b = np.asarray(rhs, dtype=float)
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must not contain infs or NaNs")
-    x, info = dpotrs(cls.factor, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x
+    return W.dot(W.T.dot(b))
 
 
 def solve_symmetric(cls: SymmetricClass, rhs) -> Vector:
