@@ -53,5 +53,9 @@ class MissingReference(AffineDescentError):
     """Rate computation needs a reference optimum that was not provided."""
 
 
+class UnsupportedDimension(AffineDescentError):
+    """Problem dimension is below 2, where no tangent space exists."""
+
+
 class UnknownProblem(AffineDescentError):
     """Requested name is not in the problem catalog."""

@@ -73,6 +73,7 @@ class LineSearchStatus(Enum):
     ACCEPTED = "Accepted"
     MAX_BACKTRACKS = "MaxBacktracks"
     ZOOM_FAILED = "ZoomFailed"
+    MAX_EXACT_STEPS = "MaxExactSteps"
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,7 @@ class LineSearchResult:
 
 MAX_BACKTRACKS = 60
 MAX_ZOOM = 50
+MAX_EXACT_STEPS = 500
 # Final bracket width of the exact search.
 EXACT_TOL = 1e-10
 
@@ -96,7 +98,8 @@ def exact_search(phi: Phi, alpha_max: float = 10.0) -> LineSearchResult:
     shrunk to width EXACT_TOL, with parabolic-interpolation trial points taken
     whenever the three best iterates admit a vertex strictly inside the
     bracket (this resolves quadratic phi to machine precision). Returns
-    the best evaluated point.
+    the best evaluated point, with status MaxExactSteps when the bracket
+    is still wider than EXACT_TOL after MAX_EXACT_STEPS trial points.
     """
     f0 = phi(0.0)
     evals = 1
@@ -140,7 +143,7 @@ def exact_search(phi: Phi, alpha_max: float = 10.0) -> LineSearchResult:
         x, fx, w, fw = w, fw, x, fx
     d_prev = b - a
     d_curr = b - a
-    for _ in range(500):
+    for _ in range(MAX_EXACT_STEPS):
         if b - a <= EXACT_TOL:
             break
         m = 0.5 * (a + b)
@@ -184,8 +187,10 @@ def exact_search(phi: Phi, alpha_max: float = 10.0) -> LineSearchResult:
     best_alpha, best_f = x, fx
     if f0 < best_f:
         best_alpha, best_f = 0.0, f0
+    status = LineSearchStatus.ACCEPTED if b - a <= EXACT_TOL else \
+        LineSearchStatus.MAX_EXACT_STEPS
     return LineSearchResult(alpha=best_alpha, f_new=best_f, evals=evals,
-                            status=LineSearchStatus.ACCEPTED)
+                            status=status)
 
 
 def armijo_backtrack(phi: Phi, dphi0: float,

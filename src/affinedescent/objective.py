@@ -7,6 +7,7 @@ sentinel, which line searches treat as automatic rejection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf, isfinite
 from typing import Callable
 
 import numpy as np
@@ -55,9 +56,12 @@ def make_objective(dim: int, value: ValueFn, gradient: GradFn, hessian: HessFn,
                      in_domain)
 
 
+THIRD_H = 1e-3   # step of the third-derivative stencil
+
+
 def _stencil_value(obj: Objective, x: Vector) -> float:
     f = obj.value(x)
-    if not np.isfinite(f):
+    if not isfinite(f):
         raise DomainViolation(f"stencil point {x} has non-finite value {f}")
     return f
 
@@ -66,11 +70,13 @@ def fd_gradient(obj: Objective, x, h: float = 1e-5) -> Vector:
     """Central-difference gradient. Raises DomainViolation when a stencil
     point falls outside the domain."""
     x = as_vector(x)
+    E = h * np.eye(obj.dim)   # row i is the offset h e_i
+    plus = x + E
+    minus = x - E
     g = np.empty(obj.dim)
     for i in range(obj.dim):
-        e = np.zeros(obj.dim)
-        e[i] = h
-        g[i] = (_stencil_value(obj, x + e) - _stencil_value(obj, x - e)) / (2.0 * h)
+        g[i] = (_stencil_value(obj, plus[i])
+                - _stencil_value(obj, minus[i])) / (2.0 * h)
     return g
 
 
@@ -78,41 +84,55 @@ def fd_hessian(obj: Objective, x, h: float = 1e-4) -> np.ndarray:
     """Central-difference Hessian (symmetric by construction)."""
     x = as_vector(x)
     n = obj.dim
+    E = h * np.eye(n)
+    plus = x + E
+    minus = x - E
     H = np.empty((n, n))
     f0 = _stencil_value(obj, x)
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        H[i, i] = (_stencil_value(obj, x + ei) - 2.0 * f0
-                   + _stencil_value(obj, x - ei)) / (h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            mixed = (_stencil_value(obj, x + ei + ej)
-                     - _stencil_value(obj, x + ei - ej)
-                     - _stencil_value(obj, x - ei + ej)
-                     + _stencil_value(obj, x - ei - ej)) / (4.0 * h * h)
+        H[i, i] = (_stencil_value(obj, plus[i]) - 2.0 * f0
+                   + _stencil_value(obj, minus[i])) / (h * h)
+        rest = E[i + 1:]
+        # (x +- h e_i) +- h e_j for all j > i, evaluated ++, +-, -+, --
+        corners = zip(plus[i] + rest, plus[i] - rest,
+                      minus[i] + rest, minus[i] - rest)
+        for j, (pp, pm, mp, mm) in enumerate(corners, start=i + 1):
+            mixed = (_stencil_value(obj, pp) - _stencil_value(obj, pm)
+                     - _stencil_value(obj, mp)
+                     + _stencil_value(obj, mm)) / (4.0 * h * h)
             H[i, j] = mixed
             H[j, i] = mixed
     return H
 
 
-def fd_third_directional(obj: Objective, x, u, v, w, h: float = 1e-3) -> float:
+def _fd_third_rows(obj: Objective, x: Vector, triples: np.ndarray,
+                   h: float) -> np.ndarray:
+    """Entry k, for triples[k] = (u, v, w):
+    (v' H(x + h u) w - v' H(x - h u) w) / (2 h).
+
+    Every stencil point x +- h u is built in one broadcast; the Hessian is
+    then evaluated at each pair, triple by triple."""
+    step = h * triples[:, 0]
+    plus = x + step
+    minus = x - step
+    out = np.empty(len(triples))
+    for k, (xp, xm, (_, v, w)) in enumerate(zip(plus, minus, triples)):
+        if not (obj.in_domain(xp) and obj.in_domain(xm)):
+            raise DomainViolation("Hessian stencil left the domain")
+        hp = obj.hessian(xp)
+        hm = obj.hessian(xm)
+        if not (np.isfinite(hp).all() and np.isfinite(hm).all()):
+            raise DomainViolation("Hessian stencil produced non-finite entries")
+        out[k] = float(v @ (hp - hm) @ w) / (2.0 * h)
+    return out
+
+
+def fd_third_directional(obj: Objective, x, u, v, w,
+                         h: float = THIRD_H) -> float:
     """Central difference of the analytic Hessian quadratic form along u:
     (v' H(x + h u) w - v' H(x - h u) w) / (2 h)."""
-    x = as_vector(x)
-    u = as_vector(u)
-    v = as_vector(v)
-    w = as_vector(w)
-    xp = x + h * u
-    xm = x - h * u
-    if not (obj.in_domain(xp) and obj.in_domain(xm)):
-        raise DomainViolation("Hessian stencil left the domain")
-    hp = obj.hessian(xp)
-    hm = obj.hessian(xm)
-    if not (np.all(np.isfinite(hp)) and np.all(np.isfinite(hm))):
-        raise DomainViolation("Hessian stencil produced non-finite entries")
-    return float(v @ (hp - hm) @ w) / (2.0 * h)
+    triple = np.stack([as_vector(a) for a in (u, v, w)])
+    return float(_fd_third_rows(obj, as_vector(x), triple[None], h)[0])
 
 
 @dataclass(frozen=True)
@@ -134,13 +154,24 @@ HESS_TOL = 1e-5
 THIRD_TOL = 1e-3
 
 
+def _max_error(abs_err, scale) -> float:
+    """Largest abs_err / max(1, scale). A non-finite result, as from a NaN
+    or inf analytic derivative, counts as inf so that the check fails."""
+    err = float(np.max(abs_err / np.maximum(1.0, scale), initial=0.0))
+    return err if isfinite(err) else inf
+
+
 def verify_derivatives(obj: Objective, points, rng=None,
                        n_triples: int = 10) -> DerivativeReport:
     """Compare analytic derivatives against finite differences at the
     given points; the third derivative is probed along n_triples random
-    unit direction triples per point.
+    unit direction triples per point, drawn from rng in one
+    (n_triples, 3, dim) block per point.
 
-    Errors are relative to max(1, scale of the analytic quantity).
+    Errors are relative to max(1, scale of the analytic quantity): the
+    largest entry for the gradient and the Hessian, each value for the
+    third derivative. A non-finite error, as from a NaN or inf analytic
+    derivative, is reported as inf and fails its check.
     """
     if rng is None:
         rng = np.random.default_rng(42)
@@ -150,20 +181,16 @@ def verify_derivatives(obj: Objective, points, rng=None,
     for p in points:
         p = as_vector(p)
         ga = obj.gradient(p)
-        gf = fd_gradient(obj, p)
-        grad_err = max(grad_err,
-                       float(np.max(np.abs(ga - gf))) / max(1.0, float(np.max(np.abs(ga)))))
+        grad_err = max(grad_err, _max_error(np.abs(ga - fd_gradient(obj, p)),
+                                            np.max(np.abs(ga))))
         Ha = obj.hessian(p)
-        Hf = fd_hessian(obj, p)
-        hess_err = max(hess_err,
-                       float(np.max(np.abs(Ha - Hf))) / max(1.0, float(np.max(np.abs(Ha)))))
-        for _ in range(n_triples):
-            dirs = rng.standard_normal((3, obj.dim))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            u, v, w = dirs
-            ta = obj.third_directional(p, u, v, w)
-            tf = fd_third_directional(obj, p, u, v, w)
-            third_err = max(third_err, abs(ta - tf) / max(1.0, abs(ta)))
+        hess_err = max(hess_err, _max_error(np.abs(Ha - fd_hessian(obj, p)),
+                                            np.max(np.abs(Ha))))
+        dirs = rng.standard_normal((n_triples, 3, obj.dim))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        ta = np.array([obj.third_directional(p, u, v, w) for u, v, w in dirs])
+        tf = _fd_third_rows(obj, p, dirs, THIRD_H)
+        third_err = max(third_err, _max_error(np.abs(ta - tf), np.abs(ta)))
     return DerivativeReport(
         grad_err=grad_err, hess_err=hess_err, third_err=third_err,
         grad_ok=grad_err <= GRAD_TOL,

@@ -11,7 +11,7 @@ from math import sqrt
 import numpy as np
 
 from .direction import newton_direction
-from .errors import UnknownProblem
+from .errors import UnknownProblem, UnsupportedDimension
 from .numerics import Vector, as_vector
 from .objective import Objective, make_objective
 
@@ -24,6 +24,14 @@ class Problem:
     x_star: Vector | None
     f_star: float | None
     notes: str
+
+    def __post_init__(self):
+        # The descent direction splits the space into the gradient line and
+        # its tangent complement, which is empty in one dimension.
+        if self.objective.dim < 2:
+            raise UnsupportedDimension(
+                f"{self.name}: dimension {self.objective.dim} < 2 has no "
+                "tangent space for the gradient frame")
 
 
 def _validated(p: Problem) -> Problem:

@@ -95,7 +95,9 @@ def slice_region_2d(obj: Objective, z, C: float,
 
     n = GRID_POINTS
     grid = np.linspace(-R, R, n)
-    flags = np.fromiter((feasible(t) for t in grid), dtype=bool, count=n)
+    points = foot + grid[:, None] * t_hat
+    flags = np.fromiter((obj.value(p) <= f0 for p in points), dtype=bool,
+                        count=n)
     if not flags.any():
         raise EmptySlice(f"no feasible point in [-{R:g}, {R:g}] at C={C:g}")
 

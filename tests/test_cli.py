@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,14 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert code == 4
         assert out.read_text().splitlines()[1].endswith(",FAIL")
+
+    def test_nan_third_derivative_fails(self, tmp_path, capsys):
+        problem = catalog("poly6")
+        bad = replace(problem, objective=replace(
+            problem.objective,
+            third_directional=lambda x, u, v, w: float("nan")))
+        out = tmp_path / "verify.csv"
+        code = cmd_verify(Config(), out, problems=[bad])
+        capsys.readouterr()
+        assert code == 4
+        assert out.read_text().splitlines()[1].endswith(",inf,FAIL")

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinedescent.errors import NoFiniteStep, NotDescent
-from affinedescent.line_search import (MAX_BACKTRACKS, ArmijoSearch,
+from affinedescent import line_search
+from affinedescent.line_search import (MAX_BACKTRACKS, MAX_EXACT_STEPS,
+                                       ArmijoSearch,
                                        ExactSearch, FixedStep,
                                        LineSearchStatus, StrongWolfeSearch,
                                        armijo_backtrack, exact_search,
@@ -71,6 +73,14 @@ class TestExactSearch:
     def test_nonsmooth_phi_still_bracketed(self):
         res = exact_search(lambda a: abs(a - 2.0), alpha_max=10.0)
         assert res.alpha == pytest.approx(2.0, abs=1e-8)
+
+    def test_step_cap_reports_max_exact_steps(self, monkeypatch):
+        # a zero tolerance is never met, so the loop runs to its cap
+        monkeypatch.setattr(line_search, "EXACT_TOL", 0.0)
+        res = exact_search(lambda a: (a - 0.3) ** 2, alpha_max=10.0)
+        assert res.status is LineSearchStatus.MAX_EXACT_STEPS
+        assert res.evals == 3 + MAX_EXACT_STEPS
+        assert res.alpha == pytest.approx(0.3, abs=1e-10)
 
 
 class TestArmijo:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,33 @@ def test_verify_derivatives_flags_wrong_third():
             good.third_directional(x, u, v, w) + 0.5)
     report = verify_derivatives(bad, [np.array([0.3, 0.4])])
     assert not report.third_ok
+
+
+def _nan_at(point, fn, shape):
+    """fn, except at exactly `point`, where every entry is NaN."""
+    def wrapped(x, *rest):
+        if np.array_equal(x, point):
+            return np.full(shape, np.nan) if shape else float("nan")
+        return fn(x, *rest)
+    return wrapped
+
+
+@pytest.mark.parametrize("oracle, shape", [
+    ("gradient", (2,)), ("hessian", (2, 2)), ("third_directional", ())])
+def test_verify_derivatives_fails_on_nan_derivative(oracle, shape):
+    # the FD stencils never evaluate at the sample point itself, so only
+    # the analytic value there is NaN
+    good = cubic_objective()
+    point = np.array([0.3, 0.4])
+    bad = replace(good, **{oracle: _nan_at(point, getattr(good, oracle), shape)})
+    report = verify_derivatives(bad, [np.array([-1.0, 2.0]), point])
+    errs = {"gradient": report.grad_err, "hessian": report.hess_err,
+            "third_directional": report.third_err}
+    oks = {"gradient": report.grad_ok, "hessian": report.hess_ok,
+           "third_directional": report.third_ok}
+    assert errs[oracle] == np.inf
+    assert not oks[oracle] and not report.ok
+    assert all(np.isfinite(e) for k, e in errs.items() if k != oracle)
 
 
 def test_domain_guard_returns_infinity_outside():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinedescent import line_search
 from affinedescent.errors import MissingReference
 from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
                                        StrongWolfeSearch)
@@ -149,6 +150,12 @@ class TestStatuses:
         rep = run(nan_gradient_problem("quad_well", at_start=True))
         assert rep.status is RunStatus.NON_FINITE_GRADIENT
         assert rep.iters == 0 and len(rep.records) == 1
+
+    def test_exhausted_exact_search_is_line_search_failure(self, monkeypatch):
+        monkeypatch.setattr(line_search, "EXACT_TOL", 0.0)
+        rep = yand_run(catalog("quad_well"), ExactSearch(), STOP)
+        assert rep.status is RunStatus.LINE_SEARCH_FAILURE
+        assert rep.iters == 0
 
     def test_outside_domain_start_rejected(self):
         p = catalog("inverse_barrier")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from affinedescent.errors import UnknownProblem
-from affinedescent.problems import (CATALOG_NAMES, catalog,
+from affinedescent.errors import UnknownProblem, UnsupportedDimension
+from affinedescent.objective import make_objective
+from affinedescent.problems import (CATALOG_NAMES, Problem, catalog,
                                     inverse_barrier_optimum,
                                     make_affine_scaled)
 
@@ -20,6 +21,15 @@ class TestCatalog:
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownProblem):
             catalog("nope")
+
+    def test_one_dimensional_problem_rejected(self):
+        # the gradient frame has no tangent space in one dimension
+        obj = make_objective(1, lambda x: float(x[0] ** 2),
+                             lambda x: 2.0 * x, lambda x: np.full((1, 1), 2.0),
+                             lambda x, u, v, w: 0.0)
+        with pytest.raises(UnsupportedDimension, match="dimension 1"):
+            Problem(name="line", objective=obj, x0=np.array([1.0]),
+                    x_star=None, f_star=None, notes="")
 
     def test_catalog_caches(self):
         assert catalog("quad_well") is catalog("quad_well")
