@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
 from .errors import DegenerateTangentBlock, NonFiniteHessian, SingularHessian
-from .numerics import (DefinitenessTag, Frame, Matrix, SymmetricClass, Vector,
-                       as_vector, build_gradient_frame, classify_symmetric,
-                       inf_norm, norm2, solve_symmetric)
+from .numerics import (DEGENERACY_TOL, DefinitenessTag, Frame, Matrix,
+                       SymmetricClass, Vector, as_vector, build_gradient_frame,
+                       classify_symmetric, inf_norm, norm2, solve_symmetric,
+                       unit_gradient)
 from .objective import Objective
 
 # Relative width of the near-orthogonality band that triggers the
@@ -144,8 +145,22 @@ def descent_direction(obj: Objective, x,
     tangent block is numerically singular, or the direction is orthogonal
     to the gradient within EPS_ORTH; the unit negative gradient is used.
     The returned d always has frame-normal component -1.
+
+    A 2-D objective with the default frame takes a scalar closed form of
+    the 1x1 tangent block, with the same oracle calls, errors and result
+    bits as the matrix path; n >= 3 or an explicit frame takes the matrix
+    path. Below dimension 2 it raises UnsupportedDimension.
     """
     x = as_vector(x)
+    if frame is None and obj.dim == 2:
+        return _planar_direction(obj, x)
+    return _matrix_direction(obj, x, frame)
+
+
+def _matrix_direction(obj: Objective, x: Vector,
+                      frame: Frame | None) -> DirectionResult:
+    """descent_direction for any n >= 2 and frame, through the tangent-block
+    classification and solves."""
     g = obj.gradient(x)
     block = block_decompose(obj, x, frame=frame)
     frame_ = block.frame
@@ -154,7 +169,7 @@ def descent_direction(obj: Objective, x,
     m = block.B.shape[0]
 
     if cls_B.tag is DefinitenessTag.SINGULAR:
-        return _fallback_result(frame_, cls_B, m)
+        return _fallback_result(frame_.normal, cls_B)
 
     tau = _tau(obj, x, block, cls_B)
     d = frame_.tangent @ tau - frame_.normal
@@ -169,7 +184,7 @@ def descent_direction(obj: Objective, x,
     elif inner_raw > band:
         case = DirectionCase.FLIPPED_AN
     else:
-        return _fallback_result(frame_, cls_B, m)
+        return _fallback_result(frame_.normal, cls_B)
     Binv_c = solve_symmetric(cls_B, block.c)
     schur = block.d_nn - float(block.c @ Binv_c)
     floor = SCALE_FLOOR * max(1.0, abs(block.d_nn), inf_norm(block.B))
@@ -182,11 +197,86 @@ def descent_direction(obj: Objective, x,
                            point_class=cls_B, step_scale=step_scale)
 
 
-def _fallback_result(frame: Frame, cls_B: SymmetricClass, m: int) -> DirectionResult:
+def _fallback_result(normal: Vector, cls_B: SymmetricClass) -> DirectionResult:
     return DirectionResult(
-        d=-frame.normal, case=DirectionCase.STEEPEST_FALLBACK,
-        tau=np.zeros(m), T=0.0, cos_theta=1.0, point_class=cls_B,
-        step_scale=1.0)
+        d=-normal, case=DirectionCase.STEEPEST_FALLBACK,
+        tau=np.zeros(cls_B.eigs.size), T=0.0, cos_theta=1.0,
+        point_class=cls_B, step_scale=1.0)
+
+
+def _planar_basis(n_hat: Vector) -> Matrix:
+    """build_gradient_frame's basis for n = 2 from the unit gradient, in
+    scalars: the tangent column of its Householder reflection, then n_hat."""
+    n0, n1 = n_hat.tolist()
+    s = -1.0 if n1 >= 0.0 else 1.0
+    u = np.array([n0, n1 - s])
+    k = 2.0 / float(u @ u)   # a numpy dot, as in build_gradient_frame
+    u0, u1 = u.tolist()
+    return np.array([[1.0 - k * (u0 * u0), n0], [0.0 - k * (u1 * u0), n1]])
+
+
+def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
+    """descent_direction for n = 2 and the default frame, in scalars.
+
+    The tangent block is 1x1, so its eigenvalue is b, its Cholesky factor
+    w = 1/sqrt(b) and a solve r/b or w*(w*r): one IEEE operation each, as
+    LAPACK computes them on a 1x1 matrix. Sums of several products stay
+    numpy calls, whose BLAS kernels may fuse multiply-adds. The oracle
+    calls, the errors and the result bits are those of the matrix path.
+    """
+    g = obj.gradient(x)
+    n_hat, gnorm = unit_gradient(obj.gradient(x))
+    basis = _planar_basis(n_hat)
+    (t0, n0), (t1, n1) = basis.tolist()
+    (h00, c), (_, d_nn) = (basis.T @ _hessian(obj, x) @ basis).tolist()
+    # B = 0.5 * (Hf + Hf^T)[:1, :1] is h00 unless 2 * h00 overflows, and
+    # classify_symmetric's symmetrization leaves it unchanged.
+    b = 0.5 * (h00 + h00)
+    if not isfinite(b):
+        raise ValueError("matrix must not contain infs or NaNs")
+    thresh = DEGENERACY_TOL * max(1.0, abs(b))
+    w = None
+    if b > thresh:
+        tag = DefinitenessTag.POSITIVE_DEFINITE
+        w = 1.0 / sqrt(b)
+    elif abs(b) <= thresh:
+        tag = DefinitenessTag.SINGULAR
+    else:
+        tag = DefinitenessTag.OTHER_INDEFINITE
+    cls_B = SymmetricClass(tag=tag, eigs=np.array([b]),
+                           matrix=np.array([[b]]),
+                           factor=None if w is None else np.array([[w]]))
+    if tag is DefinitenessTag.SINGULAR:
+        return _fallback_result(n_hat, cls_B)
+
+    def solve(r: float) -> float:
+        if w is None:
+            return r / b
+        if not isfinite(r):
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        return w * (w * r)
+
+    t = np.array([t0, t1])
+    # The matrix path's trace and matrix-vector product sum from +0.
+    s3 = 0.0 + solve(float(obj.third_directional(x, t, t, t)))
+    tau = solve(c - (gnorm / 3.0) * s3)
+    d = np.array([(0.0 + t0 * tau) - n0, (0.0 + t1 * tau) - n1])
+    omega = -1.0 if b < 0.0 else 1.0
+    inner_raw = omega * float(g @ d)
+    band = EPS_ORTH * gnorm * norm2(d)
+    if inner_raw < -band:
+        case = DirectionCase.AN
+    elif inner_raw > band:
+        case = DirectionCase.FLIPPED_AN
+    else:
+        return _fallback_result(n_hat, cls_B)
+    schur = d_nn - c * solve(c)
+    floor = SCALE_FLOOR * max(1.0, abs(d_nn), abs(b))
+    step_scale = gnorm / schur if schur > floor else 1.0
+    T = sqrt(tau * tau)
+    return DirectionResult(d=d, case=case, tau=np.array([tau]), T=T,
+                           cos_theta=1.0 / sqrt(1.0 + T * T),
+                           point_class=cls_B, step_scale=step_scale)
 
 
 def newton_direction(obj: Objective, x, regularize: bool = False) -> Vector:

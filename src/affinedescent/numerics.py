@@ -17,7 +17,8 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NotFactorized, NotSymmetric, ZeroGradient
+from .errors import (NotFactorized, NotSymmetric, UnsupportedDimension,
+                     ZeroGradient)
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -68,31 +69,39 @@ class Frame:
         return self.basis[:, -1]
 
 
-def build_gradient_frame(grad) -> Frame:
-    """Orthonormal frame whose last column is grad/||grad||.
+def unit_gradient(grad) -> tuple[Vector, float]:
+    """(grad/||grad||, ||grad||) after the checks every gradient frame needs.
 
-    Uses a single Householder reflection mapping s*e_last to the unit
-    gradient (s chosen so the reflector is well conditioned), then flips
-    the last input axis by s so the final column is the unit gradient
-    itself, not its negative. Deterministic in the input bits.
+    Raises UnsupportedDimension below dimension 2, ValueError on non-finite
+    entries and ZeroGradient when the norm is numerically zero.
     """
     g = as_vector(grad)
+    if g.size < 2:
+        raise UnsupportedDimension(
+            f"frame construction needs dimension >= 2, got {g.size}")
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient has non-finite entries")
     gnorm = norm2(g)
     if gnorm <= ZERO_GRAD_FLOOR:
         raise ZeroGradient(f"gradient norm {gnorm:g} below {ZERO_GRAD_FLOOR:g}")
-    n_hat = g / gnorm
-    dim = g.size
-    if dim < 2:
-        raise ValueError("frame construction needs dimension >= 2")
+    return g / gnorm, gnorm
+
+
+def build_gradient_frame(grad) -> Frame:
+    """Orthonormal frame whose last column is grad/||grad||.
+
+    Uses a single Householder reflection mapping s*e_last to the unit
+    gradient (s chosen so the reflector is well conditioned); its first
+    n-1 columns are the tangent vectors, and the unit gradient itself is
+    stored as the last column in place of s times the reflection's. Checks
+    and errors are those of unit_gradient. Deterministic in the input bits.
+    """
+    n_hat, gnorm = unit_gradient(grad)
     # Reflector u = n_hat - s*e_last with s opposing n_hat[-1]: no cancellation.
     s = -1.0 if n_hat[-1] >= 0.0 else 1.0
     u = n_hat.copy()
     u[-1] -= s
-    basis = np.eye(dim) - (2.0 / float(u @ u)) * np.outer(u, u)
-    basis[:, -1] *= s
-    # The last column equals n_hat analytically; store it exactly.
+    basis = np.eye(n_hat.size) - (2.0 / float(u @ u)) * np.outer(u, u)
     basis[:, -1] = n_hat
     return Frame(basis=basis, grad_norm=gnorm)
 

@@ -1,17 +1,22 @@
-from dataclasses import replace
+import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_fd_kernels import Recorder
 
 from affinedescent import direction
-from affinedescent.direction import (DirectionCase, _third_tensor_tangent,
+from affinedescent.direction import (DirectionCase, _matrix_direction,
+                                     _planar_basis, _planar_direction,
+                                     _third_tensor_tangent,
                                      affine_normal_direction, block_decompose,
                                      classify_point, descent_direction,
                                      newton_direction)
 from affinedescent.errors import (DegenerateTangentBlock, NonFiniteHessian,
-                                  SingularHessian, ZeroGradient)
+                                  SingularHessian, UnsupportedDimension,
+                                  ZeroGradient)
 from affinedescent.numerics import (DefinitenessTag, Frame, angle_between,
                                     build_gradient_frame)
 from affinedescent.objective import make_objective
@@ -250,6 +255,11 @@ class TestCases:
         with pytest.raises(ZeroGradient):
             descent_direction(obj, catalog("quad_well").x_star)
 
+    def test_one_dim_objective_raises_unsupported_dimension(self):
+        obj = quadratic([[2.0]], [1.0])
+        with pytest.raises(UnsupportedDimension):
+            descent_direction(obj, np.array([0.5]))
+
     def test_classify_point_tags(self):
         # elliptic <=> the tangent block is positive definite
         assert classify_point(catalog("quad_51").objective, np.array(
@@ -360,6 +370,120 @@ class TestFrameInvariance:
         assert np.max(np.abs(r0.d - r1.d)) <= 1e-9
         assert r0.T == pytest.approx(r1.T, rel=1e-9, abs=1e-12)
         assert r0.step_scale == pytest.approx(r1.step_scale, rel=1e-9)
+
+
+def result_bits(res):
+    """Every field of a DirectionResult, floats and arrays as their bytes."""
+    def bits(v):
+        if isinstance(v, float):
+            return struct.pack("d", v)
+        if isinstance(v, np.ndarray):
+            return (v.dtype.str, v.shape, v.tobytes())
+        return v
+    cls = res.point_class
+    return ([bits(getattr(res, f.name)) for f in fields(res)
+             if f.name != "point_class"]
+            + [bits(getattr(cls, f.name)) for f in fields(cls)])
+
+
+def logged_outcome(path, obj, x):
+    """The result bits, or the error type and message, of one direction path
+    together with its oracle calls."""
+    rec = Recorder(obj)
+    try:
+        # the matrix path's numpy arithmetic warns on overflow, Python
+        # floats do not
+        with np.errstate(all="ignore"):
+            out = result_bits(path(rec.obj, x))
+    except Exception as err:   # both paths must fail alike
+        out = (type(err), str(err))
+    return out, rec.calls
+
+
+def assert_planar_is_matrix_path(obj, x):
+    planar = logged_outcome(_planar_direction, obj, x)
+    matrix = logged_outcome(
+        lambda o, y: _matrix_direction(o, y, None), obj, x)
+    assert planar == matrix
+
+
+def fixed_oracles(g, H, third):
+    """A 2-D objective with a constant gradient, Hessian and third
+    derivative."""
+    return make_objective(
+        dim=2, value=lambda x: 0.0, gradient=lambda x: g.copy(),
+        hessian=lambda x: H.copy(), third_directional=lambda x, u, v, w: third)
+
+
+GRAD_ENTRIES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+# The tangent entry b of the Hessian in the gradient frame, on either side
+# of and within the singularity band +-1e-10 * max(1, |b|).
+TANGENT_CURVATURE = st.one_of(st.floats(2e-10, 1e6), st.floats(-1e-10, 1e-10),
+                              st.floats(-1e6, -2e-10))
+THIRD = st.one_of(st.floats(-1e8, 1e8),
+                  st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+class TestPlanarPath:
+    """The scalar closed form for n = 2 against the matrix path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(GRAD_ENTRIES, GRAD_ENTRIES).filter(any),
+           TANGENT_CURVATURE, st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+           THIRD, st.sampled_from([None, 250.0, 300.0, 307.0]))
+    @example((0.0, -0.0), 1.0, 0.0, 1.0, 0.0, None)
+    # tau = -0 beside n_hat[0] = +0: d[0] is +0 only if t[0] * tau is
+    # summed from +0, as the matrix-vector product does
+    @example((0.0, 1.0), -1.0, 0.0, 1.0, 0.0, None)
+    # |tau| ~ 1e13: d lies within the near-orthogonality band
+    @example((0.6, 0.8), 1e-9, 1e4, 1.0, 0.0, None)
+    # b = 1e308 in the frame e1, e2: 2b overflows in the classification
+    @example((0.0, 1.0), 1.5, 1.0, 1.0, 0.0, 308.0)
+    def test_bitwise_equal_to_matrix_path(self, g, b, c, d_nn, third,
+                                          log_max):
+        """Frame entries b, c, d_nn of the Hessian; with log_max, the
+        Hessian is rescaled to largest entry 10**log_max."""
+        g = np.array(g)
+        gnorm = np.linalg.norm(g)
+        Q = build_gradient_frame(g).basis if gnorm > 1e-300 else np.eye(2)
+        H = Q @ np.array([[b, c], [c, d_nn]]) @ Q.T
+        if log_max is not None and H.any():
+            H = H / np.abs(H).max() * 10.0 ** log_max
+        assert_planar_is_matrix_path(fixed_oracles(g, H, third), np.zeros(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["quad_51", "convex_53", "poly6",
+                            "inverse_barrier", "rosenbrock", "ring_tilted",
+                            "saddle_poly", "four_well", "counterexample",
+                            "strongly_convex_base"]),
+           st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+    def test_catalog_points(self, name, dx, dy):
+        p = catalog(name)
+        x = np.asarray(p.x0, dtype=float) + np.array([dx, dy])
+        if p.objective.in_domain(x):
+            assert_planar_is_matrix_path(p.objective, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)))
+    def test_basis_is_the_gradient_frame(self, g):
+        g = np.array(g)
+        if np.linalg.norm(g) > 1e-300:
+            fr = build_gradient_frame(g)
+            assert _planar_basis(g / fr.grad_norm).tobytes() == \
+                fr.basis.tobytes()
+
+    def test_only_planar_default_frames_take_it(self, monkeypatch):
+        def matrix_path(obj, x, frame):
+            raise AssertionError("matrix path")
+
+        monkeypatch.setattr(direction, "_matrix_direction", matrix_path)
+        p = catalog("rosenbrock")
+        descent_direction(p.objective, p.x0)
+        frame = build_gradient_frame(p.objective.gradient(p.x0))
+        with pytest.raises(AssertionError, match="matrix path"):
+            descent_direction(p.objective, p.x0, frame=frame)
+        with pytest.raises(AssertionError, match="matrix path"):
+            descent_direction(catalog("quad_52").objective, np.ones(3))
 
 
 def coupled_quartic(a, c):

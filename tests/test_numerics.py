@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from affinedescent.errors import NotFactorized, ZeroGradient
+from affinedescent.errors import (NotFactorized, UnsupportedDimension,
+                                  ZeroGradient)
 from affinedescent.numerics import (DefinitenessTag, angle_between,
                                     build_gradient_frame, classify_symmetric,
                                     inf_norm, norm2, solve_spd,
@@ -42,8 +44,10 @@ def test_frame_zero_gradient_rejected():
 
 
 def test_frame_needs_two_dims():
-    with pytest.raises(ValueError):
-        build_gradient_frame(np.array([1.0]))
+    # the dimension is checked before the gradient's values
+    for g in ([1.0], [0.0], [np.nan]):
+        with pytest.raises(UnsupportedDimension):
+            build_gradient_frame(np.array(g))
 
 
 def test_frame_axis_gradient_is_exact():
@@ -111,6 +115,32 @@ def test_det_sign_is_eigenvalue_parity(S):
     cls = classify_symmetric(S)
     assume(cls.tag is not DefinitenessTag.SINGULAR)
     assert cls.det_sign == np.linalg.slogdet(S)[0]
+
+
+# The largest b for which classify_symmetric's 0.5 * (b + b) does not overflow.
+HALF_MAX = np.finfo(float).max / 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-HALF_MAX, HALF_MAX),
+                 st.floats(1e-10, HALF_MAX, exclude_min=True)),
+       st.floats(-1e6, 1e6))
+def test_one_by_one_classification_is_scalar(b, r):
+    # LAPACK identities the planar direction relies on, bit for bit: the
+    # eigenvalue of [[b]] is b, its factor W = L^{-T} is w = 1/sqrt(b), and
+    # a solve is w * (w * r) when positive definite, r / b otherwise
+    cls = classify_symmetric(np.array([[b]]))
+    assert cls.eigs.tobytes() == np.array([b]).tobytes()
+    if cls.tag is DefinitenessTag.SINGULAR:
+        return
+    if cls.is_positive_definite:
+        w = 1.0 / math.sqrt(b)
+        assert cls.factor.tobytes() == np.array([[w]]).tobytes()
+        want = w * (w * r)
+    else:
+        want = r / b
+    assert solve_symmetric(cls, np.array([r])).tobytes() == \
+        np.array([want]).tobytes()
 
 
 def test_solve_symmetric_picks_cholesky_or_lu():
