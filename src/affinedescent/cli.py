@@ -333,17 +333,12 @@ _DEFAULT_OUT = {
 
 
 def _load_config(args) -> Config:
+    """The config file, or the defaults, with every flag given overriding
+    its key."""
     cfg = parse_config_file(args.config) if args.config else Config()
-    overrides = {}
-    if args.tol_grad is not None:
-        overrides["tol_grad"] = args.tol_grad
-    if args.max_iter is not None:
-        overrides["max_iter"] = args.max_iter
-    if args.sigma is not None:
-        overrides["sigma"] = args.sigma
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return replace(cfg, **overrides) if overrides else cfg
+    flags = {key: getattr(args, key)
+             for key in ("tol_grad", "max_iter", "sigma", "seed")}
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -63,6 +63,15 @@ def _hessian(obj: Objective, x: Vector) -> Matrix:
     return H
 
 
+def _classify_hessian(M) -> SymmetricClass:
+    """classify_symmetric, raising NonFiniteHessian where it rejects a block
+    or a symmetrization that overflowed."""
+    try:
+        return classify_symmetric(M)
+    except ValueError as exc:
+        raise NonFiniteHessian(str(exc)) from None
+
+
 def block_decompose(obj: Objective, x, frame: Frame | None = None) -> BlockHessian:
     """Express the Hessian at x in a gradient-aligned frame.
 
@@ -84,7 +93,7 @@ def block_decompose(obj: Objective, x, frame: Frame | None = None) -> BlockHessi
 def classify_point(obj: Objective, x, frame: Frame | None = None) -> SymmetricClass:
     """Classification of the tangent Hessian block at x. The level set is
     elliptic there exactly when the block is positive definite."""
-    return classify_symmetric(block_decompose(obj, x, frame=frame).B)
+    return _classify_hessian(block_decompose(obj, x, frame=frame).B)
 
 
 def _third_tensor_tangent(obj: Objective, x: Vector, frame: Frame) -> np.ndarray:
@@ -126,7 +135,7 @@ def affine_normal_direction(obj: Objective, x,
     """
     x = as_vector(x)
     block = block_decompose(obj, x, frame=frame)
-    cls_B = classify_symmetric(block.B)
+    cls_B = _classify_hessian(block.B)
     if cls_B.tag is DefinitenessTag.SINGULAR:
         raise DegenerateTangentBlock(
             f"tangent block min |eig| = {np.abs(cls_B.eigs).min():.3e}")
@@ -165,7 +174,7 @@ def _matrix_direction(obj: Objective, x: Vector,
     block = block_decompose(obj, x, frame=frame)
     frame_ = block.frame
     gnorm = frame_.grad_norm
-    cls_B = classify_symmetric(block.B)
+    cls_B = _classify_hessian(block.B)
     m = block.B.shape[0]
 
     if cls_B.tag is DefinitenessTag.SINGULAR:
@@ -233,7 +242,7 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
     # classify_symmetric's symmetrization leaves it unchanged.
     b = 0.5 * (h00 + h00)
     if not isfinite(b):
-        raise ValueError("matrix must not contain infs or NaNs")
+        raise NonFiniteHessian("matrix must not contain infs or NaNs")
     thresh = DEGENERACY_TOL * max(1.0, abs(b))
     w = None
     if b > thresh:
@@ -284,15 +293,15 @@ def newton_direction(obj: Objective, x, regularize: bool = False) -> Vector:
 
     Without regularization a singular Hessian raises SingularHessian; an
     indefinite invertible one is solved as-is. A Hessian holding infs or
-    NaNs raises NonFiniteHessian.
+    NaNs, or whose symmetrization overflows, raises NonFiniteHessian.
     """
     x = as_vector(x)
     g = obj.gradient(x)
     H = _hessian(obj, x)
-    cls = classify_symmetric(H)
+    cls = _classify_hessian(H)
     if regularize and not cls.is_positive_definite:
         shift = max(0.0, -cls.min_eig) + 1e-8 * max(1.0, inf_norm(H))
-        cls = classify_symmetric(cls.matrix + shift * np.eye(obj.dim))
+        cls = _classify_hessian(cls.matrix + shift * np.eye(obj.dim))
     if cls.tag is DefinitenessTag.SINGULAR:
         raise SingularHessian(f"min |eig| = {np.abs(cls.eigs).min():.3e}")
     return -solve_symmetric(cls, g)

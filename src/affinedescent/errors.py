@@ -33,14 +33,6 @@ class DomainViolation(AffineDescentError):
     """A finite-difference stencil left the objective's domain."""
 
 
-class NotDescent(AffineDescentError):
-    """Line search started along a non-descent direction."""
-
-
-class NoFiniteStep(AffineDescentError):
-    """No finite objective value found along the search ray."""
-
-
 class EmptySlice(AffineDescentError):
     """Sublevel slice contains no points inside the scan window."""
 

@@ -12,6 +12,7 @@ from .errors import SingularB
 from .line_search import LineSearchSpec
 from .numerics import angle_between, as_vector
 from .objective import make_objective
+from .optimizer import StoppingSpec, yand_run
 from .problems import Problem
 
 
@@ -62,8 +63,6 @@ def run_invariance(base: Problem, B, ls: LineSearchSpec,
                    stop=None) -> InvarianceReport:
     """Run the geometric method on phi(B x) from B^-1 y0 and on phi from
     y0; deviations are ||B x_k - y_k|| over the shared iterate range."""
-    from .optimizer import StoppingSpec, yand_run
-
     if stop is None:
         stop = StoppingSpec()
     B = np.asarray(B, dtype=float)

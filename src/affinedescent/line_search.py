@@ -4,15 +4,14 @@ phi is the one-dimensional restriction alpha -> f(x + alpha*d). Values of
 +inf mark points outside the objective's domain and are never accepted;
 the exact search first shrinks its upper bound to a finite value, and the
 backtracking/bracketing rules reject them through ordinary comparisons.
+Every outcome, failures included, is reported as a LineSearchResult status.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite, sqrt
+from math import isfinite, nan, sqrt
 from typing import Callable
-
-from .errors import NoFiniteStep, NotDescent
 
 Phi = Callable[[float], float]
 
@@ -74,13 +73,15 @@ class LineSearchStatus(Enum):
     MAX_BACKTRACKS = "MaxBacktracks"
     ZOOM_FAILED = "ZoomFailed"
     MAX_EXACT_STEPS = "MaxExactSteps"
+    NOT_DESCENT = "NotDescent"
+    NO_FINITE_STEP = "NoFiniteStep"
 
 
 @dataclass(frozen=True)
 class LineSearchResult:
     alpha: float
     f_new: float
-    evals: int      # phi evaluations (derivative calls not counted)
+    evals: int      # phi calls, none on NotDescent (dphi calls not counted)
     status: LineSearchStatus
 
 
@@ -99,12 +100,15 @@ def exact_search(phi: Phi, alpha_max: float = 10.0) -> LineSearchResult:
     whenever the three best iterates admit a vertex strictly inside the
     bracket (this resolves quadratic phi to machine precision). Returns
     the best evaluated point, with status MaxExactSteps when the bracket
-    is still wider than EXACT_TOL after MAX_EXACT_STEPS trial points.
+    is still wider than EXACT_TOL after MAX_EXACT_STEPS trial points, and
+    alpha 0 with status NoFiniteStep when phi(0) is not finite or U falls
+    below 1e-16 alpha_max.
     """
     f0 = phi(0.0)
     evals = 1
     if not isfinite(f0):
-        raise NoFiniteStep("phi(0) is not finite")
+        return LineSearchResult(alpha=0.0, f_new=f0, evals=evals,
+                                status=LineSearchStatus.NO_FINITE_STEP)
     U = alpha_max
     fU = phi(U)
     evals += 1
@@ -113,7 +117,8 @@ def exact_search(phi: Phi, alpha_max: float = 10.0) -> LineSearchResult:
         wall = U
         U *= 0.5
         if U < 1e-16 * alpha_max:
-            raise NoFiniteStep("no finite value on (0, alpha_max]")
+            return LineSearchResult(alpha=0.0, f_new=f0, evals=evals,
+                                    status=LineSearchStatus.NO_FINITE_STEP)
         fU = phi(U)
         evals += 1
     if wall is not None:
@@ -196,9 +201,11 @@ def exact_search(phi: Phi, alpha_max: float = 10.0) -> LineSearchResult:
 def armijo_backtrack(phi: Phi, dphi0: float,
                      spec: ArmijoSearch) -> LineSearchResult:
     """Smallest m >= 0 with phi(beta^m alpha0) <= phi(0) + sigma beta^m
-    alpha0 dphi0 and a finite value; at most MAX_BACKTRACKS halvings."""
-    if dphi0 >= 0.0:
-        raise NotDescent(f"dphi0 = {dphi0:g} is not negative")
+    alpha0 dphi0 and a finite value; at most MAX_BACKTRACKS halvings.
+    A slope dphi0 that is not negative returns NotDescent unevaluated."""
+    if not dphi0 < 0.0:   # NaN included
+        return LineSearchResult(alpha=0.0, f_new=nan, evals=0,
+                                status=LineSearchStatus.NOT_DESCENT)
     f0 = phi(0.0)
     evals = 1
     alpha = spec.alpha0
@@ -215,85 +222,84 @@ def armijo_backtrack(phi: Phi, dphi0: float,
 
 def strong_wolfe_search(phi: Phi, dphi: Phi,
                         spec: StrongWolfeSearch) -> LineSearchResult:
-    """Bracket-then-zoom search for the strong Wolfe conditions:
-    phi(a) <= phi(0) + c1 a dphi(0) and |dphi(a)| <= c2 |dphi(0)|.
+    """Bracket-then-zoom search for the strong Wolfe conditions: sufficient
+    decrease, phi(a) finite and <= phi(0) + c1 a dphi(0), and curvature,
+    |dphi(a)| <= c2 |dphi(0)|.
 
-    Expansion doubles the trial up to alpha_max; zoom alternates a
-    quadratic-interpolation candidate (used only when it lands in the
-    middle 80% of the bracket) with bisection. If zoom exhausts its
-    budget, the best point satisfying the sufficient-decrease inequality
-    is returned with status ZoomFailed.
+    Expansion doubles the trial up to alpha_max until one meets both or
+    brackets a point that does; zoom then alternates a quadratic-
+    interpolation candidate (used only in the middle 80% of the bracket)
+    with bisection. Failing that, the best sufficient-decrease point (else
+    alpha0 and phi(0)) is returned with status ZoomFailed. A slope dphi(0)
+    that is not negative returns NotDescent before phi is evaluated.
     """
     dphi0 = dphi(0.0)
-    if dphi0 >= 0.0:
-        raise NotDescent(f"dphi(0) = {dphi0:g} is not negative")
+    if not dphi0 < 0.0:   # NaN included
+        return LineSearchResult(alpha=0.0, f_new=nan, evals=0,
+                                status=LineSearchStatus.NOT_DESCENT)
     f0 = phi(0.0)
     evals = 1
-    state = {"evals": evals, "best": None}   # best Armijo-satisfying (alpha, f)
+    best = None   # the sufficient-decrease trial with the lowest phi
+    max_slope = -spec.c2 * dphi0   # curvature holds where |dphi| <= max_slope
 
-    def eval_phi(alpha: float) -> float:
+    def trial(alpha: float) -> tuple[float, bool]:
+        """phi(alpha), counted, and whether it gives sufficient decrease."""
+        nonlocal evals, best
         f = phi(alpha)
-        state["evals"] += 1
-        if isfinite(f) and f <= f0 + spec.c1 * alpha * dphi0:
-            best = state["best"]
-            if best is None or f < best[1]:
-                state["best"] = (alpha, f)
-        return f
+        evals += 1
+        ok = isfinite(f) and f <= f0 + spec.c1 * alpha * dphi0
+        if ok and (best is None or f < best[1]):
+            best = (alpha, f)
+        return f, ok
 
-    def result(alpha: float, f: float, status: LineSearchStatus) -> LineSearchResult:
-        return LineSearchResult(alpha=alpha, f_new=f, evals=state["evals"],
-                                status=status)
+    # lo is the lowest point found with sufficient decrease, with its slope;
+    # hi the other end of the bracket, once there is one.
+    lo, f_lo, d_lo = 0.0, f0, dphi0
+    hi = f_hi = None
+    alpha = min(spec.alpha0, spec.alpha_max)
+    while True:
+        f, ok = trial(alpha)
+        # after the first trial, lo > 0 and phi must keep falling
+        if not ok or (lo > 0.0 and f >= f_lo):
+            hi, f_hi = alpha, f
+            break
+        d = dphi(alpha)
+        if abs(d) <= max_slope:
+            return LineSearchResult(alpha=alpha, f_new=f, evals=evals,
+                                    status=LineSearchStatus.ACCEPTED)
+        if d >= 0.0:
+            lo, f_lo, d_lo, hi, f_hi = alpha, f, d, lo, f_lo
+            break
+        if alpha >= spec.alpha_max:
+            break
+        lo, f_lo, d_lo = alpha, f, d
+        alpha = min(2.0 * alpha, spec.alpha_max)
 
-    def fallback() -> LineSearchResult:
-        best = state["best"]
-        if best is not None:
-            return result(best[0], best[1], LineSearchStatus.ZOOM_FAILED)
-        return result(spec.alpha0, f0, LineSearchStatus.ZOOM_FAILED)
-
-    def zoom(lo: float, f_lo: float, d_lo: float, hi: float,
-             f_hi: float) -> LineSearchResult:
+    if hi is not None:
         for _ in range(MAX_ZOOM):
             left, right = (lo, hi) if lo < hi else (hi, lo)
             width = right - left
             if width <= 1e-16 * max(1.0, right):
                 break
-            # quadratic model through (lo, f_lo, d_lo) and (hi, f_hi)
-            trial = None
+            # bisect, unless the quadratic model through (lo, f_lo, d_lo)
+            # and (hi, f_hi) has its minimizer in the middle 80%
+            alpha = 0.5 * (lo + hi)
             denom = 2.0 * (f_hi - f_lo - d_lo * (hi - lo))
             if isfinite(f_hi) and denom != 0.0:
                 cand = lo - d_lo * (hi - lo) ** 2 / denom
                 if left + 0.1 * width < cand < right - 0.1 * width:
-                    trial = cand
-            if trial is None:
-                trial = 0.5 * (lo + hi)
-            f_t = eval_phi(trial)
-            if not isfinite(f_t) or f_t > f0 + spec.c1 * trial * dphi0 or f_t >= f_lo:
-                hi, f_hi = trial, f_t
-            else:
-                d_t = dphi(trial)
-                if abs(d_t) <= -spec.c2 * dphi0:
-                    return result(trial, f_t, LineSearchStatus.ACCEPTED)
-                if d_t * (hi - lo) >= 0.0:
-                    hi, f_hi = lo, f_lo
-                lo, f_lo, d_lo = trial, f_t, d_t
-        return fallback()
-
-    alpha_prev, f_prev, d_prev = 0.0, f0, dphi0
-    alpha = min(spec.alpha0, spec.alpha_max)
-    first = True
-    while True:
-        f_curr = eval_phi(alpha)
-        if not isfinite(f_curr) or f_curr > f0 + spec.c1 * alpha * dphi0 or \
-                (not first and f_curr >= f_prev):
-            return zoom(alpha_prev, f_prev, d_prev, alpha, f_curr)
-        d_curr = dphi(alpha)
-        if abs(d_curr) <= -spec.c2 * dphi0:
-            return result(alpha, f_curr, LineSearchStatus.ACCEPTED)
-        if d_curr >= 0.0:
-            return zoom(alpha, f_curr, d_curr, alpha_prev, f_prev)
-        if alpha >= spec.alpha_max:
-            return fallback()
-        alpha_prev, f_prev, d_prev = alpha, f_curr, d_curr
-        alpha = min(2.0 * alpha, spec.alpha_max)
-        first = False
-
+                    alpha = cand
+            f, ok = trial(alpha)
+            if not ok or f >= f_lo:
+                hi, f_hi = alpha, f
+                continue
+            d = dphi(alpha)
+            if abs(d) <= max_slope:
+                return LineSearchResult(alpha=alpha, f_new=f, evals=evals,
+                                        status=LineSearchStatus.ACCEPTED)
+            if d * (hi - lo) >= 0.0:
+                hi, f_hi = lo, f_lo
+            lo, f_lo, d_lo = alpha, f, d
+    alpha, f = best if best is not None else (spec.alpha0, f0)
+    return LineSearchResult(alpha=alpha, f_new=f, evals=evals,
+                            status=LineSearchStatus.ZOOM_FAILED)

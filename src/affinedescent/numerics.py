@@ -152,8 +152,9 @@ def classify_symmetric(M) -> SymmetricClass:
 
     Symmetry is required up to 1e-12 * max(1, ||M||_inf); the matrix is
     singular when any eigenvalue lies within 1e-10 * max(1, ||M||_inf) of
-    zero, whatever the signs of the others. Raises ValueError when M holds
-    infs or NaNs.
+    zero, whatever the signs of the others. Raises ValueError when M, or
+    its symmetrization 0.5 * (M + M^T), holds infs or NaNs; the latter
+    happens when entries above half the float maximum overflow.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -165,6 +166,8 @@ def classify_symmetric(M) -> SymmetricClass:
     if inf_norm(A - A.T) > SYMMETRY_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     S = 0.5 * (A + A.T)
+    if not math.isfinite(inf_norm(S)):   # a sum above the float maximum
+        raise ValueError("matrix must not contain infs or NaNs")
     eigs = np.linalg.eigvalsh(S)
     thresh = DEGENERACY_TOL * scale
     factor = None

@@ -12,8 +12,8 @@ from enum import Enum
 from math import isfinite
 
 from .direction import DirectionResult, descent_direction, newton_direction
-from .errors import (DegenerateTangentBlock, NonFiniteHessian, NotDescent,
-                     SingularHessian, ZeroGradient)
+from .errors import (DegenerateTangentBlock, MissingReference,
+                     NonFiniteHessian, SingularHessian, ZeroGradient)
 from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
                           LineSearchResult, LineSearchSpec, LineSearchStatus,
                           StrongWolfeSearch, armijo_backtrack, exact_search,
@@ -127,11 +127,7 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
                 status = RunStatus.LINE_SEARCH_FAILURE
                 break
         else:
-            try:
-                res = _run_line_search(obj, x, g, d, ls)
-            except NotDescent:
-                status = RunStatus.LINE_SEARCH_FAILURE
-                break
+            res = _run_line_search(obj, x, g, d, ls)
             if res.status is not LineSearchStatus.ACCEPTED or \
                     res.alpha <= 0.0 or not res.f_new < f_curr:
                 status = RunStatus.LINE_SEARCH_FAILURE
@@ -208,8 +204,6 @@ def empirical_rates(report: RunReport, x_star=None,
     Ratios are reported as computed (inf where a denominator vanishes);
     nothing is asserted here.
     """
-    from .errors import MissingReference
-
     if x_star is None and f_star is None:
         raise MissingReference("need x_star or f_star")
     linear: list[float] = []

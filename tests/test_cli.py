@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from affinedescent import cli
-from affinedescent.cli import (Config, _build_parser, _fmt, _parse_ls,
-                               cmd_verify, main, parse_config_file)
+from affinedescent.cli import (Config, _build_parser, _fmt, _load_config,
+                               _parse_ls, cmd_verify, main, parse_config_file)
 from affinedescent.line_search import ArmijoSearch, ExactSearch, FixedStep
 from affinedescent.objective import Objective
 from affinedescent.problems import Problem, catalog
@@ -59,6 +59,21 @@ class TestConfigFile:
         status, iters = stdout.split()[:2]
         assert status == "MaxIterReached"
         assert iters == "3"
+
+    def test_each_flag_overrides_only_its_key(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("tol_grad = 1e-6\nmax_iter = 50\nsigma = 0.1\n"
+                           "seed = 7\nc2 = 0.25\n")
+        flags = {"tol_grad": ("--tol-grad", "1e-3", 1e-3),
+                 "max_iter": ("--max-iter", "3", 3),
+                 "sigma": ("--sigma", "0.2", 0.2),
+                 "seed": ("--seed", "11", 11)}
+        base = ["run", "quad_well", "yand", "exact", "--config", str(cfgfile)]
+        from_file = _load_config(_build_parser().parse_args(base))
+        assert from_file == parse_config_file(cfgfile)
+        for key, (flag, text, value) in flags.items():
+            cfg = _load_config(_build_parser().parse_args(base + [flag, text]))
+            assert cfg == replace(from_file, **{key: value}), flag
 
 
 class TestFormatting:

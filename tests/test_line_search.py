@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinedescent.errors import NoFiniteStep, NotDescent
 from affinedescent import line_search
 from affinedescent.line_search import (MAX_BACKTRACKS, MAX_EXACT_STEPS,
                                        ArmijoSearch,
@@ -11,6 +12,14 @@ from affinedescent.line_search import (MAX_BACKTRACKS, MAX_EXACT_STEPS,
                                        LineSearchStatus, StrongWolfeSearch,
                                        armijo_backtrack, exact_search,
                                        strong_wolfe_search)
+
+
+def recorded(fn, calls):
+    """fn, appending each argument to calls."""
+    def wrapper(a):
+        calls.append(a)
+        return fn(a)
+    return wrapper
 
 
 class TestSpecValidation:
@@ -62,13 +71,22 @@ class TestExactSearch:
         res = exact_search(phi, alpha_max=10.0)
         assert res.alpha == pytest.approx(0.4, abs=1e-8)
 
-    def test_everything_infinite_raises(self):
-        with pytest.raises(NoFiniteStep):
-            exact_search(lambda a: np.inf if a > 0 else 0.0, alpha_max=10.0)
+    def test_everything_infinite_reports_no_finite_step(self):
+        calls = []
+        res = exact_search(recorded(lambda a: np.inf if a > 0 else 0.0, calls),
+                           alpha_max=10.0)
+        assert res.status is LineSearchStatus.NO_FINITE_STEP
+        assert (res.alpha, res.f_new) == (0.0, 0.0)
+        # phi(0), then alpha_max halved until it drops below 1e-16 of itself
+        assert calls == [0.0] + [10.0 * 0.5 ** k for k in range(54)]
+        assert res.evals == len(calls)
 
-    def test_infinite_origin_raises(self):
-        with pytest.raises(NoFiniteStep):
-            exact_search(lambda a: np.inf, alpha_max=1.0)
+    def test_infinite_origin_reports_no_finite_step(self):
+        for f0 in (np.inf, np.nan):
+            calls = []
+            res = exact_search(recorded(lambda a: f0, calls), alpha_max=1.0)
+            assert res.status is LineSearchStatus.NO_FINITE_STEP
+            assert calls == [0.0] and res.evals == 1
 
     def test_nonsmooth_phi_still_bracketed(self):
         res = exact_search(lambda a: abs(a - 2.0), alpha_max=10.0)
@@ -112,8 +130,13 @@ class TestArmijo:
         assert res.alpha == 0.25
 
     def test_nondescent_slope_rejected(self):
-        with pytest.raises(NotDescent):
-            armijo_backtrack(lambda a: a, 0.0, ArmijoSearch())
+        for dphi0 in (0.0, 1.0, np.nan):
+            calls = []
+            res = armijo_backtrack(recorded(lambda a: a, calls), dphi0,
+                                   ArmijoSearch())
+            assert res.status is LineSearchStatus.NOT_DESCENT
+            assert calls == [] and res.evals == 0
+            assert res.alpha == 0.0 and math.isnan(res.f_new)
 
     def test_budget_exhaustion_reports_max_backtracks(self):
         res = armijo_backtrack(lambda a: a if a > 0 else 0.0, -1.0,
@@ -169,9 +192,23 @@ class TestStrongWolfe:
         assert res.alpha < 2.0
 
     def test_nondescent_slope_rejected(self):
-        with pytest.raises(NotDescent):
-            strong_wolfe_search(lambda a: a, lambda a: 1.0,
-                                StrongWolfeSearch())
+        for dphi0 in (0.0, 1.0, np.nan):
+            calls, dcalls = [], []
+            res = strong_wolfe_search(recorded(lambda a: a, calls),
+                                      recorded(lambda a: dphi0, dcalls),
+                                      StrongWolfeSearch())
+            assert res.status is LineSearchStatus.NOT_DESCENT
+            assert calls == [] and dcalls == [0.0] and res.evals == 0
+            assert res.alpha == 0.0 and math.isnan(res.f_new)
+
+    def test_nan_start_value_fails_sufficient_decrease(self):
+        # phi(0) = NaN gives no sufficient-decrease threshold, so no trial
+        # is accepted however its slope looks
+        res = strong_wolfe_search(lambda a: np.nan if a == 0.0 else -a,
+                                  lambda a: -1.0 if a == 0.0 else 0.0,
+                                  StrongWolfeSearch())
+        assert res.status is LineSearchStatus.ZOOM_FAILED
+        assert res.alpha == 1.0 and math.isnan(res.f_new)
 
     def test_curvature_never_met_returns_best_decrease_point(self):
         # linear descent: |dphi| stays at 1, so the curvature condition is

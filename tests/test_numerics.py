@@ -207,6 +207,16 @@ def test_classification_rejects_non_finite_matrix(bad):
         classify_symmetric(np.array([[1.0, bad], [bad, 1.0]]))
 
 
+@pytest.mark.parametrize("M", [[[1e308]], [[1e308, 0.0], [0.0, -1e308]],
+                               [[1.0, 1e308], [1e308, 1.0]]],
+                         ids=["1x1", "diagonal", "off-diagonal"])
+def test_classification_rejects_overflowing_symmetrization(M):
+    # finite entries above half the float maximum: 0.5 * (M + M^T) is inf
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="infs or NaNs"):
+        classify_symmetric(np.array(M))
+
+
 def test_import_loads_no_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "

@@ -31,6 +31,37 @@ def flat_valley_problem():
                    notes="")
 
 
+def walled_bowl_problem():
+    """f = x.x on the domain x0 >= 1, started on its wall at (1, 0): every
+    descent direction leaves the domain at once."""
+    obj = make_objective(
+        dim=2,
+        value=lambda x: float(x @ x),
+        gradient=lambda x: 2.0 * x,
+        hessian=lambda x: 2.0 * np.eye(2),
+        third_directional=lambda x, u, v, w: 0.0,
+        in_domain=lambda x: x[0] >= 1.0,
+    )
+    return Problem(name="walled_bowl", objective=obj,
+                   x0=np.array([1.0, 0.0]), x_star=None, f_star=None,
+                   notes="")
+
+
+def overflowing_hessian_problem(dim):
+    """f = x[-1] with the constant Hessian diag(1.5e308, 1, ...): finite,
+    but its symmetrization 0.5 * (H + H^T) overflows."""
+    H = np.diag([1.5e308] + [1.0] * (dim - 1))
+    obj = make_objective(
+        dim=dim,
+        value=lambda x: float(x[-1]),
+        gradient=lambda x: np.eye(dim)[-1],
+        hessian=lambda x: H.copy(),
+        third_directional=lambda x, u, v, w: 0.0,
+    )
+    return Problem(name="overflowing_hessian", objective=obj,
+                   x0=np.zeros(dim), x_star=None, f_star=None, notes="")
+
+
 def nan_gradient_problem(name, at_start=False):
     """Catalog problem whose gradient is NaN everywhere except at x0 (or,
     with at_start, everywhere)."""
@@ -150,6 +181,27 @@ class TestStatuses:
         rep = run(nan_gradient_problem("quad_well", at_start=True))
         assert rep.status is RunStatus.NON_FINITE_GRADIENT
         assert rep.iters == 0 and len(rep.records) == 1
+
+    @pytest.mark.parametrize("run", [
+        lambda p: yand_run(p, ExactSearch(), STOP),
+        lambda p: gradient_descent_run(p, ExactSearch(), STOP)],
+        ids=["yand", "gd"])
+    def test_exact_search_stopped_by_a_wall_is_line_search_failure(self, run):
+        rep = run(walled_bowl_problem())
+        assert rep.status is RunStatus.LINE_SEARCH_FAILURE
+        assert rep.iters == 0
+
+    @pytest.mark.parametrize("run, dim", [
+        (lambda p: yand_run(p, StrongWolfeSearch(), STOP), 2),
+        (lambda p: yand_run(p, StrongWolfeSearch(), STOP), 3),
+        (lambda p: newton_run(p, damped=True, stop=STOP), 2),
+        (lambda p: newton_run(p, stop=STOP), 2)],
+        ids=["yand-planar", "yand-matrix", "dnewton", "newton"])
+    def test_overflowing_hessian_symmetrization(self, run, dim):
+        with np.errstate(over="ignore"):   # numpy warns on the overflow
+            rep = run(overflowing_hessian_problem(dim))
+        assert rep.status is RunStatus.NON_FINITE_HESSIAN
+        assert rep.iters == 0
 
     def test_exhausted_exact_search_is_line_search_failure(self, monkeypatch):
         monkeypatch.setattr(line_search, "EXACT_TOL", 0.0)
