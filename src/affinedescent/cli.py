@@ -116,6 +116,7 @@ _EXIT_BY_STATUS = {
     RunStatus.DEGENERATE_STOP: 3,
     RunStatus.NON_FINITE_GRADIENT: 3,
     RunStatus.NON_FINITE_HESSIAN: 3,
+    RunStatus.NON_FINITE_THIRD: 3,
 }
 
 

@@ -15,7 +15,8 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .errors import DegenerateTangentBlock, NonFiniteHessian, SingularHessian
+from .errors import (DegenerateTangentBlock, NonFiniteHessian,
+                     NonFiniteThird, SingularHessian)
 from .numerics import (DEGENERACY_TOL, DefinitenessTag, Frame, Matrix,
                        SymmetricClass, Vector, as_vector, build_gradient_frame,
                        classify_symmetric, inf_norm, norm2, solve_symmetric,
@@ -27,6 +28,8 @@ from .objective import Objective
 EPS_ORTH = 1e-12
 # Floor on the along-normal curvature used for the step scale.
 SCALE_FLOOR = 1e-12
+_NON_FINITE_THIRD = "third derivative has infs or NaNs"
+_NON_FINITE_CORRECTION = "third-derivative correction has infs or NaNs"
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,20 @@ def _third_tensor_tangent(obj: Objective, x: Vector, frame: Frame) -> np.ndarray
 
 def _tau(obj: Objective, x: Vector, block: BlockHessian,
          cls_B: SymmetricClass) -> Vector:
-    """Tangential coefficients of the geometric direction; B nonsingular."""
+    """Tangential coefficients of the geometric direction; B nonsingular.
+    Raises NonFiniteThird when a third derivative is not finite, or when
+    the right-hand side it corrects overflows."""
     frame = block.frame
     m = block.B.shape[0]
     M3 = _third_tensor_tangent(obj, x, frame)
+    if not np.isfinite(M3).all():
+        raise NonFiniteThird(_NON_FINITE_THIRD)
     Binv_M = solve_symmetric(cls_B, M3.reshape(m, m * m)).reshape(m, m, m)
     # s_i = sum_pq (B^-1)_pq D3[t_p, t_q, t_i] = trace of the solved slab.
     s = np.einsum("ppi->i", Binv_M)
     rhs = block.c - (frame.grad_norm / (m + 2.0)) * s
+    if not np.isfinite(rhs).all():
+        raise NonFiniteThird(_NON_FINITE_CORRECTION)
     return solve_symmetric(cls_B, rhs)
 
 
@@ -219,7 +228,7 @@ def _planar_basis(n_hat: Vector) -> Matrix:
     n0, n1 = n_hat.tolist()
     s = -1.0 if n1 >= 0.0 else 1.0
     u = np.array([n0, n1 - s])
-    k = 2.0 / float(u @ u)   # a numpy dot, as in build_gradient_frame
+    k = 2.0 / float(u.dot(u))   # a numpy dot, as in build_gradient_frame
     u0, u1 = u.tolist()
     return np.array([[1.0 - k * (u0 * u0), n0], [0.0 - k * (u1 * u0), n1]])
 
@@ -237,6 +246,8 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
     n_hat, gnorm = unit_gradient(obj.gradient(x))
     basis = _planar_basis(n_hat)
     (t0, n0), (t1, n1) = basis.tolist()
+    # matmul, as in block_decompose: dot would round a Hessian that is
+    # neither C- nor F-contiguous differently.
     (h00, c), (_, d_nn) = (basis.T @ _hessian(obj, x) @ basis).tolist()
     # B = 0.5 * (Hf + Hf^T)[:1, :1] is h00 unless 2 * h00 overflows, and
     # classify_symmetric's symmetrization leaves it unchanged.
@@ -259,19 +270,21 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
         return _fallback_result(n_hat, cls_B)
 
     def solve(r: float) -> float:
-        if w is None:
-            return r / b
-        if not isfinite(r):
-            raise ValueError("right-hand side must not contain infs or NaNs")
-        return w * (w * r)
+        return r / b if w is None else w * (w * r)
 
     t = np.array([t0, t1])
+    third = float(obj.third_directional(x, t, t, t))
+    if not isfinite(third):
+        raise NonFiniteThird(_NON_FINITE_THIRD)
     # The matrix path's trace and matrix-vector product sum from +0.
-    s3 = 0.0 + solve(float(obj.third_directional(x, t, t, t)))
-    tau = solve(c - (gnorm / 3.0) * s3)
+    s3 = 0.0 + solve(third)
+    rhs = c - (gnorm / 3.0) * s3
+    if not isfinite(rhs):
+        raise NonFiniteThird(_NON_FINITE_CORRECTION)
+    tau = solve(rhs)
     d = np.array([(0.0 + t0 * tau) - n0, (0.0 + t1 * tau) - n1])
     omega = -1.0 if b < 0.0 else 1.0
-    inner_raw = omega * float(g @ d)
+    inner_raw = omega * float(d.dot(g))   # g may be any array-like
     band = EPS_ORTH * gnorm * norm2(d)
     if inner_raw < -band:
         case = DirectionCase.AN

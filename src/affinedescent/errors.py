@@ -29,6 +29,10 @@ class NonFiniteHessian(AffineDescentError):
     """Hessian oracle returned infs or NaNs."""
 
 
+class NonFiniteThird(AffineDescentError):
+    """Third-derivative oracle returned an inf or a NaN."""
+
+
 class DomainViolation(AffineDescentError):
     """A finite-difference stencil left the objective's domain."""
 

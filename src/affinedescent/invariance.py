@@ -35,21 +35,25 @@ def compose_scaled(base: Problem, B) -> Problem:
         raise SingularB(f"det(B) = {det:g} must be positive")
     phi = base.objective
     Binv = np.linalg.inv(B)
+    BT = B.T
+    # B.dot(y) is B @ y by the same BLAS call for a C- or F-contiguous B. The
+    # Hessian, an oracle's array of any layout, keeps matmul.
+    Bx, BTx = B.dot, BT.dot
 
     def value(x):
-        return phi.value(B @ x)
+        return phi.value(Bx(x))
 
     def gradient(x):
-        return B.T @ phi.gradient(B @ x)
+        return BTx(phi.gradient(Bx(x)))
 
     def hessian(x):
-        return B.T @ phi.hessian(B @ x) @ B
+        return BT @ phi.hessian(Bx(x)) @ B
 
     def third(x, u, v, w):
-        return phi.third_directional(B @ x, B @ u, B @ v, B @ w)
+        return phi.third_directional(Bx(x), Bx(u), Bx(v), Bx(w))
 
     def in_domain(x):
-        return phi.in_domain(B @ x)
+        return phi.in_domain(Bx(x))
 
     obj = make_objective(base.objective.dim, value, gradient, hessian, third,
                          in_domain)

@@ -229,7 +229,8 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
     Expansion doubles the trial up to alpha_max until one meets both or
     brackets a point that does; zoom then alternates a quadratic-
     interpolation candidate (used only in the middle 80% of the bracket)
-    with bisection. Failing that, the best sufficient-decrease point (else
+    with bisection; a bracket so wide that the candidate overflows is
+    bisected. Failing that, the best sufficient-decrease point (else
     alpha0 and phi(0)) is returned with status ZoomFailed. A slope dphi(0)
     that is not negative returns NotDescent before phi is evaluated.
     """
@@ -286,7 +287,10 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
             alpha = 0.5 * (lo + hi)
             denom = 2.0 * (f_hi - f_lo - d_lo * (hi - lo))
             if isfinite(f_hi) and denom != 0.0:
-                cand = lo - d_lo * (hi - lo) ** 2 / denom
+                try:
+                    cand = lo - d_lo * (hi - lo) ** 2 / denom
+                except OverflowError:   # float ** raises past ~1.3e154
+                    cand = nan
                 if left + 0.1 * width < cand < right - 0.1 * width:
                     alpha = cand
             f, ok = trial(alpha)

@@ -111,7 +111,9 @@ def _fd_third_rows(obj: Objective, x: Vector, triples: np.ndarray,
     (v' H(x + h u) w - v' H(x - h u) w) / (2 h).
 
     Every stencil point x +- h u is built in one broadcast; the Hessian is
-    then evaluated at each pair, triple by triple."""
+    then evaluated at each pair, triple by triple. The contraction sums
+    from +0 as matmul does: dot multiplies 1-element operands as scalars,
+    which would give -0 for a zero product in one dimension."""
     step = h * triples[:, 0]
     plus = x + step
     minus = x - step
@@ -121,10 +123,19 @@ def _fd_third_rows(obj: Objective, x: Vector, triples: np.ndarray,
             raise DomainViolation("Hessian stencil left the domain")
         hp = obj.hessian(xp)
         hm = obj.hessian(xm)
-        if not (np.isfinite(hp).all() and np.isfinite(hm).all()):
+        if not (_all_finite(hp) and _all_finite(hm)):
             raise DomainViolation("Hessian stencil produced non-finite entries")
-        out[k] = float(v @ (hp - hm) @ w) / (2.0 * h)
+        out[k] = (0.0 + float(v.dot(hp - hm).dot(w))) / (2.0 * h)
     return out
+
+
+def _all_finite(a) -> bool:
+    """np.isfinite(a).all() without the dispatch cost of a reduction.
+
+    Both Hessians are checked before their difference is taken: inf - inf
+    would warn before the DomainViolation is raised."""
+    finite = np.isfinite(a)
+    return np.count_nonzero(finite) == finite.size
 
 
 def fd_third_directional(obj: Objective, x, u, v, w,

@@ -13,7 +13,8 @@ from math import isfinite
 
 from .direction import DirectionResult, descent_direction, newton_direction
 from .errors import (DegenerateTangentBlock, MissingReference,
-                     NonFiniteHessian, SingularHessian, ZeroGradient)
+                     NonFiniteHessian, NonFiniteThird, SingularHessian,
+                     ZeroGradient)
 from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
                           LineSearchResult, LineSearchSpec, LineSearchStatus,
                           StrongWolfeSearch, armijo_backtrack, exact_search,
@@ -42,6 +43,7 @@ class RunStatus(Enum):
     DEGENERATE_STOP = "DegenerateStop"
     NON_FINITE_GRADIENT = "NonFiniteGradient"
     NON_FINITE_HESSIAN = "NonFiniteHessian"
+    NON_FINITE_THIRD = "NonFiniteThird"
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,15 @@ def _run_line_search(obj: Objective, x: Vector, g: Vector, d: Vector,
     def phi(alpha: float) -> float:
         return obj.value(x + alpha * d)
 
-    dphi0 = float(g @ d)
+    # d first: a gradient oracle may return any array-like
+    dphi0 = float(d.dot(g))
     if isinstance(ls, ExactSearch):
         return exact_search(phi, alpha_max=ls.alpha_max)
     if isinstance(ls, ArmijoSearch):
         return armijo_backtrack(phi, dphi0, ls)
     if isinstance(ls, StrongWolfeSearch):
         def dphi(alpha: float) -> float:
-            return float(obj.gradient(x + alpha * d) @ d)
+            return float(d.dot(obj.gradient(x + alpha * d)))
 
         return strong_wolfe_search(phi, dphi, ls)
     raise TypeError(f"unsupported line-search spec {ls!r}")
@@ -117,6 +120,9 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
             break
         except NonFiniteHessian:   # at the start point or an accepted iterate
             status = RunStatus.NON_FINITE_HESSIAN
+            break
+        except NonFiniteThird:
+            status = RunStatus.NON_FINITE_THIRD
             break
         max_T = max(max_T, T)
         if isinstance(ls, FixedStep):

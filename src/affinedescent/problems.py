@@ -49,10 +49,10 @@ def _quadratic(dim: int, A: np.ndarray, b: np.ndarray) -> Objective:
     b = np.asarray(b, dtype=float)
 
     def value(x):
-        return float(0.5 * x @ A @ x + b @ x)
+        return float((0.5 * x).dot(A).dot(x) + b.dot(x))
 
     def gradient(x):
-        return A @ x + b
+        return A.dot(x) + b
 
     def hessian(x):
         return A.copy()
@@ -67,9 +67,9 @@ def _quadratic_problem(name: str, A, b, x0, notes: str) -> Problem:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     x_star = np.linalg.solve(A, -b)
-    f_star = float(0.5 * x_star @ A @ x_star + b @ x_star)
-    return _validated(Problem(name, _quadratic(len(b), A, b),
-                              as_vector(x0), x_star, f_star, notes))
+    obj = _quadratic(len(b), A, b)
+    return _validated(Problem(name, obj, as_vector(x0), x_star,
+                              obj.value(x_star), notes))
 
 
 def _polish_minimum(obj: Objective, x_init, tol: float = 1e-12,
@@ -134,7 +134,7 @@ def _build_convex_53() -> Problem:
         return np.array([x[0] + x[0] ** 3 / 3.0, 4.0 * x[1]])
 
     def hessian(x):
-        return np.diag([1.0 + x[0] ** 2, 4.0])
+        return np.array([[1.0 + x[0] ** 2, 0.0], [0.0, 4.0]])
 
     def third(x, u, v, w):
         return float(2.0 * x[0] * u[0] * v[0] * w[0])
@@ -148,6 +148,7 @@ def _build_convex_53() -> Problem:
 def _build_poly6() -> Problem:
     # f = (x1^2 + 4 x2^2)^3 + 0.1 |x|^2 + 0.01 (x1 + 2 x2)
     Q = np.diag([2.0, 8.0])
+    ridge = 0.2 * np.eye(2)
     lin = np.array([0.01, 0.02])
 
     def q(x):
@@ -157,20 +158,22 @@ def _build_poly6() -> Problem:
         return np.array([2.0 * x[0], 8.0 * x[1]])
 
     def value(x):
-        return float(q(x) ** 3 + 0.1 * (x[0] ** 2 + x[1] ** 2) + lin @ x)
+        return float(q(x) ** 3 + 0.1 * (x[0] ** 2 + x[1] ** 2) + lin.dot(x))
 
     def gradient(x):
         return 3.0 * q(x) ** 2 * gq(x) + 0.2 * x + lin
 
     def hessian(x):
         g = gq(x)
-        return 6.0 * q(x) * np.outer(g, g) + 3.0 * q(x) ** 2 * Q + 0.2 * np.eye(2)
+        return 6.0 * q(x) * (g[:, None] * g) + 3.0 * q(x) ** 2 * Q + ridge
 
     def third(x, u, v, w):
         g = gq(x)
-        gu, gv, gw = float(g @ u), float(g @ v), float(g @ w)
+        u, v = np.asarray(u), np.asarray(v)   # array-likes, as matmul takes
+        gu, gv, gw = float(g.dot(u)), float(g.dot(v)), float(g.dot(w))
         return float(6.0 * gu * gv * gw + 6.0 * q(x) * (
-            float(u @ Q @ w) * gv + float(v @ Q @ w) * gu + float(u @ Q @ v) * gw))
+            float(u.dot(Q).dot(w)) * gv + float(v.dot(Q).dot(w)) * gu
+            + float(u.dot(Q).dot(v)) * gw))
 
     obj = make_objective(2, value, gradient, hessian, third)
     return _polished_problem("poly6", obj, (0.5, -0.5), (-0.05, -0.1),
@@ -179,6 +182,7 @@ def _build_poly6() -> Problem:
 
 def _build_inverse_barrier() -> Problem:
     mu = 1.0
+    ones, eye, ones22 = np.ones(2), np.eye(2), np.ones((2, 2))
 
     def slack(x):
         return 1.0 - x[0] - x[1]
@@ -191,11 +195,11 @@ def _build_inverse_barrier() -> Problem:
 
     def gradient(x):
         u = slack(x)
-        return x + (mu / u ** 2) * np.ones(2)
+        return x + (mu / u ** 2) * ones
 
     def hessian(x):
         u = slack(x)
-        return np.eye(2) + (2.0 * mu / u ** 3) * np.ones((2, 2))
+        return eye + (2.0 * mu / u ** 3) * ones22
 
     def third(x, u, v, w):
         s = slack(x)
@@ -239,6 +243,7 @@ def _build_rosenbrock() -> Problem:
 
 def _build_ring_tilted() -> Problem:
     tilt = 0.1
+    eye = np.eye(2)
 
     def p(x):
         return float(x[0] ** 2 + x[1] ** 2 - 1.0)
@@ -250,12 +255,14 @@ def _build_ring_tilted() -> Problem:
         return 4.0 * p(x) * x + np.array([tilt, 0.0])
 
     def hessian(x):
-        return 4.0 * p(x) * np.eye(2) + 8.0 * np.outer(x, x)
+        xa = np.asarray(x)   # np.outer took array-likes
+        return 4.0 * p(x) * eye + 8.0 * (xa[:, None] * xa)
 
     def third(x, u, v, w):
-        return float(8.0 * (float(x @ w) * float(u @ v)
-                            + float(u @ w) * float(x @ v)
-                            + float(v @ w) * float(x @ u)))
+        x, u, v = np.asarray(x), np.asarray(u), np.asarray(v)
+        return float(8.0 * (float(x.dot(w)) * float(u.dot(v))
+                            + float(u.dot(w)) * float(x.dot(v))
+                            + float(v.dot(w)) * float(x.dot(u))))
 
     obj = make_objective(2, value, gradient, hessian, third)
     return _polished_problem("ring_tilted", obj, (0.0, 1.5), (-1.01, 0.0),
@@ -270,7 +277,7 @@ def _build_saddle_poly() -> Problem:
         return np.array([4.0 * x[0] ** 3 - 2.0 * x[0], 2.0 * x[1]])
 
     def hessian(x):
-        return np.diag([12.0 * x[0] ** 2 - 2.0, 2.0])
+        return np.array([[12.0 * x[0] ** 2 - 2.0, 0.0], [0.0, 2.0]])
 
     def third(x, u, v, w):
         return float(24.0 * x[0] * u[0] * v[0] * w[0])
@@ -290,7 +297,8 @@ def _build_four_well() -> Problem:
                          4.0 * x[1] * (x[1] ** 2 - 1.0)])
 
     def hessian(x):
-        return np.diag([12.0 * x[0] ** 2 - 4.0, 12.0 * x[1] ** 2 - 4.0])
+        return np.array([[12.0 * x[0] ** 2 - 4.0, 0.0],
+                         [0.0, 12.0 * x[1] ** 2 - 4.0]])
 
     def third(x, u, v, w):
         return float(24.0 * x[0] * u[0] * v[0] * w[0]
@@ -311,7 +319,7 @@ def _build_counterexample() -> Problem:
         return np.array([4.0 * x[0] * (x[0] ** 2 - 1.0), 1.0])
 
     def hessian(x):
-        return np.diag([12.0 * x[0] ** 2 - 4.0, 0.0])
+        return np.array([[12.0 * x[0] ** 2 - 4.0, 0.0], [0.0, 0.0]])
 
     def third(x, u, v, w):
         return float(24.0 * x[0] * u[0] * v[0] * w[0])
@@ -332,7 +340,7 @@ def _build_strongly_convex_base() -> Problem:
         return np.array([x[0] + x[0] ** 3 / 3.0, x[1] + x[1] ** 3 / 3.0])
 
     def hessian(x):
-        return np.diag([1.0 + x[0] ** 2, 1.0 + x[1] ** 2])
+        return np.array([[1.0 + x[0] ** 2, 0.0], [0.0, 1.0 + x[1] ** 2]])
 
     def third(x, u, v, w):
         return float(2.0 * x[0] * u[0] * v[0] * w[0]

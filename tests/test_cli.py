@@ -9,7 +9,8 @@ from affinedescent.cli import (Config, _build_parser, _fmt, _load_config,
 from affinedescent.line_search import ArmijoSearch, ExactSearch, FixedStep
 from affinedescent.objective import Objective
 from affinedescent.problems import Problem, catalog
-from test_optimizer import nan_gradient_problem, nan_hessian_problem
+from test_optimizer import (nan_gradient_problem, nan_hessian_problem,
+                            non_finite_third_problem)
 
 
 def run_main(argv, capsys):
@@ -164,6 +165,16 @@ class TestRunCommand:
         assert code == 3
         assert stdout.split()[:2] == ["NonFiniteHessian", "1"]
         assert len(out.read_text().splitlines()) == 3   # header, k = 0, 1
+
+    def test_non_finite_third_exits_three(self, tmp_path, capsys,
+                                          monkeypatch):
+        broken = non_finite_third_problem(2, -1.0, np.nan)
+        monkeypatch.setattr(cli, "catalog", lambda name: broken)
+        out = tmp_path / "t.csv"
+        code, stdout, _ = run_main(
+            ["run", "rosenbrock", "yand", "exact", "--out", str(out)], capsys)
+        assert code == 3
+        assert stdout.split()[:2] == ["NonFiniteThird", "0"]
 
     def test_bad_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

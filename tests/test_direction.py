@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_fd_kernels import Recorder
+from test_optimizer import non_finite_third_problem
 
 from affinedescent import direction
 from affinedescent.direction import (DirectionCase, _matrix_direction,
@@ -15,8 +16,8 @@ from affinedescent.direction import (DirectionCase, _matrix_direction,
                                      classify_point, descent_direction,
                                      newton_direction)
 from affinedescent.errors import (DegenerateTangentBlock, NonFiniteHessian,
-                                  SingularHessian, UnsupportedDimension,
-                                  ZeroGradient)
+                                  NonFiniteThird, SingularHessian,
+                                  UnsupportedDimension, ZeroGradient)
 from affinedescent.numerics import (DefinitenessTag, Frame, angle_between,
                                     build_gradient_frame)
 from affinedescent.objective import make_objective
@@ -231,6 +232,37 @@ class TestCases:
         with pytest.raises(DegenerateTangentBlock):
             affine_normal_direction(obj, x)
 
+    @pytest.mark.parametrize("dim, third, scale, message", [
+        (2, np.nan, 1.0, "^third derivative has infs or NaNs$"),
+        (3, np.nan, 1.0, "^third derivative has infs or NaNs$"),
+        # finite, but |g| s / (m + 2) overflows at gradient norm 1e10; dim 4,
+        # as at m = 2 the trace s cancels on the indefinite block diag(-1, 1)
+        (2, 1e308, 1e10, "^third-derivative correction has infs or NaNs$"),
+        (4, 1e308, 1e10, "^third-derivative correction has infs or NaNs$")],
+        ids=["2-nan", "3-nan", "2-overflow", "4-overflow"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0],
+                             ids=["definite", "indefinite"])
+    def test_non_finite_third_is_a_typed_error(self, sign, dim, third, scale,
+                                               message):
+        """Both paths, with the default or an explicit frame, and the
+        affine-normal direction raise one error after the same oracle
+        calls, whatever the tangent block's definiteness."""
+        obj = non_finite_third_problem(dim, sign, third).objective
+        x = scale * np.eye(dim)[-1]
+        frame = build_gradient_frame(obj.gradient(x))
+        calls = []
+        for path in (lambda o: descent_direction(o, x),
+                     lambda o: descent_direction(o, x, frame=frame),
+                     lambda o: _matrix_direction(o, x, None),
+                     lambda o: affine_normal_direction(o, x)):
+            rec = Recorder(obj)
+            with pytest.raises(NonFiniteThird, match=message), \
+                    np.errstate(over="ignore"):
+                path(rec.obj)
+            calls.append(len(rec.of("third_directional")))
+        m = dim - 1
+        assert calls == [m * m * (m + 1) // 2] * 4   # the whole tensor
+
     @pytest.mark.parametrize("negatives, case", [
         (0, DirectionCase.AN), (1, DirectionCase.FLIPPED_AN),
         (2, DirectionCase.AN), (3, DirectionCase.FLIPPED_AN)])
@@ -421,7 +453,7 @@ GRAD_ENTRIES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
 TANGENT_CURVATURE = st.one_of(st.floats(2e-10, 1e6), st.floats(-1e-10, 1e-10),
                               st.floats(-1e6, -2e-10))
 THIRD = st.one_of(st.floats(-1e8, 1e8),
-                  st.sampled_from([np.nan, np.inf, -np.inf]))
+                  st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308]))
 
 
 class TestPlanarPath:
@@ -439,6 +471,9 @@ class TestPlanarPath:
     @example((0.6, 0.8), 1e-9, 1e4, 1.0, 0.0, None)
     # b = 1e308 in the frame e1, e2: 2b overflows in the classification
     @example((0.0, 1.0), 1.5, 1.0, 1.0, 0.0, 308.0)
+    # a finite third derivative whose correction term overflows
+    @example((0.0, 1e10), 1.0, 0.0, 1.0, 1e308, None)
+    @example((0.0, 1e10), -1.0, 0.0, 1.0, 1e308, None)
     def test_bitwise_equal_to_matrix_path(self, g, b, c, d_nn, third,
                                           log_max):
         """Frame entries b, c, d_nn of the Hessian; with log_max, the

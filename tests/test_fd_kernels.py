@@ -2,6 +2,7 @@
 reference loops, one stencil or scan point per small numpy operation: the
 same bits, the same oracle calls at the same points in the same order, and
 the same random stream."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +261,61 @@ def test_verify_derivatives_matches_reference_on_catalog():
         assert bits([report.grad_err, report.hess_err, report.third_err]) \
             == bits(want), name
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+# -- non-finite and overflowing Hessian differences ---------------------------
+
+def outcome(fn):
+    """fn()'s bits, or its error type and message, with the warnings it
+    issued; matmul's warnings are named after dot."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = bits(fn())
+        except Exception as exc:
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message).replace("matmul", "dot"))
+                 for w in caught]
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), SEEDS, st.integers(1, 4),
+       st.sampled_from(["finite", "equal", "special"]),
+       st.sampled_from(["warn", "ignore"]))
+def test_fd_third_on_non_finite_and_overflowing_differences(
+        dim, seed, rows, kind, errors):
+    """The Hessian is H+ where x[0] > 0 and H- elsewhere, and every u has
+    u[0] > 0, so each row differences H+ and H-: equal (a zero difference,
+    whose sign must survive in one dimension), finite, or with entries
+    that are NaN, infinite, or +-1e308 (finite, but the difference
+    overflows). With warnings raised or ignored, the kernel gives the
+    reference's bits, or its error type and message, with the same
+    warnings and oracle calls."""
+    rng = np.random.default_rng(seed)
+    H_plus, H_minus = rng.standard_normal((2, dim, dim))
+    if kind == "equal":
+        H_minus = H_plus.copy()
+    elif kind == "special":
+        for H in (H_plus, H_minus):
+            hit = rng.random((dim, dim)) < 0.5
+            H[hit] = rng.choice(SPECIAL, hit.sum())
+    obj = make_objective(
+        dim, value=lambda x: 0.0, gradient=lambda x: np.zeros(dim),
+        hessian=lambda x: (H_plus if x[0] > 0.0 else H_minus).copy(),
+        third_directional=lambda x, u, v, w: 0.0)
+    dirs = rng.standard_normal((rows, 3, dim))
+    dirs[:, 0, 0] = np.abs(dirs[:, 0, 0]) + 0.1
+    x = np.zeros(dim)
+    new, ref = Recorder(obj), Recorder(obj)
+    with np.errstate(all=errors):
+        got = outcome(lambda: _fd_third_rows(new.obj, x, dirs, THIRD_H))
+        want = outcome(lambda: [ref_fd_third_directional(ref.obj, x, u, v, w)
+                                for u, v, w in dirs])
+    assert got == want
+    assert new.calls == ref.calls
 
 
 # -- one triple's stencil leaves the domain ------------------------------------

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinedescent import line_search
+from affinedescent.direction import classify_point
 from affinedescent.errors import MissingReference
 from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
                                        StrongWolfeSearch)
+from affinedescent.numerics import DefinitenessTag
 from affinedescent.objective import make_objective
 from affinedescent.optimizer import (RunStatus, StoppingSpec,
                                      empirical_rates, gradient_descent_run,
@@ -60,6 +62,22 @@ def overflowing_hessian_problem(dim):
     )
     return Problem(name="overflowing_hessian", objective=obj,
                    x0=np.zeros(dim), x_star=None, f_star=None, notes="")
+
+
+def non_finite_third_problem(dim, sign, third):
+    """f = (sign x0^2 + x1^2 + ... ) / 2 from e_last, where the gradient is
+    e_last and the tangent block is diag(sign, 1, ...): positive definite
+    for sign 1, indefinite for -1. The third derivative is `third`."""
+    H = np.diag([sign] + [1.0] * (dim - 1))
+    obj = make_objective(
+        dim=dim,
+        value=lambda x: float(0.5 * x @ H @ x),
+        gradient=lambda x: H @ x,
+        hessian=lambda x: H.copy(),
+        third_directional=lambda x, u, v, w: third,
+    )
+    return Problem(name="non_finite_third", objective=obj,
+                   x0=np.eye(dim)[-1], x_star=None, f_star=None, notes="")
 
 
 def nan_gradient_problem(name, at_start=False):
@@ -202,6 +220,35 @@ class TestStatuses:
             rep = run(overflowing_hessian_problem(dim))
         assert rep.status is RunStatus.NON_FINITE_HESSIAN
         assert rep.iters == 0
+
+    @pytest.mark.parametrize("third", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [2, 3], ids=["planar", "matrix"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0],
+                             ids=["definite", "indefinite"])
+    def test_non_finite_third_derivative(self, sign, dim, third):
+        """Whether the tangent block is positive definite or indefinite,
+        in the planar and the matrix path."""
+        p = non_finite_third_problem(dim, sign, third)
+        tag = classify_point(p.objective, p.x0).tag
+        assert tag is (DefinitenessTag.POSITIVE_DEFINITE if sign > 0.0
+                       else DefinitenessTag.OTHER_INDEFINITE)
+        rep = yand_run(p, ExactSearch(), STOP)
+        assert rep.status is RunStatus.NON_FINITE_THIRD
+        assert rep.iters == 0 and len(rep.records) == 1
+
+    @pytest.mark.parametrize("dim", [2, 4], ids=["planar", "matrix"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0],
+                             ids=["definite", "indefinite"])
+    def test_overflowing_third_derivative_correction(self, sign, dim):
+        """A finite third derivative 1e308 at gradient norm 1e10: the
+        right-hand side c - |g| s / (m + 2) overflows. (At dim 3 the trace
+        s cancels on the indefinite tangent block diag(-1, 1).)"""
+        p = non_finite_third_problem(dim, sign, 1e308)
+        p = replace(p, x0=1e10 * p.x0)
+        with np.errstate(over="ignore"):   # numpy warns on the overflow
+            rep = yand_run(p, ExactSearch(), STOP)
+        assert rep.status is RunStatus.NON_FINITE_THIRD
+        assert rep.iters == 0 and len(rep.records) == 1
 
     def test_exhausted_exact_search_is_line_search_failure(self, monkeypatch):
         monkeypatch.setattr(line_search, "EXACT_TOL", 0.0)

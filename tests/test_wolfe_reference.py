@@ -197,3 +197,58 @@ def test_same_calls_and_result_as_the_reference(base, p, t, sign, c0, wall,
                               nan_lo + nan_width)
     assert run(strong_wolfe_search, phi, dphi, spec) == \
         run(ref_strong_wolfe_search, phi, dphi, spec)
+
+
+# -- brackets too wide to square ----------------------------------------------
+
+def falls_to_a_ledge(ledge, after):
+    """phi(a) = -a up to the ledge and `after` from there on; dphi = -1, so
+    the curvature condition never holds and the search must bracket the
+    ledge."""
+    def phi(a):
+        return -a if a < ledge else after
+
+    def dphi(a):
+        return -1.0
+
+    return phi, dphi
+
+
+def test_ledge_past_the_square_root_of_the_float_maximum():
+    """Squaring a zoom bracket wider than ~1.34e154 overflows. The
+    reference raises OverflowError; the search bisects and returns a
+    status."""
+    phi, dphi = falls_to_a_ledge(1e200, 0.0)
+    spec = StrongWolfeSearch(alpha_max=1e300)
+    try:
+        run(ref_strong_wolfe_search, phi, dphi, spec)
+    except OverflowError:
+        pass
+    else:
+        raise AssertionError("the reference no longer overflows")
+    calls, (alpha, f_new, evals, status) = run(strong_wolfe_search, phi,
+                                               dphi, spec)
+    assert status is LineSearchStatus.ZOOM_FAILED
+    assert 0.0 < float.fromhex(alpha) < 1e200
+    assert float.fromhex(f_new) == -float.fromhex(alpha)
+    assert evals == sum(name == "phi" for name, _ in calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-3.0, 300.0), st.sampled_from([0.0, float("inf")]),
+       st.floats(-3.0, 300.0), st.floats(-3.0, 300.0), st.floats(1e-6, 0.5))
+def test_wide_brackets_match_the_reference_wherever_it_returns(
+        log_ledge, after, log_alpha0, log_max, c1):
+    """Brackets up to 1e300 wide: wherever the reference returns, the
+    search makes the same calls and returns the same bits; where the
+    reference overflows, the search returns a status."""
+    phi, dphi = falls_to_a_ledge(10.0 ** log_ledge, after)
+    spec = StrongWolfeSearch(c1=c1, alpha0=10.0 ** log_alpha0,
+                             alpha_max=10.0 ** log_max)
+    try:
+        want = run(ref_strong_wolfe_search, phi, dphi, spec)
+    except OverflowError:
+        _, (_, _, _, status) = run(strong_wolfe_search, phi, dphi, spec)
+        assert isinstance(status, LineSearchStatus)
+        return
+    assert run(strong_wolfe_search, phi, dphi, spec) == want
