@@ -16,9 +16,12 @@ failure, degeneracy or non-finite gradient, 4 check failure.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cache
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +80,32 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_lines(path: str | Path, lines: list[str]) -> None:
+    """Write `lines`, each newline-terminated, over the file at `path`.
+
+    The file is overwritten in place, not opened with O_TRUNC: truncating
+    an existing file frees its blocks and allocates new ones, which costs
+    far more than writing a small CSV. A regular file is cut to the bytes
+    written afterwards, also when a write raises, so it never holds new
+    bytes followed by old ones. An existing file keeps its inode and mode;
+    a new one gets 0o666 less the umask. Devices and pipes are written
+    and never truncated.
+    """
+    data = ("\n".join(lines) + "\n").encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size != written:
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
 def write_trajectory_csv(report: RunReport, path: str | Path) -> None:
     dim = report.records[0].x.size
     header = ["k"] + [f"x{i + 1}" for i in range(dim)] + \
@@ -87,7 +116,7 @@ def write_trajectory_csv(report: RunReport, path: str | Path) -> None:
             _fmt(r.f), _fmt(r.grad_norm), _fmt(r.alpha), r.case,
             _fmt(r.T), _fmt(r.cos_theta)]
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _specs_from_config(cfg: Config):
@@ -170,7 +199,7 @@ def cmd_table2(cfg: Config, out_path: str | Path) -> int:
             _count_cell(newton_run(problem, damped=False, stop=stop)),
         ]
         lines.append(",".join(cells))
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    _write_lines(out_path, lines)
     return 0
 
 
@@ -233,7 +262,7 @@ def cmd_examples(out_path: str | Path) -> int:
         ok = ok and passed
         lines.append(f"{label},{_fmt(computed)},{_fmt(expected)},{_fmt(tol)},"
                      f"{'pass' if passed else 'FAIL'}")
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    _write_lines(out_path, lines)
     print("\n".join(lines))
     return 0 if ok else 4
 
@@ -242,14 +271,14 @@ def cmd_invariance(gammas, cfg: Config, out_path: str | Path) -> int:
     base = catalog("strongly_convex_base")
     stop = StoppingSpec(tol_grad=cfg.tol_grad, max_iter=cfg.max_iter)
     exact = ExactSearch(alpha_max=cfg.alpha_max)
+    if not all(0.0 < gamma < inf for gamma in gammas):
+        raise ValueError("gammas must be finite and positive")
     lines = ["gamma,max_deviation,iters_scaled,iters_base"]
     for gamma in gammas:
-        if gamma <= 0:
-            raise ValueError("gammas must be positive")
         rep = run_invariance(base, np.diag([1.0, float(gamma)]), exact, stop)
         lines.append(f"{_fmt(float(gamma))},{_fmt(rep.max_deviation)},"
                      f"{rep.iters_scaled},{rep.iters_base}")
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    _write_lines(out_path, lines)
     return 0
 
 
@@ -281,7 +310,7 @@ def cmd_verify(cfg: Config, out_path: str | Path, problems=None) -> int:
         lines.append(f"{problem.name},{_fmt(report.grad_err)},"
                      f"{_fmt(report.hess_err)},{_fmt(report.third_err)},"
                      f"{'pass' if report.ok else 'FAIL'}")
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    _write_lines(out_path, lines)
     print("\n".join(lines))
     return 0 if ok else 4
 

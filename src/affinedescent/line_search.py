@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite, nan, sqrt
+from math import inf, isfinite, nan, sqrt
 from typing import Callable
 
 Phi = Callable[[float], float]
@@ -23,8 +23,8 @@ class ExactSearch:
     alpha_max: float = 10.0
 
     def __post_init__(self):
-        if self.alpha_max <= 0.0:
-            raise ValueError("alpha_max must be positive")
+        if not 0.0 < self.alpha_max < inf:
+            raise ValueError("alpha_max must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class ArmijoSearch:
             raise ValueError("sigma must be in (0, 1)")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
-        if self.alpha0 <= 0.0:
-            raise ValueError("alpha0 must be positive")
+        if not 0.0 < self.alpha0 < inf:
+            raise ValueError("alpha0 must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class StrongWolfeSearch:
     def __post_init__(self):
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError("need 0 < c1 < c2 < 1")
-        if self.alpha0 <= 0.0 or self.alpha_max <= 0.0:
-            raise ValueError("alpha0 and alpha_max must be positive")
+        if not (0.0 < self.alpha0 < inf and 0.0 < self.alpha_max < inf):
+            raise ValueError("alpha0 and alpha_max must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class FixedStep:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < inf:
+            raise ValueError("alpha must be finite and positive")
 
 
 LineSearchSpec = ExactSearch | ArmijoSearch | StrongWolfeSearch
@@ -102,8 +102,11 @@ def exact_search(phi: Phi, alpha_max: float = 10.0) -> LineSearchResult:
     the best evaluated point, with status MaxExactSteps when the bracket
     is still wider than EXACT_TOL after MAX_EXACT_STEPS trial points, and
     alpha 0 with status NoFiniteStep when phi(0) is not finite or U falls
-    below 1e-16 alpha_max.
+    below 1e-16 alpha_max. Raises ValueError unless 0 < alpha_max < inf,
+    since halving a NaN or infinite bound never ends.
     """
+    if not 0.0 < alpha_max < inf:
+        raise ValueError("alpha_max must be finite and positive")
     f0 = phi(0.0)
     evals = 1
     if not isfinite(f0):

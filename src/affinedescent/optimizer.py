@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite
+from math import inf, isfinite
 
 from .direction import DirectionResult, descent_direction, newton_direction
 from .errors import (DegenerateTangentBlock, MissingReference,
@@ -30,8 +30,8 @@ class StoppingSpec:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.tol_grad <= 0.0:
-            raise ValueError("tol_grad must be positive")
+        if not 0.0 < self.tol_grad < inf:
+            raise ValueError("tol_grad must be finite and positive")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
 

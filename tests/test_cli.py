@@ -1,3 +1,6 @@
+import errno
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -331,3 +334,125 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert code == 4
         assert out.read_text().splitlines()[1].endswith(",inf,FAIL")
+
+
+class TestNonFiniteSettings:
+    """A NaN or infinite step, tolerance or scaling is a usage error: exit 1
+    before any oracle call. Every oracle of the stand-in problem raises, so
+    a regression fails here instead of running (a NaN alpha_max used to
+    halve the exact search's bound forever)."""
+
+    @pytest.fixture
+    def no_oracle(self, monkeypatch):
+        p = catalog("quad_well")
+
+        def fail(*args):
+            raise AssertionError("oracle called")
+
+        stub = replace(p, objective=replace(
+            p.objective, value=fail, gradient=fail, hessian=fail,
+            third_directional=fail))
+        monkeypatch.setattr(cli, "catalog", lambda name: stub)
+        monkeypatch.setattr(cli, "make_affine_scaled",
+                            lambda gamma: (stub, None))
+
+    @pytest.mark.parametrize("argv, cfg_text", [
+        (["run", "quad_well", "yand", "exact"], "alpha_max = nan\n"),
+        (["run", "quad_well", "yand", "exact"], "alpha_max = inf\n"),
+        (["run", "quad_well", "yand", "armijo"], "alpha0 = inf\n"),
+        (["run", "quad_well", "yand", "wolfe"], "alpha0 = nan\n"),
+        (["run", "quad_well", "gd", "fixed:nan"], ""),
+        (["run", "quad_well", "gd", "fixed:inf"], ""),
+        (["run", "quad_well", "yand", "exact", "--tol-grad", "nan"], ""),
+        (["run", "quad_well", "yand", "exact", "--tol-grad", "inf"], ""),
+        (["table2"], "alpha_max = nan\n"),
+        (["invariance", "--gammas", "10,nan"], ""),
+        (["invariance", "--gammas", "inf"], ""),
+        (["invariance", "--gammas", "10"], "alpha_max = nan\n"),
+    ])
+    def test_exits_one_with_message(self, argv, cfg_text, tmp_path, capsys,
+                                    no_oracle):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(cfg_text)
+        out = tmp_path / "out.csv"
+        code, _, err = run_main(
+            argv + ["--config", str(cfgfile), "--out", str(out)], capsys)
+        assert code == 1
+        assert "must be finite and positive" in err
+        assert not out.exists()
+
+
+class TestOutputWriter:
+    """Every subcommand writes through cli._write_lines, which overwrites in
+    place and truncates only regular files."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "quad_well", "yand", "exact"],
+        ["table2"],
+        ["examples"],
+        ["invariance", "--gammas", "10"],
+        ["verify"],
+    ])
+    def test_dev_null_target(self, argv, capsys):
+        assert run_main(argv + ["--out", os.devnull], capsys)[0] == 0
+
+    def _fresh(self, tmp_path, capsys):
+        out = tmp_path / "fresh.csv"
+        assert run_main(["table2", "--out", str(out)], capsys)[0] == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("old", [
+        lambda fresh: fresh + b"stale tail\n" * 50,   # longer
+        lambda fresh: fresh[:10],                      # shorter
+        lambda fresh: b"",
+        lambda fresh: fresh,
+    ])
+    def test_overwrite_equals_fresh_write(self, old, tmp_path, capsys):
+        fresh = self._fresh(tmp_path, capsys)
+        out = tmp_path / "t.csv"
+        out.write_bytes(old(fresh))
+        assert run_main(["table2", "--out", str(out)], capsys)[0] == 0
+        assert out.read_bytes() == fresh
+
+    def test_new_file_mode_follows_umask(self, tmp_path, capsys):
+        out = tmp_path / "new.csv"
+        previous = os.umask(0o027)
+        try:
+            assert run_main(["table2", "--out", str(out)], capsys)[0] == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_bytes() == self._fresh(tmp_path, capsys)
+
+    def test_existing_file_keeps_inode_and_mode(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"old\n" * 1000)
+        out.chmod(0o600)
+        before = out.stat()
+        assert run_main(["table2", "--out", str(out)], capsys)[0] == 0
+        after = out.stat()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o600
+        assert out.read_bytes() == self._fresh(tmp_path, capsys)
+
+    def test_failed_write_leaves_exactly_the_written_prefix(
+            self, tmp_path, capsys, monkeypatch):
+        fresh = self._fresh(tmp_path, capsys)
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"x" * (2 * len(fresh)))
+        real_write = os.write
+        calls = []
+
+        def short_then_fail(fd, data):
+            calls.append(len(data))
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data[:7])
+
+        monkeypatch.setattr(os, "write", short_then_fail)
+        code, _, err = run_main(["table2", "--out", str(out)], capsys)
+        monkeypatch.undo()
+        assert code == 1
+        assert "No space left on device" in err
+        assert calls == [len(fresh), len(fresh) - 7, len(fresh) - 14]
+        assert out.read_bytes() == fresh[:14]

@@ -39,8 +39,34 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FixedStep(alpha=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_steps_rejected(self, bad):
+        for make in (lambda v: ExactSearch(alpha_max=v),
+                     lambda v: ArmijoSearch(alpha0=v),
+                     lambda v: StrongWolfeSearch(alpha0=v),
+                     lambda v: StrongWolfeSearch(alpha_max=v),
+                     lambda v: FixedStep(alpha=v)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                make(bad)
+
 
 class TestExactSearch:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_alpha_max_raises(self, bad):
+        # A NaN or infinite bound never halves below 1e-16 of itself; the
+        # bounded phi turns a regression into a failure, not a hang.
+        calls = []
+
+        def phi(a):
+            calls.append(a)
+            if len(calls) > 10_000:
+                raise RuntimeError("exact search did not stop")
+            return math.inf
+
+        with pytest.raises(ValueError, match="finite and positive"):
+            exact_search(phi, alpha_max=bad)
+        assert calls == []
+
     def test_quadratic_minimum_to_machine_precision(self):
         res = exact_search(lambda a: (a - 0.3) ** 2, alpha_max=10.0)
         assert res.status is LineSearchStatus.ACCEPTED

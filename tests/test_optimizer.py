@@ -403,5 +403,8 @@ class TestStoppingSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             StoppingSpec(tol_grad=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                StoppingSpec(tol_grad=bad)
         with pytest.raises(ValueError):
             StoppingSpec(max_iter=0)
