@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import (DegenerateTangentBlock, NonFiniteHessian,
                      NonFiniteThird, SingularHessian)
-from .numerics import (DEGENERACY_TOL, DefinitenessTag, Frame, Matrix,
+from .numerics import (NON_FINITE_MATRIX, DefinitenessTag, Frame, Matrix,
                        SymmetricClass, Vector, as_vector, build_gradient_frame,
-                       classify_symmetric, inf_norm, norm2, solve_symmetric,
-                       unit_gradient)
+                       classify_symmetric, definiteness_tag, inf_norm, norm2,
+                       solve_symmetric, unit_gradient)
 from .objective import Objective
 
 # Relative width of the near-orthogonality band that triggers the
@@ -134,6 +134,17 @@ def _tau(obj: Objective, x: Vector, block: BlockHessian,
     return solve_symmetric(cls_B, rhs)
 
 
+def _affine_normal(obj: Objective, x: Vector, frame: Frame | None):
+    """The block at x and its classification, then tau and d = T tau - n_hat,
+    or None and None when the block is Singular."""
+    block = block_decompose(obj, x, frame=frame)
+    cls_B = _classify_hessian(block.B)
+    if cls_B.tag is DefinitenessTag.SINGULAR:
+        return block, cls_B, None, None
+    tau = _tau(obj, x, block, cls_B)
+    return block, cls_B, tau, block.frame.tangent @ tau - block.frame.normal
+
+
 def affine_normal_direction(obj: Objective, x,
                             frame: Frame | None = None) -> tuple[Vector, Vector]:
     """Tangential coefficients tau and the ambient direction d with
@@ -142,14 +153,10 @@ def affine_normal_direction(obj: Objective, x,
     Raises ZeroGradient at stationary points and DegenerateTangentBlock
     when the tangent Hessian block is numerically singular.
     """
-    x = as_vector(x)
-    block = block_decompose(obj, x, frame=frame)
-    cls_B = _classify_hessian(block.B)
-    if cls_B.tag is DefinitenessTag.SINGULAR:
+    _, cls_B, tau, d = _affine_normal(obj, as_vector(x), frame)
+    if tau is None:
         raise DegenerateTangentBlock(
             f"tangent block min |eig| = {np.abs(cls_B.eigs).min():.3e}")
-    tau = _tau(obj, x, block, cls_B)
-    d = block.frame.tangent @ tau - block.frame.normal
     return tau, d
 
 
@@ -180,38 +187,41 @@ def _matrix_direction(obj: Objective, x: Vector,
     """descent_direction for any n >= 2 and frame, through the tangent-block
     classification and solves."""
     g = obj.gradient(x)
-    block = block_decompose(obj, x, frame=frame)
-    frame_ = block.frame
-    gnorm = frame_.grad_norm
-    cls_B = _classify_hessian(block.B)
-    m = block.B.shape[0]
-
-    if cls_B.tag is DefinitenessTag.SINGULAR:
-        return _fallback_result(frame_.normal, cls_B)
-
-    tau = _tau(obj, x, block, cls_B)
-    d = frame_.tangent @ tau - frame_.normal
+    block, cls_B, tau, d = _affine_normal(obj, x, frame)
+    if tau is None:
+        return _fallback_result(block.frame.normal, cls_B)
     # Orientation of the underlying geometric normal: for an odd number of
     # tangent directions it flips with sign(det B); for an even number the
     # real root does not exist for negative det and the sign is taken +1.
-    omega = cls_B.det_sign if m % 2 else 1.0
-    inner_raw = omega * float(g @ d)
+    omega = cls_B.det_sign if tau.size % 2 else 1.0
+    return _oriented_result(
+        omega * float(g @ d), d, tau, norm2(tau), block.frame.normal,
+        block.frame.grad_norm, cls_B,
+        lambda: block.d_nn - float(block.c @ solve_symmetric(cls_B, block.c)),
+        block.d_nn, inf_norm(block.B))
+
+
+def _oriented_result(inner: float, d: Vector, tau: Vector, T: float,
+                     n_hat: Vector, gnorm: float, cls_B: SymmetricClass,
+                     schur, d_nn: float, b_norm: float) -> DirectionResult:
+    """The case from inner, the orientation sign times g.d, against the
+    EPS_ORTH band; then the step scale from schur(), the Schur complement
+    d_nn - c.B^-1 c, which a fallback never evaluates. b_norm is
+    ||B||_inf."""
     band = EPS_ORTH * gnorm * norm2(d)
-    if inner_raw < -band:
+    if inner < -band:
         case = DirectionCase.AN
-    elif inner_raw > band:
+    elif inner > band:
         case = DirectionCase.FLIPPED_AN
     else:
-        return _fallback_result(frame_.normal, cls_B)
-    Binv_c = solve_symmetric(cls_B, block.c)
-    schur = block.d_nn - float(block.c @ Binv_c)
-    floor = SCALE_FLOOR * max(1.0, abs(block.d_nn), inf_norm(block.B))
-    step_scale = gnorm / schur if schur > floor else 1.0
-    T = norm2(tau)
+        return _fallback_result(n_hat, cls_B)
+    s = schur()
+    floor = SCALE_FLOOR * max(1.0, abs(d_nn), b_norm)
+    step_scale = gnorm / s if s > floor else 1.0
     # d = tangent @ tau - normal, so ||d||^2 = 1 + T^2; -d.normal / ||d||
     # would carry an error of about eps * T, large when d is nearly tangent.
-    cos_theta = 1.0 / sqrt(1.0 + T * T)
-    return DirectionResult(d=d, case=case, tau=tau, T=T, cos_theta=cos_theta,
+    return DirectionResult(d=d, case=case, tau=tau, T=T,
+                           cos_theta=1.0 / sqrt(1.0 + T * T),
                            point_class=cls_B, step_scale=step_scale)
 
 
@@ -253,16 +263,9 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
     # classify_symmetric's symmetrization leaves it unchanged.
     b = 0.5 * (h00 + h00)
     if not isfinite(b):
-        raise NonFiniteHessian("matrix must not contain infs or NaNs")
-    thresh = DEGENERACY_TOL * max(1.0, abs(b))
-    w = None
-    if b > thresh:
-        tag = DefinitenessTag.POSITIVE_DEFINITE
-        w = 1.0 / sqrt(b)
-    elif abs(b) <= thresh:
-        tag = DefinitenessTag.SINGULAR
-    else:
-        tag = DefinitenessTag.OTHER_INDEFINITE
+        raise NonFiniteHessian(NON_FINITE_MATRIX)
+    tag = definiteness_tag(b, abs(b), max(1.0, abs(b)))
+    w = 1.0 / sqrt(b) if tag is DefinitenessTag.POSITIVE_DEFINITE else None
     cls_B = SymmetricClass(tag=tag, eigs=np.array([b]),
                            matrix=np.array([[b]]),
                            factor=None if w is None else np.array([[w]]))
@@ -284,21 +287,9 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
     tau = solve(rhs)
     d = np.array([(0.0 + t0 * tau) - n0, (0.0 + t1 * tau) - n1])
     omega = -1.0 if b < 0.0 else 1.0
-    inner_raw = omega * float(d.dot(g))   # g may be any array-like
-    band = EPS_ORTH * gnorm * norm2(d)
-    if inner_raw < -band:
-        case = DirectionCase.AN
-    elif inner_raw > band:
-        case = DirectionCase.FLIPPED_AN
-    else:
-        return _fallback_result(n_hat, cls_B)
-    schur = d_nn - c * solve(c)
-    floor = SCALE_FLOOR * max(1.0, abs(d_nn), abs(b))
-    step_scale = gnorm / schur if schur > floor else 1.0
-    T = sqrt(tau * tau)
-    return DirectionResult(d=d, case=case, tau=np.array([tau]), T=T,
-                           cos_theta=1.0 / sqrt(1.0 + T * T),
-                           point_class=cls_B, step_scale=step_scale)
+    return _oriented_result(   # g may be any array-like
+        omega * float(d.dot(g)), d, np.array([tau]), sqrt(tau * tau), n_hat,
+        gnorm, cls_B, lambda: d_nn - c * solve(c), d_nn, abs(b))
 
 
 def newton_direction(obj: Objective, x, regularize: bool = False) -> Vector:

@@ -28,8 +28,11 @@ class InvarianceReport:
 
 def compose_scaled(base: Problem, B) -> Problem:
     """The problem min f(x) = phi(Bx) with start B^-1 y0, derivatives by
-    the chain rule."""
+    the chain rule. Raises ValueError when B holds infs or NaNs and
+    SingularB unless det(B) > 0."""
     B = np.asarray(B, dtype=float)
+    if not np.isfinite(B).all():
+        raise ValueError("B must not contain infs or NaNs")
     det = float(np.linalg.det(B))
     if det <= 0.0:
         raise SingularB(f"det(B) = {det:g} must be positive")

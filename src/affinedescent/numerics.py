@@ -29,6 +29,8 @@ ZERO_GRAD_FLOOR = 1e-300
 SYMMETRY_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
 
+NON_FINITE_MATRIX = "matrix must not contain infs or NaNs"
+
 
 def as_vector(x) -> Vector:
     v = np.asarray(x, dtype=float)
@@ -146,38 +148,44 @@ class SymmetricClass:
         return -1.0 if np.count_nonzero(self.eigs < 0.0) % 2 else 1.0
 
 
-def classify_symmetric(M) -> SymmetricClass:
-    """Classify a symmetric matrix as positive definite, numerically
-    singular, or otherwise indefinite.
+def definiteness_tag(lowest: float, nearest_zero: float,
+                     scale: float) -> DefinitenessTag:
+    """The tag of a symmetric matrix with lowest eigenvalue `lowest`, least
+    |eigenvalue| `nearest_zero` and scale max(1, ||M||_inf): positive
+    definite above DEGENERACY_TOL * scale, Singular when an eigenvalue lies
+    within that threshold of zero, otherwise OtherIndefinite."""
+    thresh = DEGENERACY_TOL * scale
+    if lowest > thresh:
+        return DefinitenessTag.POSITIVE_DEFINITE
+    if nearest_zero <= thresh:
+        return DefinitenessTag.SINGULAR
+    return DefinitenessTag.OTHER_INDEFINITE
 
-    Symmetry is required up to 1e-12 * max(1, ||M||_inf); the matrix is
-    singular when any eigenvalue lies within 1e-10 * max(1, ||M||_inf) of
-    zero, whatever the signs of the others. Raises ValueError when M, or
-    its symmetrization 0.5 * (M + M^T), holds infs or NaNs; the latter
-    happens when entries above half the float maximum overflow.
-    """
+
+def classify_symmetric(M) -> SymmetricClass:
+    """Classify a symmetric matrix by definiteness_tag; symmetry is required
+    up to SYMMETRY_TOL * max(1, ||M||_inf). Raises ValueError when M, or its
+    symmetrization 0.5 * (M + M^T), holds infs or NaNs; the latter happens
+    when entries above half the float maximum overflow."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {A.shape}")
     norm = inf_norm(A)
     if not math.isfinite(norm):
-        raise ValueError("matrix must not contain infs or NaNs")
+        raise ValueError(NON_FINITE_MATRIX)
     scale = max(1.0, norm)
     if inf_norm(A - A.T) > SYMMETRY_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     S = 0.5 * (A + A.T)
     if not math.isfinite(inf_norm(S)):   # a sum above the float maximum
-        raise ValueError("matrix must not contain infs or NaNs")
+        raise ValueError(NON_FINITE_MATRIX)
     eigs = np.linalg.eigvalsh(S)
-    thresh = DEGENERACY_TOL * scale
-    factor = None
-    if eigs[0] > thresh:
-        tag = DefinitenessTag.POSITIVE_DEFINITE
-        factor = np.linalg.inv(np.linalg.cholesky(S)).T
-    elif np.abs(eigs).min() <= thresh:
-        tag = DefinitenessTag.SINGULAR
-    else:
-        tag = DefinitenessTag.OTHER_INDEFINITE
+    lowest = float(eigs[0])
+    # A positive lowest eigenvalue is also the least |eigenvalue|.
+    tag = definiteness_tag(
+        lowest, lowest if lowest > 0.0 else float(np.abs(eigs).min()), scale)
+    factor = (np.linalg.inv(np.linalg.cholesky(S)).T
+              if tag is DefinitenessTag.POSITIVE_DEFINITE else None)
     return SymmetricClass(tag=tag, eigs=eigs, matrix=S, factor=factor)
 
 

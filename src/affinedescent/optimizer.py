@@ -12,9 +12,8 @@ from enum import Enum
 from math import inf, isfinite
 
 from .direction import DirectionResult, descent_direction, newton_direction
-from .errors import (DegenerateTangentBlock, MissingReference,
-                     NonFiniteHessian, NonFiniteThird, SingularHessian,
-                     ZeroGradient)
+from .errors import (MissingReference, NonFiniteHessian, NonFiniteThird,
+                     SingularHessian, ZeroGradient)
 from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
                           LineSearchResult, LineSearchSpec, LineSearchStatus,
                           StrongWolfeSearch, armijo_backtrack, exact_search,
@@ -115,7 +114,7 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
             break
         try:
             d, case, T, cos_theta = direction_fn(x, g)
-        except (SingularHessian, DegenerateTangentBlock, ZeroGradient):
+        except (SingularHessian, ZeroGradient):
             status = RunStatus.DEGENERATE_STOP
             break
         except NonFiniteHessian:   # at the start point or an accepted iterate

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -403,8 +403,8 @@ def make_affine_scaled(gamma: float) -> tuple[Problem, AffineScalingSpec]:
     """The diagonally scaled bowl f(x) = (x1^2 + gamma^2 x2^2)/2 from
     (1,1), paired with its scaling spec (B = diag(1, gamma) applied to an
     isotropic bowl started at B @ x0)."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < inf:
+        raise ValueError("gamma must be finite and positive")
     scaled = _quadratic_problem(
         f"affine_scaled_{gamma:g}", np.diag([1.0, gamma * gamma]),
         np.zeros(2), (1.0, 1.0),

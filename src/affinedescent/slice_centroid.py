@@ -8,6 +8,7 @@ where the level set is locally strictly convex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -29,8 +30,8 @@ class SliceParams:
     def __post_init__(self):
         if not self.delta * 1e-3 >= BISECT_TOL:
             raise ValueError("delta must be at least BISECT_TOL * 1e3 = 1e-9")
-        if self.window is not None and self.window <= 0.0:
-            raise ValueError("window must be positive")
+        if self.window is not None and not 0.0 < self.window < inf:
+            raise ValueError("window must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from affinedescent.errors import (DegenerateTangentBlock, NonFiniteHessian,
 from affinedescent.numerics import (DefinitenessTag, Frame, angle_between,
                                     build_gradient_frame)
 from affinedescent.objective import make_objective
-from affinedescent.problems import catalog
+from affinedescent.problems import CATALOG_NAMES, catalog
 
 S17 = np.sqrt(17.0)
 S10 = np.sqrt(10.0)
@@ -519,6 +519,28 @@ class TestPlanarPath:
             descent_direction(p.objective, p.x0, frame=frame)
         with pytest.raises(AssertionError, match="matrix path"):
             descent_direction(catalog("quad_52").objective, np.ones(3))
+
+    @pytest.mark.parametrize("target, value", [
+        ("numerics.DEGENERACY_TOL", 1e6), ("numerics.DEGENERACY_TOL", 0.5),
+        ("direction.EPS_ORTH", 2.0), ("direction.SCALE_FLOOR", 1e6)])
+    def test_both_paths_read_each_tolerance_from_its_home(
+            self, monkeypatch, target, value):
+        # built before the patch, which would otherwise reach the reference
+        # optima that problem construction polishes
+        problems = [catalog(n) for n in CATALOG_NAMES
+                    if catalog(n).objective.dim == 2]
+        rng = np.random.default_rng(11)
+        points = [(p.objective, x) for p in problems
+                  for x in p.x0 + rng.uniform(-1.5, 1.5, size=(8, 2))
+                  if p.objective.in_domain(x)]
+        before = [logged_outcome(_planar_direction, obj, x)
+                  for obj, x in points]
+        monkeypatch.setattr(f"affinedescent.{target}", value)
+        after = []
+        for obj, x in points:
+            assert_planar_is_matrix_path(obj, x)
+            after.append(logged_outcome(_planar_direction, obj, x))
+        assert after != before   # the patched tolerance decides some point
 
 
 def coupled_quartic(a, c):

@@ -51,6 +51,12 @@ class TestComposeScaled:
         with pytest.raises(SingularB):
             compose_scaled(BASE, np.diag([1.0, -2.0]))
 
+    @pytest.mark.parametrize("B", [[[1.0, np.nan], [0.0, 1.0]],
+                                   np.diag([1.0, np.inf])])
+    def test_non_finite_matrix_rejected(self, B):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            compose_scaled(BASE, B)
+
 
 class TestDirectionCovariance:
     def test_direction_maps_through_scaling(self):

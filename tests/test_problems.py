@@ -149,3 +149,8 @@ class TestAffineScaling:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             make_affine_scaled(0.0)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_gamma_must_be_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            make_affine_scaled(gamma)

@@ -105,6 +105,11 @@ class TestSliceParams:
             SliceParams(delta=0.5e-9)
         SliceParams(delta=1e-9)
 
+    @pytest.mark.parametrize("window", [np.nan, np.inf])
+    def test_window_must_be_finite(self, window):
+        with pytest.raises(ValueError, match="window must be finite"):
+            SliceParams(window=window)
+
 
 class TestSliceDirection:
     def test_bowl_gives_inward_radial_direction(self):
