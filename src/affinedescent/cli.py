@@ -11,7 +11,8 @@ All floating-point output uses 17 significant digits; repeated invocations
 with the same config and seed produce byte-identical files.
 
 Exit codes: 0 converged/ok, 1 bad arguments, 2 iteration cap, 3 line-search
-failure, degeneracy or non-finite gradient, 4 check failure.
+failure, degeneracy, or a non-finite gradient, Hessian or third derivative,
+4 check failure.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import stat
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cache
-from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import AffineDescentError, UnknownProblem
 from .invariance import run_invariance
 from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
                           StrongWolfeSearch)
-from .numerics import angle_between
+from .numerics import angle_between, positive_finite
 from .objective import verify_derivatives
 from .optimizer import (RunReport, RunStatus, StoppingSpec,
                         gradient_descent_run, newton_run, yand_run)
@@ -41,14 +41,17 @@ from .slice_centroid import SliceParams, slice_centroid_direction
 
 @dataclass(frozen=True)
 class Config:
-    tol_grad: float = 1e-4
-    max_iter: int = 200
-    alpha0: float = 1.0
-    alpha_max: float = 10.0
-    beta: float = 0.5
-    c1: float = 1e-4
-    c2: float = 0.9
-    sigma: float = 1e-4
+    """Settings from a config file and flags. A spec field left as None
+    takes the default of the spec that uses it (see _spec)."""
+
+    tol_grad: float | None = None
+    max_iter: int | None = None
+    alpha0: float | None = None
+    alpha_max: float | None = None
+    beta: float | None = None
+    c1: float | None = None
+    c2: float | None = None
+    sigma: float | None = None
     seed: int = 42
 
 
@@ -119,19 +122,23 @@ def write_trajectory_csv(report: RunReport, path: str | Path) -> None:
     _write_lines(path, lines)
 
 
-def _specs_from_config(cfg: Config):
-    return {
-        "exact": ExactSearch(alpha_max=cfg.alpha_max),
-        "armijo": ArmijoSearch(sigma=cfg.sigma, beta=cfg.beta,
-                               alpha0=cfg.alpha0),
-        "wolfe": StrongWolfeSearch(c1=cfg.c1, c2=cfg.c2, alpha0=cfg.alpha0,
-                                   alpha_max=cfg.alpha_max),
-    }
+def _spec(cls, cfg: Config):
+    """A cls (StoppingSpec or a line-search spec) built from the keys of
+    cfg that are set; the spec's own defaults fill the rest."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(cls)}
+    return cls(**{k: v for k, v in values.items() if v is not None})
+
+
+_SEARCHES = {"exact": ExactSearch, "armijo": ArmijoSearch,
+             "wolfe": StrongWolfeSearch}
 
 
 def _parse_ls(token: str, cfg: Config):
-    if token in ("exact", "armijo", "wolfe"):
-        return _specs_from_config(cfg)[token]
+    if token in _SEARCHES:
+        # all three are built, so a bad value of any step key is an error
+        # whichever search runs
+        specs = {name: _spec(cls, cfg) for name, cls in _SEARCHES.items()}
+        return specs[token]
     if token.startswith("fixed:"):
         return FixedStep(alpha=float(token.split(":", 1)[1]))
     raise ValueError(f"unknown line search {token!r} "
@@ -153,7 +160,7 @@ def cmd_run(problem_name: str, method: str, ls_token: str, cfg: Config,
             out_path: str | Path) -> int:
     problem = catalog(problem_name)
     ls = _parse_ls(ls_token, cfg)
-    stop = StoppingSpec(tol_grad=cfg.tol_grad, max_iter=cfg.max_iter)
+    stop = _spec(StoppingSpec, cfg)
     if method == "yand":
         report = yand_run(problem, ls, stop)
     elif method == "gd":
@@ -182,18 +189,19 @@ def _count_cell(report: RunReport) -> str:
 
 
 def cmd_table2(cfg: Config, out_path: str | Path) -> int:
-    specs = _specs_from_config(cfg)
-    stop = StoppingSpec(tol_grad=cfg.tol_grad, max_iter=cfg.max_iter)
+    exact, wolfe, armijo = (_parse_ls(t, cfg)
+                            for t in ("exact", "wolfe", "armijo"))
+    stop = _spec(StoppingSpec, cfg)
     lines = ["gamma,kappaB,kappaH,yand_exact,yand_wolfe,yand_armijo,"
              "gd_exact,gd_fixed,newton"]
     for gamma in TABLE2_GAMMAS:
         problem, scaling = make_affine_scaled(gamma)
         cells = [
             _fmt(gamma), _fmt(gamma), _fmt(gamma * gamma),
-            _count_cell(yand_run(problem, specs["exact"], stop)),
-            _count_cell(yand_run(problem, specs["wolfe"], stop)),
-            _count_cell(yand_run(problem, specs["armijo"], stop)),
-            _count_cell(gradient_descent_run(problem, specs["exact"], stop)),
+            _count_cell(yand_run(problem, exact, stop)),
+            _count_cell(yand_run(problem, wolfe, stop)),
+            _count_cell(yand_run(problem, armijo, stop)),
+            _count_cell(gradient_descent_run(problem, exact, stop)),
             _count_cell(gradient_descent_run(
                 problem, FixedStep(alpha=1.0 / (gamma * gamma)), stop)),
             _count_cell(newton_run(problem, damped=False, stop=stop)),
@@ -269,10 +277,10 @@ def cmd_examples(out_path: str | Path) -> int:
 
 def cmd_invariance(gammas, cfg: Config, out_path: str | Path) -> int:
     base = catalog("strongly_convex_base")
-    stop = StoppingSpec(tol_grad=cfg.tol_grad, max_iter=cfg.max_iter)
-    exact = ExactSearch(alpha_max=cfg.alpha_max)
-    if not all(0.0 < gamma < inf for gamma in gammas):
-        raise ValueError("gammas must be finite and positive")
+    stop = _spec(StoppingSpec, cfg)
+    exact = _spec(ExactSearch, cfg)
+    for gamma in gammas:
+        positive_finite("gammas", gamma)
     lines = ["gamma,max_deviation,iters_scaled,iters_base"]
     for gamma in gammas:
         rep = run_invariance(base, np.diag([1.0, float(gamma)]), exact, stop)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import inf, isfinite, nan, sqrt
+from math import isfinite, nan, sqrt
 from typing import Callable
+
+from .numerics import positive_finite
 
 Phi = Callable[[float], float]
 
@@ -23,8 +25,7 @@ class ExactSearch:
     alpha_max: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha_max < inf:
-            raise ValueError("alpha_max must be finite and positive")
+        positive_finite("alpha_max", self.alpha_max)
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,7 @@ class ArmijoSearch:
             raise ValueError("sigma must be in (0, 1)")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
-        if not 0.0 < self.alpha0 < inf:
-            raise ValueError("alpha0 must be finite and positive")
+        positive_finite("alpha0", self.alpha0)
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class StrongWolfeSearch:
     def __post_init__(self):
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError("need 0 < c1 < c2 < 1")
-        if not (0.0 < self.alpha0 < inf and 0.0 < self.alpha_max < inf):
-            raise ValueError("alpha0 and alpha_max must be finite and positive")
+        positive_finite("alpha0", self.alpha0)
+        positive_finite("alpha_max", self.alpha_max)
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ class FixedStep:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < inf:
-            raise ValueError("alpha must be finite and positive")
+        positive_finite("alpha", self.alpha)
 
 
 LineSearchSpec = ExactSearch | ArmijoSearch | StrongWolfeSearch
@@ -92,7 +91,7 @@ MAX_EXACT_STEPS = 500
 EXACT_TOL = 1e-10
 
 
-def exact_search(phi: Phi, alpha_max: float = 10.0) -> LineSearchResult:
+def exact_search(phi: Phi, alpha_max: float) -> LineSearchResult:
     """Derivative-free minimization of phi on [0, U], U <= alpha_max.
 
     U is halved until phi(U) is finite, then a golden-section bracket is
@@ -105,8 +104,7 @@ def exact_search(phi: Phi, alpha_max: float = 10.0) -> LineSearchResult:
     below 1e-16 alpha_max. Raises ValueError unless 0 < alpha_max < inf,
     since halving a NaN or infinite bound never ends.
     """
-    if not 0.0 < alpha_max < inf:
-        raise ValueError("alpha_max must be finite and positive")
+    positive_finite("alpha_max", alpha_max)
     f0 = phi(0.0)
     evals = 1
     if not isfinite(f0):

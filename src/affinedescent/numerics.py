@@ -49,6 +49,12 @@ def norm2(v) -> float:
     return math.sqrt(v.dot(v))
 
 
+def positive_finite(name: str, value) -> None:
+    """Raise ValueError unless 0 < value < inf; NaN fails the test."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive")
+
+
 def inf_norm(M) -> float:
     a = np.abs(M)
     return float(a.max()) if a.size else 0.0

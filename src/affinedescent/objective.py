@@ -56,7 +56,10 @@ def make_objective(dim: int, value: ValueFn, gradient: GradFn, hessian: HessFn,
                      in_domain)
 
 
-THIRD_H = 1e-3   # step of the third-derivative stencil
+# Steps of the finite-difference stencils.
+GRAD_H = 1e-5
+HESS_H = 1e-4
+THIRD_H = 1e-3
 
 
 def _stencil_value(obj: Objective, x: Vector) -> float:
@@ -66,9 +69,10 @@ def _stencil_value(obj: Objective, x: Vector) -> float:
     return f
 
 
-def fd_gradient(obj: Objective, x, h: float = 1e-5) -> Vector:
-    """Central-difference gradient. Raises DomainViolation when a stencil
-    point falls outside the domain."""
+def fd_gradient(obj: Objective, x) -> Vector:
+    """Central-difference gradient with step GRAD_H. Raises DomainViolation
+    when a stencil point falls outside the domain."""
+    h = GRAD_H
     x = as_vector(x)
     E = h * np.eye(obj.dim)   # row i is the offset h e_i
     plus = x + E
@@ -80,8 +84,10 @@ def fd_gradient(obj: Objective, x, h: float = 1e-5) -> Vector:
     return g
 
 
-def fd_hessian(obj: Objective, x, h: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian (symmetric by construction)."""
+def fd_hessian(obj: Objective, x) -> np.ndarray:
+    """Central-difference Hessian with step HESS_H (symmetric by
+    construction)."""
+    h = HESS_H
     x = as_vector(x)
     n = obj.dim
     E = h * np.eye(n)
@@ -138,12 +144,11 @@ def _all_finite(a) -> bool:
     return np.count_nonzero(finite) == finite.size
 
 
-def fd_third_directional(obj: Objective, x, u, v, w,
-                         h: float = THIRD_H) -> float:
+def fd_third_directional(obj: Objective, x, u, v, w) -> float:
     """Central difference of the analytic Hessian quadratic form along u:
-    (v' H(x + h u) w - v' H(x - h u) w) / (2 h)."""
+    (v' H(x + h u) w - v' H(x - h u) w) / (2 h) with h = THIRD_H."""
     triple = np.stack([as_vector(a) for a in (u, v, w)])
-    return float(_fd_third_rows(obj, as_vector(x), triple[None], h)[0])
+    return float(_fd_third_rows(obj, as_vector(x), triple[None], THIRD_H)[0])
 
 
 @dataclass(frozen=True)

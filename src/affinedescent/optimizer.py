@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import inf, isfinite
+from math import isfinite
 
 from .direction import DirectionResult, descent_direction, newton_direction
 from .errors import (MissingReference, NonFiniteHessian, NonFiniteThird,
@@ -18,7 +18,7 @@ from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
                           LineSearchResult, LineSearchSpec, LineSearchStatus,
                           StrongWolfeSearch, armijo_backtrack, exact_search,
                           strong_wolfe_search)
-from .numerics import Vector, as_vector, norm2
+from .numerics import Vector, as_vector, norm2, positive_finite
 from .objective import Objective
 from .problems import Problem
 
@@ -29,8 +29,7 @@ class StoppingSpec:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not 0.0 < self.tol_grad < inf:
-            raise ValueError("tol_grad must be finite and positive")
+        positive_finite("tol_grad", self.tol_grad)
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
 

@@ -1,18 +1,17 @@
 """Benchmark catalog: smooth test objectives with analytic value, gradient,
 Hessian, and directional third derivative, plus start points and reference
-optima (closed-form where available, else polished at construction).
+optima (closed-form where available, else stated to full double precision).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .direction import newton_direction
 from .errors import UnknownProblem, UnsupportedDimension
-from .numerics import Vector, as_vector
+from .numerics import Vector, as_vector, positive_finite
 from .objective import Objective, make_objective
 
 
@@ -70,38 +69,6 @@ def _quadratic_problem(name: str, A, b, x0, notes: str) -> Problem:
     obj = _quadratic(len(b), A, b)
     return _validated(Problem(name, obj, as_vector(x0), x_star,
                               obj.value(x_star), notes))
-
-
-def _polish_minimum(obj: Objective, x_init, tol: float = 1e-12,
-                    max_iter: int = 200) -> Vector:
-    """Damped-Newton refinement of a reference optimum at build time."""
-    x = as_vector(x_init).copy()
-    for _ in range(max_iter):
-        g = obj.gradient(x)
-        if np.linalg.norm(g) <= tol:
-            return x
-        d = newton_direction(obj, x, regularize=True)
-        f0 = obj.value(x)
-        step = 1.0
-        while step > 1e-12:
-            x_new = x + step * d
-            if obj.value(x_new) < f0 or np.linalg.norm(
-                    obj.gradient(x_new)) < np.linalg.norm(g):
-                x = x_new
-                break
-            step *= 0.5
-        else:
-            break
-    if np.linalg.norm(obj.gradient(x)) > 1e-9:
-        raise RuntimeError("polish did not reach the requested tolerance")
-    return x
-
-
-def _polished_problem(name: str, obj: Objective, x0, seed_point,
-                      notes: str) -> Problem:
-    x_star = _polish_minimum(obj, seed_point)
-    return _validated(Problem(name, obj, as_vector(x0), x_star,
-                              float(obj.value(x_star)), notes))
 
 
 # ---------------------------------------------------------------- catalog
@@ -176,8 +143,10 @@ def _build_poly6() -> Problem:
             + float(u.dot(Q).dot(v)) * gw))
 
     obj = make_objective(2, value, gradient, hessian, third)
-    return _polished_problem("poly6", obj, (0.5, -0.5), (-0.05, -0.1),
-                             "sixth-degree anisotropic convex polynomial")
+    x_star = np.array([-0.04837739824833604, -0.08817082809036664])
+    return _validated(Problem("poly6", obj, np.array([0.5, -0.5]), x_star,
+                              obj.value(x_star),
+                              "sixth-degree anisotropic convex polynomial"))
 
 
 def _build_inverse_barrier() -> Problem:
@@ -265,8 +234,10 @@ def _build_ring_tilted() -> Problem:
                             + float(v.dot(w)) * float(x.dot(u))))
 
     obj = make_objective(2, value, gradient, hessian, third)
-    return _polished_problem("ring_tilted", obj, (0.0, 1.5), (-1.01, 0.0),
-                             "ring-shaped valley tilted by a linear term")
+    x_star = np.array([-1.012273131032681, 0.0])
+    return _validated(Problem("ring_tilted", obj, np.array([0.0, 1.5]), x_star,
+                              obj.value(x_star),
+                              "ring-shaped valley tilted by a linear term"))
 
 
 def _build_saddle_poly() -> Problem:
@@ -403,8 +374,7 @@ def make_affine_scaled(gamma: float) -> tuple[Problem, AffineScalingSpec]:
     """The diagonally scaled bowl f(x) = (x1^2 + gamma^2 x2^2)/2 from
     (1,1), paired with its scaling spec (B = diag(1, gamma) applied to an
     isotropic bowl started at B @ x0)."""
-    if not 0.0 < gamma < inf:
-        raise ValueError("gamma must be finite and positive")
+    positive_finite("gamma", gamma)
     scaled = _quadratic_problem(
         f"affine_scaled_{gamma:g}", np.diag([1.0, gamma * gamma]),
         np.zeros(2), (1.0, 1.0),

@@ -8,13 +8,13 @@ where the level set is locally strictly convex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
 
 import numpy as np
 
 from .direction import classify_point
 from .errors import EmptySlice
-from .numerics import Frame, Vector, as_vector, build_gradient_frame
+from .numerics import (Frame, Vector, as_vector, build_gradient_frame,
+                       positive_finite)
 from .objective import Objective
 
 
@@ -28,10 +28,11 @@ class SliceParams:
     window: float | None = None   # half-width of the scan; None = automatic
 
     def __post_init__(self):
-        if not self.delta * 1e-3 >= BISECT_TOL:
+        positive_finite("delta", self.delta)
+        if self.delta * 1e-3 < BISECT_TOL:
             raise ValueError("delta must be at least BISECT_TOL * 1e3 = 1e-9")
-        if self.window is not None and not 0.0 < self.window < inf:
-            raise ValueError("window must be finite and positive")
+        if self.window is not None:
+            positive_finite("window", self.window)
 
 
 @dataclass(frozen=True)

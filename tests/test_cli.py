@@ -8,9 +8,12 @@ import pytest
 
 from affinedescent import cli
 from affinedescent.cli import (Config, _build_parser, _fmt, _load_config,
-                               _parse_ls, cmd_verify, main, parse_config_file)
-from affinedescent.line_search import ArmijoSearch, ExactSearch, FixedStep
+                               _parse_ls, _spec, cmd_verify, main,
+                               parse_config_file)
+from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
+                                       StrongWolfeSearch)
 from affinedescent.objective import Objective
+from affinedescent.optimizer import StoppingSpec
 from affinedescent.problems import Problem, catalog
 from test_optimizer import (nan_gradient_problem, nan_hessian_problem,
                             non_finite_third_problem)
@@ -63,6 +66,17 @@ class TestConfigFile:
         status, iters = stdout.split()[:2]
         assert status == "MaxIterReached"
         assert iters == "3"
+
+    def test_spec_defaults_fill_unset_keys(self, tmp_path):
+        cfg = Config()
+        assert _parse_ls("exact", cfg) == ExactSearch()
+        assert _parse_ls("armijo", cfg) == ArmijoSearch()
+        assert _parse_ls("wolfe", cfg) == StrongWolfeSearch()
+        assert _spec(StoppingSpec, cfg) == StoppingSpec()
+        p = tmp_path / "c2.cfg"
+        p.write_text("c2 = 0.25\n")
+        assert _parse_ls("wolfe", parse_config_file(p)) == replace(
+            StrongWolfeSearch(), c2=0.25)
 
     def test_each_flag_overrides_only_its_key(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -337,10 +351,10 @@ class TestVerifyCommand:
 
 
 class TestNonFiniteSettings:
-    """A NaN or infinite step, tolerance or scaling is a usage error: exit 1
-    before any oracle call. Every oracle of the stand-in problem raises, so
-    a regression fails here instead of running (a NaN alpha_max used to
-    halve the exact search's bound forever)."""
+    """A zero, negative, NaN or infinite step, tolerance or scaling is a
+    usage error: exit 1 before any oracle call. Every oracle of the
+    stand-in problem raises, so a regression fails here instead of running
+    (a NaN alpha_max used to halve the exact search's bound forever)."""
 
     @pytest.fixture
     def no_oracle(self, monkeypatch):
@@ -369,6 +383,13 @@ class TestNonFiniteSettings:
         (["invariance", "--gammas", "10,nan"], ""),
         (["invariance", "--gammas", "inf"], ""),
         (["invariance", "--gammas", "10"], "alpha_max = nan\n"),
+        (["run", "quad_well", "gd", "fixed:0"], ""),
+        (["run", "quad_well", "yand", "exact", "--tol-grad", "-1"], ""),
+        (["run", "quad_well", "yand", "wolfe"], "alpha_max = -1\n"),
+        (["invariance", "--gammas", "10,0"], ""),
+        # every line search is built from the config, so a bad alpha0 is
+        # an error also when the exact search, which has none, runs
+        (["run", "quad_well", "yand", "exact"], "alpha0 = inf\n"),
     ])
     def test_exits_one_with_message(self, argv, cfg_text, tmp_path, capsys,
                                     no_oracle):

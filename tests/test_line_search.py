@@ -39,14 +39,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FixedStep(alpha=0.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_non_finite_steps_rejected(self, bad):
-        for make in (lambda v: ExactSearch(alpha_max=v),
-                     lambda v: ArmijoSearch(alpha0=v),
-                     lambda v: StrongWolfeSearch(alpha0=v),
-                     lambda v: StrongWolfeSearch(alpha_max=v),
-                     lambda v: FixedStep(alpha=v)):
-            with pytest.raises(ValueError, match="finite and positive"):
+        for name, make in (("alpha_max", lambda v: ExactSearch(alpha_max=v)),
+                           ("alpha0", lambda v: ArmijoSearch(alpha0=v)),
+                           ("alpha0", lambda v: StrongWolfeSearch(alpha0=v)),
+                           ("alpha_max",
+                            lambda v: StrongWolfeSearch(alpha_max=v)),
+                           ("alpha", lambda v: FixedStep(alpha=v))):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be finite and positive$"):
                 make(bad)
 
 
@@ -63,7 +65,8 @@ class TestExactSearch:
                 raise RuntimeError("exact search did not stop")
             return math.inf
 
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError,
+                           match="^alpha_max must be finite and positive$"):
             exact_search(phi, alpha_max=bad)
         assert calls == []
 

@@ -138,4 +138,4 @@ def test_fd_third_raises_outside_domain():
     # x + h*u crosses the barrier boundary, so the Hessian probe blows up
     edge = np.array([0.49999999, 0.5])
     with pytest.raises(DomainViolation):
-        fd_third_directional(barrier, edge, e1, e1, e1, h=1e-3)
+        fd_third_directional(barrier, edge, e1, e1, e1)

@@ -403,8 +403,9 @@ class TestStoppingSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             StoppingSpec(tol_grad=0.0)
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite and positive"):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError,
+                               match="^tol_grad must be finite and positive$"):
                 StoppingSpec(tol_grad=bad)
         with pytest.raises(ValueError):
             StoppingSpec(max_iter=0)

@@ -94,6 +94,19 @@ class TestKnownOptima:
         assert np.allclose(p.x_star, [1.0, 1.0], atol=1e-10)
         assert p.f_star == pytest.approx(0.0, abs=1e-15)
 
+    # The stated optima keep the bits of a damped-Newton polish to
+    # ||grad|| <= 1e-12 from (-0.05, -0.1) and (-1.01, 0).
+    @pytest.mark.parametrize("name, x_star_hex, f_star_hex", [
+        ("poly6", "0931af1eecc4a8bf34ff1b075d92b6bf", "-0x1.3a24a45148e78p-10"),
+        ("ring_tilted", "6b7a864f4532f0bf0000000000000000",
+         "-0x1.9c20f7611f8ebp-4"),
+    ])
+    def test_stated_minimum(self, name, x_star_hex, f_star_hex):
+        p = catalog(name)
+        assert np.linalg.norm(p.objective.gradient(p.x_star)) <= 1e-12
+        assert p.x_star.tobytes().hex() == x_star_hex
+        assert p.f_star == float.fromhex(f_star_hex)
+
 
 class TestInverseBarrier:
     def test_closed_form_satisfies_cubic(self):
@@ -150,7 +163,8 @@ class TestAffineScaling:
         with pytest.raises(ValueError):
             make_affine_scaled(0.0)
 
-    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
     def test_gamma_must_be_finite(self, gamma):
-        with pytest.raises(ValueError, match="gamma must be finite"):
+        with pytest.raises(ValueError,
+                           match="^gamma must be finite and positive$"):
             make_affine_scaled(gamma)

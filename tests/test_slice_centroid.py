@@ -105,10 +105,14 @@ class TestSliceParams:
             SliceParams(delta=0.5e-9)
         SliceParams(delta=1e-9)
 
-    @pytest.mark.parametrize("window", [np.nan, np.inf])
-    def test_window_must_be_finite(self, window):
-        with pytest.raises(ValueError, match="window must be finite"):
-            SliceParams(window=window)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_window_must_be_finite(self, value):
+        # delta is checked before its 1e-9 floor, which an infinite delta
+        # passes
+        for field in ("window", "delta"):
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be finite and positive$"):
+                SliceParams(**{field: value})
 
 
 class TestSliceDirection:
