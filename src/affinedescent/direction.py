@@ -9,9 +9,9 @@ cosine of the angle to the negative unit gradient).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isfinite, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ _NON_FINITE_THIRD = "third derivative has infs or NaNs"
 _NON_FINITE_CORRECTION = "third-derivative correction has infs or NaNs"
 
 
-@dataclass(frozen=True)
-class BlockHessian:
+class BlockHessian(NamedTuple):
     """Hessian of f at a point, expressed in a gradient-aligned frame."""
 
     frame: Frame
@@ -48,8 +47,7 @@ class DirectionCase(Enum):
     STEEPEST_FALLBACK = "SteepestFallback"
 
 
-@dataclass(frozen=True)
-class DirectionResult:
+class DirectionResult(NamedTuple):
     d: Vector              # ambient direction, frame-normal component -1
     case: DirectionCase
     tau: Vector            # tangential coefficients of d in the frame

@@ -3,7 +3,7 @@ then compare the trajectories after mapping iterates through y = Bx.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .optimizer import StoppingSpec, yand_run
 from .problems import Problem
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     gamma: float                        # condition number of the scaling B
     per_iterate_deviation: list[float]  # ||y_k - y_k_base|| over shared rows
     max_deviation: float
@@ -28,9 +27,12 @@ class InvarianceReport:
 
 def compose_scaled(base: Problem, B) -> Problem:
     """The problem min f(x) = phi(Bx) with start B^-1 y0, derivatives by
-    the chain rule. Raises ValueError when B holds infs or NaNs and
-    SingularB unless det(B) > 0."""
+    the chain rule. Raises ValueError when B is not dim x dim or holds
+    infs or NaNs, and SingularB unless det(B) > 0."""
     B = np.asarray(B, dtype=float)
+    dim = base.objective.dim
+    if B.shape != (dim, dim):
+        raise ValueError(f"B must be {dim}x{dim}, got shape {B.shape}")
     if not np.isfinite(B).all():
         raise ValueError("B must not contain infs or NaNs")
     det = float(np.linalg.det(B))
@@ -58,8 +60,7 @@ def compose_scaled(base: Problem, B) -> Problem:
     def in_domain(x):
         return phi.in_domain(Bx(x))
 
-    obj = make_objective(base.objective.dim, value, gradient, hessian, third,
-                         in_domain)
+    obj = make_objective(dim, value, gradient, hessian, third, in_domain)
     x_star = None if base.x_star is None else Binv @ base.x_star
     return Problem(name=f"{base.name}_scaled", objective=obj,
                    x0=Binv @ as_vector(base.x0), x_star=x_star,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite, nan, sqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .numerics import positive_finite
 
@@ -22,6 +22,8 @@ _GOLDEN = 0.5 * (3.0 - sqrt(5.0))   # minor golden ratio, ~0.382
 
 @dataclass(frozen=True)
 class ExactSearch:
+    """Derivative-free minimization of phi on [0, alpha_max]."""
+
     alpha_max: float = 10.0
 
     def __post_init__(self):
@@ -30,6 +32,8 @@ class ExactSearch:
 
 @dataclass(frozen=True)
 class ArmijoSearch:
+    """Backtracking from alpha0 by beta until sufficient decrease sigma."""
+
     sigma: float = 1e-4
     beta: float = 0.5
     alpha0: float = 1.0
@@ -44,6 +48,8 @@ class ArmijoSearch:
 
 @dataclass(frozen=True)
 class StrongWolfeSearch:
+    """Strong Wolfe conditions c1, c2 from alpha0, capped at alpha_max."""
+
     c1: float = 1e-4
     c2: float = 0.9
     alpha0: float = 1.0
@@ -58,6 +64,8 @@ class StrongWolfeSearch:
 
 @dataclass(frozen=True)
 class FixedStep:
+    """Every step of length alpha, with no search."""
+
     alpha: float
 
     def __post_init__(self):
@@ -76,8 +84,7 @@ class LineSearchStatus(Enum):
     NO_FINITE_STEP = "NoFiniteStep"
 
 
-@dataclass(frozen=True)
-class LineSearchResult:
+class LineSearchResult(NamedTuple):
     alpha: float
     f_new: float
     evals: int      # phi calls, none on NotDescent (dphi calls not counted)

@@ -11,17 +11,17 @@ bits as LAPACK's potrf/potrs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import (NotFactorized, NotSymmetric, UnsupportedDimension,
                      ZeroGradient)
 
-Vector = NDArray[np.float64]
-Matrix = NDArray[np.float64]
+# float64 arrays; plain np.ndarray keeps numpy.typing out of the import.
+Vector = np.ndarray
+Matrix = np.ndarray
 
 # Below this the gradient is treated as exactly zero.
 ZERO_GRAD_FLOOR = 1e-300
@@ -60,8 +60,7 @@ def inf_norm(M) -> float:
     return float(a.max()) if a.size else 0.0
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Orthonormal basis adapted to a gradient: columns of `basis` are
     n-1 tangent vectors followed by the unit gradient direction."""
 
@@ -120,8 +119,7 @@ class DefinitenessTag(Enum):
     OTHER_INDEFINITE = "OtherIndefinite"
 
 
-@dataclass(frozen=True)
-class SymmetricClass:
+class SymmetricClass(NamedTuple):
     """Classification of a symmetric matrix with its ascending eigenvalues
     and, when positive definite, a Cholesky factor reusable by solve_spd.
 

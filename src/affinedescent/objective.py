@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf, isfinite
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ def _whole_space(x: Vector) -> bool:
 
 @dataclass(frozen=True)
 class Objective:
+    """Analytic oracles of a smooth function on R^dim and its domain test."""
+
     dim: int
     value: ValueFn
     gradient: GradFn
@@ -151,8 +153,7 @@ def fd_third_directional(obj: Objective, x, u, v, w) -> float:
     return float(_fd_third_rows(obj, as_vector(x), triple[None], THIRD_H)[0])
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
+class DerivativeReport(NamedTuple):
     grad_err: float
     hess_err: float
     third_err: float

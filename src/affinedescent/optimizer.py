@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
+from typing import NamedTuple
 
 from .direction import DirectionResult, descent_direction, newton_direction
 from .errors import (MissingReference, NonFiniteHessian, NonFiniteThird,
@@ -25,6 +26,8 @@ from .problems import Problem
 
 @dataclass(frozen=True)
 class StoppingSpec:
+    """Stop at gradient norm <= tol_grad or after max_iter iterations."""
+
     tol_grad: float = 1e-4
     max_iter: int = 200
 
@@ -44,8 +47,7 @@ class RunStatus(Enum):
     NON_FINITE_THIRD = "NonFiniteThird"
 
 
-@dataclass(frozen=True)
-class IterateRecord:
+class IterateRecord(NamedTuple):
     k: int
     x: Vector
     f: float
@@ -58,6 +60,8 @@ class IterateRecord:
 
 @dataclass(frozen=True)
 class RunReport:
+    """Per-iterate records and the outcome of one optimization run."""
+
     records: list[IterateRecord]
     status: RunStatus
     iters: int
@@ -195,8 +199,7 @@ def newton_run(problem: Problem, damped: bool = False,
     return _loop(problem, ls, stop, direction)
 
 
-@dataclass(frozen=True)
-class RateTable:
+class RateTable(NamedTuple):
     linear_ratios: list[float]
     quad_ratios: list[float]
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from .objective import Objective, make_objective
 
 @dataclass(frozen=True)
 class Problem:
+    """An objective with its start point and, if known, its optimum."""
+
     name: str
     objective: Objective
     x0: Vector
@@ -363,8 +366,7 @@ def inverse_barrier_optimum() -> tuple[Vector, float]:
     return x_star, float(f_star)
 
 
-@dataclass(frozen=True)
-class AffineScalingSpec:
+class AffineScalingSpec(NamedTuple):
     gamma: float
     B: np.ndarray
     base: Problem

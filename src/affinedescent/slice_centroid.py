@@ -8,6 +8,7 @@ where the level set is locally strictly convex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -24,6 +25,8 @@ BISECT_TOL = 1e-12   # width to which each feasibility crossing is refined
 
 @dataclass(frozen=True)
 class SliceParams:
+    """Slice offset delta below the level set and the scan half-width."""
+
     delta: float = 1e-4
     window: float | None = None   # half-width of the scan; None = automatic
 
@@ -75,15 +78,16 @@ def slice_region_2d(obj: Objective, z, C: float,
 
     Returns the feasible t-intervals (grid scan refined by bisection; runs
     touching the window edge are clipped at +-R) and their centroid.
-    Raises EmptySlice when no grid point is feasible.
+    Raises EmptySlice when no grid point is feasible and ValueError when C
+    is zero or not finite.
     """
     if params is None:
         params = SliceParams()
     z = as_vector(z)
     if obj.dim != 2:
         raise ValueError("slice scan is implemented for 2-d objectives")
-    if C == 0.0:
-        raise ValueError("C must be nonzero")
+    if C == 0.0 or not isfinite(C):
+        raise ValueError("C must be finite and nonzero")
     f0 = obj.value(z)
     frame = build_gradient_frame(obj.gradient(z))
     offset = abs(C)

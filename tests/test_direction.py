@@ -1,5 +1,5 @@
 import struct
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -413,9 +413,9 @@ def result_bits(res):
             return (v.dtype.str, v.shape, v.tobytes())
         return v
     cls = res.point_class
-    return ([bits(getattr(res, f.name)) for f in fields(res)
-             if f.name != "point_class"]
-            + [bits(getattr(cls, f.name)) for f in fields(cls)])
+    return ([bits(getattr(res, name)) for name in res._fields
+             if name != "point_class"]
+            + [bits(getattr(cls, name)) for name in cls._fields])
 
 
 def logged_outcome(path, obj, x):

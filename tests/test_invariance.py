@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,17 @@ class TestComposeScaled:
     def test_non_finite_matrix_rejected(self, B):
         with pytest.raises(ValueError, match="infs or NaNs"):
             compose_scaled(BASE, B)
+
+    @pytest.mark.parametrize("B", [np.ones((2, 3)), np.eye(2)[None],
+                                   np.eye(3)])
+    def test_matrix_of_wrong_shape_rejected(self, B):
+        message = "^" + re.escape(f"B must be 2x2, got shape {B.shape}") + "$"
+        with pytest.raises(ValueError, match=message):
+            compose_scaled(BASE, B)
+        with pytest.raises(ValueError, match=message):
+            run_invariance(BASE, B, ExactSearch())
+        with pytest.raises(ValueError, match=message):
+            direction_covariance_angle(BASE, B, BASE.x0)
 
 
 class TestDirectionCovariance:

@@ -1,4 +1,15 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
 import affinedescent
+from affinedescent import (cli, direction, invariance, line_search, numerics,
+                           objective, optimizer, problems, slice_centroid)
 
 # The names README and the benchmark import from the package top level;
 # everything else is imported from its submodule.
@@ -16,3 +27,100 @@ def test_every_exported_name_resolves():
     for name in affinedescent.__all__:
         assert getattr(affinedescent, name) is not None
 
+
+
+# Records that are specs, compared, validated or replaced stay frozen
+# dataclasses; per-call results are NamedTuples, which are cheaper to
+# define at import.
+DATACLASSES = {
+    "cli.Config", "objective.Objective", "problems.Problem",
+    "line_search.ExactSearch", "line_search.ArmijoSearch",
+    "line_search.StrongWolfeSearch", "line_search.FixedStep",
+    "optimizer.StoppingSpec", "optimizer.RunReport",
+    "slice_centroid.SliceParams", "slice_centroid.SliceRegion",
+}
+RECORD_FIELDS = {
+    "numerics.Frame": ("basis", "grad_norm"),
+    "numerics.SymmetricClass": ("tag", "eigs", "matrix", "factor"),
+    "direction.BlockHessian": ("frame", "B", "c", "d_nn"),
+    "direction.DirectionResult": ("d", "case", "tau", "T", "cos_theta",
+                                  "point_class", "step_scale"),
+    "line_search.LineSearchResult": ("alpha", "f_new", "evals", "status"),
+    "objective.DerivativeReport": ("grad_err", "hess_err", "third_err",
+                                   "grad_ok", "hess_ok", "third_ok"),
+    "optimizer.IterateRecord": ("k", "x", "f", "grad_norm", "alpha", "case",
+                                "T", "cos_theta"),
+    "optimizer.RateTable": ("linear_ratios", "quad_ratios"),
+    "invariance.InvarianceReport": ("gamma", "per_iterate_deviation",
+                                    "max_deviation", "iters_scaled",
+                                    "iters_base", "non_an_cases"),
+    "problems.AffineScalingSpec": ("gamma", "B", "base"),
+}
+
+
+def short_name(cls) -> str:
+    return f"{cls.__module__.rpartition('.')[2]}.{cls.__name__}"
+
+
+def package_classes():
+    """Every class defined in an affinedescent module, by short_name."""
+    return {short_name(value): value
+            for mod in (cli, direction, invariance, line_search, numerics,
+                        objective, optimizer, problems, slice_centroid)
+            for value in vars(mod).values()
+            if isinstance(value, type) and value.__module__ == mod.__name__}
+
+
+def test_exactly_the_kept_records_are_dataclasses():
+    classes = package_classes()
+    assert {name for name, cls in classes.items()
+            if dataclasses.is_dataclass(cls)} == DATACLASSES
+
+
+def test_replace_works_on_objective_and_problem():
+    p = problems.catalog("quad_51")
+    obj = dataclasses.replace(p.objective, dim=p.objective.dim)
+    assert obj == p.objective
+    moved = dataclasses.replace(p, objective=obj, x0=2.0 * p.x0)
+    assert moved.objective is obj and np.array_equal(moved.x0, 2.0 * p.x0)
+
+
+def test_per_call_records_keep_their_fields_in_order():
+    classes = package_classes()
+    for name, expected in RECORD_FIELDS.items():
+        assert classes[name]._fields == expected, name
+
+
+def test_per_call_records_are_immutable():
+    p = problems.catalog("rosenbrock")
+    obj = p.objective
+    report = optimizer.yand_run(p, line_search.ExactSearch())
+    _, spec = problems.make_affine_scaled(10.0)
+    records = [
+        numerics.build_gradient_frame(np.array([1.0, 2.0])),
+        numerics.classify_symmetric(np.eye(2)),
+        direction.block_decompose(obj, p.x0),
+        direction.descent_direction(obj, p.x0),
+        line_search.exact_search(lambda a: (a - 1.0) ** 2, 10.0),
+        objective.verify_derivatives(obj, [p.x0]),
+        report.records[0],
+        optimizer.empirical_rates(report, x_star=p.x_star),
+        invariance.run_invariance(spec.base, spec.B, line_search.ExactSearch()),
+        spec,
+    ]
+    assert sorted(short_name(type(r)) for r in records) == sorted(RECORD_FIELDS)
+    for record in records:
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+
+
+def test_import_leaves_numpy_typing_out():
+    code = ("import sys, numpy, affinedescent.cli; "
+            "sys.exit('numpy.typing' in sys.modules)")
+    src = Path(affinedescent.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0

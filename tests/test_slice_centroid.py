@@ -90,8 +90,13 @@ class TestSliceRegion:
             slice_region_2d(obj, np.array([1.0, 0.0, 0.0]), -1e-3)
 
     def test_rejects_zero_offset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^C must be finite and nonzero$"):
             slice_region_2d(isotropic_bowl(), np.array([2.0, 0.0]), 0.0)
+
+    @pytest.mark.parametrize("C", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_offset(self, C):
+        with pytest.raises(ValueError, match="^C must be finite and nonzero$"):
+            slice_region_2d(isotropic_bowl(), np.array([2.0, 0.0]), C)
 
 
 class TestSliceParams:
