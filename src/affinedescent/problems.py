@@ -1,6 +1,16 @@
 """Benchmark catalog: smooth test objectives with analytic value, gradient,
 Hessian, and directional third derivative, plus start points and reference
 optima (closed-form where available, else stated to full double precision).
+
+Writing a catalog oracle:
+- Spell a 2-D formula on the numpy scalars x[0], x[1] and convert only the
+  value with float(). A helper that returns float(...) turns a later
+  power into a Python-float one, which raises OverflowError where numpy
+  gives inf and a warning.
+- Never fold a `0.0 *` product or a `0.0 +` sum: each can carry or clear
+  the sign of a zero.
+- The quadratics stay on `ndarray.dot`, whose 2-element products OpenBLAS
+  fuses into multiply-adds that plain float arithmetic does not reproduce.
 """
 from __future__ import annotations
 
@@ -49,9 +59,12 @@ def _validated(p: Problem) -> Problem:
 def _quadratic(dim: int, A: np.ndarray, b: np.ndarray) -> Objective:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    # x (A/2) x is (x/2) A x bit for bit at any float64 x for the
+    # catalog's matrices, with A/2 formed once (test_numpy_identities.py).
+    half_A = 0.5 * A
 
     def value(x):
-        return float((0.5 * x).dot(A).dot(x) + b.dot(x))
+        return float(x.dot(half_A).dot(x) + b.dot(x))
 
     def gradient(x):
         return A.dot(x) + b
@@ -122,7 +135,7 @@ def _build_poly6() -> Problem:
     lin = np.array([0.01, 0.02])
 
     def q(x):
-        return float(x[0] ** 2 + 4.0 * x[1] ** 2)
+        return x[0] ** 2 + 4.0 * x[1] ** 2
 
     def gq(x):
         return np.array([2.0 * x[0], 8.0 * x[1]])
@@ -218,7 +231,7 @@ def _build_ring_tilted() -> Problem:
     eye = np.eye(2)
 
     def p(x):
-        return float(x[0] ** 2 + x[1] ** 2 - 1.0)
+        return x[0] ** 2 + x[1] ** 2 - 1.0
 
     def value(x):
         return float(p(x) ** 2 + tilt * x[0])
@@ -270,9 +283,10 @@ def _build_four_well() -> Problem:
         return np.array([4.0 * x[0] * (x[0] ** 2 - 1.0),
                          4.0 * x[1] * (x[1] ** 2 - 1.0)])
 
+    # np.diag, not an array literal, whose float zeros would widen the
+    # Hessian at a float32 x to float64.
     def hessian(x):
-        return np.array([[12.0 * x[0] ** 2 - 4.0, 0.0],
-                         [0.0, 12.0 * x[1] ** 2 - 4.0]])
+        return np.diag([12.0 * x[0] ** 2 - 4.0, 12.0 * x[1] ** 2 - 4.0])
 
     def third(x, u, v, w):
         return float(24.0 * x[0] * u[0] * v[0] * w[0]
@@ -314,7 +328,7 @@ def _build_strongly_convex_base() -> Problem:
         return np.array([x[0] + x[0] ** 3 / 3.0, x[1] + x[1] ** 3 / 3.0])
 
     def hessian(x):
-        return np.array([[1.0 + x[0] ** 2, 0.0], [0.0, 1.0 + x[1] ** 2]])
+        return np.diag([1.0 + x[0] ** 2, 1.0 + x[1] ** 2])   # as four_well
 
     def third(x, u, v, w):
         return float(2.0 * x[0] * u[0] * v[0] * w[0]

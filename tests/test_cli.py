@@ -193,6 +193,21 @@ class TestRunCommand:
         assert code == 3
         assert stdout.split()[:2] == ["NonFiniteThird", "0"]
 
+    @pytest.mark.parametrize("problem, step, iters", [
+        ("poly6", "fixed:10", "2"), ("poly6", "fixed:1e3", "2"),
+        ("ring_tilted", "fixed:1e3", "3")])
+    def test_value_overflow_exits_three(self, problem, step, iters, tmp_path,
+                                        capsys):
+        """A fixed step that throws gradient descent past the double range:
+        the value overflows to inf and the run ends typed. These runs ended
+        in a bare OverflowError (exit 1) while q and p were Python floats."""
+        out = tmp_path / "t.csv"
+        with np.errstate(over="ignore"):   # numpy warns on the overflow
+            code, stdout, _ = run_main(
+                ["run", problem, "gd", step, "--out", str(out)], capsys)
+        assert code == 3
+        assert stdout.split()[:2] == ["LineSearchFailure", iters]
+
     def test_bad_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "quad_well", "yand", "exact", "--max-iter", "ten"])

@@ -14,7 +14,10 @@ The identities hold where the code uses them, and not everywhere:
   a loop without BLAS in matmul and a BLAS call on a copy in dot. It can
   round differently, and give -0 where matmul gives +0. So the package
   keeps matmul wherever an oracle's matrix, of any layout, is an operand.
-- Matrix products with an outer dimension of 1 can round differently."""
+- Matrix products with an outer dimension of 1 can round differently.
+
+The quadratics' value halves A once, at construction, in place of x at
+each call."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,3 +168,36 @@ def test_special_values():
                     v = np.array([c, -1.0])
                     assert same_bits(u.dot(v), u @ v)
                     assert same_bits(v.dot(u), u @ v)
+
+
+# -- the quadratics' halved matrix -------------------------------------------
+
+# The diagonals of the catalog's quadratics and of make_affine_scaled's
+# bowls, gamma up to 1e4.
+CATALOG_DIAGONALS = [[2.0, 8.0], [1.0, 4.0], [1.0, 4.0, 9.0], [1.0, 1.0],
+                     [1.0, 100.0], [1.0, 1e4], [1.0, 1e8], [1.0, 0.1369]]
+
+
+def halving_is_exact(x):
+    """No entry loses a bit when halved: zero, or at least 2**-1021."""
+    return bool(np.all((x == 0.0) | (np.abs(x) >= 2.0 ** -1021)
+                       | ~np.isfinite(x)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CATALOG_DIAGONALS), st.data())
+def test_halved_matrix_quadratic_form(diagonal, data):
+    """x (A/2) x + b x is (x/2) A x + b x bit for bit for every float64 x,
+    subnormal entries included; the vectors x (A/2) and (x/2) A are equal
+    wherever halving x is exact (a subnormal x/2 can round)."""
+    n = len(diagonal)
+    A = np.diag(diagonal)
+    half_A = 0.5 * A
+    x = np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)))
+    b = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n,
+                                    max_size=n)))
+    with np.errstate(all="ignore"):
+        assert same_bits(x.dot(half_A).dot(x) + b.dot(x),
+                         (0.5 * x).dot(A).dot(x) + b.dot(x))
+        if halving_is_exact(x):
+            assert same_bits(x.dot(half_A), (0.5 * x).dot(A))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,26 @@ class TestAffineScaling:
         with pytest.raises(ValueError,
                            match="^gamma must be finite and positive$"):
             make_affine_scaled(gamma)
+
+
+class TestQuadraticValue:
+    """The quadratics' value, x (A/2) x + b x with A/2 formed once."""
+
+    @pytest.mark.parametrize("name", ["quad_well", "quad_51", "quad_52"])
+    def test_quadratic_value_of_float32_is_value_of_float64(self, name):
+        """The halved matrix multiplies x in float64. Halving a float32 x
+        first, as the value did before A was halved at construction,
+        rounded a subnormal entry: quad_52's value at (0, 2**-149, 0) was
+        0.0."""
+        obj = catalog(name).objective
+        rng = np.random.default_rng(3)
+        tiny = 2.0 ** -149    # the smallest float32 subnormal
+        points = [rng.uniform(-3.0, 3.0, obj.dim), np.full(obj.dim, tiny),
+                  np.eye(obj.dim)[-1] * tiny]
+        for x in points:
+            x32 = x.astype(np.float32)
+            assert struct.pack("d", obj.value(x32)) == \
+                struct.pack("d", obj.value(x32.astype(float)))
+        if name == "quad_52":
+            assert obj.value(np.array([0.0, tiny, 0.0],
+                                      dtype=np.float32)) > 0.0
