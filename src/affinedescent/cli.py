@@ -20,7 +20,7 @@ import argparse
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
@@ -36,32 +36,22 @@ from .objective import verify_derivatives
 from .optimizer import (RunReport, RunStatus, StoppingSpec,
                         gradient_descent_run, newton_run, yand_run)
 from .problems import CATALOG_NAMES, catalog, make_affine_scaled
-from .slice_centroid import SliceParams, slice_centroid_direction
+from .slice_centroid import slice_centroid_direction
+
+_SEARCHES = {"exact": ExactSearch, "armijo": ArmijoSearch,
+             "wolfe": StrongWolfeSearch}
+# The settable keys and their types: the fields of the specs, int where
+# the default is an int, and the seed of `verify` (default 42). Settings
+# are a dict of the keys given; a spec takes its own default for every key
+# left out.
+_KEYS = {f.name: int if isinstance(f.default, int) else float
+         for cls in (StoppingSpec, *_SEARCHES.values()) for f in fields(cls)}
+_KEYS["seed"] = int
 
 
-@dataclass(frozen=True)
-class Config:
-    """Settings from a config file and flags. A spec field left as None
-    takes the default of the spec that uses it (see _spec)."""
-
-    tol_grad: float | None = None
-    max_iter: int | None = None
-    alpha0: float | None = None
-    alpha_max: float | None = None
-    beta: float | None = None
-    c1: float | None = None
-    c2: float | None = None
-    sigma: float | None = None
-    seed: int = 42
-
-
-_INT_KEYS = {"max_iter", "seed"}
-
-
-def parse_config_file(path: str | Path) -> Config:
+def parse_config_file(path: str | Path) -> dict:
     """Plain key=value lines; '#' starts a comment; blank lines ignored."""
     values = {}
-    known = {f.name for f in fields(Config)}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,10 +61,10 @@ def parse_config_file(path: str | Path) -> Config:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in known:
+        if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = int(val) if key in _INT_KEYS else float(val)
-    return Config(**values)
+        values[key] = _KEYS[key](val)
+    return values
 
 
 def _fmt(v) -> str:
@@ -122,22 +112,19 @@ def write_trajectory_csv(report: RunReport, path: str | Path) -> None:
     _write_lines(path, lines)
 
 
-def _spec(cls, cfg: Config):
+def _spec(cls, settings: dict):
     """A cls (StoppingSpec or a line-search spec) built from the keys of
-    cfg that are set; the spec's own defaults fill the rest."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(cls)}
-    return cls(**{k: v for k, v in values.items() if v is not None})
+    settings that are its fields; the spec's own defaults fill the rest."""
+    return cls(**{f.name: settings[f.name] for f in fields(cls)
+                  if f.name in settings})
 
 
-_SEARCHES = {"exact": ExactSearch, "armijo": ArmijoSearch,
-             "wolfe": StrongWolfeSearch}
-
-
-def _parse_ls(token: str, cfg: Config):
+def _parse_ls(token: str, settings: dict):
     if token in _SEARCHES:
         # all three are built, so a bad value of any step key is an error
         # whichever search runs
-        specs = {name: _spec(cls, cfg) for name, cls in _SEARCHES.items()}
+        specs = {name: _spec(cls, settings)
+                 for name, cls in _SEARCHES.items()}
         return specs[token]
     if token.startswith("fixed:"):
         return FixedStep(alpha=float(token.split(":", 1)[1]))
@@ -156,11 +143,11 @@ _EXIT_BY_STATUS = {
 }
 
 
-def cmd_run(problem_name: str, method: str, ls_token: str, cfg: Config,
+def cmd_run(problem_name: str, method: str, ls_token: str, settings: dict,
             out_path: str | Path) -> int:
     problem = catalog(problem_name)
-    ls = _parse_ls(ls_token, cfg)
-    stop = _spec(StoppingSpec, cfg)
+    ls = _parse_ls(ls_token, settings)
+    stop = _spec(StoppingSpec, settings)
     if method == "yand":
         report = yand_run(problem, ls, stop)
     elif method == "gd":
@@ -188,10 +175,10 @@ def _count_cell(report: RunReport) -> str:
     return str(report.iters)
 
 
-def cmd_table2(cfg: Config, out_path: str | Path) -> int:
-    exact, wolfe, armijo = (_parse_ls(t, cfg)
+def cmd_table2(settings: dict, out_path: str | Path) -> int:
+    exact, wolfe, armijo = (_parse_ls(t, settings)
                             for t in ("exact", "wolfe", "armijo"))
-    stop = _spec(StoppingSpec, cfg)
+    stop = _spec(StoppingSpec, settings)
     lines = ["gamma,kappaB,kappaH,yand_exact,yand_wolfe,yand_armijo,"
              "gd_exact,gd_fixed,newton"]
     for gamma in TABLE2_GAMMAS:
@@ -228,7 +215,7 @@ def _example_checks() -> list[tuple[str, float, float, float]]:
     d_newton = newton_direction(p51.objective, x51)
     checks.append(("quad_51_newton_angle",
                    angle_between(d, d_newton), 0.0, 1e-10))
-    sc = slice_centroid_direction(p51.objective, x51, SliceParams(delta=1e-3))
+    sc = slice_centroid_direction(p51.objective, x51, delta=1e-3)
     checks.append(("quad_51_slice_angle", angle_between(sc, d), 0.0, 1e-2))
 
     # 3-variable quadratic at (2,0,0): direction is the negative unit gradient
@@ -252,7 +239,7 @@ def _example_checks() -> list[tuple[str, float, float, float]]:
     # nonconvex counterexample: slice estimate points uphill
     pce = catalog("counterexample")
     z = np.zeros(2)
-    d_sc = slice_centroid_direction(pce.objective, z, SliceParams(delta=1e-2))
+    d_sc = slice_centroid_direction(pce.objective, z, delta=1e-2)
     checks.append(("counterexample_angle",
                    angle_between(d_sc, np.array([0.0, 1.0])), 0.0, 1e-6))
     ascent = float(pce.objective.gradient(z) @ d_sc)
@@ -275,10 +262,10 @@ def cmd_examples(out_path: str | Path) -> int:
     return 0 if ok else 4
 
 
-def cmd_invariance(gammas, cfg: Config, out_path: str | Path) -> int:
+def cmd_invariance(gammas, settings: dict, out_path: str | Path) -> int:
     base = catalog("strongly_convex_base")
-    stop = _spec(StoppingSpec, cfg)
-    exact = _spec(ExactSearch, cfg)
+    stop = _spec(StoppingSpec, settings)
+    exact = _spec(ExactSearch, settings)
     for gamma in gammas:
         positive_finite("gammas", gamma)
     lines = ["gamma,max_deviation,iters_scaled,iters_base"]
@@ -305,8 +292,8 @@ def _verify_points(problem, rng) -> list[np.ndarray]:
     return points
 
 
-def cmd_verify(cfg: Config, out_path: str | Path, problems=None) -> int:
-    rng = np.random.default_rng(cfg.seed)
+def cmd_verify(settings: dict, out_path: str | Path, problems=None) -> int:
+    rng = np.random.default_rng(settings.get("seed", 42))
     lines = ["problem,grad_err,hess_err,third_err,pass"]
     ok = True
     if problems is None:
@@ -370,31 +357,32 @@ _DEFAULT_OUT = {
 }
 
 
-def _load_config(args) -> Config:
-    """The config file, or the defaults, with every flag given overriding
-    its key."""
-    cfg = parse_config_file(args.config) if args.config else Config()
-    flags = {key: getattr(args, key)
-             for key in ("tol_grad", "max_iter", "sigma", "seed")}
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+def _load_settings(args) -> dict:
+    """The keys of the config file, if any, with every flag given
+    overriding its key."""
+    settings = parse_config_file(args.config) if args.config else {}
+    for key in ("tol_grad", "max_iter", "sigma", "seed"):
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    return settings
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        settings = _load_settings(args)
         out = args.out or _DEFAULT_OUT[args.command]
         if args.command == "run":
-            return cmd_run(args.problem, args.method, args.ls, cfg, out)
+            return cmd_run(args.problem, args.method, args.ls, settings, out)
         if args.command == "table2":
-            return cmd_table2(cfg, out)
+            return cmd_table2(settings, out)
         if args.command == "examples":
             return cmd_examples(out)
         if args.command == "invariance":
             gammas = [float(g) for g in args.gammas.split(",") if g]
-            return cmd_invariance(gammas, cfg, out)
+            return cmd_invariance(gammas, settings, out)
         if args.command == "verify":
-            return cmd_verify(cfg, out)
+            return cmd_verify(settings, out)
         raise ValueError(f"unknown command {args.command!r}")
     except (UnknownProblem, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

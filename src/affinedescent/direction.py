@@ -80,7 +80,7 @@ def block_decompose(obj: Objective, x, frame: Frame | None = None) -> BlockHessi
     gradient); by default the deterministic Householder frame is built.
     Raises NonFiniteHessian when the Hessian holds infs or NaNs.
     """
-    x = as_vector(x)
+    x = as_vector(x, obj.dim)
     if frame is None:
         frame = build_gradient_frame(obj.gradient(x))
     H = _hessian(obj, x)
@@ -151,7 +151,7 @@ def affine_normal_direction(obj: Objective, x,
     Raises ZeroGradient at stationary points and DegenerateTangentBlock
     when the tangent Hessian block is numerically singular.
     """
-    _, cls_B, tau, d = _affine_normal(obj, as_vector(x), frame)
+    _, cls_B, tau, d = _affine_normal(obj, as_vector(x, obj.dim), frame)
     if tau is None:
         raise DegenerateTangentBlock(
             f"tangent block min |eig| = {np.abs(cls_B.eigs).min():.3e}")
@@ -174,7 +174,7 @@ def descent_direction(obj: Objective, x,
     bits as the matrix path; n >= 3 or an explicit frame takes the matrix
     path. Below dimension 2 it raises UnsupportedDimension.
     """
-    x = as_vector(x)
+    x = as_vector(x, obj.dim)
     if frame is None and obj.dim == 2:
         return _planar_direction(obj, x)
     return _matrix_direction(obj, x, frame)
@@ -297,7 +297,7 @@ def newton_direction(obj: Objective, x, regularize: bool = False) -> Vector:
     indefinite invertible one is solved as-is. A Hessian holding infs or
     NaNs, or whose symmetrization overflows, raises NonFiniteHessian.
     """
-    x = as_vector(x)
+    x = as_vector(x, obj.dim)
     g = obj.gradient(x)
     H = _hessian(obj, x)
     cls = _classify_hessian(H)

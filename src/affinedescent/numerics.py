@@ -32,10 +32,13 @@ DEGENERACY_TOL = 1e-10
 NON_FINITE_MATRIX = "matrix must not contain infs or NaNs"
 
 
-def as_vector(x) -> Vector:
+def as_vector(x, dim: int | None = None) -> Vector:
+    """x as a 1-d float array; of length dim when dim is given."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+    if dim is not None and v.size != dim:
+        raise ValueError(f"expected a vector of length {dim}, got {v.size}")
     return v
 
 

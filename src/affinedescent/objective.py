@@ -44,7 +44,10 @@ def make_objective(dim: int, value: ValueFn, gradient: GradFn, hessian: HessFn,
     """Build an Objective whose value returns +inf outside the domain.
 
     Derivative callables are left unwrapped; algorithms only evaluate them
-    at accepted (in-domain) points.
+    at accepted (in-domain) points. No oracle checks the length of x: the
+    package's entry points and Problem check it once, through
+    as_vector(x, dim), where a wrapper around each oracle would cost every
+    evaluation.
     """
     if in_domain is None:
         return Objective(dim, value, gradient, hessian, third_directional)
@@ -75,7 +78,7 @@ def fd_gradient(obj: Objective, x) -> Vector:
     """Central-difference gradient with step GRAD_H. Raises DomainViolation
     when a stencil point falls outside the domain."""
     h = GRAD_H
-    x = as_vector(x)
+    x = as_vector(x, obj.dim)
     E = h * np.eye(obj.dim)   # row i is the offset h e_i
     plus = x + E
     minus = x - E
@@ -90,7 +93,7 @@ def fd_hessian(obj: Objective, x) -> np.ndarray:
     """Central-difference Hessian with step HESS_H (symmetric by
     construction)."""
     h = HESS_H
-    x = as_vector(x)
+    x = as_vector(x, obj.dim)
     n = obj.dim
     E = h * np.eye(n)
     plus = x + E
@@ -149,8 +152,9 @@ def _all_finite(a) -> bool:
 def fd_third_directional(obj: Objective, x, u, v, w) -> float:
     """Central difference of the analytic Hessian quadratic form along u:
     (v' H(x + h u) w - v' H(x - h u) w) / (2 h) with h = THIRD_H."""
-    triple = np.stack([as_vector(a) for a in (u, v, w)])
-    return float(_fd_third_rows(obj, as_vector(x), triple[None], THIRD_H)[0])
+    triple = np.stack([as_vector(a, obj.dim) for a in (u, v, w)])
+    return float(_fd_third_rows(obj, as_vector(x, obj.dim), triple[None],
+                                THIRD_H)[0])
 
 
 class DerivativeReport(NamedTuple):
@@ -196,7 +200,7 @@ def verify_derivatives(obj: Objective, points, rng=None,
     hess_err = 0.0
     third_err = 0.0
     for p in points:
-        p = as_vector(p)
+        p = as_vector(p, obj.dim)
         ga = obj.gradient(p)
         grad_err = max(grad_err, _max_error(np.abs(ga - fd_gradient(obj, p)),
                                             np.max(np.abs(ga))))

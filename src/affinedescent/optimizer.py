@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
+from numbers import Integral
 from typing import NamedTuple
 
 from .direction import DirectionResult, descent_direction, newton_direction
@@ -33,8 +34,9 @@ class StoppingSpec:
 
     def __post_init__(self):
         positive_finite("tol_grad", self.tol_grad)
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
+        # integers only: iters >= nan is never true, so NaN would never stop
+        if not isinstance(self.max_iter, Integral) or self.max_iter <= 0:
+            raise ValueError("max_iter must be a positive integer")
 
 
 class RunStatus(Enum):
@@ -58,14 +60,21 @@ class IterateRecord(NamedTuple):
     cos_theta: float
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Per-iterate records and the outcome of one optimization run."""
 
     records: list[IterateRecord]
     status: RunStatus
-    iters: int
-    max_T: float
+
+    @property
+    def iters(self) -> int:
+        """Accepted iterates: the k of the last record."""
+        return self.records[-1].k
+
+    @property
+    def max_T(self) -> float:
+        """The largest T over the records (0 for a run with no step)."""
+        return max(r.T for r in self.records)
 
     @property
     def final(self) -> IterateRecord:
@@ -104,7 +113,6 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
     records = [IterateRecord(k=0, x=x.copy(), f=f_curr, grad_norm=gnorm,
                              alpha=0.0, case="-", T=0.0, cos_theta=1.0)]
     iters = 0
-    max_T = 0.0
     while True:
         if not isfinite(gnorm):   # at the start point or an accepted iterate
             status = RunStatus.NON_FINITE_GRADIENT
@@ -126,7 +134,6 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
         except NonFiniteThird:
             status = RunStatus.NON_FINITE_THIRD
             break
-        max_T = max(max_T, T)
         if isinstance(ls, FixedStep):
             alpha = ls.alpha
             x_new = x + alpha * d
@@ -149,7 +156,7 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
         records.append(IterateRecord(k=iters, x=x.copy(), f=f_curr,
                                      grad_norm=gnorm, alpha=float(alpha),
                                      case=case, T=T, cos_theta=cos_theta))
-    return RunReport(records=records, status=status, iters=iters, max_T=max_T)
+    return RunReport(records=records, status=status)
 
 
 def yand_run(problem: Problem, ls: LineSearchSpec,

@@ -40,10 +40,14 @@ class Problem:
     def __post_init__(self):
         # The descent direction splits the space into the gradient line and
         # its tangent complement, which is empty in one dimension.
-        if self.objective.dim < 2:
+        dim = self.objective.dim
+        if dim < 2:
             raise UnsupportedDimension(
-                f"{self.name}: dimension {self.objective.dim} < 2 has no "
-                "tangent space for the gradient frame")
+                f"{self.name}: dimension {dim} < 2 has no tangent space for "
+                "the gradient frame")
+        as_vector(self.x0, dim)
+        if self.x_star is not None:
+            as_vector(self.x_star, dim)
 
 
 def _validated(p: Problem) -> Problem:

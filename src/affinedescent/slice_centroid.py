@@ -7,8 +7,8 @@ where the level set is locally strictly convex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,23 +23,7 @@ GRID_POINTS = 2049   # odd, so that t = 0 lies on the scan grid
 BISECT_TOL = 1e-12   # width to which each feasibility crossing is refined
 
 
-@dataclass(frozen=True)
-class SliceParams:
-    """Slice offset delta below the level set and the scan half-width."""
-
-    delta: float = 1e-4
-    window: float | None = None   # half-width of the scan; None = automatic
-
-    def __post_init__(self):
-        positive_finite("delta", self.delta)
-        if self.delta * 1e-3 < BISECT_TOL:
-            raise ValueError("delta must be at least BISECT_TOL * 1e3 = 1e-9")
-        if self.window is not None:
-            positive_finite("window", self.window)
-
-
-@dataclass(frozen=True)
-class SliceRegion:
+class SliceRegion(NamedTuple):
     """Sublevel slice as intervals in the tangent parameter t, plus its
     centroid in both parameter and ambient coordinates."""
 
@@ -47,7 +31,7 @@ class SliceRegion:
     total_length: float
     centroid_param: float
     centroid: Vector
-    frame: Frame = field(repr=False)
+    frame: Frame
 
 
 def _auto_window(obj: Objective, z: Vector, offset: float,
@@ -71,28 +55,24 @@ def _bisect_edge(feasible, lo: float, hi: float, lo_feasible: bool) -> float:
     return 0.5 * (lo + hi)
 
 
-def slice_region_2d(obj: Objective, z, C: float,
-                    params: SliceParams | None = None) -> SliceRegion:
+def slice_region_2d(obj: Objective, z, C: float) -> SliceRegion:
     """Intersect {f <= f(z)} with the line z + (C/||grad||) n_hat + t t_hat,
-    t in [-R, R], for a 2-d objective.
+    t in [-R, R], for a 2-d objective; _auto_window sizes R.
 
     Returns the feasible t-intervals (grid scan refined by bisection; runs
     touching the window edge are clipped at +-R) and their centroid.
     Raises EmptySlice when no grid point is feasible and ValueError when C
     is zero or not finite.
     """
-    if params is None:
-        params = SliceParams()
-    z = as_vector(z)
     if obj.dim != 2:
         raise ValueError("slice scan is implemented for 2-d objectives")
+    z = as_vector(z, obj.dim)
     if C == 0.0 or not isfinite(C):
         raise ValueError("C must be finite and nonzero")
     f0 = obj.value(z)
     frame = build_gradient_frame(obj.gradient(z))
     offset = abs(C)
-    R = params.window if params.window is not None else _auto_window(
-        obj, z, offset, frame)
+    R = _auto_window(obj, z, offset, frame)
     foot = z + (C / frame.grad_norm) * frame.normal
     t_hat = frame.tangent[:, 0]
 
@@ -134,9 +114,10 @@ def slice_region_2d(obj: Objective, z, C: float,
                        centroid=centroid, frame=frame)
 
 
-def slice_centroid_direction(obj: Objective, z,
-                             params: SliceParams | None = None) -> Vector:
-    """Direction estimate from the centroid of the slice at C = -delta.
+def slice_centroid_direction(obj: Objective, z, delta: float = 1e-4) -> Vector:
+    """Direction estimate from the centroid of the slice at C = -delta,
+    for a delta of at least 1e-9, so that the bisection's BISECT_TOL
+    resolves the slice.
 
     At elliptic points the centroid displacement from z, scaled by
     ||grad||/delta, has frame-normal component exactly -1 and tangential
@@ -146,12 +127,13 @@ def slice_centroid_direction(obj: Objective, z,
     is returned unchanged, so misbehavior (e.g. an ascent direction) stays
     observable.
     """
-    if params is None:
-        params = SliceParams()
-    z = as_vector(z)
-    region = slice_region_2d(obj, z, -params.delta, params)
+    positive_finite("delta", delta)
+    if delta * 1e-3 < BISECT_TOL:
+        raise ValueError("delta must be at least BISECT_TOL * 1e3 = 1e-9")
+    z = as_vector(z, obj.dim)
+    region = slice_region_2d(obj, z, -delta)
     gnorm = region.frame.grad_norm
-    v = (region.centroid - z) * (gnorm / params.delta)
+    v = (region.centroid - z) * (gnorm / delta)
     if classify_point(obj, z, frame=region.frame).is_positive_definite:
         return v
     return -v

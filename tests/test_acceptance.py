@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from affinedescent.cli import Config, _verify_points, cmd_table2
+from affinedescent.cli import _verify_points, cmd_table2
 from affinedescent.direction import descent_direction
 from affinedescent.line_search import (ArmijoSearch, ExactSearch,
                                        StrongWolfeSearch)
@@ -23,7 +23,7 @@ from affinedescent.optimizer import (RunStatus, StoppingSpec, empirical_rates,
                                      gradient_descent_run, newton_run,
                                      yand_run)
 from affinedescent.problems import CATALOG_NAMES, catalog
-from affinedescent.slice_centroid import SliceParams, slice_centroid_direction
+from affinedescent.slice_centroid import slice_centroid_direction
 
 STOP = StoppingSpec(tol_grad=1e-4, max_iter=200)
 THREE_SEARCHES = (ExactSearch(), ArmijoSearch(), StrongWolfeSearch())
@@ -94,7 +94,7 @@ def test_criterion_03_worked_example_values():
 
 def test_criterion_04_scaling_table_iteration_counts(tmp_path):
     out = tmp_path / "table2.csv"
-    assert cmd_table2(Config(), out) == 0
+    assert cmd_table2({}, out) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [float(r[0]) for r in rows] == [1.0, 10.0, 1e2, 1e3, 1e4]
     for r in rows:
@@ -162,7 +162,7 @@ def _slice_angle_errors(deltas):
     p = catalog("quad_51")
     d_an = descent_direction(p.objective, p.x0).d
     return [angle_between(
-        slice_centroid_direction(p.objective, p.x0, SliceParams(delta=d)),
+        slice_centroid_direction(p.objective, p.x0, delta=d),
         d_an) for d in deltas]
 
 
@@ -190,7 +190,7 @@ def test_criterion_08_slice_estimate_angle_scales_with_offset():
 def test_criterion_09_slice_estimate_ascent_counterexample():
     p = catalog("counterexample")
     x = np.zeros(2)
-    v = slice_centroid_direction(p.objective, x, SliceParams(delta=1e-2))
+    v = slice_centroid_direction(p.objective, x, delta=1e-2)
     assert angle_between(v, np.array([0.0, 1.0])) <= 1e-6
     assert float(p.objective.gradient(x) @ v) > 0.0
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from affinedescent import cli
-from affinedescent.cli import (Config, _build_parser, _fmt, _load_config,
+from affinedescent.cli import (_build_parser, _fmt, _load_settings,
                                _parse_ls, _spec, cmd_verify, main,
                                parse_config_file)
 from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
@@ -36,11 +36,11 @@ class TestConfigFile:
             "seed = 7\n"
             "c2 = 0.25\n")
         cfg = parse_config_file(p)
-        assert cfg.tol_grad == 1e-6
-        assert cfg.max_iter == 50 and isinstance(cfg.max_iter, int)
-        assert cfg.seed == 7 and isinstance(cfg.seed, int)
-        assert cfg.c2 == 0.25
-        assert cfg.alpha0 == Config().alpha0
+        assert cfg == {"tol_grad": 1e-6, "max_iter": 50, "seed": 7,
+                       "c2": 0.25}
+        assert isinstance(cfg["max_iter"], int)
+        assert isinstance(cfg["seed"], int)
+        assert isinstance(cfg["tol_grad"], float)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -68,7 +68,7 @@ class TestConfigFile:
         assert iters == "3"
 
     def test_spec_defaults_fill_unset_keys(self, tmp_path):
-        cfg = Config()
+        cfg = {}
         assert _parse_ls("exact", cfg) == ExactSearch()
         assert _parse_ls("armijo", cfg) == ArmijoSearch()
         assert _parse_ls("wolfe", cfg) == StrongWolfeSearch()
@@ -87,11 +87,12 @@ class TestConfigFile:
                  "sigma": ("--sigma", "0.2", 0.2),
                  "seed": ("--seed", "11", 11)}
         base = ["run", "quad_well", "yand", "exact", "--config", str(cfgfile)]
-        from_file = _load_config(_build_parser().parse_args(base))
+        from_file = _load_settings(_build_parser().parse_args(base))
         assert from_file == parse_config_file(cfgfile)
         for key, (flag, text, value) in flags.items():
-            cfg = _load_config(_build_parser().parse_args(base + [flag, text]))
-            assert cfg == replace(from_file, **{key: value}), flag
+            cfg = _load_settings(
+                _build_parser().parse_args(base + [flag, text]))
+            assert cfg == {**from_file, key: value}, flag
 
 
 class TestFormatting:
@@ -102,7 +103,7 @@ class TestFormatting:
         assert float(_fmt(np.pi)) == np.pi
 
     def test_parse_ls_tokens(self):
-        cfg = Config()
+        cfg = {}
         assert isinstance(_parse_ls("exact", cfg), ExactSearch)
         assert isinstance(_parse_ls("armijo", cfg), ArmijoSearch)
         fs = _parse_ls("fixed:0.25", cfg)
@@ -348,7 +349,7 @@ class TestVerifyCommand:
                                 good.in_domain),
             x0=catalog("quad_well").x0, x_star=None, f_star=None, notes="")
         out = tmp_path / "verify.csv"
-        code = cmd_verify(Config(), out, problems=[bad])
+        code = cmd_verify({}, out, problems=[bad])
         capsys.readouterr()
         assert code == 4
         assert out.read_text().splitlines()[1].endswith(",FAIL")
@@ -359,7 +360,7 @@ class TestVerifyCommand:
             problem.objective,
             third_directional=lambda x, u, v, w: float("nan")))
         out = tmp_path / "verify.csv"
-        code = cmd_verify(Config(), out, problems=[bad])
+        code = cmd_verify({}, out, problems=[bad])
         capsys.readouterr()
         assert code == 4
         assert out.read_text().splitlines()[1].endswith(",inf,FAIL")

@@ -4,12 +4,14 @@ same bits, the same oracle calls at the same points in the same order, and
 the same random stream."""
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinedescent import slice_centroid
 from affinedescent.errors import AffineDescentError, DomainViolation
 from affinedescent.numerics import build_gradient_frame
 from affinedescent.objective import (THIRD_H, _fd_third_rows, fd_gradient,
@@ -17,7 +19,7 @@ from affinedescent.objective import (THIRD_H, _fd_third_rows, fd_gradient,
                                      make_objective, verify_derivatives)
 from affinedescent.problems import catalog
 from affinedescent.slice_centroid import (BISECT_TOL, GRID_POINTS,
-                                          SliceParams, slice_region_2d)
+                                          slice_region_2d)
 
 DIMS = st.integers(1, 40)
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -370,16 +372,22 @@ def test_slice_scan_matches_reference_loop(name, seed, C, R):
     problem = catalog(name)
     z = problem.x0 + 0.05 * np.random.default_rng(seed).uniform(-1.0, 1.0, 2)
     new, ref = Recorder(problem.objective), Recorder(problem.objective)
+
+    def scan():   # at half-width R, in place of the automatic window
+        with mock.patch.object(slice_centroid, "_auto_window",
+                               lambda obj, z, offset, frame: R):
+            return slice_region_2d(new.obj, z, C)
+
     try:
         want = ref_slice_intervals(ref.obj, z, C, R)
     except AffineDescentError as exc:   # e.g. a zero gradient at z
         with pytest.raises(type(exc)):
-            slice_region_2d(new.obj, z, C, SliceParams(window=R))
+            scan()
         return
     if not want:
         with pytest.raises(AffineDescentError):
-            slice_region_2d(new.obj, z, C, SliceParams(window=R))
+            scan()
     else:
-        region = slice_region_2d(new.obj, z, C, SliceParams(window=R))
+        region = scan()
         assert bits(region.intervals) == bits(want)
     assert new.calls == ref.calls

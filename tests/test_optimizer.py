@@ -131,8 +131,22 @@ class TestRecordConventions:
 
     def test_max_T_aggregates_records(self):
         rep = yand_run(catalog("rosenbrock"), StrongWolfeSearch(), STOP)
-        assert rep.max_T == pytest.approx(
-            max(r.T for r in rep.records), rel=1e-15)
+        assert rep.max_T == max(r.T for r in rep.records)
+
+    def test_max_T_leaves_out_a_step_never_taken(self):
+        """The direction at x0 has T = 2.44, but its line search fails, so
+        the run records no step."""
+        p = catalog("rosenbrock")
+
+        def value(x):
+            return p.objective.value(x) if np.array_equal(x, p.x0) \
+                else float("inf")
+
+        rep = yand_run(replace(p, objective=replace(p.objective, value=value)),
+                       ArmijoSearch(), STOP)
+        assert rep.status is RunStatus.LINE_SEARCH_FAILURE
+        assert rep.iters == 0 and len(rep.records) == 1
+        assert rep.max_T == 0.0
 
 
 class TestStatuses:
@@ -409,3 +423,9 @@ class TestStoppingSpec:
                 StoppingSpec(tol_grad=bad)
         with pytest.raises(ValueError):
             StoppingSpec(max_iter=0)
+        # NaN would never stop the loop
+        for bad in (np.nan, np.inf, 2.5):
+            with pytest.raises(ValueError,
+                               match="^max_iter must be a positive integer$"):
+                StoppingSpec(max_iter=bad)
+        assert StoppingSpec(max_iter=np.int64(3)).max_iter == 3

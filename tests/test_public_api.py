@@ -29,15 +29,14 @@ def test_every_exported_name_resolves():
 
 
 
-# Records that are specs, compared, validated or replaced stay frozen
-# dataclasses; per-call results are NamedTuples, which are cheaper to
-# define at import.
+# The step and stop specs, which validate their fields, and Objective and
+# Problem, which callers replace, stay frozen dataclasses; per-call results
+# are NamedTuples, which are cheaper to define at import.
 DATACLASSES = {
-    "cli.Config", "objective.Objective", "problems.Problem",
+    "objective.Objective", "problems.Problem",
     "line_search.ExactSearch", "line_search.ArmijoSearch",
     "line_search.StrongWolfeSearch", "line_search.FixedStep",
-    "optimizer.StoppingSpec", "optimizer.RunReport",
-    "slice_centroid.SliceParams", "slice_centroid.SliceRegion",
+    "optimizer.StoppingSpec",
 }
 RECORD_FIELDS = {
     "numerics.Frame": ("basis", "grad_norm"),
@@ -51,6 +50,9 @@ RECORD_FIELDS = {
     "optimizer.IterateRecord": ("k", "x", "f", "grad_norm", "alpha", "case",
                                 "T", "cos_theta"),
     "optimizer.RateTable": ("linear_ratios", "quad_ratios"),
+    "optimizer.RunReport": ("records", "status"),
+    "slice_centroid.SliceRegion": ("intervals", "total_length",
+                                   "centroid_param", "centroid", "frame"),
     "invariance.InvarianceReport": ("gamma", "per_iterate_deviation",
                                     "max_deviation", "iters_scaled",
                                     "iters_base", "non_an_cases"),
@@ -104,7 +106,9 @@ def test_per_call_records_are_immutable():
         line_search.exact_search(lambda a: (a - 1.0) ** 2, 10.0),
         objective.verify_derivatives(obj, [p.x0]),
         report.records[0],
+        report,
         optimizer.empirical_rates(report, x_star=p.x_star),
+        slice_centroid.slice_region_2d(obj, p.x0, -1e-3),
         invariance.run_invariance(spec.base, spec.B, line_search.ExactSearch()),
         spec,
     ]
@@ -124,3 +128,38 @@ def test_import_leaves_numpy_typing_out():
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+# Each entry point that takes a point of an objective, called with the
+# point x; the others it needs are of the right length.
+ENTRY_POINTS = {
+    "block_decompose": direction.block_decompose,
+    "affine_normal_direction": direction.affine_normal_direction,
+    "descent_direction": direction.descent_direction,
+    "newton_direction": direction.newton_direction,
+    "slice_region_2d": lambda obj, x: slice_centroid.slice_region_2d(
+        obj, x, -1e-3),
+    "slice_centroid_direction": slice_centroid.slice_centroid_direction,
+    "fd_gradient": objective.fd_gradient,
+    "fd_hessian": objective.fd_hessian,
+    "fd_third_directional_x": lambda obj, x: objective.fd_third_directional(
+        obj, x, [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]),
+    "fd_third_directional_u": lambda obj, x: objective.fd_third_directional(
+        obj, [-1.2, 1.0], x, [0.0, 1.0], [1.0, 0.0]),
+    "verify_derivatives": lambda obj, x: objective.verify_derivatives(
+        obj, [x]),
+    "Problem_x0": lambda obj, x: problems.Problem(
+        "p", obj, x, None, None, ""),
+    "Problem_x_star": lambda obj, x: problems.Problem(
+        "p", obj, np.array([-1.2, 1.0]), x, 0.0, ""),
+}
+
+
+@pytest.mark.parametrize("x", [[-1.2], [-1.2, 1.0, 5.0]],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_a_point_of_the_wrong_length(entry, x):
+    obj = problems.catalog("rosenbrock").objective
+    with pytest.raises(ValueError,
+                       match=f"^expected a vector of length 2, got {len(x)}$"):
+        ENTRY_POINTS[entry](obj, x)

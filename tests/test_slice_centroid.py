@@ -5,8 +5,9 @@ from affinedescent.direction import affine_normal_direction
 from affinedescent.errors import EmptySlice
 from affinedescent.numerics import angle_between
 from affinedescent.objective import make_objective
+from affinedescent import slice_centroid
 from affinedescent.problems import catalog
-from affinedescent.slice_centroid import (SliceParams, slice_centroid_direction,
+from affinedescent.slice_centroid import (slice_centroid_direction,
                                           slice_region_2d)
 
 
@@ -26,7 +27,7 @@ class TestSliceRegion:
         obj = isotropic_bowl()
         z = np.array([2.0, 0.0])
         delta = 1e-3
-        region = slice_region_2d(obj, z, -delta, SliceParams(delta=delta))
+        region = slice_region_2d(obj, z, -delta)
         assert len(region.intervals) == 1
         a, b = region.intervals[0]
         w = np.sqrt(2.0 * delta - delta * delta / 4.0)
@@ -39,8 +40,7 @@ class TestSliceRegion:
         # (x^2-1)^2 <= 1+delta has one component: |x| <= sqrt(1+sqrt(1+delta))
         obj = catalog("counterexample").objective
         delta = 1e-2
-        region = slice_region_2d(obj, np.zeros(2), -delta,
-                                 SliceParams(delta=delta))
+        region = slice_region_2d(obj, np.zeros(2), -delta)
         assert len(region.intervals) == 1
         a, b = region.intervals[0]
         edge = np.sqrt(1.0 + np.sqrt(1.0 + delta))
@@ -52,7 +52,7 @@ class TestSliceRegion:
         # (x^2-1)^2 <= 1-C splits into two symmetric components for C>0
         obj = catalog("counterexample").objective
         C = 1e-2
-        region = slice_region_2d(obj, np.zeros(2), C, SliceParams(delta=C))
+        region = slice_region_2d(obj, np.zeros(2), C)
         assert len(region.intervals) == 2
         inner = np.sqrt(1.0 - np.sqrt(1.0 - C))
         outer = np.sqrt(1.0 + np.sqrt(1.0 - C))
@@ -67,13 +67,13 @@ class TestSliceRegion:
     def test_empty_slice_raises(self):
         obj = isotropic_bowl()
         with pytest.raises(EmptySlice):
-            slice_region_2d(obj, np.array([2.0, 0.0]), +1e-3,
-                            SliceParams(delta=1e-3))
+            slice_region_2d(obj, np.array([2.0, 0.0]), +1e-3)
 
-    def test_window_clips_runs_at_edges(self):
+    def test_window_clips_runs_at_edges(self, monkeypatch):
+        monkeypatch.setattr(slice_centroid, "_auto_window",
+                            lambda obj, z, offset, frame: 1.0)
         obj = catalog("counterexample").objective
-        region = slice_region_2d(obj, np.zeros(2), -1e-2,
-                                 SliceParams(delta=1e-2, window=1.0))
+        region = slice_region_2d(obj, np.zeros(2), -1e-2)
         assert len(region.intervals) == 1
         a, b = region.intervals[0]
         assert a == -1.0 and b == 1.0
@@ -100,31 +100,31 @@ class TestSliceRegion:
 
 
 class TestSliceParams:
+    """The slice setting: slice_centroid_direction's delta."""
+
     def test_validation(self):
+        z = np.array([2.0, 0.0])
         with pytest.raises(ValueError):
-            SliceParams(delta=0.0)
-        with pytest.raises(ValueError):
-            SliceParams(window=-1.0)
+            slice_centroid_direction(isotropic_bowl(), z, delta=0.0)
         # bisection resolves crossings to BISECT_TOL, so delta >= 1e-9
-        with pytest.raises(ValueError):
-            SliceParams(delta=0.5e-9)
-        SliceParams(delta=1e-9)
+        with pytest.raises(ValueError, match="^delta must be at least"):
+            slice_centroid_direction(isotropic_bowl(), z, delta=0.5e-9)
+        slice_centroid_direction(isotropic_bowl(), z, delta=1e-9)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
     def test_window_must_be_finite(self, value):
         # delta is checked before its 1e-9 floor, which an infinite delta
         # passes
-        for field in ("window", "delta"):
-            with pytest.raises(ValueError,
-                               match=f"^{field} must be finite and positive$"):
-                SliceParams(**{field: value})
+        with pytest.raises(ValueError,
+                           match="^delta must be finite and positive$"):
+            slice_centroid_direction(isotropic_bowl(), np.array([2.0, 0.0]),
+                                     delta=value)
 
 
 class TestSliceDirection:
     def test_bowl_gives_inward_radial_direction(self):
         obj = isotropic_bowl()
-        v = slice_centroid_direction(obj, np.array([2.0, 0.0]),
-                                     SliceParams(delta=1e-3))
+        v = slice_centroid_direction(obj, np.array([2.0, 0.0]), delta=1e-3)
         assert np.allclose(v, np.array([-1.0, 0.0]), atol=1e-6)
 
     def test_matches_analytic_on_quadratic_for_every_offset(self):
@@ -132,8 +132,7 @@ class TestSliceDirection:
         x = np.array([2.0, 0.0])
         _, d_an = affine_normal_direction(p.objective, x)
         for delta in (1e-2, 1e-3, 1e-4):
-            v = slice_centroid_direction(p.objective, x,
-                                         SliceParams(delta=delta))
+            v = slice_centroid_direction(p.objective, x, delta=delta)
             assert angle_between(v, d_an) <= 1e-8
             # the construction fixes the frame-normal component at -1
             g = p.objective.gradient(x)
@@ -146,8 +145,7 @@ class TestSliceDirection:
         _, d_an = affine_normal_direction(p.objective, x)
         errs = []
         for delta in (1e-2, 5e-3, 2.5e-3):
-            v = slice_centroid_direction(p.objective, x,
-                                         SliceParams(delta=delta))
+            v = slice_centroid_direction(p.objective, x, delta=delta)
             errs.append(angle_between(v, d_an))
         for big, small in zip(errs, errs[1:]):
             assert 0.25 <= small / big <= 0.75
@@ -155,7 +153,7 @@ class TestSliceDirection:
     def test_counterexample_is_an_ascent_direction(self):
         p = catalog("counterexample")
         z = np.zeros(2)
-        v = slice_centroid_direction(p.objective, z, SliceParams(delta=1e-2))
+        v = slice_centroid_direction(p.objective, z, delta=1e-2)
         assert angle_between(v, np.array([0.0, 1.0])) <= 1e-6
         assert float(p.objective.gradient(z) @ v) > 0.0
 
