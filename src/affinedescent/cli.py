@@ -7,6 +7,11 @@ Subcommands:
   invariance              scaling-equivalence deviations, CSV
   verify                  finite-difference derivative check on the catalog
 
+Each subcommand takes only the flags it reads (see its --help). A flag
+overrides its key in the --config file, whose keys every command checks.
+Every method of run takes the LS token: `newton fixed:1` is classical
+Newton.
+
 All floating-point output uses 17 significant digits; repeated invocations
 with the same config and seed produce byte-identical files.
 
@@ -40,12 +45,13 @@ from .slice_centroid import slice_centroid_direction
 
 _SEARCHES = {"exact": ExactSearch, "armijo": ArmijoSearch,
              "wolfe": StrongWolfeSearch}
+_SPECS = {**_SEARCHES, "stop": StoppingSpec}
 # The settable keys and their types: the fields of the specs, int where
 # the default is an int, and the seed of `verify` (default 42). Settings
 # are a dict of the keys given; a spec takes its own default for every key
 # left out.
 _KEYS = {f.name: int if isinstance(f.default, int) else float
-         for cls in (StoppingSpec, *_SEARCHES.values()) for f in fields(cls)}
+         for cls in _SPECS.values() for f in fields(cls)}
 _KEYS["seed"] = int
 
 
@@ -63,7 +69,10 @@ def parse_config_file(path: str | Path) -> dict:
         val = val.strip()
         if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _KEYS[key](val)
+        try:
+            values[key] = _KEYS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -112,19 +121,17 @@ def write_trajectory_csv(report: RunReport, path: str | Path) -> None:
     _write_lines(path, lines)
 
 
-def _spec(cls, settings: dict):
-    """A cls (StoppingSpec or a line-search spec) built from the keys of
-    settings that are its fields; the spec's own defaults fill the rest."""
-    return cls(**{f.name: settings[f.name] for f in fields(cls)
-                  if f.name in settings})
+def _build_specs(settings: dict) -> dict:
+    """Each line search under its token and StoppingSpec under "stop",
+    from the keys of settings that are their fields (the specs' defaults
+    fill the rest): all four, so every key is checked whatever runs."""
+    return {name: cls(**{f.name: settings[f.name] for f in fields(cls)
+                         if f.name in settings})
+            for name, cls in _SPECS.items()}
 
 
-def _parse_ls(token: str, settings: dict):
+def _parse_ls(token: str, specs: dict):
     if token in _SEARCHES:
-        # all three are built, so a bad value of any step key is an error
-        # whichever search runs
-        specs = {name: _spec(cls, settings)
-                 for name, cls in _SEARCHES.items()}
         return specs[token]
     if token.startswith("fixed:"):
         return FixedStep(alpha=float(token.split(":", 1)[1]))
@@ -143,19 +150,17 @@ _EXIT_BY_STATUS = {
 }
 
 
-def cmd_run(problem_name: str, method: str, ls_token: str, settings: dict,
+def cmd_run(problem_name: str, method: str, ls_token: str, specs: dict,
             out_path: str | Path) -> int:
     problem = catalog(problem_name)
-    ls = _parse_ls(ls_token, settings)
-    stop = _spec(StoppingSpec, settings)
+    ls = _parse_ls(ls_token, specs)
+    stop = specs["stop"]
     if method == "yand":
         report = yand_run(problem, ls, stop)
     elif method == "gd":
         report = gradient_descent_run(problem, ls, stop)
-    elif method == "newton":
-        report = newton_run(problem, damped=False, stop=stop)
-    elif method == "dnewton":
-        report = newton_run(problem, damped=True, ls=ls, stop=stop)
+    elif method in ("newton", "dnewton"):
+        report = newton_run(problem, method == "dnewton", ls, stop)
     else:
         raise ValueError(f"unknown method {method!r} "
                          "(expected yand|gd|newton|dnewton)")
@@ -175,10 +180,9 @@ def _count_cell(report: RunReport) -> str:
     return str(report.iters)
 
 
-def cmd_table2(settings: dict, out_path: str | Path) -> int:
-    exact, wolfe, armijo = (_parse_ls(t, settings)
-                            for t in ("exact", "wolfe", "armijo"))
-    stop = _spec(StoppingSpec, settings)
+def cmd_table2(specs: dict, out_path: str | Path) -> int:
+    exact, wolfe, armijo, stop = (specs[name] for name in
+                                  ("exact", "wolfe", "armijo", "stop"))
     lines = ["gamma,kappaB,kappaH,yand_exact,yand_wolfe,yand_armijo,"
              "gd_exact,gd_fixed,newton"]
     for gamma in TABLE2_GAMMAS:
@@ -262,10 +266,9 @@ def cmd_examples(out_path: str | Path) -> int:
     return 0 if ok else 4
 
 
-def cmd_invariance(gammas, settings: dict, out_path: str | Path) -> int:
+def cmd_invariance(gammas, specs: dict, out_path: str | Path) -> int:
     base = catalog("strongly_convex_base")
-    stop = _spec(StoppingSpec, settings)
-    exact = _spec(ExactSearch, settings)
+    exact, stop = specs["exact"], specs["stop"]
     for gamma in gammas:
         positive_finite("gammas", gamma)
     lines = ["gamma,max_deviation,iters_scaled,iters_base"]
@@ -292,8 +295,8 @@ def _verify_points(problem, rng) -> list[np.ndarray]:
     return points
 
 
-def cmd_verify(settings: dict, out_path: str | Path, problems=None) -> int:
-    rng = np.random.default_rng(settings.get("seed", 42))
+def cmd_verify(seed: int, out_path: str | Path, problems=None) -> int:
+    rng = np.random.default_rng(seed)
     lines = ["problem,grad_err,hess_err,third_err,pass"]
     ok = True
     if problems is None:
@@ -316,73 +319,73 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _add_subcommand(sub, name: str, summary: str, out: str,
+                    keys: tuple[str, ...] | None = None):
+    """A subcommand that writes to --out; with keys, it also reads
+    --config and one flag per key."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--out", help=f"output file path (default {out})")
+    p.set_defaults(out=out)
+    if keys is not None:
+        p.add_argument("--config", help="key=value config file")
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), type=_KEYS[key])
+    return p
+
+
 @cache
 def _build_parser() -> _Parser:
     """The argument parser, built on first use and shared by later calls
     (parsing leaves no state in it): scripts/reproduce_all.py calls main
     once per step in one process."""
-    parser = _Parser(prog="affinedescent", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="key=value config file")
-    common.add_argument("--out", default=None, help="output file path")
-    common.add_argument("--tol-grad", type=float, default=None)
-    common.add_argument("--max-iter", type=int, default=None)
-    common.add_argument("--sigma", type=float, default=None)
-    common.add_argument("--seed", type=int, default=None)
+    parser = _Parser(prog="affinedescent", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", parents=[common],
-                           help="single optimization run")
+    stop_and_step = ("tol_grad", "max_iter", "sigma")
+    p_run = _add_subcommand(sub, "run", "single optimization run",
+                            "trajectory.csv", stop_and_step)
     p_run.add_argument("problem", help=f"one of: {', '.join(CATALOG_NAMES)}")
     p_run.add_argument("method", help="yand|gd|newton|dnewton")
     p_run.add_argument("ls", help="exact|armijo|wolfe|fixed:ALPHA")
-    sub.add_parser("table2", parents=[common],
-                   help="scaling sweep on the diagonal bowl family")
-    sub.add_parser("examples", parents=[common],
-                   help="hand-checked direction computations")
-    p_inv = sub.add_parser("invariance", parents=[common],
-                           help="scaling-equivalence deviations")
+    _add_subcommand(sub, "table2", "scaling sweep on the diagonal bowl family",
+                    "table2.csv", stop_and_step)
+    _add_subcommand(sub, "examples", "hand-checked direction computations",
+                    "examples.csv")
+    p_inv = _add_subcommand(sub, "invariance",
+                            "scaling-equivalence deviations",
+                            "invariance.csv", ("tol_grad", "max_iter"))
     p_inv.add_argument("--gammas", default="10,100,10000",
                        help="comma-separated scaling factors")
-    sub.add_parser("verify", parents=[common],
-                   help="finite-difference derivative check")
+    _add_subcommand(sub, "verify", "finite-difference derivative check",
+                    "verify.csv", ("seed",))
     return parser
-
-
-_DEFAULT_OUT = {
-    "run": "trajectory.csv",
-    "table2": "table2.csv",
-    "examples": "examples.csv",
-    "invariance": "invariance.csv",
-    "verify": "verify.csv",
-}
 
 
 def _load_settings(args) -> dict:
     """The keys of the config file, if any, with every flag given
     overriding its key."""
     settings = parse_config_file(args.config) if args.config else {}
-    for key in ("tol_grad", "max_iter", "sigma", "seed"):
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in _KEYS and value is not None)
     return settings
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        settings = _load_settings(args)
-        out = args.out or _DEFAULT_OUT[args.command]
-        if args.command == "run":
-            return cmd_run(args.problem, args.method, args.ls, settings, out)
-        if args.command == "table2":
-            return cmd_table2(settings, out)
         if args.command == "examples":
-            return cmd_examples(out)
+            return cmd_examples(args.out)
+        settings = _load_settings(args)
+        specs = _build_specs(settings)
+        if args.command == "run":
+            return cmd_run(args.problem, args.method, args.ls, specs, args.out)
+        if args.command == "table2":
+            return cmd_table2(specs, args.out)
         if args.command == "invariance":
             gammas = [float(g) for g in args.gammas.split(",") if g]
-            return cmd_invariance(gammas, settings, out)
+            return cmd_invariance(gammas, specs, args.out)
         if args.command == "verify":
-            return cmd_verify(settings, out)
+            return cmd_verify(settings.get("seed", 42), args.out)
         raise ValueError(f"unknown command {args.command!r}")
     except (UnknownProblem, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,7 +100,7 @@ def direction_covariance_angle(base: Problem, B, y) -> float:
     field transforms covariantly under the scaling."""
     B = np.asarray(B, dtype=float)
     scaled = compose_scaled(base, B)
-    y = as_vector(y)
+    y = as_vector(y, base.objective.dim)
     x = np.linalg.solve(B, y)
     d_f = descent_direction(scaled.objective, x).d
     d_phi = descent_direction(base.objective, y).d

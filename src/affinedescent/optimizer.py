@@ -188,16 +188,14 @@ def gradient_descent_run(problem: Problem,
 def newton_run(problem: Problem, damped: bool = False,
                ls: LineSearchSpec | FixedStep | None = None,
                stop: StoppingSpec | None = None) -> RunReport:
-    """Newton baseline: unit steps when undamped (classical method); the
-    damped variant regularizes the Hessian and runs the given line search
-    (default strong Wolfe)."""
+    """Newton baseline with the given step rule; the damped variant
+    regularizes the Hessian. Without ls, unit steps (classical Newton)
+    when undamped, a strong Wolfe search when damped."""
     if stop is None:
         stop = StoppingSpec()
     obj = problem.objective
-    if not damped:
-        ls = FixedStep(1.0)   # classical Newton: always the unit step
-    elif ls is None:
-        ls = StrongWolfeSearch()
+    if ls is None:
+        ls = StrongWolfeSearch() if damped else FixedStep(1.0)
     case = "DampedNewton" if damped else "Newton"
 
     def direction(x, g):
@@ -228,7 +226,7 @@ def empirical_rates(report: RunReport, x_star=None,
             gap0 = r0.f - f_star
             linear.append((r1.f - f_star) / gap0 if gap0 > 0.0 else float("inf"))
     if x_star is not None:
-        xs = as_vector(x_star)
+        xs = as_vector(x_star, recs[0].x.size)
         errs = [norm2(r.x - xs) for r in recs]
         for e0, e1 in zip(errs, errs[1:]):
             quad.append(e1 / (e0 * e0) if e0 > 0.0 else float("inf"))

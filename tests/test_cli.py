@@ -1,5 +1,6 @@
 import errno
 import os
+import re
 import stat
 from dataclasses import replace
 
@@ -7,13 +8,13 @@ import numpy as np
 import pytest
 
 from affinedescent import cli
-from affinedescent.cli import (_build_parser, _fmt, _load_settings,
-                               _parse_ls, _spec, cmd_verify, main,
-                               parse_config_file)
+from affinedescent.cli import (_build_parser, _build_specs, _fmt,
+                               _load_settings, _parse_ls, cmd_verify, main,
+                               parse_config_file, write_trajectory_csv)
 from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
                                        StrongWolfeSearch)
 from affinedescent.objective import Objective
-from affinedescent.optimizer import StoppingSpec
+from affinedescent.optimizer import StoppingSpec, newton_run
 from affinedescent.problems import Problem, catalog
 from test_optimizer import (nan_gradient_problem, nan_hessian_problem,
                             non_finite_third_problem)
@@ -68,31 +69,66 @@ class TestConfigFile:
         assert iters == "3"
 
     def test_spec_defaults_fill_unset_keys(self, tmp_path):
-        cfg = {}
-        assert _parse_ls("exact", cfg) == ExactSearch()
-        assert _parse_ls("armijo", cfg) == ArmijoSearch()
-        assert _parse_ls("wolfe", cfg) == StrongWolfeSearch()
-        assert _spec(StoppingSpec, cfg) == StoppingSpec()
+        specs = _build_specs({})
+        assert _parse_ls("exact", specs) == ExactSearch()
+        assert _parse_ls("armijo", specs) == ArmijoSearch()
+        assert _parse_ls("wolfe", specs) == StrongWolfeSearch()
+        assert specs["stop"] == StoppingSpec()
         p = tmp_path / "c2.cfg"
         p.write_text("c2 = 0.25\n")
-        assert _parse_ls("wolfe", parse_config_file(p)) == replace(
-            StrongWolfeSearch(), c2=0.25)
+        assert _parse_ls("wolfe", _build_specs(parse_config_file(p))) == \
+            replace(StrongWolfeSearch(), c2=0.25)
 
     def test_each_flag_overrides_only_its_key(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("tol_grad = 1e-6\nmax_iter = 50\nsigma = 0.1\n"
                            "seed = 7\nc2 = 0.25\n")
-        flags = {"tol_grad": ("--tol-grad", "1e-3", 1e-3),
-                 "max_iter": ("--max-iter", "3", 3),
-                 "sigma": ("--sigma", "0.2", 0.2),
-                 "seed": ("--seed", "11", 11)}
-        base = ["run", "quad_well", "yand", "exact", "--config", str(cfgfile)]
-        from_file = _load_settings(_build_parser().parse_args(base))
-        assert from_file == parse_config_file(cfgfile)
-        for key, (flag, text, value) in flags.items():
+        run = ["run", "quad_well", "yand", "exact"]
+        flags = {"tol_grad": (run, "--tol-grad", "1e-3", 1e-3),
+                 "max_iter": (run, "--max-iter", "3", 3),
+                 "sigma": (run, "--sigma", "0.2", 0.2),
+                 "seed": (["verify"], "--seed", "11", 11)}
+        for key, (base, flag, text, value) in flags.items():
+            base = base + ["--config", str(cfgfile)]
+            from_file = _load_settings(_build_parser().parse_args(base))
+            assert from_file == parse_config_file(cfgfile)
             cfg = _load_settings(
                 _build_parser().parse_args(base + [flag, text]))
             assert cfg == {**from_file, key: value}, flag
+
+    @pytest.mark.parametrize("line, message", [
+        ("max_iter = 2.5",
+         "max_iter: invalid literal for int() with base 10: '2.5'"),
+        ("tol_grad = abc",
+         "tol_grad: could not convert string to float: 'abc'"),
+    ])
+    def test_value_of_the_wrong_type_names_file_line_and_key(
+            self, line, message, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"# settings\nc2 = 0.25\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(cfgfile)
+        assert str(exc.value) == f"{cfgfile}:3: {message}"
+        code, _, err = run_main(
+            ["run", "quad_well", "yand", "exact", "--config", str(cfgfile),
+             "--out", str(tmp_path / "t.csv")], capsys)
+        assert code == 1
+        assert err == f"error: {cfgfile}:3: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "quad_well", "yand", "exact"], ["table2"],
+        ["invariance", "--gammas", "10"], ["verify"]])
+    def test_every_command_checks_every_key(self, argv, tmp_path, capsys):
+        """The config file is shared: a command checks also the keys it does
+        not read, with the message every command gives."""
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("sigma = 2.0\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run_main(
+            argv + ["--config", str(cfgfile), "--out", str(out)], capsys)
+        assert code == 1
+        assert err == "error: sigma must be in (0, 1)\n"
+        assert not out.exists()
 
 
 class TestFormatting:
@@ -103,15 +139,17 @@ class TestFormatting:
         assert float(_fmt(np.pi)) == np.pi
 
     def test_parse_ls_tokens(self):
-        cfg = {}
-        assert isinstance(_parse_ls("exact", cfg), ExactSearch)
-        assert isinstance(_parse_ls("armijo", cfg), ArmijoSearch)
-        fs = _parse_ls("fixed:0.25", cfg)
+        specs = _build_specs({})
+        assert isinstance(_parse_ls("exact", specs), ExactSearch)
+        assert isinstance(_parse_ls("armijo", specs), ArmijoSearch)
+        fs = _parse_ls("fixed:0.25", specs)
         assert isinstance(fs, FixedStep) and fs.alpha == 0.25
         with pytest.raises(ValueError):
-            _parse_ls("fixed:abc", cfg)
+            _parse_ls("fixed:abc", specs)
         with pytest.raises(ValueError):
-            _parse_ls("golden", cfg)
+            _parse_ls("golden", specs)
+        with pytest.raises(ValueError):
+            _parse_ls("stop", specs)
 
 
 class TestRunCommand:
@@ -138,6 +176,24 @@ class TestRunCommand:
                 capsys)
             assert code == 0, method
             assert stdout.split()[0] == "Converged"
+
+    @pytest.mark.parametrize("token, spec, iters", [
+        ("exact", ExactSearch(), 12), ("armijo", ArmijoSearch(), 21),
+        ("wolfe", StrongWolfeSearch(), 22), ("fixed:1", FixedStep(1.0), 5)])
+    def test_newton_takes_the_line_search(self, token, spec, iters, tmp_path,
+                                          capsys):
+        """`newton` runs the given search: the CLI's trajectory is the one
+        newton_run writes with that spec, and `fixed:1` is classical Newton,
+        which takes 5 unit steps on Rosenbrock."""
+        out, expected = tmp_path / "cli.csv", tmp_path / "api.csv"
+        code, stdout, _ = run_main(
+            ["run", "rosenbrock", "newton", token, "--out", str(out)], capsys)
+        report = newton_run(catalog("rosenbrock"), ls=spec)
+        write_trajectory_csv(report, expected)
+        assert out.read_bytes() == expected.read_bytes()
+        assert stdout.split()[:2] == [report.status.value, str(report.iters)]
+        assert code == 0
+        assert report.iters == iters
 
     def test_run_output_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -218,6 +274,58 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+
+# The flags of all subcommands, each with a value and what it parses to,
+# and the argv of each subcommand with the flags it reads.
+FLAGS = {
+    "--out": ("x.csv", "out", "x.csv"),
+    "--config": ("c.cfg", "config", "c.cfg"),
+    "--tol-grad": ("1e-3", "tol_grad", 1e-3),
+    "--max-iter": ("3", "max_iter", 3),
+    "--sigma": ("0.2", "sigma", 0.2),
+    "--seed": ("7", "seed", 7),
+}
+COMMANDS = {
+    "run": (["run", "quad_well", "yand", "exact"],
+            {"--out", "--config", "--tol-grad", "--max-iter", "--sigma"}),
+    "table2": (["table2"],
+               {"--out", "--config", "--tol-grad", "--max-iter", "--sigma"}),
+    "examples": (["examples"], {"--out"}),
+    "invariance": (["invariance"],
+                   {"--out", "--config", "--tol-grad", "--max-iter"}),
+    "verify": (["verify"], {"--out", "--config", "--seed"}),
+}
+
+
+class TestSubcommandFlags:
+    """Each subcommand takes only the flags it reads: 18 of the 30 pairs."""
+
+    def test_parser_has_eighteen_flag_slots(self, capsys):
+        slots = 0
+        for command, (_, reads) in COMMANDS.items():
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            usage = capsys.readouterr().out.split("\n\n")[0]
+            flags = set(re.findall(r"\[(--[a-z-]+)", usage)) - {"--gammas"}
+            assert flags == reads, command
+            slots += len(flags)
+        assert slots == 18
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in COMMANDS for flag in FLAGS])
+    def test_flag_parses_or_is_rejected(self, command, flag, capsys):
+        text, dest, value = FLAGS[flag]
+        base, reads = COMMANDS[command]
+        argv = base + [flag, text]
+        if flag in reads:
+            assert getattr(_build_parser().parse_args(argv), dest) == value
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err == f"error: unrecognized arguments: {flag} {text}\n"
 
 
 class TestSharedParser:
@@ -349,7 +457,7 @@ class TestVerifyCommand:
                                 good.in_domain),
             x0=catalog("quad_well").x0, x_star=None, f_star=None, notes="")
         out = tmp_path / "verify.csv"
-        code = cmd_verify({}, out, problems=[bad])
+        code = cmd_verify(42, out, problems=[bad])
         capsys.readouterr()
         assert code == 4
         assert out.read_text().splitlines()[1].endswith(",FAIL")
@@ -360,7 +468,7 @@ class TestVerifyCommand:
             problem.objective,
             third_directional=lambda x, u, v, w: float("nan")))
         out = tmp_path / "verify.csv"
-        code = cmd_verify({}, out, problems=[bad])
+        code = cmd_verify(42, out, problems=[bad])
         capsys.readouterr()
         assert code == 4
         assert out.read_text().splitlines()[1].endswith(",inf,FAIL")

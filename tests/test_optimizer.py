@@ -306,6 +306,14 @@ class TestConvergence:
     def test_classical_newton_on_rosenbrock(self):
         rep = newton_run(catalog("rosenbrock"), stop=STOP)
         assert rep.status is RunStatus.CONVERGED
+        assert {r.alpha for r in rep.records[1:]} == {1.0}
+
+    def test_undamped_newton_takes_the_given_search(self):
+        """A given ls is never replaced: Armijo backtracks from the unit
+        step on Rosenbrock."""
+        rep = newton_run(catalog("rosenbrock"), ls=ArmijoSearch(), stop=STOP)
+        assert rep.status is RunStatus.CONVERGED
+        assert any(r.alpha != 1.0 for r in rep.records[1:])
 
     def test_gd_exact_converges_on_scaled_quadratics(self):
         for gamma in (10.0, 1e4):

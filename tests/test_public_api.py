@@ -152,6 +152,14 @@ ENTRY_POINTS = {
         "p", obj, x, None, None, ""),
     "Problem_x_star": lambda obj, x: problems.Problem(
         "p", obj, np.array([-1.2, 1.0]), x, 0.0, ""),
+    "empirical_rates": lambda obj, x: optimizer.empirical_rates(
+        optimizer.yand_run(problems.Problem(
+            "p", obj, np.array([-1.2, 1.0]), None, None, ""),
+            line_search.ExactSearch(), optimizer.StoppingSpec(max_iter=1)),
+        x_star=x),
+    "direction_covariance_angle": lambda obj, x:
+        invariance.direction_covariance_angle(problems.Problem(
+            "p", obj, np.array([-1.2, 1.0]), None, None, ""), np.eye(2), x),
 }
 
 
