@@ -134,20 +134,21 @@ def _parse_ls(token: str, specs: dict):
     if token in _SEARCHES:
         return specs[token]
     if token.startswith("fixed:"):
-        return FixedStep(alpha=float(token.split(":", 1)[1]))
+        try:
+            alpha = float(token[len("fixed:"):])
+        except ValueError:
+            raise ValueError(f"bad line search {token!r} (expected "
+                             "fixed:ALPHA with ALPHA a number)") from None
+        return FixedStep(alpha=alpha)
     raise ValueError(f"unknown line search {token!r} "
                      "(expected exact|armijo|wolfe|fixed:ALPHA)")
 
 
-_EXIT_BY_STATUS = {
-    RunStatus.CONVERGED: 0,
-    RunStatus.MAX_ITER_REACHED: 2,
-    RunStatus.LINE_SEARCH_FAILURE: 3,
-    RunStatus.DEGENERATE_STOP: 3,
-    RunStatus.NON_FINITE_GRADIENT: 3,
-    RunStatus.NON_FINITE_HESSIAN: 3,
-    RunStatus.NON_FINITE_THIRD: 3,
-}
+def _exit_code(status: RunStatus) -> int:
+    """0 converged, 2 iteration cap, 3 any other end of the run."""
+    if status is RunStatus.CONVERGED:
+        return 0
+    return 2 if status is RunStatus.MAX_ITER_REACHED else 3
 
 
 def cmd_run(problem_name: str, method: str, ls_token: str, specs: dict,
@@ -168,7 +169,7 @@ def cmd_run(problem_name: str, method: str, ls_token: str, specs: dict,
     final = report.final
     print(f"{report.status.value} {report.iters} {_fmt(final.f)} "
           f"{_fmt(final.grad_norm)}")
-    return _EXIT_BY_STATUS[report.status]
+    return _exit_code(report.status)
 
 
 TABLE2_GAMMAS = (1.0, 10.0, 1e2, 1e3, 1e4)
@@ -295,13 +296,11 @@ def _verify_points(problem, rng) -> list[np.ndarray]:
     return points
 
 
-def cmd_verify(seed: int, out_path: str | Path, problems=None) -> int:
+def cmd_verify(seed: int, out_path: str | Path) -> int:
     rng = np.random.default_rng(seed)
     lines = ["problem,grad_err,hess_err,third_err,pass"]
     ok = True
-    if problems is None:
-        problems = [catalog(name) for name in CATALOG_NAMES]
-    for problem in problems:
+    for problem in (catalog(name) for name in CATALOG_NAMES):
         report = verify_derivatives(problem.objective,
                                     _verify_points(problem, rng), rng=rng)
         ok = ok and report.ok
@@ -370,6 +369,17 @@ def _load_settings(args) -> dict:
     return settings
 
 
+def _parse_gammas(text: str) -> list[float]:
+    """The comma-separated scalings of --gammas. An item that is not a
+    number, an empty one included, is an error, so the list is never
+    empty."""
+    try:
+        return [float(item) for item in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--gammas: expected comma-separated numbers, such "
+                         f"as 10,100, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -382,8 +392,8 @@ def main(argv=None) -> int:
         if args.command == "table2":
             return cmd_table2(specs, args.out)
         if args.command == "invariance":
-            gammas = [float(g) for g in args.gammas.split(",") if g]
-            return cmd_invariance(gammas, specs, args.out)
+            return cmd_invariance(_parse_gammas(args.gammas), specs,
+                                  args.out)
         if args.command == "verify":
             return cmd_verify(settings.get("seed", 42), args.out)
         raise ValueError(f"unknown command {args.command!r}")

@@ -143,23 +143,21 @@ def _affine_normal(obj: Objective, x: Vector, frame: Frame | None):
     return block, cls_B, tau, block.frame.tangent @ tau - block.frame.normal
 
 
-def affine_normal_direction(obj: Objective, x,
-                            frame: Frame | None = None) -> tuple[Vector, Vector]:
+def affine_normal_direction(obj: Objective, x) -> tuple[Vector, Vector]:
     """Tangential coefficients tau and the ambient direction d with
     frame-normal component -1.
 
     Raises ZeroGradient at stationary points and DegenerateTangentBlock
     when the tangent Hessian block is numerically singular.
     """
-    _, cls_B, tau, d = _affine_normal(obj, as_vector(x, obj.dim), frame)
+    _, cls_B, tau, d = _affine_normal(obj, as_vector(x, obj.dim), None)
     if tau is None:
         raise DegenerateTangentBlock(
             f"tangent block min |eig| = {np.abs(cls_B.eigs).min():.3e}")
     return tau, d
 
 
-def descent_direction(obj: Objective, x,
-                      frame: Frame | None = None) -> DirectionResult:
+def descent_direction(obj: Objective, x) -> DirectionResult:
     """Geometric descent direction with case logic.
 
     Case AN: the oriented geometric direction already points downhill.
@@ -169,21 +167,22 @@ def descent_direction(obj: Objective, x,
     to the gradient within EPS_ORTH; the unit negative gradient is used.
     The returned d always has frame-normal component -1.
 
-    A 2-D objective with the default frame takes a scalar closed form of
-    the 1x1 tangent block, with the same oracle calls, errors and result
-    bits as the matrix path; n >= 3 or an explicit frame takes the matrix
-    path. Below dimension 2 it raises UnsupportedDimension.
+    A 2-D objective takes a scalar closed form of the 1x1 tangent block,
+    with the same oracle calls, errors and result bits as the matrix path;
+    n >= 3 takes the matrix path. Below dimension 2 it raises
+    UnsupportedDimension.
     """
     x = as_vector(x, obj.dim)
-    if frame is None and obj.dim == 2:
+    if obj.dim == 2:
         return _planar_direction(obj, x)
-    return _matrix_direction(obj, x, frame)
+    return _matrix_direction(obj, x, None)
 
 
 def _matrix_direction(obj: Objective, x: Vector,
                       frame: Frame | None) -> DirectionResult:
-    """descent_direction for any n >= 2 and frame, through the tangent-block
-    classification and solves."""
+    """descent_direction for any n >= 2 through the tangent-block
+    classification and solves, in the given frame (None: the Householder
+    frame of the gradient at x)."""
     g = obj.gradient(x)
     block, cls_B, tau, d = _affine_normal(obj, x, frame)
     if tau is None:
@@ -242,7 +241,7 @@ def _planar_basis(n_hat: Vector) -> Matrix:
 
 
 def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
-    """descent_direction for n = 2 and the default frame, in scalars.
+    """descent_direction for n = 2, in scalars.
 
     The tangent block is 1x1, so its eigenvalue is b, its Cholesky factor
     w = 1/sqrt(b) and a solve r/b or w*(w*r): one IEEE operation each, as

@@ -141,10 +141,6 @@ class SymmetricClass(NamedTuple):
         return float(self.eigs[0])
 
     @property
-    def max_eig(self) -> float:
-        return float(self.eigs[-1])
-
-    @property
     def is_positive_definite(self) -> bool:
         return self.tag is DefinitenessTag.POSITIVE_DEFINITE
 

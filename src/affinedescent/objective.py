@@ -149,14 +149,6 @@ def _all_finite(a) -> bool:
     return np.count_nonzero(finite) == finite.size
 
 
-def fd_third_directional(obj: Objective, x, u, v, w) -> float:
-    """Central difference of the analytic Hessian quadratic form along u:
-    (v' H(x + h u) w - v' H(x - h u) w) / (2 h) with h = THIRD_H."""
-    triple = np.stack([as_vector(a, obj.dim) for a in (u, v, w)])
-    return float(_fd_third_rows(obj, as_vector(x, obj.dim), triple[None],
-                                THIRD_H)[0])
-
-
 class DerivativeReport(NamedTuple):
     grad_err: float
     hess_err: float

@@ -72,11 +72,6 @@ class RunReport(NamedTuple):
         return self.records[-1].k
 
     @property
-    def max_T(self) -> float:
-        """The largest T over the records (0 for a run with no step)."""
-        return max(r.T for r in self.records)
-
-    @property
     def final(self) -> IterateRecord:
         return self.records[-1]
 

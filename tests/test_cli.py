@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from affinedescent import cli
-from affinedescent.cli import (_build_parser, _build_specs, _fmt,
+from affinedescent.cli import (_build_parser, _build_specs, _exit_code, _fmt,
                                _load_settings, _parse_ls, cmd_verify, main,
                                parse_config_file, write_trajectory_csv)
 from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
                                        StrongWolfeSearch)
 from affinedescent.objective import Objective
-from affinedescent.optimizer import StoppingSpec, newton_run
+from affinedescent.optimizer import RunStatus, StoppingSpec, newton_run
 from affinedescent.problems import Problem, catalog
 from test_optimizer import (nan_gradient_problem, nan_hessian_problem,
                             non_finite_third_problem)
@@ -147,6 +147,8 @@ class TestFormatting:
         with pytest.raises(ValueError):
             _parse_ls("fixed:abc", specs)
         with pytest.raises(ValueError):
+            _parse_ls("fixed:", specs)
+        with pytest.raises(ValueError):
             _parse_ls("golden", specs)
         with pytest.raises(ValueError):
             _parse_ls("stop", specs)
@@ -210,6 +212,15 @@ class TestRunCommand:
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("token", ["fixed:abc", "fixed:"])
+    def test_bad_fixed_step_names_the_token(self, token, tmp_path, capsys):
+        code, _, err = run_main(
+            ["run", "rosenbrock", "gd", token,
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 1
+        assert err == (f"error: bad line search {token!r} "
+                       "(expected fixed:ALPHA with ALPHA a number)\n")
+
     def test_unknown_method_exits_one(self, tmp_path, capsys):
         code, _, _ = run_main(
             ["run", "quad_well", "cg", "exact",
@@ -264,6 +275,12 @@ class TestRunCommand:
                 ["run", problem, "gd", step, "--out", str(out)], capsys)
         assert code == 3
         assert stdout.split()[:2] == ["LineSearchFailure", iters]
+
+    def test_every_status_has_an_exit_code(self):
+        codes = {status.value: _exit_code(status) for status in RunStatus}
+        assert codes.pop("Converged") == 0
+        assert codes.pop("MaxIterReached") == 2
+        assert set(codes.values()) == {3}
 
     def test_bad_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -431,6 +448,18 @@ class TestInvarianceCommand:
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("gammas", ["", ",", "10,,100", "10, ,100",
+                                        "10,abc"])
+    def test_item_not_a_number_names_the_flag(self, gammas, tmp_path,
+                                              capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run_main(
+            ["invariance", "--gammas", gammas, "--out", str(out)], capsys)
+        assert code == 1
+        assert err == ("error: --gammas: expected comma-separated numbers, "
+                       f"such as 10,100, got {gammas!r}\n")
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_catalog_passes(self, tmp_path, capsys):
@@ -442,7 +471,14 @@ class TestVerifyCommand:
         assert len(lines) == 13
         assert all(line.endswith(",pass") for line in lines[1:])
 
-    def test_inconsistent_gradient_detected(self, tmp_path, capsys):
+    @staticmethod
+    def verify_only(monkeypatch, problem):
+        """cmd_verify checks the one given problem in place of the catalog."""
+        monkeypatch.setattr(cli, "CATALOG_NAMES", (problem.name,))
+        monkeypatch.setattr(cli, "catalog", lambda name: problem)
+
+    def test_inconsistent_gradient_detected(self, tmp_path, capsys,
+                                            monkeypatch):
         good = catalog("quad_well").objective
 
         def bad_grad(x):
@@ -456,19 +492,21 @@ class TestVerifyCommand:
                                 good.hessian, good.third_directional,
                                 good.in_domain),
             x0=catalog("quad_well").x0, x_star=None, f_star=None, notes="")
+        self.verify_only(monkeypatch, bad)
         out = tmp_path / "verify.csv"
-        code = cmd_verify(42, out, problems=[bad])
+        code = cmd_verify(42, out)
         capsys.readouterr()
         assert code == 4
         assert out.read_text().splitlines()[1].endswith(",FAIL")
 
-    def test_nan_third_derivative_fails(self, tmp_path, capsys):
+    def test_nan_third_derivative_fails(self, tmp_path, capsys, monkeypatch):
         problem = catalog("poly6")
         bad = replace(problem, objective=replace(
             problem.objective,
             third_directional=lambda x, u, v, w: float("nan")))
+        self.verify_only(monkeypatch, bad)
         out = tmp_path / "verify.csv"
-        code = cmd_verify(42, out, problems=[bad])
+        code = cmd_verify(42, out)
         capsys.readouterr()
         assert code == 4
         assert out.read_text().splitlines()[1].endswith(",inf,FAIL")

@@ -77,7 +77,7 @@ def test_classification_agrees_with_eigenvalues(S):
     cls = classify_symmetric(S)
     eigs = np.linalg.eigvalsh(0.5 * (S + S.T))
     assert cls.min_eig == pytest.approx(eigs[0], rel=1e-9, abs=1e-9)
-    assert cls.max_eig == pytest.approx(eigs[-1], rel=1e-9, abs=1e-9)
+    assert cls.eigs[-1] == pytest.approx(eigs[-1], rel=1e-9, abs=1e-9)
     # singular when any eigenvalue is near zero, whatever the others' signs
     thresh = 1e-10 * max(1.0, inf_norm(S))
     if eigs[0] > thresh:

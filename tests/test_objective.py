@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from affinedescent.errors import DomainViolation
-from affinedescent.objective import (fd_gradient, fd_hessian,
-                                     fd_third_directional, make_objective,
+from affinedescent.objective import (THIRD_H, _fd_third_rows, fd_gradient,
+                                     fd_hessian, make_objective,
                                      verify_derivatives)
 from affinedescent.problems import catalog
 
@@ -50,7 +50,7 @@ def test_fd_third_matches_analytic():
     rng = np.random.default_rng(0)
     for _ in range(5):
         u, v, w = rng.normal(size=(3, 2))
-        fd = fd_third_directional(obj, x, u, v, w)
+        fd = _fd_third_rows(obj, x, np.array([[u, v, w]]), THIRD_H)[0]
         assert fd == pytest.approx(obj.third_directional(x, u, v, w),
                                    rel=1e-6, abs=1e-6)
 
@@ -138,4 +138,4 @@ def test_fd_third_raises_outside_domain():
     # x + h*u crosses the barrier boundary, so the Hessian probe blows up
     edge = np.array([0.49999999, 0.5])
     with pytest.raises(DomainViolation):
-        fd_third_directional(barrier, edge, e1, e1, e1)
+        _fd_third_rows(barrier, edge, np.array([[e1, e1, e1]]), THIRD_H)

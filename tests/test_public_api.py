@@ -142,10 +142,6 @@ ENTRY_POINTS = {
     "slice_centroid_direction": slice_centroid.slice_centroid_direction,
     "fd_gradient": objective.fd_gradient,
     "fd_hessian": objective.fd_hessian,
-    "fd_third_directional_x": lambda obj, x: objective.fd_third_directional(
-        obj, x, [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]),
-    "fd_third_directional_u": lambda obj, x: objective.fd_third_directional(
-        obj, [-1.2, 1.0], x, [0.0, 1.0], [1.0, 0.0]),
     "verify_derivatives": lambda obj, x: objective.verify_derivatives(
         obj, [x]),
     "Problem_x0": lambda obj, x: problems.Problem(
