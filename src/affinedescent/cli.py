@@ -112,13 +112,11 @@ def write_trajectory_csv(report: RunReport, path: str | Path) -> None:
     dim = report.records[0].x.size
     header = ["k"] + [f"x{i + 1}" for i in range(dim)] + \
         ["f", "gnorm", "alpha", "case", "T", "cos_theta"]
-    lines = [",".join(header)]
-    for r in report.records:
-        cells = [str(r.k)] + [_fmt(c) for c in r.x] + [
-            _fmt(r.f), _fmt(r.grad_norm), _fmt(r.alpha), r.case,
-            _fmt(r.T), _fmt(r.cos_theta)]
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
+    # "%.17g" % v is _fmt(v) for every float
+    row = ",".join(["%d"] + ["%.17g"] * (dim + 3) + ["%s", "%.17g", "%.17g"])
+    _write_lines(path, [",".join(header)] + [
+        row % (r.k, *r.x.tolist(), r.f, r.grad_norm, r.alpha, r.case, r.T,
+               r.cos_theta) for r in report.records])
 
 
 def _build_specs(settings: dict) -> dict:

@@ -89,7 +89,7 @@ def unit_gradient(grad) -> tuple[Vector, float]:
     if g.size < 2:
         raise UnsupportedDimension(
             f"frame construction needs dimension >= 2, got {g.size}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
     gnorm = norm2(g)
     if gnorm <= ZERO_GRAD_FLOOR:

@@ -167,10 +167,12 @@ HESS_TOL = 1e-5
 THIRD_TOL = 1e-3
 
 
-def _max_error(abs_err, scale) -> float:
-    """Largest abs_err / max(1, scale). A non-finite result, as from a NaN
-    or inf analytic derivative, counts as inf so that the check fails."""
-    err = float(np.max(abs_err / np.maximum(1.0, scale), initial=0.0))
+def _max_error(analytic: np.ndarray, fd: np.ndarray, scale) -> float:
+    """Largest |analytic - fd| / max(1, scale) over all entries, 0 when
+    there are none. A non-finite result, as from a NaN or inf analytic
+    derivative, counts as inf so that the check fails."""
+    err = float(np.max(np.abs(analytic - fd) / np.maximum(1.0, scale),
+                       initial=0.0))
     return err if isfinite(err) else inf
 
 
@@ -178,32 +180,42 @@ def verify_derivatives(obj: Objective, points, rng=None,
                        n_triples: int = 10) -> DerivativeReport:
     """Compare analytic derivatives against finite differences at the
     given points; the third derivative is probed along n_triples random
-    unit direction triples per point, drawn from rng in one
-    (n_triples, 3, dim) block per point.
+    unit direction triples per point. All of them are drawn from rng
+    before the first oracle call, in one (points, n_triples, 3, dim)
+    block: the same stream, and the same final rng state, as one
+    (n_triples, 3, dim) block per point. So when a point's check raises,
+    as DomainViolation from a stencil that leaves the domain, rng has
+    still advanced past every point's triples.
 
     Errors are relative to max(1, scale of the analytic quantity): the
-    largest entry for the gradient and the Hessian, each value for the
-    third derivative. A non-finite error, as from a NaN or inf analytic
-    derivative, is reported as inf and fails its check.
+    largest entry at the point for the gradient and the Hessian, each
+    value for the third derivative. Each is reduced once over all points,
+    which gives the bits of the largest per-point error. A non-finite
+    error, as from a NaN or inf analytic derivative, is reported as inf
+    and fails its check.
     """
     if rng is None:
         rng = np.random.default_rng(42)
-    grad_err = 0.0
-    hess_err = 0.0
-    third_err = 0.0
-    for p in points:
-        p = as_vector(p, obj.dim)
-        ga = obj.gradient(p)
-        grad_err = max(grad_err, _max_error(np.abs(ga - fd_gradient(obj, p)),
-                                            np.max(np.abs(ga))))
-        Ha = obj.hessian(p)
-        hess_err = max(hess_err, _max_error(np.abs(Ha - fd_hessian(obj, p)),
-                                            np.max(np.abs(Ha))))
-        dirs = rng.standard_normal((n_triples, 3, obj.dim))
-        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        ta = np.array([obj.third_directional(p, u, v, w) for u, v, w in dirs])
-        tf = _fd_third_rows(obj, p, dirs, THIRD_H)
-        third_err = max(third_err, _max_error(np.abs(ta - tf), np.abs(ta)))
+    points = list(points)
+    P, n = len(points), obj.dim
+    dirs = rng.standard_normal((P, n_triples, 3, n))
+    dirs /= np.linalg.norm(dirs, axis=3, keepdims=True)
+    ga, gf, Ha, Hf, ta, tf = [], [], [], [], [], []
+    for p, triples in zip(points, dirs):
+        p = as_vector(p, n)
+        ga.append(obj.gradient(p))
+        gf.append(fd_gradient(obj, p))
+        Ha.append(obj.hessian(p))
+        Hf.append(fd_hessian(obj, p))
+        ta.append([obj.third_directional(p, u, v, w) for u, v, w in triples])
+        tf.append(_fd_third_rows(obj, p, triples, THIRD_H))
+    ga, Ha = np.reshape(ga, (P, n)), np.reshape(Ha, (P, n * n))
+    ta = np.reshape(ta, (P, n_triples))
+    grad_err = _max_error(ga, np.reshape(gf, (P, n)),
+                          np.abs(ga).max(axis=1, keepdims=True))
+    hess_err = _max_error(Ha, np.reshape(Hf, (P, n * n)),
+                          np.abs(Ha).max(axis=1, keepdims=True))
+    third_err = _max_error(ta, np.reshape(tf, (P, n_triples)), np.abs(ta))
     return DerivativeReport(
         grad_err=grad_err, hess_err=hess_err, third_err=third_err,
         grad_ok=grad_err <= GRAD_TOL,

@@ -105,8 +105,8 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
         raise ValueError("start point is outside the domain")
     g = obj.gradient(x)
     gnorm = norm2(g)
-    records = [IterateRecord(k=0, x=x.copy(), f=f_curr, grad_norm=gnorm,
-                             alpha=0.0, case="-", T=0.0, cos_theta=1.0)]
+    # Every iterate is a fresh array, so each record owns its x.
+    records = [IterateRecord(0, x, f_curr, gnorm, 0.0, "-", 0.0, 1.0)]
     iters = 0
     while True:
         if not isfinite(gnorm):   # at the start point or an accepted iterate
@@ -148,9 +148,8 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
         x, f_curr, g = x_new, f_new, obj.gradient(x_new)
         gnorm = norm2(g)
         iters += 1
-        records.append(IterateRecord(k=iters, x=x.copy(), f=f_curr,
-                                     grad_norm=gnorm, alpha=float(alpha),
-                                     case=case, T=T, cos_theta=cos_theta))
+        records.append(IterateRecord(iters, x, f_curr, gnorm, float(alpha),
+                                     case, T, cos_theta))
     return RunReport(records=records, status=status)
 
 

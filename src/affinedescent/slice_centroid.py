@@ -82,8 +82,7 @@ def slice_region_2d(obj: Objective, z, C: float) -> SliceRegion:
     n = GRID_POINTS
     grid = np.linspace(-R, R, n)
     points = foot + grid[:, None] * t_hat
-    flags = np.fromiter((obj.value(p) <= f0 for p in points), dtype=bool,
-                        count=n)
+    flags = np.fromiter(map(obj.value, points), float, n) <= f0
     if not flags.any():
         raise EmptySlice(f"no feasible point in [-{R:g}, {R:g}] at C={C:g}")
 

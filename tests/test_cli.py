@@ -2,10 +2,13 @@ import errno
 import os
 import re
 import stat
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinedescent import cli
 from affinedescent.cli import (_build_parser, _build_specs, _exit_code, _fmt,
@@ -14,10 +17,31 @@ from affinedescent.cli import (_build_parser, _build_specs, _exit_code, _fmt,
 from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
                                        StrongWolfeSearch)
 from affinedescent.objective import Objective
-from affinedescent.optimizer import RunStatus, StoppingSpec, newton_run
+from affinedescent.optimizer import (IterateRecord, RunReport, RunStatus,
+                                     StoppingSpec, newton_run)
 from affinedescent.problems import Problem, catalog
 from test_optimizer import (nan_gradient_problem, nan_hessian_problem,
                             non_finite_third_problem)
+
+
+# Python floats and numpy float64s, with -0, +-inf, NaN, subnormals and
+# 17-significant-digit values among them.
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, np.inf, -np.inf, np.nan, 5e-324, -1.5e-310,
+                     0.1, 1.0 / 3.0, 12345678901234567.0,
+                     1.7976931348623157e308]),
+).flatmap(lambda v: st.sampled_from([v, np.float64(v)]))
+
+
+def records_of(dim):
+    return st.builds(
+        IterateRecord, k=st.integers(0, 10 ** 6),
+        x=st.lists(FLOATS, min_size=dim, max_size=dim).map(np.array),
+        f=FLOATS, grad_norm=FLOATS, alpha=FLOATS,
+        case=st.sampled_from(["-", "AN", "FlippedAN", "SteepestFallback",
+                              "GD", "Newton", "DampedNewton"]),
+        T=FLOATS, cos_theta=FLOATS)
 
 
 def run_main(argv, capsys):
@@ -137,6 +161,25 @@ class TestFormatting:
         assert _fmt(1.0) == "1"
         assert _fmt(2) == "2"
         assert float(_fmt(np.pi)) == np.pi
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3).flatmap(
+        lambda n: st.lists(records_of(n), min_size=1, max_size=4)))
+    def test_trajectory_rows_are_fmt_cells(self, records):
+        """write_trajectory_csv formats a row at once; its bytes are those
+        of _fmt on each cell."""
+        dim = records[0].x.size
+        header = ["k"] + [f"x{i + 1}" for i in range(dim)] + \
+            ["f", "gnorm", "alpha", "case", "T", "cos_theta"]
+        rows = [",".join(header)] + [",".join(
+            [str(r.k)] + [_fmt(c) for c in r.x]
+            + [_fmt(r.f), _fmt(r.grad_norm), _fmt(r.alpha), r.case,
+               _fmt(r.T), _fmt(r.cos_theta)]) for r in records]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "traj.csv")
+            write_trajectory_csv(RunReport(records, RunStatus.CONVERGED), path)
+            with open(path, "rb") as fh:
+                assert fh.read() == ("\n".join(rows) + "\n").encode()
 
     def test_parse_ls_tokens(self):
         specs = _build_specs({})

@@ -228,16 +228,21 @@ def test_fd_third_matches_reference_loop(dim, seed, rows):
     assert batch.calls == single.calls == ref.calls
 
 
-@settings(max_examples=15, deadline=None)
-@given(DIMS, SEEDS, st.integers(0, 4))
-def test_verify_derivatives_matches_reference_loop(dim, seed, n_triples):
+@settings(max_examples=30, deadline=None)
+@given(DIMS, SEEDS, st.integers(0, 4), st.integers(0, 4), st.booleans())
+def test_verify_derivatives_matches_reference_loop(dim, seed, n_triples,
+                                                   n_points, as_generator):
+    """One draw and one reduction per call give the per-point loop's
+    errors, oracle sequences and final rng state, for 0 to 4 points given
+    as a list or as a generator."""
     obj, x = random_objective(dim, seed)
-    points = [x, 0.5 * x]
+    points = [s * x for s in (1.0, 0.5, -0.75, 1.5)[:n_points]]
     rng_new = np.random.default_rng(seed)
     rng_ref = np.random.default_rng(seed)
     new, ref = Recorder(obj), Recorder(obj)
-    report = verify_derivatives(new.obj, points, rng=rng_new,
-                                n_triples=n_triples)
+    report = verify_derivatives(
+        new.obj, (p for p in points) if as_generator else points,
+        rng=rng_new, n_triples=n_triples)
     want = ref_verify_derivatives(ref.obj, points, rng_ref, n_triples)
     assert bits([report.grad_err, report.hess_err, report.third_err]) == \
         bits(want)
@@ -246,6 +251,30 @@ def test_verify_derivatives_matches_reference_loop(dim, seed, n_triples):
     # stencils, so only each oracle's own sequence is compared.
     for kind in Recorder.KINDS:
         assert new.of(kind) == ref.of(kind)
+
+
+def test_verify_derivatives_nan_gradient_at_one_point_fails():
+    obj, x = random_objective(3, 5)
+    bad = 0.5 * x
+    gradient = obj.gradient
+    obj = replace(obj, gradient=lambda p: np.full(3, np.nan)
+                  if np.array_equal(p, bad) else gradient(p))
+    points = [x, bad, -x]
+    report = verify_derivatives(obj, points, rng=np.random.default_rng(1))
+    want = ref_verify_derivatives(obj, points, np.random.default_rng(1), 10)
+    assert report.grad_err == np.inf and not report.grad_ok
+    assert report.ok is False
+    assert bits([report.hess_err, report.third_err]) == bits(want[1:])
+
+
+def test_verify_derivatives_of_no_points_passes():
+    obj, _ = random_objective(2, 0)
+    rng = np.random.default_rng(9)
+    report = verify_derivatives(obj, [], rng=rng)
+    assert (report.grad_err, report.hess_err, report.third_err) == (0, 0, 0)
+    assert report.ok is True
+    assert rng.bit_generator.state == \
+        np.random.default_rng(9).bit_generator.state
 
 
 def test_verify_derivatives_matches_reference_on_catalog():
@@ -365,13 +394,22 @@ TWO_D = ["quad_well", "quad_51", "convex_53", "poly6", "inverse_barrier",
          "counterexample", "strongly_convex_base"]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from(TWO_D), SEEDS, st.sampled_from([-1e-2, -1e-4, 1e-2]),
-       st.floats(0.1, 3.0))
-def test_slice_scan_matches_reference_loop(name, seed, C, R):
+       st.floats(0.1, 3.0), st.none() | st.floats(5.0, 60.0))
+def test_slice_scan_matches_reference_loop(name, seed, C, R, holes):
+    """With holes, value is NaN or +inf in bands across the scan line;
+    both compare as infeasible."""
     problem = catalog(name)
     z = problem.x0 + 0.05 * np.random.default_rng(seed).uniform(-1.0, 1.0, 2)
-    new, ref = Recorder(problem.objective), Recorder(problem.objective)
+    obj = problem.objective
+    if holes is not None:
+        def holed(x, value=obj.value):
+            s = np.sin(holes * (x[0] - z[0]) + 0.7 * holes * (x[1] - z[1]))
+            return np.nan if s > 0.8 else np.inf if s < -0.8 else value(x)
+
+        obj = replace(obj, value=holed)
+    new, ref = Recorder(obj), Recorder(obj)
 
     def scan():   # at half-width R, in place of the automatic window
         with mock.patch.object(slice_centroid, "_auto_window",
@@ -391,3 +429,4 @@ def test_slice_scan_matches_reference_loop(name, seed, C, R):
         region = scan()
         assert bits(region.intervals) == bits(want)
     assert new.calls == ref.calls
+

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from math import cos, sin
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from affinedescent.errors import MissingReference
 from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
                                        StrongWolfeSearch)
 from affinedescent.numerics import DefinitenessTag
-from affinedescent.objective import make_objective
+from affinedescent.objective import make_objective, verify_derivatives
 from affinedescent.optimizer import (RunStatus, StoppingSpec,
                                      empirical_rates, gradient_descent_run,
                                      newton_run, yand_run)
@@ -143,6 +144,28 @@ class TestRecordConventions:
         assert rep.status is RunStatus.LINE_SEARCH_FAILURE
         assert rep.iters == 0 and len(rep.records) == 1
         assert max(r.T for r in rep.records) == 0.0
+
+    @pytest.mark.parametrize("step", [FixedStep(alpha=0.1), ArmijoSearch()],
+                             ids=["fixed", "armijo"])
+    @pytest.mark.parametrize("run", [
+        lambda p, step: yand_run(p, step, STOP),
+        lambda p, step: gradient_descent_run(p, step, STOP),
+        lambda p, step: newton_run(p, ls=step, stop=STOP),
+    ], ids=["yand", "gd", "newton"])
+    def test_records_own_their_arrays(self, run, step):
+        """The loop records each iterate without a copy, so no record may
+        share its x with another record or with the caller's start point."""
+        p = catalog("convex_53")
+        p = replace(p, x0=p.x0.copy())   # changed in place below
+        rep = run(p, step)
+        assert len(rep.records) >= 3
+        xs = [r.x for r in rep.records]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(xs) for b in xs[i + 1:])
+        assert rep.records[0].x is not p.x0
+        before = [r.x.tobytes() for r in rep.records]
+        p.x0[:] = 99.0
+        assert [r.x.tobytes() for r in rep.records] == before
 
 
 class TestStatuses:
@@ -433,3 +456,44 @@ class TestStoppingSpec:
                                match="^max_iter must be a positive integer$"):
                 StoppingSpec(max_iter=bad)
         assert StoppingSpec(max_iter=np.int64(3)).max_iter == 3
+
+
+def pl_problem(x0):
+    """f(x, y) = x^2 + 3 sin^2 x + y^2, which satisfies the
+    Polyak-Lojasiewicz inequality but is not convex (Karimi, Nutini &
+    Schmidt, ECML-PKDD 2016); its minimum is f = 0 at the origin."""
+    obj = make_objective(
+        dim=2,
+        value=lambda x: float(x[0] ** 2 + 3.0 * sin(x[0]) ** 2 + x[1] ** 2),
+        gradient=lambda x: np.array([2.0 * x[0] + 3.0 * sin(2.0 * x[0]),
+                                     2.0 * x[1]]),
+        hessian=lambda x: np.diag([2.0 + 6.0 * cos(2.0 * x[0]), 2.0]),
+        third_directional=lambda x, u, v, w:
+            -12.0 * sin(2.0 * x[0]) * u[0] * v[0] * w[0],
+    )
+    return Problem(name="pl_sin", objective=obj, x0=np.array(x0, dtype=float),
+                   x_star=np.zeros(2), f_star=0.0, notes="")
+
+
+class TestPolyakLojasiewicz:
+    """The paper's claim of linear convergence under the PL condition,
+    without convexity."""
+
+    STARTS = [(3.0, 1.0), (-2.5, 0.5), (1.2, -2.0), (4.0, 3.0)]
+
+    def test_helper_derivatives_and_nonconvexity(self):
+        p = pl_problem((1.2, -2.0))
+        assert verify_derivatives(p.objective, [np.array(s)
+                                                for s in self.STARTS]).ok
+        assert p.objective.hessian(p.x0)[0, 0] < 0.0
+
+    @pytest.mark.parametrize("ls", [ExactSearch(), ArmijoSearch(),
+                                    StrongWolfeSearch()],
+                             ids=["exact", "armijo", "wolfe"])
+    @pytest.mark.parametrize("x0", STARTS)
+    def test_linear_decrease_to_convergence(self, x0, ls):
+        rep = yand_run(pl_problem(x0), ls, StoppingSpec())
+        assert rep.status is RunStatus.CONVERGED
+        assert rep.iters <= 12
+        fs = [r.f for r in rep.records]
+        assert all(f1 / f0 <= 0.97 for f0, f1 in zip(fs, fs[1:]))
