@@ -17,7 +17,9 @@ with the same config and seed produce byte-identical files.
 
 Exit codes: 0 converged/ok, 1 bad arguments, 2 iteration cap, 3 line-search
 failure, degeneracy, or a non-finite gradient, Hessian or third derivative,
-4 check failure.
+4 check failure. table2 and invariance write every row and exit 3 when any
+of their runs ends with exit code 3, naming it on stderr, and 0 otherwise:
+a run at the iteration cap is data (table2 marks it N*).
 """
 from __future__ import annotations
 
@@ -179,26 +181,42 @@ def _count_cell(report: RunReport) -> str:
     return str(report.iters)
 
 
+def _sweep_exit_code(runs) -> int:
+    """0, or 3 when a run of a sweep could not continue: its _exit_code is
+    3. Each such run, given as (gamma, name, report), is named on stderr.
+    A run at the iteration cap is a row's data, not a failure."""
+    code = 0
+    for gamma, name, report in runs:
+        if _exit_code(report.status) == 3:
+            print(f"gamma {_fmt(gamma)} {name}: {report.status.value} "
+                  f"at k = {report.iters}", file=sys.stderr)
+            code = 3
+    return code
+
+
 def cmd_table2(specs: dict, out_path: str | Path) -> int:
     exact, wolfe, armijo, stop = (specs[name] for name in
                                   ("exact", "wolfe", "armijo", "stop"))
-    lines = ["gamma,kappaB,kappaH,yand_exact,yand_wolfe,yand_armijo,"
-             "gd_exact,gd_fixed,newton"]
+    columns = ["yand_exact", "yand_wolfe", "yand_armijo", "gd_exact",
+               "gd_fixed", "newton"]
+    lines = [",".join(["gamma", "kappaB", "kappaH"] + columns)]
+    runs = []
     for gamma in TABLE2_GAMMAS:
-        problem, scaling = make_affine_scaled(gamma)
-        cells = [
-            _fmt(gamma), _fmt(gamma), _fmt(gamma * gamma),
-            _count_cell(yand_run(problem, exact, stop)),
-            _count_cell(yand_run(problem, wolfe, stop)),
-            _count_cell(yand_run(problem, armijo, stop)),
-            _count_cell(gradient_descent_run(problem, exact, stop)),
-            _count_cell(gradient_descent_run(
-                problem, FixedStep(alpha=1.0 / (gamma * gamma)), stop)),
-            _count_cell(newton_run(problem, damped=False, stop=stop)),
+        problem, _ = make_affine_scaled(gamma)
+        reports = [
+            yand_run(problem, exact, stop),
+            yand_run(problem, wolfe, stop),
+            yand_run(problem, armijo, stop),
+            gradient_descent_run(problem, exact, stop),
+            gradient_descent_run(
+                problem, FixedStep(alpha=1.0 / (gamma * gamma)), stop),
+            newton_run(problem, damped=False, stop=stop),
         ]
-        lines.append(",".join(cells))
+        lines.append(",".join([_fmt(gamma), _fmt(gamma), _fmt(gamma * gamma)]
+                              + [_count_cell(r) for r in reports]))
+        runs += [(gamma, c, r) for c, r in zip(columns, reports)]
     _write_lines(out_path, lines)
-    return 0
+    return _sweep_exit_code(runs)
 
 
 def _example_checks() -> list[tuple[str, float, float, float]]:
@@ -271,12 +289,15 @@ def cmd_invariance(gammas, specs: dict, out_path: str | Path) -> int:
     for gamma in gammas:
         positive_finite("gammas", gamma)
     lines = ["gamma,max_deviation,iters_scaled,iters_base"]
+    runs = []
     for gamma in gammas:
-        rep = run_invariance(base, np.diag([1.0, float(gamma)]), exact, stop)
-        lines.append(f"{_fmt(float(gamma))},{_fmt(rep.max_deviation)},"
-                     f"{rep.iters_scaled},{rep.iters_base}")
+        gamma = float(gamma)
+        rep = run_invariance(base, np.diag([1.0, gamma]), exact, stop)
+        lines.append(f"{_fmt(gamma)},{_fmt(max(rep.per_iterate_deviation))},"
+                     f"{rep.scaled.iters},{rep.base.iters}")
+        runs += [(gamma, "scaled", rep.scaled), (gamma, "base", rep.base)]
     _write_lines(out_path, lines)
-    return 0
+    return _sweep_exit_code(runs)
 
 
 def _verify_points(problem, rng) -> list[np.ndarray]:
@@ -295,6 +316,8 @@ def _verify_points(problem, rng) -> list[np.ndarray]:
 
 
 def cmd_verify(seed: int, out_path: str | Path) -> int:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     lines = ["problem,grad_err,hess_err,third_err,pass"]
     ok = True

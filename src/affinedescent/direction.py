@@ -52,9 +52,15 @@ class DirectionResult(NamedTuple):
     case: DirectionCase
     tau: Vector            # tangential coefficients of d in the frame
     T: float               # ||tau||
-    cos_theta: float       # cosine of the angle between d and -grad
     point_class: SymmetricClass   # classification of the tangent block B
     step_scale: float      # multiplier making step_scale*d a unit-step-friendly length
+
+    @property
+    def cos_theta(self) -> float:
+        """Cosine of the angle between d and -grad. d = tangent @ tau -
+        normal, so ||d||^2 = 1 + T^2; -d.normal / ||d|| would carry an
+        error of about eps * T, large when d is nearly tangent."""
+        return 1.0 / sqrt(1.0 + self.T * self.T)
 
 
 def _hessian(obj: Objective, x: Vector) -> Matrix:
@@ -215,18 +221,15 @@ def _oriented_result(inner: float, d: Vector, tau: Vector, T: float,
     s = schur()
     floor = SCALE_FLOOR * max(1.0, abs(d_nn), b_norm)
     step_scale = gnorm / s if s > floor else 1.0
-    # d = tangent @ tau - normal, so ||d||^2 = 1 + T^2; -d.normal / ||d||
-    # would carry an error of about eps * T, large when d is nearly tangent.
-    return DirectionResult(d=d, case=case, tau=tau, T=T,
-                           cos_theta=1.0 / sqrt(1.0 + T * T),
-                           point_class=cls_B, step_scale=step_scale)
+    return DirectionResult(d=d, case=case, tau=tau, T=T, point_class=cls_B,
+                           step_scale=step_scale)
 
 
 def _fallback_result(normal: Vector, cls_B: SymmetricClass) -> DirectionResult:
     return DirectionResult(
         d=-normal, case=DirectionCase.STEEPEST_FALLBACK,
-        tau=np.zeros(cls_B.eigs.size), T=0.0, cos_theta=1.0,
-        point_class=cls_B, step_scale=1.0)
+        tau=np.zeros(cls_B.eigs.size), T=0.0, point_class=cls_B,
+        step_scale=1.0)
 
 
 def _planar_basis(n_hat: Vector) -> Matrix:

@@ -12,17 +12,14 @@ from .errors import SingularB
 from .line_search import LineSearchSpec
 from .numerics import angle_between, as_vector
 from .objective import make_objective
-from .optimizer import StoppingSpec, yand_run
+from .optimizer import RunReport, StoppingSpec, yand_run
 from .problems import Problem
 
 
 class InvarianceReport(NamedTuple):
-    gamma: float                        # condition number of the scaling B
-    per_iterate_deviation: list[float]  # ||y_k - y_k_base|| over shared rows
-    max_deviation: float
-    iters_scaled: int
-    iters_base: int
-    non_an_cases: int                   # steps where either run left case AN
+    scaled: RunReport                   # on phi(B x) from B^-1 y0
+    base: RunReport                     # on phi from y0
+    per_iterate_deviation: list[float]  # ||B x_k - y_k|| over shared rows
 
 
 def compose_scaled(base: Problem, B) -> Problem:
@@ -70,29 +67,19 @@ def compose_scaled(base: Problem, B) -> Problem:
 def run_invariance(base: Problem, B, ls: LineSearchSpec,
                    stop=None) -> InvarianceReport:
     """Run the geometric method on phi(B x) from B^-1 y0 and on phi from
-    y0; deviations are ||B x_k - y_k|| over the shared iterate range."""
+    y0; deviations are ||B x_k - y_k|| over the shared iterate range,
+    which holds row 0 at least."""
     if stop is None:
         stop = StoppingSpec()
     B = np.asarray(B, dtype=float)
-    scaled = compose_scaled(base, B)
-    rep_scaled = yand_run(scaled, ls, stop)
-    rep_base = yand_run(base, ls, stop)
-    n_shared = min(len(rep_scaled.records), len(rep_base.records))
+    scaled = yand_run(compose_scaled(base, B), ls, stop)
+    unscaled = yand_run(base, ls, stop)
+    n_shared = min(len(scaled.records), len(unscaled.records))
     deviations = [
-        float(np.linalg.norm(B @ rep_scaled.records[k].x - rep_base.records[k].x))
+        float(np.linalg.norm(B @ scaled.records[k].x - unscaled.records[k].x))
         for k in range(n_shared)
     ]
-    non_an = sum(r.case != "AN"
-                 for rep in (rep_scaled, rep_base)
-                 for r in rep.records[1:])
-    return InvarianceReport(
-        gamma=float(np.linalg.cond(B, 2)),
-        per_iterate_deviation=deviations,
-        max_deviation=max(deviations) if deviations else 0.0,
-        iters_scaled=rep_scaled.iters,
-        iters_base=rep_base.iters,
-        non_an_cases=int(non_an),
-    )
+    return InvarianceReport(scaled, unscaled, deviations)
 
 
 def direction_covariance_angle(base: Problem, B, y) -> float:

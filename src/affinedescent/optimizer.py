@@ -1,8 +1,8 @@
 """Iteration loops: the geometric descent method plus gradient-descent and
 Newton baselines, all emitting the same per-iterate telemetry.
 
-Record convention: row 0 is the start point (alpha 0, case "-"); row k >= 1
-carries the step data (alpha, case, T, cos_theta) of the move that produced
+Record convention: row 0 is the start point (alpha 0, case "-", T 0); row
+k >= 1 carries the step data (alpha, case, T) of the move that produced
 iterate k.
 """
 from __future__ import annotations
@@ -57,7 +57,8 @@ class IterateRecord(NamedTuple):
     alpha: float          # 0 for k=0
     case: str
     T: float
-    cos_theta: float
+
+    cos_theta = DirectionResult.cos_theta   # 1 / sqrt(1 + T^2), 1 at T = 0
 
 
 class RunReport(NamedTuple):
@@ -81,12 +82,11 @@ def _run_line_search(obj: Objective, x: Vector, g: Vector, d: Vector,
     def phi(alpha: float) -> float:
         return obj.value(x + alpha * d)
 
-    # d first: a gradient oracle may return any array-like
-    dphi0 = float(d.dot(g))
     if isinstance(ls, ExactSearch):
         return exact_search(phi, alpha_max=ls.alpha_max)
     if isinstance(ls, ArmijoSearch):
-        return armijo_backtrack(phi, dphi0, ls)
+        # d first: a gradient oracle may return any array-like
+        return armijo_backtrack(phi, float(d.dot(g)), ls)
     if isinstance(ls, StrongWolfeSearch):
         def dphi(alpha: float) -> float:
             return float(d.dot(obj.gradient(x + alpha * d)))
@@ -97,7 +97,7 @@ def _run_line_search(obj: Objective, x: Vector, g: Vector, d: Vector,
 
 def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
           stop: StoppingSpec, direction_fn) -> RunReport:
-    """Shared driver. direction_fn(x, g) -> (step vector, case, T, cos)."""
+    """Shared driver. direction_fn(x, g) -> (step vector, case, T)."""
     obj = problem.objective
     x = as_vector(problem.x0).copy()
     f_curr = obj.value(x)
@@ -106,7 +106,7 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
     g = obj.gradient(x)
     gnorm = norm2(g)
     # Every iterate is a fresh array, so each record owns its x.
-    records = [IterateRecord(0, x, f_curr, gnorm, 0.0, "-", 0.0, 1.0)]
+    records = [IterateRecord(0, x, f_curr, gnorm, 0.0, "-", 0.0)]
     iters = 0
     while True:
         if not isfinite(gnorm):   # at the start point or an accepted iterate
@@ -119,7 +119,7 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
             status = RunStatus.MAX_ITER_REACHED
             break
         try:
-            d, case, T, cos_theta = direction_fn(x, g)
+            d, case, T = direction_fn(x, g)
         except (SingularHessian, ZeroGradient):
             status = RunStatus.DEGENERATE_STOP
             break
@@ -149,7 +149,7 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
         gnorm = norm2(g)
         iters += 1
         records.append(IterateRecord(iters, x, f_curr, gnorm, float(alpha),
-                                     case, T, cos_theta))
+                                     case, T))
     return RunReport(records=records, status=status)
 
 
@@ -162,7 +162,7 @@ def yand_run(problem: Problem, ls: LineSearchSpec,
 
     def direction(x, g):
         res: DirectionResult = descent_direction(obj, x)
-        return (res.step_scale * res.d, res.case.value, res.T, res.cos_theta)
+        return (res.step_scale * res.d, res.case.value, res.T)
 
     return _loop(problem, ls, stop, direction)
 
@@ -174,7 +174,7 @@ def gradient_descent_run(problem: Problem,
         stop = StoppingSpec()
 
     def direction(x, g):
-        return (-g, "GD", 0.0, 1.0)
+        return (-g, "GD", 0.0)
 
     return _loop(problem, step, stop, direction)
 
@@ -193,7 +193,7 @@ def newton_run(problem: Problem, damped: bool = False,
     case = "DampedNewton" if damped else "Newton"
 
     def direction(x, g):
-        return (newton_direction(obj, x, regularize=damped), case, 0.0, 1.0)
+        return (newton_direction(obj, x, regularize=damped), case, 0.0)
 
     return _loop(problem, ls, stop, direction)
 

@@ -385,7 +385,6 @@ def inverse_barrier_optimum() -> tuple[Vector, float]:
 
 
 class AffineScalingSpec(NamedTuple):
-    gamma: float
     B: np.ndarray
     base: Problem
 
@@ -402,5 +401,5 @@ def make_affine_scaled(gamma: float) -> tuple[Problem, AffineScalingSpec]:
     base = _quadratic_problem(
         "isotropic_bowl", np.eye(2), np.zeros(2), (1.0, gamma),
         "unit bowl seen through the scaling")
-    return scaled, AffineScalingSpec(gamma=float(gamma),
-                                     B=np.diag([1.0, float(gamma)]), base=base)
+    return scaled, AffineScalingSpec(B=np.diag([1.0, float(gamma)]),
+                                     base=base)

@@ -249,7 +249,7 @@ def test_criterion_12_scaled_iterates_map_onto_base_iterates():
     for gamma in (10.0, 1e2, 1e4):
         rep = run_invariance(base, np.diag([1.0, gamma]), ExactSearch(),
                              tight)
-        assert rep.iters_scaled == rep.iters_base, gamma
+        assert rep.scaled.iters == rep.base.iters, gamma
         assert len(rep.per_iterate_deviation) >= 4
         assert all(dev <= 1e-6 for dev in rep.per_iterate_deviation[:10])
 

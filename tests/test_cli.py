@@ -4,6 +4,8 @@ import re
 import stat
 import tempfile
 from dataclasses import replace
+from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,14 +26,17 @@ from test_optimizer import (nan_gradient_problem, nan_hessian_problem,
                             non_finite_third_problem)
 
 
-# Python floats and numpy float64s, with -0, +-inf, NaN, subnormals and
-# 17-significant-digit values among them.
-FLOATS = st.one_of(
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+# Python floats, with -0, +-inf, NaN, subnormals and 17-significant-digit
+# values among them; FLOATS also draws each as a numpy float64.
+PY_FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, np.inf, -np.inf, np.nan, 5e-324, -1.5e-310,
                      0.1, 1.0 / 3.0, 12345678901234567.0,
                      1.7976931348623157e308]),
-).flatmap(lambda v: st.sampled_from([v, np.float64(v)]))
+)
+FLOATS = PY_FLOATS.flatmap(lambda v: st.sampled_from([v, np.float64(v)]))
 
 
 def records_of(dim):
@@ -41,7 +46,8 @@ def records_of(dim):
         f=FLOATS, grad_norm=FLOATS, alpha=FLOATS,
         case=st.sampled_from(["-", "AN", "FlippedAN", "SteepestFallback",
                               "GD", "Newton", "DampedNewton"]),
-        T=FLOATS, cos_theta=FLOATS)
+        # every producer's T is a Python float: math.sqrt's or a literal
+        T=PY_FLOATS)
 
 
 def run_main(argv, capsys):
@@ -167,14 +173,16 @@ class TestFormatting:
         lambda n: st.lists(records_of(n), min_size=1, max_size=4)))
     def test_trajectory_rows_are_fmt_cells(self, records):
         """write_trajectory_csv formats a row at once; its bytes are those
-        of _fmt on each cell."""
+        of _fmt on each cell, cos_theta included, which the record derives
+        from T."""
         dim = records[0].x.size
         header = ["k"] + [f"x{i + 1}" for i in range(dim)] + \
             ["f", "gnorm", "alpha", "case", "T", "cos_theta"]
         rows = [",".join(header)] + [",".join(
             [str(r.k)] + [_fmt(c) for c in r.x]
             + [_fmt(r.f), _fmt(r.grad_norm), _fmt(r.alpha), r.case,
-               _fmt(r.T), _fmt(r.cos_theta)]) for r in records]
+               _fmt(r.T), _fmt(1.0 / sqrt(1.0 + r.T * r.T))])
+            for r in records]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "traj.csv")
             write_trajectory_csv(RunReport(records, RunStatus.CONVERGED), path)
@@ -452,8 +460,29 @@ class TestTable2Command:
     def test_table_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
-            assert run_main(["table2", "--out", str(out)], capsys)[0] == 0
+            code, _, err = run_main(["table2", "--out", str(out)], capsys)
+            assert code == 0 and err == ""
         assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes() == (RESULTS / "table2.csv").read_bytes()
+
+    def test_failed_run_exits_three_and_keeps_every_row(self, tmp_path,
+                                                         capsys):
+        """At tol_grad 1e-300 the exact search of gradient descent fails
+        at gamma 10 and 100; the table is the same, the exit code 3."""
+        out = tmp_path / "table2.csv"
+        code, _, err = run_main(
+            ["table2", "--tol-grad", "1e-300", "--out", str(out)], capsys)
+        assert code == 3
+        assert out.read_text() == (
+            "gamma,kappaB,kappaH,yand_exact,yand_wolfe,yand_armijo,"
+            "gd_exact,gd_fixed,newton\n"
+            "1,1,1,2,2,2,1,1,1\n"
+            "10,10,100,2,2,2,178,200*,1\n"
+            "100,100,10000,1,1,1,83,200*,1\n"
+            "1000,1000,1000000,1,1,1,16,200*,1\n"
+            "10000,10000,100000000,1,11,11,18,200*,1\n")
+        assert err == ("gamma 10 gd_exact: LineSearchFailure at k = 178\n"
+                       "gamma 100 gd_exact: LineSearchFailure at k = 83\n")
 
 
 class TestExamplesCommand:
@@ -474,16 +503,30 @@ class TestExamplesCommand:
 class TestInvarianceCommand:
     def test_reported_deviations_are_small(self, tmp_path, capsys):
         out = tmp_path / "inv.csv"
-        code, _, _ = run_main(
-            ["invariance", "--gammas", "10,100", "--out", str(out)], capsys)
-        assert code == 0
+        code, _, err = run_main(["invariance", "--gammas", "10,100,10000",
+                                 "--out", str(out)], capsys)
+        assert code == 0 and err == ""
         lines = out.read_text().splitlines()
         assert lines[0] == "gamma,max_deviation,iters_scaled,iters_base"
         rows = [line.split(",") for line in lines[1:]]
-        assert [float(r[0]) for r in rows] == [10.0, 100.0]
+        assert [float(r[0]) for r in rows] == [10.0, 100.0, 1e4]
         for r in rows:
             assert float(r[1]) <= 1e-6
             assert r[2] == r[3]
+        assert out.read_bytes() == (RESULTS / "invariance.csv").read_bytes()
+
+    def test_failed_run_exits_three(self, tmp_path, capsys):
+        """At gamma 1e16 the scaled run ends before its first step: the
+        row is written, its deviation covers row 0 only, and stderr names
+        the run."""
+        out = tmp_path / "inv.csv"
+        code, _, err = run_main(
+            ["invariance", "--gammas", "1e16", "--out", str(out)], capsys)
+        assert code == 3
+        assert out.read_text() == ("gamma,max_deviation,iters_scaled,"
+                                   "iters_base\n10000000000000000,0,0,3\n")
+        assert err == ("gamma 10000000000000000 scaled: LineSearchFailure "
+                       "at k = 0\n")
 
     def test_bad_gammas_exits_one(self, tmp_path, capsys):
         code, _, _ = run_main(
@@ -553,6 +596,21 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert code == 4
         assert out.read_text().splitlines()[1].endswith(",inf,FAIL")
+
+    @pytest.mark.parametrize("argv, cfg_text", [
+        (["verify", "--seed", "-1"], ""),
+        (["verify"], "seed = -1\n"),
+        (["verify", "--seed", "-7"], "seed = 3\n")])
+    def test_negative_seed_names_the_key(self, argv, cfg_text, tmp_path,
+                                         capsys):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "verify.csv"
+        code, _, err = run_main(
+            argv + ["--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error: seed must be a non-negative integer")
+        assert not out.exists()
 
 
 class TestNonFiniteSettings:

@@ -12,7 +12,7 @@ from affinedescent.invariance import (compose_scaled,
                                       run_invariance)
 from affinedescent.line_search import ExactSearch
 from affinedescent.objective import verify_derivatives
-from affinedescent.optimizer import StoppingSpec
+from affinedescent.optimizer import RunStatus, StoppingSpec
 from affinedescent.problems import CATALOG_NAMES, catalog
 
 BASE = catalog("strongly_convex_base")
@@ -119,22 +119,30 @@ class TestDirectionCovariance:
 class TestRunInvariance:
     def test_identity_scaling_is_exact(self):
         rep = run_invariance(BASE, np.eye(2), ExactSearch())
-        assert rep.max_deviation == 0.0
-        assert rep.iters_scaled == rep.iters_base
-        assert rep.gamma == pytest.approx(1.0)
+        assert max(rep.per_iterate_deviation) == 0.0
+        assert rep.scaled.iters == rep.base.iters
 
     @pytest.mark.parametrize("gamma", [10.0, 1e2, 1e4])
     def test_iterates_collapse_after_mapping(self, gamma):
         rep = run_invariance(BASE, np.diag([1.0, gamma]), ExactSearch())
-        assert rep.max_deviation <= 1e-6
-        assert rep.iters_scaled == rep.iters_base
-        assert rep.gamma == pytest.approx(gamma, rel=1e-12)
-        assert rep.non_an_cases == 0
-        assert rep.max_deviation == max(rep.per_iterate_deviation)
+        assert max(rep.per_iterate_deviation) <= 1e-6
+        assert rep.scaled.iters == rep.base.iters
+        assert all(r.case == "AN" for run in (rep.scaled, rep.base)
+                   for r in run.records[1:])
+        assert rep.scaled.status is rep.base.status is RunStatus.CONVERGED
 
     def test_tight_tolerance_gives_longer_matching_runs(self):
         stop = StoppingSpec(tol_grad=1e-12, max_iter=200)
         rep = run_invariance(BASE, np.diag([1.0, 100.0]), ExactSearch(), stop)
-        assert rep.iters_base >= 3
-        assert rep.iters_scaled == rep.iters_base
-        assert rep.max_deviation <= 1e-6
+        assert rep.base.iters >= 3
+        assert rep.scaled.iters == rep.base.iters
+        assert max(rep.per_iterate_deviation) <= 1e-6
+
+    def test_report_keeps_the_status_of_a_failed_run(self):
+        """At gamma 1e16 the scaled run cannot take its first step; the
+        deviations cover row 0 only, and the run's status says why."""
+        rep = run_invariance(BASE, np.diag([1.0, 1e16]), ExactSearch())
+        assert rep.scaled.status is RunStatus.LINE_SEARCH_FAILURE
+        assert rep.scaled.iters == 0
+        assert rep.base.status is RunStatus.CONVERGED
+        assert len(rep.per_iterate_deviation) == 1

@@ -42,21 +42,19 @@ RECORD_FIELDS = {
     "numerics.Frame": ("basis", "grad_norm"),
     "numerics.SymmetricClass": ("tag", "eigs", "matrix", "factor"),
     "direction.BlockHessian": ("frame", "B", "c", "d_nn"),
-    "direction.DirectionResult": ("d", "case", "tau", "T", "cos_theta",
-                                  "point_class", "step_scale"),
+    "direction.DirectionResult": ("d", "case", "tau", "T", "point_class",
+                                  "step_scale"),
     "line_search.LineSearchResult": ("alpha", "f_new", "evals", "status"),
-    "objective.DerivativeReport": ("grad_err", "hess_err", "third_err",
-                                   "grad_ok", "hess_ok", "third_ok"),
+    "objective.DerivativeReport": ("grad_err", "hess_err", "third_err"),
     "optimizer.IterateRecord": ("k", "x", "f", "grad_norm", "alpha", "case",
-                                "T", "cos_theta"),
+                                "T"),
     "optimizer.RateTable": ("linear_ratios", "quad_ratios"),
     "optimizer.RunReport": ("records", "status"),
     "slice_centroid.SliceRegion": ("intervals", "total_length",
                                    "centroid_param", "centroid", "frame"),
-    "invariance.InvarianceReport": ("gamma", "per_iterate_deviation",
-                                    "max_deviation", "iters_scaled",
-                                    "iters_base", "non_an_cases"),
-    "problems.AffineScalingSpec": ("gamma", "B", "base"),
+    "invariance.InvarianceReport": ("scaled", "base",
+                                    "per_iterate_deviation"),
+    "problems.AffineScalingSpec": ("B", "base"),
 }
 
 
