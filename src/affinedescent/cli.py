@@ -415,9 +415,7 @@ def main(argv=None) -> int:
         if args.command == "invariance":
             return cmd_invariance(_parse_gammas(args.gammas), specs,
                                   args.out)
-        if args.command == "verify":
-            return cmd_verify(settings.get("seed", 42), args.out)
-        raise ValueError(f"unknown command {args.command!r}")
+        return cmd_verify(settings.get("seed", 42), args.out)
     except (UnknownProblem, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

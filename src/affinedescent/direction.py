@@ -51,9 +51,12 @@ class DirectionResult(NamedTuple):
     d: Vector              # ambient direction, frame-normal component -1
     case: DirectionCase
     tau: Vector            # tangential coefficients of d in the frame
-    T: float               # ||tau||
     point_class: SymmetricClass   # classification of the tangent block B
     step_scale: float      # multiplier making step_scale*d a unit-step-friendly length
+
+    @property
+    def T(self) -> float:
+        return norm2(self.tau)
 
     @property
     def cos_theta(self) -> float:
@@ -166,12 +169,12 @@ def affine_normal_direction(obj: Objective, x) -> tuple[Vector, Vector]:
 def descent_direction(obj: Objective, x) -> DirectionResult:
     """Geometric descent direction with case logic.
 
-    Case AN: the oriented geometric direction already points downhill.
-    Case FlippedAN: it points uphill (orientation sign flips with the
-    tangent-block determinant) and is negated. SteepestFallback: the
-    tangent block is numerically singular, or the direction is orthogonal
-    to the gradient within EPS_ORTH; the unit negative gradient is used.
-    The returned d always has frame-normal component -1.
+    The returned d is tangent @ tau - n_hat, frame-normal component -1, so
+    g.d = -||g||. The case is the orientation sign omega: AN iff omega > 0;
+    otherwise FlippedAN, where the geometric normal omega * d pointed
+    uphill and was flipped. SteepestFallback: the tangent block is
+    numerically singular, or d is numerically tangent, which needs
+    ||d|| >~ 1e12; the unit negative gradient is used.
 
     A 2-D objective takes a scalar closed form of the 1x1 tangent block,
     with the same oracle calls, errors and result bits as the matrix path;
@@ -193,43 +196,37 @@ def _matrix_direction(obj: Objective, x: Vector,
     block, cls_B, tau, d = _affine_normal(obj, x, frame)
     if tau is None:
         return _fallback_result(block.frame.normal, cls_B)
-    # Orientation of the underlying geometric normal: for an odd number of
-    # tangent directions it flips with sign(det B); for an even number the
-    # real root does not exist for negative det and the sign is taken +1.
-    omega = cls_B.det_sign if tau.size % 2 else 1.0
     return _oriented_result(
-        omega * float(g @ d), d, tau, norm2(tau), block.frame.normal,
-        block.frame.grad_norm, cls_B,
+        float(g @ d), d, tau, block.frame.normal, block.frame.grad_norm, cls_B,
         lambda: block.d_nn - float(block.c @ solve_symmetric(cls_B, block.c)),
         block.d_nn, inf_norm(block.B))
 
 
-def _oriented_result(inner: float, d: Vector, tau: Vector, T: float,
-                     n_hat: Vector, gnorm: float, cls_B: SymmetricClass,
-                     schur, d_nn: float, b_norm: float) -> DirectionResult:
-    """The case from inner, the orientation sign times g.d, against the
-    EPS_ORTH band; then the step scale from schur(), the Schur complement
-    d_nn - c.B^-1 c, which a fallback never evaluates. b_norm is
-    ||B||_inf."""
-    band = EPS_ORTH * gnorm * norm2(d)
-    if inner < -band:
-        case = DirectionCase.AN
-    elif inner > band:
-        case = DirectionCase.FLIPPED_AN
-    else:
+def _oriented_result(gd: float, d: Vector, tau: Vector, n_hat: Vector,
+                     gnorm: float, cls_B: SymmetricClass, schur, d_nn: float,
+                     b_norm: float) -> DirectionResult:
+    """The paper's descent characterization: d descends, with g.d = -||g||,
+    unless it is numerically tangent (g.d not below the EPS_ORTH band) and
+    falls back. The case is the orientation sign omega: sign(det B) for an
+    odd number of tangent directions, +1 for an even number, where the real
+    root does not exist for negative det. Then the step scale from schur(),
+    the Schur complement d_nn - c.B^-1 c, which a fallback never evaluates.
+    b_norm is ||B||_inf."""
+    if not gd < -EPS_ORTH * gnorm * norm2(d):
         return _fallback_result(n_hat, cls_B)
+    omega = cls_B.det_sign if tau.size % 2 else 1.0
+    case = DirectionCase.AN if omega > 0.0 else DirectionCase.FLIPPED_AN
     s = schur()
     floor = SCALE_FLOOR * max(1.0, abs(d_nn), b_norm)
     step_scale = gnorm / s if s > floor else 1.0
-    return DirectionResult(d=d, case=case, tau=tau, T=T, point_class=cls_B,
+    return DirectionResult(d=d, case=case, tau=tau, point_class=cls_B,
                            step_scale=step_scale)
 
 
 def _fallback_result(normal: Vector, cls_B: SymmetricClass) -> DirectionResult:
     return DirectionResult(
         d=-normal, case=DirectionCase.STEEPEST_FALLBACK,
-        tau=np.zeros(cls_B.eigs.size), T=0.0, point_class=cls_B,
-        step_scale=1.0)
+        tau=np.zeros(cls_B.eigs.size), point_class=cls_B, step_scale=1.0)
 
 
 def _planar_basis(n_hat: Vector) -> Matrix:
@@ -286,10 +283,9 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
         raise NonFiniteThird(_NON_FINITE_CORRECTION)
     tau = solve(rhs)
     d = np.array([(0.0 + t0 * tau) - n0, (0.0 + t1 * tau) - n1])
-    omega = -1.0 if b < 0.0 else 1.0
     return _oriented_result(   # g may be any array-like
-        omega * float(d.dot(g)), d, np.array([tau]), sqrt(tau * tau), n_hat,
-        gnorm, cls_B, lambda: d_nn - c * solve(c), d_nn, abs(b))
+        float(d.dot(g)), d, np.array([tau]), n_hat, gnorm, cls_B,
+        lambda: d_nn - c * solve(c), d_nn, abs(b))
 
 
 def newton_direction(obj: Objective, x, regularize: bool = False) -> Vector:
@@ -302,7 +298,8 @@ def newton_direction(obj: Objective, x, regularize: bool = False) -> Vector:
     x = as_vector(x, obj.dim)
     g = obj.gradient(x)
     H = _hessian(obj, x)
-    cls = _classify_hessian(H)
+    # the symmetric part, as block_decompose takes of B; H for a symmetric H
+    cls = _classify_hessian(0.5 * (H + H.T))
     if regularize and not cls.is_positive_definite:
         shift = max(0.0, -cls.min_eig) + 1e-8 * max(1.0, inf_norm(H))
         cls = _classify_hessian(cls.matrix + shift * np.eye(obj.dim))

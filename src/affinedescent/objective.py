@@ -132,8 +132,8 @@ def _fd_third_rows(obj: Objective, x: Vector, triples: np.ndarray,
     for k, (xp, xm, (_, v, w)) in enumerate(zip(plus, minus, triples)):
         if not (obj.in_domain(xp) and obj.in_domain(xm)):
             raise DomainViolation("Hessian stencil left the domain")
-        hp = obj.hessian(xp)
-        hm = obj.hessian(xm)
+        hp = np.asarray(obj.hessian(xp), dtype=float)
+        hm = np.asarray(obj.hessian(xm), dtype=float)
         if not (_all_finite(hp) and _all_finite(hm)):
             raise DomainViolation("Hessian stencil produced non-finite entries")
         out[k] = (0.0 + float(v.dot(hp - hm).dot(w))) / (2.0 * h)

@@ -103,7 +103,7 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
     f_curr = obj.value(x)
     if not isfinite(f_curr):
         raise ValueError("start point is outside the domain")
-    g = obj.gradient(x)
+    g = as_vector(obj.gradient(x))   # an oracle may return a list
     gnorm = norm2(g)
     # Every iterate is a fresh array, so each record owns its x.
     records = [IterateRecord(0, x, f_curr, gnorm, 0.0, "-", 0.0)]
@@ -145,7 +145,7 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
             alpha = res.alpha
             x_new = x + alpha * d
             f_new = res.f_new
-        x, f_curr, g = x_new, f_new, obj.gradient(x_new)
+        x, f_curr, g = x_new, f_new, as_vector(obj.gradient(x_new))
         gnorm = norm2(g)
         iters += 1
         records.append(IterateRecord(iters, x, f_curr, gnorm, float(alpha),

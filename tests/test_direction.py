@@ -1,5 +1,7 @@
 import struct
 from dataclasses import replace
+from math import sqrt
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from test_fd_kernels import Recorder
 from test_optimizer import non_finite_third_problem
 
 from affinedescent import direction
-from affinedescent.direction import (DirectionCase, _affine_normal,
-                                     _matrix_direction, _planar_basis,
-                                     _planar_direction, _third_tensor_tangent,
+from affinedescent.direction import (DirectionCase, DirectionResult,
+                                     _affine_normal, _fallback_result,
+                                     _matrix_direction, _oriented_result,
+                                     _planar_basis, _planar_direction,
+                                     _third_tensor_tangent,
                                      affine_normal_direction, block_decompose,
                                      classify_point, descent_direction,
                                      newton_direction)
@@ -20,7 +24,8 @@ from affinedescent.errors import (DegenerateTangentBlock, NonFiniteHessian,
                                   UnsupportedDimension, ZeroGradient)
 from affinedescent.invariance import compose_scaled
 from affinedescent.numerics import (DefinitenessTag, Frame, angle_between,
-                                    build_gradient_frame)
+                                    build_gradient_frame, classify_symmetric,
+                                    norm2)
 from affinedescent.objective import make_objective
 from affinedescent.problems import CATALOG_NAMES, catalog
 
@@ -204,6 +209,22 @@ class TestCases:
         obj = catalog("quad_51").objective
         res = descent_direction(obj, np.array([2.0, 0.0]))
         assert res.case is DirectionCase.STEEPEST_FALLBACK
+
+    @pytest.mark.parametrize("b", [1.0, -1.0])
+    def test_ascent_falls_back_whatever_the_orientation(self, b):
+        """g.d above the band, which d = T tau - n_hat, with g.d = -||g||,
+        reaches only through rounding: no orientation makes d a descent
+        direction, so the case falls back where the g.d-sign rule named
+        FlippedAN (omega = +1) or AN (omega = -1)."""
+        cls = classify_symmetric(np.array([[b]]))
+        n_hat = np.array([0.0, 1.0])
+        args = (1.0, np.array([0.5, -1.0]), np.array([0.5]), n_hat, 1.0, cls,
+                lambda: 1.0, 1.0, 1.0)
+        res = _oriented_result(*args)
+        assert res.case is DirectionCase.STEEPEST_FALLBACK
+        assert result_bits(res) == result_bits(_fallback_result(n_hat, cls))
+        assert gd_sign_oriented_result(*args).case is (
+            DirectionCase.FLIPPED_AN if b > 0.0 else DirectionCase.AN)
 
     def test_fallback_on_indefinite_block_with_zero_eigenvalue(self):
         # tangent block diag(-2, 0): Singular, though its lowest eigenvalue
@@ -405,7 +426,8 @@ class TestFrameInvariance:
 
 
 def result_bits(res):
-    """Every field of a DirectionResult, floats and arrays as their bytes."""
+    """Every field of a DirectionResult and its T, floats and arrays as
+    their bytes."""
     def bits(v):
         if isinstance(v, float):
             return struct.pack("d", v)
@@ -414,8 +436,40 @@ def result_bits(res):
         return v
     cls = res.point_class
     return ([bits(getattr(res, name)) for name in res._fields
-             if name != "point_class"]
+             if name != "point_class"] + [bits(res.T)]
             + [bits(getattr(cls, name)) for name in cls._fields])
+
+
+def gd_sign_oriented_result(gd, d, tau, n_hat, gnorm, cls_B, schur, d_nn,
+                           b_norm):
+    """_oriented_result as it decided the case before reading it from the
+    orientation sign alone, the g.d-sign rule: inner = omega * g.d against
+    the EPS_ORTH band, AN below it and FlippedAN above it. The planar path
+    took omega as -1 if b < 0 else +1, which is det_sign of its 1x1 class.
+    The two rules differ only where g.d lies above the band: this one names
+    a case there, the package falls back."""
+    omega = cls_B.det_sign if tau.size % 2 else 1.0
+    inner = omega * gd
+    band = direction.EPS_ORTH * gnorm * norm2(d)
+    if inner < -band:
+        case = DirectionCase.AN
+    elif inner > band:
+        case = DirectionCase.FLIPPED_AN
+    else:
+        return _fallback_result(n_hat, cls_B)
+    s = schur()
+    floor = direction.SCALE_FLOOR * max(1.0, abs(d_nn), b_norm)
+    step_scale = gnorm / s if s > floor else 1.0
+    return DirectionResult(d=d, case=case, tau=tau, point_class=cls_B,
+                           step_scale=step_scale)
+
+
+def assert_gd_sign_rule_agrees(paths, obj, x):
+    """Each path gives the same outcome, oracle calls included, under the
+    g.d-sign rule."""
+    new = [logged_outcome(path, obj, x) for path in paths]
+    with patch.object(direction, "_oriented_result", gd_sign_oriented_result):
+        assert [logged_outcome(path, obj, x) for path in paths] == new
 
 
 def logged_outcome(path, obj, x):
@@ -432,11 +486,24 @@ def logged_outcome(path, obj, x):
     return out, rec.calls
 
 
+def default_matrix_path(obj, x):
+    return _matrix_direction(obj, x, None)
+
+
 def assert_planar_is_matrix_path(obj, x):
+    """The same outcome on both paths, under the case rule and under the
+    g.d-sign rule it replaced; T is the sqrt(tau * tau) that the planar
+    path stored before T was derived from tau."""
     planar = logged_outcome(_planar_direction, obj, x)
-    matrix = logged_outcome(
-        lambda o, y: _matrix_direction(o, y, None), obj, x)
+    matrix = logged_outcome(default_matrix_path, obj, x)
     assert planar == matrix
+    assert_gd_sign_rule_agrees([_planar_direction, default_matrix_path],
+                                obj, x)
+    if isinstance(planar[0], list):   # a result, not an error
+        with np.errstate(all="ignore"):
+            res = _planar_direction(obj, x)
+        t = float(res.tau[0])
+        assert struct.pack("d", res.T) == struct.pack("d", sqrt(t * t))
 
 
 def fixed_oracles(g, H, third):
@@ -497,6 +564,21 @@ class TestPlanarPath:
         x = np.asarray(p.x0, dtype=float) + np.array([dx, dy])
         if p.objective.in_domain(x):
             assert_planar_is_matrix_path(p.objective, x)
+
+    def test_T_of_one_entry_is_sqrt_of_square(self):
+        """T = norm2(tau) on a 1-entry tau gives the bits of sqrt(t * t),
+        over random bit patterns and the edges of the double range."""
+        rng = np.random.default_rng(20)
+        ts = rng.integers(0, 2 ** 64, size=200_000,
+                          dtype=np.uint64).view(float)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 1.4916681462400413e-154, 1.3407807929942596e154,
+                 1.4e154, 1.7976931348623157e308, np.inf, -np.inf]
+        ts = np.concatenate([edges, ts[~np.isnan(ts)]])
+        with np.errstate(over="ignore", under="ignore"):
+            got = [norm2(ts[i:i + 1]) for i in range(ts.size)]
+        want = [sqrt(t * t) for t in ts.tolist()]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)))
@@ -657,6 +739,7 @@ def assert_descent_characterized(obj, x):
     error scales with ||d||, not with ||g|| alone. At most 2 eps ||g|| ||d||
     was seen over 8,744 such draws. A flat 1e-8 ||g|| fails where T is
     huge: ||d|| = 4.7e10 on a coupled quartic gave 1.2e-6 ||g||."""
+    assert_gd_sign_rule_agrees([descent_direction], obj, x)
     res = descent_direction(obj, x)
     if res.case is DirectionCase.STEEPEST_FALLBACK:
         return

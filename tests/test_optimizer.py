@@ -110,6 +110,36 @@ def nan_hessian_problem(name):
     return replace(p, objective=replace(p.objective, hessian=hessian))
 
 
+def list_oracle_problem(name):
+    """Catalog problem whose gradient and Hessian oracles return lists."""
+    p = catalog(name)
+    obj = p.objective
+    return replace(p, objective=replace(
+        obj, gradient=lambda x: obj.gradient(x).tolist(),
+        hessian=lambda x: obj.hessian(x).tolist()))
+
+
+def asymmetric_hessian_problem():
+    """f = x^2 + 2 y^2 + x y / 2, whose Hessian oracle returns the
+    asymmetric [[2, 1], [0, 4]]: its symmetric part is the true Hessian."""
+    obj = make_objective(
+        dim=2,
+        value=lambda x: float(x[0] ** 2 + 2.0 * x[1] ** 2 + 0.5 * x[0] * x[1]),
+        gradient=lambda x: np.array([2.0 * x[0] + 0.5 * x[1],
+                                     4.0 * x[1] + 0.5 * x[0]]),
+        hessian=lambda x: np.array([[2.0, 1.0], [0.0, 4.0]]),
+        third_directional=lambda x, u, v, w: 0.0,
+    )
+    return Problem(name="asymmetric_hessian", objective=obj,
+                   x0=np.array([1.0, -2.0]), x_star=np.zeros(2), f_star=0.0,
+                   notes="")
+
+
+def report_bits(rep):
+    return rep.status, [(r.k, r.x.tobytes(), r.f, r.grad_norm, r.alpha,
+                         r.case, r.T) for r in rep.records]
+
+
 class TestRecordConventions:
     def test_start_row_and_step_rows(self):
         rep = yand_run(catalog("quad_well"), ExactSearch(), STOP)
@@ -334,6 +364,19 @@ class TestConvergence:
         assert rep.status is RunStatus.CONVERGED
         assert any(r.alpha != 1.0 for r in rep.records[1:])
 
+    @pytest.mark.parametrize("run", [
+        lambda p: newton_run(p, stop=STOP),
+        lambda p: newton_run(p, damped=True, stop=STOP),
+        lambda p: yand_run(p, ExactSearch(), STOP)],
+        ids=["newton", "dnewton", "yand"])
+    def test_asymmetric_hessian_oracle_is_symmetrized(self, run):
+        """Newton solves with the symmetric part of the oracle's Hessian, as
+        the direction's tangent block does, instead of raising
+        NotSymmetric."""
+        rep = run(asymmetric_hessian_problem())
+        assert rep.status is RunStatus.CONVERGED
+        assert np.linalg.norm(rep.final.x) <= 1e-4
+
     def test_gd_exact_converges_on_scaled_quadratics(self):
         for gamma in (10.0, 1e4):
             problem, _ = make_affine_scaled(gamma)
@@ -438,6 +481,37 @@ class TestEmpiricalRates:
         rep = yand_run(start_at_min, ExactSearch(), STOP)
         rates = empirical_rates(rep, x_star=p.x_star, f_star=p.f_star)
         assert rates.linear_ratios == [] and rates.quad_ratios == []
+
+
+class TestListOracles:
+    """descent_direction accepts oracles that return lists; so do the runs
+    and the FD check, with the results of their ndarray twins."""
+
+    @pytest.mark.parametrize("step", [
+        ExactSearch(), ArmijoSearch(), StrongWolfeSearch(), FixedStep(1.0)],
+        ids=["exact", "armijo", "wolfe", "fixed1"])
+    @pytest.mark.parametrize("run", [
+        lambda p, step: yand_run(p, step, STOP),
+        lambda p, step: gradient_descent_run(p, step, STOP),
+        lambda p, step: newton_run(p, ls=step, stop=STOP),
+    ], ids=["yand", "gd", "newton"])
+    @pytest.mark.parametrize("name", ["rosenbrock", "quad_52"])
+    def test_runs(self, name, run, step):
+        # unit gradient steps on Rosenbrock overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = run(catalog(name), step)
+            got = run(list_oracle_problem(name), step)
+        assert report_bits(got) == report_bits(want)
+
+    @pytest.mark.parametrize("name", ["rosenbrock", "quad_52"])
+    def test_verify_derivatives(self, name):
+        p = catalog(name)
+        points = [p.x0, p.x0 + 0.25]
+        want = verify_derivatives(p.objective, points,
+                                  rng=np.random.default_rng(3))
+        got = verify_derivatives(list_oracle_problem(name).objective, points,
+                                 rng=np.random.default_rng(3))
+        assert got == want
 
 
 class TestStoppingSpec:

@@ -42,7 +42,7 @@ RECORD_FIELDS = {
     "numerics.Frame": ("basis", "grad_norm"),
     "numerics.SymmetricClass": ("tag", "eigs", "matrix", "factor"),
     "direction.BlockHessian": ("frame", "B", "c", "d_nn"),
-    "direction.DirectionResult": ("d", "case", "tau", "T", "point_class",
+    "direction.DirectionResult": ("d", "case", "tau", "point_class",
                                   "step_scale"),
     "line_search.LineSearchResult": ("alpha", "f_new", "evals", "status"),
     "objective.DerivativeReport": ("grad_err", "hess_err", "third_err"),
