@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_fd_kernels import Recorder
+from test_fd_kernels import Recorder, random_objective
 from test_optimizer import non_finite_third_problem
 
 from affinedescent import direction
@@ -493,10 +493,13 @@ def default_matrix_path(obj, x):
 def assert_planar_is_matrix_path(obj, x):
     """The same outcome on both paths, under the case rule and under the
     g.d-sign rule it replaced; T is the sqrt(tau * tau) that the planar
-    path stored before T was derived from tau."""
+    path stored before T was derived from tau. The oracle calls are the
+    same but for the planar path's second gradient call at x, which the
+    matrix path saves by building its frame from the gradient it holds."""
     planar = logged_outcome(_planar_direction, obj, x)
-    matrix = logged_outcome(default_matrix_path, obj, x)
-    assert planar == matrix
+    out, calls = logged_outcome(default_matrix_path, obj, x)
+    assert calls[0][0] == "gradient"
+    assert planar == (out, calls[:1] + calls)
     assert_gd_sign_rule_agrees([_planar_direction, default_matrix_path],
                                 obj, x)
     if isinstance(planar[0], list):   # a result, not an error
@@ -630,6 +633,27 @@ class TestPlanarPath:
             assert_planar_is_matrix_path(obj, x)
             after.append(logged_outcome(_planar_direction, obj, x))
         assert after != before   # the patched tolerance decides some point
+
+
+class TestOracleCalls:
+    """The oracle calls of one direction: one gradient, one Hessian and
+    m*m(m+1)/2 third derivatives over the m = n - 1 tangent directions."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_one_call_per_quantity(self, dim):
+        obj, x = random_objective(dim, seed=dim)
+        rec = Recorder(obj)
+        res = descent_direction(rec.obj, x)
+        assert res.case is not DirectionCase.STEEPEST_FALLBACK
+        m = dim - 1
+        # The planar path evaluates the gradient a second time: catalog2d's
+        # golden gradient count in perfbench/golden.json includes that call.
+        assert len(rec.of("gradient")) == (2 if dim == 2 else 1)
+        assert len(rec.of("hessian")) == 1
+        assert len(rec.of("third_directional")) == m * m * (m + 1) // 2
+        assert rec.of("value") == []
+        # every gradient call is at x itself
+        assert {c[1] for c in rec.of("gradient")} == {x.tobytes()}
 
 
 def coupled_quartic(a, c):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_fd_kernels import Recorder
 
 from affinedescent import line_search
 from affinedescent.direction import classify_point
@@ -383,6 +384,40 @@ class TestConvergence:
             rep = gradient_descent_run(problem, ExactSearch(), STOP)
             assert rep.status is RunStatus.CONVERGED
             assert rep.iters <= 10
+
+
+def convex_quartic_problem(dim, seed):
+    """f = x.Qx/2 + sum_i c_i x_i^4/4 with Q positive definite: strictly
+    convex, with its minimum f = 0 at the origin."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((dim, dim))
+    Q = M @ M.T / dim + np.eye(dim)
+    c = rng.uniform(0.5, 2.0, dim)
+    obj = make_objective(
+        dim=dim,
+        value=lambda x: float(0.5 * x @ Q @ x + 0.25 * np.sum(c * x ** 4)),
+        gradient=lambda x: Q @ x + c * x ** 3,
+        hessian=lambda x: Q + np.diag(3.0 * c * x * x),
+        third_directional=lambda x, u, v, w: float(
+            np.sum(6.0 * c * x * u * v * w)),
+    )
+    return Problem(name=f"convex_quartic_{dim}", objective=obj,
+                   x0=rng.standard_normal(dim), x_star=np.zeros(dim),
+                   f_star=0.0, notes="")
+
+
+class TestOracleCalls:
+    def test_yand_exact_two_gradients_per_iterate(self):
+        """One gradient at the start, then per iterate one for the
+        direction and one at the accepted point; the exact search reads
+        values only."""
+        p = convex_quartic_problem(6, seed=3)
+        rec = Recorder(p.objective)
+        rep = yand_run(replace(p, objective=rec.obj), ExactSearch(), STOP)
+        assert rep.status is RunStatus.CONVERGED
+        assert rep.iters >= 3
+        assert len(rec.of("gradient")) == 1 + 2 * rep.iters
+        assert len(rec.of("hessian")) == rep.iters
 
 
 def _posthoc_armijo(problem, rep, sigma):
