@@ -155,13 +155,16 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
 
 def yand_run(problem: Problem, ls: LineSearchSpec,
              stop: StoppingSpec | None = None) -> RunReport:
-    """Geometric descent: search along step_scale * d at every iterate."""
+    """Geometric descent: search along step_scale * d at every iterate.
+    The direction reads the gradient the loop holds at the iterate, so
+    for n >= 3 it makes no gradient call of its own (the planar path of
+    n = 2 still makes two; see descent_direction)."""
     if stop is None:
         stop = StoppingSpec()
     obj = problem.objective
 
     def direction(x, g):
-        res: DirectionResult = descent_direction(obj, x)
+        res: DirectionResult = descent_direction(obj, x, g)
         return (res.step_scale * res.d, res.case.value, res.T)
 
     return _loop(problem, ls, stop, direction)

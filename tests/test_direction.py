@@ -593,7 +593,7 @@ class TestPlanarPath:
                 fr.basis.tobytes()
 
     def test_only_planar_default_frames_take_it(self, monkeypatch):
-        def matrix_path(obj, x, frame):
+        def matrix_path(obj, x, frame, g):
             raise AssertionError("matrix path")
 
         monkeypatch.setattr(direction, "_matrix_direction", matrix_path)
@@ -636,24 +636,32 @@ class TestPlanarPath:
 
 
 class TestOracleCalls:
-    """The oracle calls of one direction: one gradient, one Hessian and
-    m*m(m+1)/2 third derivatives over the m = n - 1 tangent directions."""
+    """The oracle calls of one direction: one gradient, none on n >= 3 when
+    the caller passes the gradient at x, one Hessian and m*m(m+1)/2 third
+    derivatives over the m = n - 1 tangent directions."""
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_one_call_per_quantity(self, dim):
         obj, x = random_objective(dim, seed=dim)
-        rec = Recorder(obj)
-        res = descent_direction(rec.obj, x)
-        assert res.case is not DirectionCase.STEEPEST_FALLBACK
         m = dim - 1
-        # The planar path evaluates the gradient a second time: catalog2d's
-        # golden gradient count in perfbench/golden.json includes that call.
-        assert len(rec.of("gradient")) == (2 if dim == 2 else 1)
-        assert len(rec.of("hessian")) == 1
-        assert len(rec.of("third_directional")) == m * m * (m + 1) // 2
-        assert rec.of("value") == []
-        # every gradient call is at x itself
-        assert {c[1] for c in rec.of("gradient")} == {x.tobytes()}
+        # A gradient the caller passes saves the matrix path's call, with
+        # the same result bits. The planar path does not read it and
+        # evaluates the gradient twice: catalog2d's golden gradient count
+        # in perfbench/golden.json includes both calls.
+        bits = []
+        for given, gradients in (((), 2 if dim == 2 else 1),
+                                 ((obj.gradient(x),), 2 if dim == 2 else 0)):
+            rec = Recorder(obj)
+            res = descent_direction(rec.obj, x, *given)
+            assert res.case is not DirectionCase.STEEPEST_FALLBACK
+            bits.append(result_bits(res))
+            assert len(rec.of("gradient")) == gradients
+            assert len(rec.of("hessian")) == 1
+            assert len(rec.of("third_directional")) == m * m * (m + 1) // 2
+            assert rec.of("value") == []
+            # every gradient call is at x itself
+            assert all(c[1] == x.tobytes() for c in rec.of("gradient"))
+        assert bits[0] == bits[1]
 
 
 def coupled_quartic(a, c):

@@ -407,16 +407,23 @@ def convex_quartic_problem(dim, seed):
 
 
 class TestOracleCalls:
-    def test_yand_exact_two_gradients_per_iterate(self):
-        """One gradient at the start, then per iterate one for the
-        direction and one at the accepted point; the exact search reads
-        values only."""
-        p = convex_quartic_problem(6, seed=3)
-        rec = Recorder(p.objective)
-        rep = yand_run(replace(p, objective=rec.obj), ExactSearch(), STOP)
+    @pytest.mark.parametrize("problem, ls, per_iterate", [
+        (convex_quartic_problem(6, seed=3), ExactSearch(), 1),
+        (convex_quartic_problem(6, seed=3), ArmijoSearch(), 1),
+        # the planar path's two calls at x, which it keeps until
+        # catalog2d's golden gradient count is re-recorded
+        (catalog("rosenbrock"), ExactSearch(), 3)],
+        ids=["n6-exact", "n6-armijo", "rosenbrock-exact"])
+    def test_yand_gradients_per_iterate(self, problem, ls, per_iterate):
+        """One gradient at the start, then per iterate one at the accepted
+        point, which the loop hands to the direction. Neither search reads
+        a gradient: the exact search reads values only and Armijo takes
+        g.d from the loop's gradient."""
+        rec = Recorder(problem.objective)
+        rep = yand_run(replace(problem, objective=rec.obj), ls, STOP)
         assert rep.status is RunStatus.CONVERGED
         assert rep.iters >= 3
-        assert len(rec.of("gradient")) == 1 + 2 * rep.iters
+        assert len(rec.of("gradient")) == 1 + per_iterate * rep.iters
         assert len(rec.of("hessian")) == rep.iters
 
 
