@@ -23,6 +23,9 @@ pairs the change won (ties count for neither side), then a verdict:
   run;
 - better: at least ten pairs ran, the change won at least nine tenths
   of them, and the medians differ by more than the parent's q3 - q1;
+- changed: a count whose median differs from the parent's, though by
+  no more than the bound; counts repeat exactly for a seed, so any
+  difference is a change of the program;
 - same: none of these.
 
 Runs that were not "correct", and failed solves, are counted per side.
@@ -69,8 +72,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
-    """Summary of one metric over paired runs: parent[i] and change[i] ran
-    in the same pair."""
+    """Summary of one metric, a BENCHMARK.json end_to_end entry, over
+    paired runs: parent[i] and change[i] ran in the same pair."""
     sign = 1.0 if spec["better"] == "lower" else -1.0
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
@@ -86,6 +89,8 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
     elif len(parent) >= MIN_CLAIM_PAIRS and \
             won >= MIN_WIN_SHARE * len(parent) and abs(cm - pm) > p3 - p1:
         verdict = "better"
+    elif spec["unit"] == "count" and cm != pm:
+        verdict = "changed"
     else:
         verdict = "same"
     return {"parent": (pm, p1, p3), "change": (cm, c1, c3), "rel": rel,

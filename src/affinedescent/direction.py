@@ -36,7 +36,8 @@ class BlockHessian(NamedTuple):
     """Hessian of f at a point, expressed in a gradient-aligned frame."""
 
     frame: Frame
-    B: Matrix        # tangent-tangent block, (dim-1) x (dim-1), symmetric
+    B: Matrix        # tangent-tangent block, (dim-1) x (dim-1), as computed;
+                     # classify_symmetric takes its symmetric part
     c: Vector        # tangent-normal column
     d_nn: float      # normal-normal entry
 
@@ -68,14 +69,17 @@ class DirectionResult(NamedTuple):
 
 def _hessian(obj: Objective, x: Vector) -> Matrix:
     H = np.asarray(obj.hessian(x), dtype=float)
+    # checked here: classify_symmetric's ValueError reads as NonFiniteHessian
+    if H.shape != (obj.dim, obj.dim):
+        raise ValueError(f"Hessian oracle returned shape {H.shape}")
     if not np.isfinite(H).all():
         raise NonFiniteHessian("Hessian has infs or NaNs")
     return H
 
 
 def _classify_hessian(M) -> SymmetricClass:
-    """classify_symmetric, raising NonFiniteHessian where it rejects a block
-    or a symmetrization that overflowed."""
+    """classify_symmetric of the symmetric part of M, raising
+    NonFiniteHessian where that part holds infs or NaNs."""
     try:
         return classify_symmetric(M)
     except ValueError as exc:
@@ -94,10 +98,8 @@ def block_decompose(obj: Objective, x, frame: Frame | None = None) -> BlockHessi
         frame = build_gradient_frame(obj.gradient(x))
     H = _hessian(obj, x)
     Hf = frame.basis.T @ H @ frame.basis
-    B = 0.5 * (Hf[:-1, :-1] + Hf[:-1, :-1].T)
-    c = Hf[:-1, -1].copy()
-    d_nn = float(Hf[-1, -1])
-    return BlockHessian(frame=frame, B=B, c=c, d_nn=d_nn)
+    return BlockHessian(frame=frame, B=Hf[:-1, :-1], c=Hf[:-1, -1].copy(),
+                        d_nn=float(Hf[-1, -1]))
 
 
 def classify_point(obj: Objective, x, frame: Frame | None = None) -> SymmetricClass:
@@ -210,7 +212,7 @@ def _matrix_direction(obj: Objective, x: Vector, frame: Frame | None,
     return _oriented_result(
         float(g @ d), d, tau, block.frame.normal, block.frame.grad_norm, cls_B,
         lambda: block.d_nn - float(block.c @ solve_symmetric(cls_B, block.c)),
-        block.d_nn, inf_norm(block.B))
+        block.d_nn, inf_norm(cls_B.matrix))
 
 
 def _oriented_result(gd: float, d: Vector, tau: Vector, n_hat: Vector,
@@ -273,8 +275,8 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
     # matmul, as in block_decompose: dot would round a Hessian that is
     # neither C- nor F-contiguous differently.
     (h00, c), (_, d_nn) = (basis.T @ _hessian(obj, x) @ basis).tolist()
-    # B = 0.5 * (Hf + Hf^T)[:1, :1] is h00 unless 2 * h00 overflows, and
-    # classify_symmetric's symmetrization leaves it unchanged.
+    # classify_symmetric's symmetrization of the 1x1 block: h00 unless
+    # 2 * h00 overflows.
     b = 0.5 * (h00 + h00)
     if not isfinite(b):
         raise NonFiniteHessian(NON_FINITE_MATRIX)
@@ -306,20 +308,20 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
 
 
 def newton_direction(obj: Objective, x, regularize: bool = False) -> Vector:
-    """Newton step -H^-1 grad; optionally with an SPD-restoring shift.
+    """Newton step -H^-1 grad with H the symmetric part of the Hessian
+    oracle's matrix; optionally with an SPD-restoring shift.
 
-    Without regularization a singular Hessian raises SingularHessian; an
+    Without regularization a singular H raises SingularHessian; an
     indefinite invertible one is solved as-is. A Hessian holding infs or
     NaNs, or whose symmetrization overflows, raises NonFiniteHessian.
     """
     x = as_vector(x, obj.dim)
     g = obj.gradient(x)
-    H = _hessian(obj, x)
-    # the symmetric part, as block_decompose takes of B; H for a symmetric H
-    cls = _classify_hessian(0.5 * (H + H.T))
+    cls = _classify_hessian(_hessian(obj, x))
     if regularize and not cls.is_positive_definite:
+        H = cls.matrix
         shift = max(0.0, -cls.min_eig) + 1e-8 * max(1.0, inf_norm(H))
-        cls = _classify_hessian(cls.matrix + shift * np.eye(obj.dim))
+        cls = _classify_hessian(H + shift * np.eye(obj.dim))
     if cls.tag is DefinitenessTag.SINGULAR:
         raise SingularHessian(f"min |eig| = {np.abs(cls.eigs).min():.3e}")
     return -solve_symmetric(cls, g)

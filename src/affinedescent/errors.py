@@ -9,10 +9,6 @@ class ZeroGradient(AffineDescentError):
     """Gradient norm is numerically zero; no normal direction exists."""
 
 
-class NotSymmetric(AffineDescentError):
-    """Matrix fails the symmetry tolerance for a symmetric-only operation."""
-
-
 class NotFactorized(AffineDescentError):
     """SPD solve requested on a classification without a Cholesky factor."""
 

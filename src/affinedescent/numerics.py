@@ -16,8 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (NotFactorized, NotSymmetric, UnsupportedDimension,
-                     ZeroGradient)
+from .errors import NotFactorized, UnsupportedDimension, ZeroGradient
 
 # float64 arrays; plain np.ndarray keeps numpy.typing out of the import.
 Vector = np.ndarray
@@ -25,8 +24,7 @@ Matrix = np.ndarray
 
 # Below this the gradient is treated as exactly zero.
 ZERO_GRAD_FLOOR = 1e-300
-# Relative tolerances, both scaled by max(1, ||M||_inf).
-SYMMETRY_TOL = 1e-12
+# Relative tolerance, scaled by max(1, ||M||_inf).
 DEGENERACY_TOL = 1e-10
 
 NON_FINITE_MATRIX = "matrix must not contain infs or NaNs"
@@ -45,11 +43,23 @@ def as_vector(x, dim: int | None = None) -> Vector:
 def norm2(v) -> float:
     """Euclidean norm of a 1-d float vector.
 
-    Performs the same operations as np.linalg.norm(v), hence returns the
-    same bits, without its dispatch overhead.
+    Wherever v.v is finite it performs the same operations as
+    np.linalg.norm(v), hence returns the same bits, without its dispatch
+    overhead. Where v.v overflows it scales by the largest |entry| first,
+    so a finite vector has a finite norm up to the float maximum.
     """
     v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
+    try:
+        ss = v.dot(v)
+    except RuntimeWarning:   # the overflow, where warnings are errors
+        ss = math.inf
+    if ss != math.inf:
+        return math.sqrt(ss)
+    scale = float(np.abs(v).max())
+    if scale == math.inf:
+        return scale
+    w = v / scale
+    return scale * math.sqrt(w.dot(w))
 
 
 def positive_finite(name: str, value) -> None:
@@ -166,22 +176,20 @@ def definiteness_tag(lowest: float, nearest_zero: float,
 
 
 def classify_symmetric(M) -> SymmetricClass:
-    """Classify a symmetric matrix by definiteness_tag; symmetry is required
-    up to SYMMETRY_TOL * max(1, ||M||_inf). Raises ValueError when M, or its
-    symmetrization 0.5 * (M + M^T), holds infs or NaNs; the latter happens
-    when entries above half the float maximum overflow."""
+    """Classify the symmetric part S = 0.5 * (M + M^T) of a square M by
+    definiteness_tag, at scale max(1, ||S||_inf). Raises ValueError, and
+    does not warn, when M is not square or S holds infs or NaNs; the
+    latter also catches entries above half the float maximum, whose sum
+    overflows."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {A.shape}")
-    norm = inf_norm(A)
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = 0.5 * (A + A.T)
+    norm = inf_norm(S)
     if not math.isfinite(norm):
         raise ValueError(NON_FINITE_MATRIX)
     scale = max(1.0, norm)
-    if inf_norm(A - A.T) > SYMMETRY_TOL * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    S = 0.5 * (A + A.T)
-    if not math.isfinite(inf_norm(S)):   # a sum above the float maximum
-        raise ValueError(NON_FINITE_MATRIX)
     eigs = np.linalg.eigvalsh(S)
     lowest = float(eigs[0])
     # A positive lowest eigenvalue is also the least |eigenvalue|.

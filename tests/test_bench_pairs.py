@@ -16,8 +16,9 @@ def _bench_pairs():
 
 
 compare = _bench_pairs().compare
-LOWER = {"better": "lower", "bound": 0.2}
-HIGHER = {"better": "higher", "bound": 0.2}
+LOWER = {"better": "lower", "bound": 0.2, "unit": "s"}
+HIGHER = {"better": "higher", "bound": 0.2, "unit": "s"}
+COUNT = {"better": "lower", "bound": 0.05, "unit": "count"}
 PARENT = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0, 1.0]
 
 
@@ -32,8 +33,8 @@ PARENT = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0, 1.0]
     (LOWER, [0.6, 1.4, 0.6, 1.4, 0.6, 1.4, 0.6, 1.4, 0.6, 1.05],
      "unresolved", 5),
     # unless every change run is better than every parent run
-    ({"better": "lower", "bound": 0.01}, [v - 0.05 for v in PARENT],
-     "better", 10)])
+    ({"better": "lower", "bound": 0.01, "unit": "s"},
+     [v - 0.05 for v in PARENT], "better", 10)])
 def test_verdicts(spec, change, verdict, won):
     row = compare(spec, PARENT, change)
     assert row["verdict"] == verdict
@@ -44,3 +45,17 @@ def test_verdicts(spec, change, verdict, won):
 def test_fewer_than_ten_pairs_claim_no_gain():
     assert compare(LOWER, PARENT[:9], [0.5] * 9)["verdict"] == "same"
     assert compare(LOWER, PARENT[:9], [1.5] * 9)["verdict"] == "worse"
+
+
+@pytest.mark.parametrize("change, pairs, verdict", [
+    (232, 10, "same"),
+    # +3% is inside the 5% bound, but a count repeats exactly for a seed
+    (239, 10, "changed"),
+    (160, 10, "better"),
+    # too few pairs to claim a gain, yet the count did change
+    (160, 9, "changed"),
+    (250, 10, "worse")])
+def test_a_count_that_moves_has_changed(change, pairs, verdict):
+    row = compare(COUNT, [232] * pairs, [change] * pairs)
+    assert row["verdict"] == verdict
+    assert (row["parent"][0], row["change"][0]) == (232, change)

@@ -57,6 +57,22 @@ def flat_valley():
     )
 
 
+def skewed(obj, seed):
+    """obj with a seeded skew-symmetric matrix of order one added to what
+    its Hessian oracle returns: the symmetric part is obj's Hessian."""
+    K = np.random.default_rng(seed).normal(size=(obj.dim, obj.dim))
+    K = K - K.T
+    return replace(obj, hessian=lambda x: obj.hessian(x) + K)
+
+
+def symmetrized(obj):
+    """obj whose Hessian oracle returns 0.5 * (H + H^T) of obj's H."""
+    def hessian(x):
+        H = np.asarray(obj.hessian(x), dtype=float)
+        return 0.5 * (H + H.T)
+    return replace(obj, hessian=hessian)
+
+
 class TestBlockDecomposition:
     def test_two_dim_quadratic_blocks(self):
         # H=diag(1,4), grad (1,-4) at (2,0): B=20/17, c=-12/17, d_nn=65/17
@@ -65,6 +81,16 @@ class TestBlockDecomposition:
         assert block.B[0, 0] == pytest.approx(20.0 / 17.0, rel=1e-14)
         assert block.c[0] == pytest.approx(-12.0 / 17.0, rel=1e-14)
         assert block.d_nn == pytest.approx(65.0 / 17.0, rel=1e-14)
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_classify_point_takes_the_symmetric_part(self, dim):
+        base, x = random_objective(dim, seed=dim)
+        obj = skewed(base, seed=dim)
+        B = block_decompose(obj, x).B
+        if dim > 2:
+            assert not np.array_equal(B, B.T)
+        assert classify_point(obj, x).matrix.tobytes() == \
+            (0.5 * (B + B.T)).tobytes()
 
     def test_blocks_reassemble_to_hessian(self):
         obj = catalog("convex_53").objective
@@ -569,8 +595,9 @@ class TestPlanarPath:
             assert_planar_is_matrix_path(p.objective, x)
 
     def test_T_of_one_entry_is_sqrt_of_square(self):
-        """T = norm2(tau) on a 1-entry tau gives the bits of sqrt(t * t),
-        over random bit patterns and the edges of the double range."""
+        """T = norm2(tau) on a 1-entry tau gives the bits of sqrt(t * t)
+        where t * t is finite and |t| where it overflows, over random bit
+        patterns and the edges of the double range."""
         rng = np.random.default_rng(20)
         ts = rng.integers(0, 2 ** 64, size=200_000,
                           dtype=np.uint64).view(float)
@@ -580,7 +607,8 @@ class TestPlanarPath:
         ts = np.concatenate([edges, ts[~np.isnan(ts)]])
         with np.errstate(over="ignore", under="ignore"):
             got = [norm2(ts[i:i + 1]) for i in range(ts.size)]
-        want = [sqrt(t * t) for t in ts.tolist()]
+        want = [abs(t) if t * t == np.inf else sqrt(t * t)
+                for t in ts.tolist()]
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -737,6 +765,39 @@ class TestNewtonDirection:
     def test_singular_raises_without_regularization(self):
         with pytest.raises(SingularHessian):
             newton_direction(flat_valley(), np.array([3.0, 2.0]))
+
+    @pytest.mark.parametrize("regularize", [False, True],
+                             ids=["plain", "regularized"])
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_asymmetric_oracle_is_its_symmetric_part(self, dim, regularize):
+        """The same bits as from an oracle returning 0.5 * (H + H^T), at
+        points where that part is positive definite and where it is
+        indefinite, so that the regularizing shift applies."""
+        rng = np.random.default_rng(dim)
+        obj = skewed(coupled_quartic(rng.normal(size=dim),
+                                     rng.uniform(0.5, 2.0, size=dim)),
+                     seed=dim)
+        lowest = []
+        xs = rng.normal(size=(4, dim))
+        for x in np.concatenate([xs, -xs]):   # a.x of both signs
+            H = obj.hessian(x)
+            lowest.append(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
+            assert newton_direction(obj, x, regularize).tobytes() == \
+                newton_direction(symmetrized(obj), x, regularize).tobytes()
+        assert min(lowest) < 0.0 < max(lowest)
+
+    @pytest.mark.parametrize("entry", [
+        newton_direction, descent_direction, affine_normal_direction,
+        lambda obj, x: newton_direction(obj, x, regularize=True)],
+        ids=["newton", "descent", "affine_normal", "regularized"])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (4,)])
+    def test_hessian_of_the_wrong_shape_is_an_error(self, entry, shape):
+        """A ValueError naming the shape, not a run status such as
+        NonFiniteHessian, and before any symmetrization."""
+        obj = replace(quadratic(np.eye(2), np.ones(2)),
+                      hessian=lambda x: np.ones(shape))
+        with pytest.raises(ValueError, match="Hessian oracle returned shape"):
+            entry(obj, np.array([1.0, 2.0]))
 
     def test_regularized_returns_descent_direction(self):
         obj = catalog("four_well").objective

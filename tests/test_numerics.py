@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,16 +206,46 @@ def test_classification_rejects_non_finite_matrix(bad):
         classify_symmetric(np.array([[bad, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="infs or NaNs"):
         classify_symmetric(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        classify_symmetric(np.array([[1.0, bad], [-bad, 1.0]]))
 
 
 @pytest.mark.parametrize("M", [[[1e308]], [[1e308, 0.0], [0.0, -1e308]],
                                [[1.0, 1e308], [1e308, 1.0]]],
                          ids=["1x1", "diagonal", "off-diagonal"])
 def test_classification_rejects_overflowing_symmetrization(M):
-    # finite entries above half the float maximum: 0.5 * (M + M^T) is inf
-    with np.errstate(over="ignore"), \
-            pytest.raises(ValueError, match="infs or NaNs"):
+    # finite entries above half the float maximum: 0.5 * (M + M^T) is inf,
+    # with no overflow warning
+    with pytest.raises(ValueError, match="infs or NaNs"):
         classify_symmetric(np.array(M))
+
+
+def square_matrices(dim):
+    return arrays(np.float64, (dim, dim),
+                  elements=st.floats(-100, 100, allow_nan=False))
+
+
+def class_bits(cls):
+    factor = None if cls.factor is None else cls.factor.tobytes()
+    return cls.tag, cls.eigs.tobytes(), cls.matrix.tobytes(), factor
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(square_matrices))
+def test_classification_is_of_the_symmetric_part(M):
+    # an asymmetric part of order one, far above any rounding tolerance
+    if M.shape[0] > 1:
+        M[0, -1] = M[-1, 0] + 1.0
+    S = 0.5 * (M + M.T)
+    cls = classify_symmetric(M)
+    assert cls.matrix.tobytes() == S.tobytes()
+    assert class_bits(cls) == class_bits(classify_symmetric(S))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 1), (3,), (2, 2, 2)])
+def test_classification_rejects_non_square_matrix(shape):
+    with pytest.raises(ValueError, match="square"):
+        classify_symmetric(np.ones(shape))
 
 
 def test_import_loads_no_scipy():
@@ -238,6 +269,25 @@ def test_solve_requires_positive_definite_factor():
 def test_norm2_is_bitwise_numpy_norm(v):
     for view in (v, v[::-1], v[::2], np.stack([v, v], axis=1)[:, 0]):
         assert norm2(view) == np.linalg.norm(view)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("v, want", [
+    ([1e200, 1.0], 1e200), ([3e200, -4e200], 5e200),
+    ([1e300, 1e300, -1e300, 1e300], 2e300), ([1e155], 1e155)])
+def test_norm2_of_a_finite_vector_is_finite(v, want, action):
+    """Where v.v overflows, norm2 scales first, whether the dot's overflow
+    warning is raised or not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        assert norm2(np.array(v)) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("v, want", [([np.inf, 1.0], np.inf),
+                                     ([1.0, -np.inf], np.inf),
+                                     ([np.nan, 1e200], np.nan)])
+def test_norm2_of_a_non_finite_vector(v, want):
+    assert norm2(np.array(v)) == pytest.approx(want, nan_ok=True)
 
 
 def test_angle_between_basics():

@@ -372,8 +372,8 @@ class TestConvergence:
         ids=["newton", "dnewton", "yand"])
     def test_asymmetric_hessian_oracle_is_symmetrized(self, run):
         """Newton solves with the symmetric part of the oracle's Hessian, as
-        the direction's tangent block does, instead of raising
-        NotSymmetric."""
+        the direction classifies the symmetric part of its tangent block:
+        classify_symmetric takes that part of any square matrix."""
         rep = run(asymmetric_hessian_problem())
         assert rep.status is RunStatus.CONVERGED
         assert np.linalg.norm(rep.final.x) <= 1e-4
