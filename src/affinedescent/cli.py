@@ -15,11 +15,13 @@ Newton.
 All floating-point output uses 17 significant digits; repeated invocations
 with the same config and seed produce byte-identical files.
 
-Exit codes: 0 converged/ok, 1 bad arguments, 2 iteration cap, 3 line-search
-failure, degeneracy, or a non-finite gradient, Hessian or third derivative,
-4 check failure. table2 and invariance write every row and exit 3 when any
-of their runs ends with exit code 3, naming it on stderr, and 0 otherwise:
-a run at the iteration cap is data (table2 marks it N*).
+Exit codes: 0 converged/ok, 1 bad input (a rejected flag, a ValueError or
+an OSError), 2 iteration cap, 3 the numerics stopped (an AffineDescentError,
+or a line-search failure, degeneracy, or a non-finite gradient, Hessian or
+third derivative), 4 check failure. table2 and invariance write every row
+and exit 3 when any of their runs ends with exit code 3, naming it on
+stderr, and 0 otherwise: a run at the iteration cap is data (table2 marks
+it N*).
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .direction import affine_normal_direction, newton_direction
-from .errors import AffineDescentError, UnknownProblem
+from .errors import AffineDescentError
 from .invariance import run_invariance
 from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
                           StrongWolfeSearch)
@@ -416,7 +418,7 @@ def main(argv=None) -> int:
             return cmd_invariance(_parse_gammas(args.gammas), specs,
                                   args.out)
         return cmd_verify(settings.get("seed", 42), args.out)
-    except (UnknownProblem, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AffineDescentError as exc:

@@ -187,8 +187,7 @@ def descent_direction(obj: Objective, x, g=None) -> DirectionResult:
     matrix path. It does not read g and makes two gradient calls at x (see
     _planar_direction): catalog2d's gradient count recorded in
     perfbench/golden.json includes both, so reading g there waits until
-    that record is re-recorded. Below dimension 2 it raises
-    UnsupportedDimension.
+    that record is re-recorded. Below dimension 2 it raises ValueError.
     """
     x = as_vector(x, obj.dim)
     if obj.dim == 2:

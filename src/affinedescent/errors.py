@@ -1,16 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An AffineDescentError is a numerical outcome at a point: the method met a
+vanishing gradient, a singular block, a non-finite derivative, a domain wall
+or an empty slice, and cannot continue from there. A run ends on those it
+meets with a RunStatus; the CLI exits 3 on any that reaches it. Anything the
+caller got wrong (an unknown name, a wrong shape or dimension, a matrix that
+cannot serve, a missing argument) is a ValueError, and the CLI exits 1.
+"""
 
 
 class AffineDescentError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for the numerical outcomes that stop the method."""
 
 
 class ZeroGradient(AffineDescentError):
     """Gradient norm is numerically zero; no normal direction exists."""
-
-
-class NotFactorized(AffineDescentError):
-    """SPD solve requested on a classification without a Cholesky factor."""
 
 
 class DegenerateTangentBlock(AffineDescentError):
@@ -35,19 +39,3 @@ class DomainViolation(AffineDescentError):
 
 class EmptySlice(AffineDescentError):
     """Sublevel slice contains no points inside the scan window."""
-
-
-class SingularB(AffineDescentError):
-    """Affine change-of-variables matrix is singular or not orientation-preserving."""
-
-
-class MissingReference(AffineDescentError):
-    """Rate computation needs a reference optimum that was not provided."""
-
-
-class UnsupportedDimension(AffineDescentError):
-    """Problem dimension is below 2, where no tangent space exists."""
-
-
-class UnknownProblem(AffineDescentError):
-    """Requested name is not in the problem catalog."""

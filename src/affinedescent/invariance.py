@@ -8,7 +8,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .direction import descent_direction
-from .errors import SingularB
 from .line_search import LineSearchSpec
 from .numerics import angle_between, as_vector
 from .objective import make_objective
@@ -24,8 +23,8 @@ class InvarianceReport(NamedTuple):
 
 def compose_scaled(base: Problem, B) -> Problem:
     """The problem min f(x) = phi(Bx) with start B^-1 y0, derivatives by
-    the chain rule. Raises ValueError when B is not dim x dim or holds
-    infs or NaNs, and SingularB unless det(B) > 0."""
+    the chain rule. Raises ValueError when B is not dim x dim, holds infs or
+    NaNs, or has det(B) <= 0."""
     B = np.asarray(B, dtype=float)
     dim = base.objective.dim
     if B.shape != (dim, dim):
@@ -34,7 +33,8 @@ def compose_scaled(base: Problem, B) -> Problem:
         raise ValueError("B must not contain infs or NaNs")
     det = float(np.linalg.det(B))
     if det <= 0.0:
-        raise SingularB(f"det(B) = {det:g} must be positive")
+        raise ValueError(f"det(B) = {det:g} must be positive: B must be "
+                         "invertible and orientation-preserving")
     phi = base.objective
     Binv = np.linalg.inv(B)
     BT = B.T
@@ -49,7 +49,12 @@ def compose_scaled(base: Problem, B) -> Problem:
         return BTx(phi.gradient(Bx(x)))
 
     def hessian(x):
-        return BT @ phi.hessian(Bx(x)) @ B
+        H = phi.hessian(Bx(x))
+        # The run reports an overflowed product as NonFiniteHessian. numpy's
+        # overflow warning would only repeat that, and where warnings are
+        # errors it would escape the run as an exception.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return BT @ H @ B
 
     def third(x, u, v, w):
         return phi.third_directional(Bx(x), Bx(u), Bx(v), Bx(w))

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotFactorized, UnsupportedDimension, ZeroGradient
+from .errors import ZeroGradient
 
 # float64 arrays; plain np.ndarray keeps numpy.typing out of the import.
 Vector = np.ndarray
@@ -92,12 +92,12 @@ class Frame(NamedTuple):
 def unit_gradient(grad) -> tuple[Vector, float]:
     """(grad/||grad||, ||grad||) after the checks every gradient frame needs.
 
-    Raises UnsupportedDimension below dimension 2, ValueError on non-finite
-    entries and ZeroGradient when the norm is numerically zero.
+    Raises ValueError below dimension 2 or on non-finite entries, and
+    ZeroGradient when the norm is numerically zero.
     """
     g = as_vector(grad)
     if g.size < 2:
-        raise UnsupportedDimension(
+        raise ValueError(
             f"frame construction needs dimension >= 2, got {g.size}")
     if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
@@ -205,12 +205,13 @@ def solve_spd(cls: SymmetricClass, rhs) -> Vector:
     with the Cholesky factor W stored by classify_symmetric. rhs is left
     unmodified.
 
-    Raises NotFactorized for non-SPD input and ValueError when rhs holds
-    infs or NaNs.
+    Raises ValueError when the matrix was not classified positive definite,
+    so has no factor, and when rhs holds infs or NaNs.
     """
     W = cls.factor
     if W is None:
-        raise NotFactorized(f"no factor available (tag={cls.tag.value})")
+        raise ValueError(f"solve_spd needs a positive definite matrix, got "
+                         f"tag={cls.tag.value}")
     b = np.asarray(rhs, dtype=float)
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must not contain infs or NaNs")

@@ -14,8 +14,8 @@ from numbers import Integral
 from typing import NamedTuple
 
 from .direction import DirectionResult, descent_direction, newton_direction
-from .errors import (MissingReference, NonFiniteHessian, NonFiniteThird,
-                     SingularHessian, ZeroGradient)
+from .errors import (NonFiniteHessian, NonFiniteThird, SingularHessian,
+                     ZeroGradient)
 from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
                           LineSearchResult, LineSearchSpec, LineSearchStatus,
                           StrongWolfeSearch, armijo_backtrack, exact_search,
@@ -214,7 +214,7 @@ def empirical_rates(report: RunReport, x_star=None,
     nothing is asserted here.
     """
     if x_star is None and f_star is None:
-        raise MissingReference("need x_star or f_star")
+        raise ValueError("empirical_rates needs x_star or f_star")
     linear: list[float] = []
     quad: list[float] = []
     recs = report.records

@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnknownProblem, UnsupportedDimension
 from .numerics import Vector, as_vector, positive_finite
 from .objective import Objective, make_objective
 
@@ -42,7 +41,7 @@ class Problem:
         # its tangent complement, which is empty in one dimension.
         dim = self.objective.dim
         if dim < 2:
-            raise UnsupportedDimension(
+            raise ValueError(
                 f"{self.name}: dimension {dim} < 2 has no tangent space for "
                 "the gradient frame")
         as_vector(self.x0, dim)
@@ -365,7 +364,8 @@ CATALOG_NAMES = tuple(_BUILDERS)
 @lru_cache(maxsize=None)
 def catalog(name: str) -> Problem:
     if name not in _BUILDERS:
-        raise UnknownProblem(f"{name!r}; known: {', '.join(CATALOG_NAMES)}")
+        raise ValueError(f"unknown problem {name!r}; known: "
+                         f"{', '.join(CATALOG_NAMES)}")
     return _BUILDERS[name]()
 
 

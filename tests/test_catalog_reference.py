@@ -7,7 +7,10 @@ or the same error type and message.
 One behaviour was fixed since: poly6's q and ring_tilted's p were Python
 floats, so q ** 3 and p ** 2 raised a bare OverflowError where the other
 problems give numpy's inf and warning. The references here compute them as
-numpy scalars, as the catalog does now."""
+numpy scalars, as the catalog does now. And compose_scaled's Hessian
+multiplies by B^T and B without numpy's overflow and invalid-value warnings,
+since the run reports a non-finite Hessian as NonFiniteHessian; the
+reference does the same, while the base Hessian still warns as before."""
 import struct
 import warnings
 
@@ -266,7 +269,9 @@ def ref_compose_scaled(base, B):
         return B.T @ phi.gradient(B @ x)
 
     def hessian(x):
-        return B.T @ phi.hessian(B @ x) @ B
+        H = phi.hessian(B @ x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return B.T @ H @ B
 
     def third(x, u, v, w):
         return phi.third_directional(B @ x, B @ u, B @ v, B @ w)

@@ -22,6 +22,7 @@ from affinedescent.objective import Objective
 from affinedescent.optimizer import (IterateRecord, RunReport, RunStatus,
                                      StoppingSpec, newton_run)
 from affinedescent.problems import Problem, catalog
+from test_errors import NUMERICAL_OUTCOMES
 from test_optimizer import (nan_gradient_problem, nan_hessian_problem,
                             non_finite_third_problem)
 
@@ -258,10 +259,11 @@ class TestRunCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_problem_exits_one(self, tmp_path, capsys):
-        code, _, _ = run_main(
+        code, _, err = run_main(
             ["run", "nope", "yand", "exact",
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 1
+        assert err.startswith("error: unknown problem 'nope'; known: ")
 
     @pytest.mark.parametrize("token", ["fixed:abc", "fixed:"])
     def test_bad_fixed_step_names_the_token(self, token, tmp_path, capsys):
@@ -342,6 +344,29 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+
+# Each exception kind that reaches main, with the exit code it must give.
+EXIT_CODES = [*((kind, 3) for kind in NUMERICAL_OUTCOMES),
+              (ValueError, 1), (OSError, 1)]
+
+
+class TestExitCodeContract:
+    """main sends a ValueError or an OSError, bad input, to exit 1 and an
+    AffineDescentError, a numerical outcome, to exit 3, with the message on
+    stderr."""
+
+    @pytest.mark.parametrize("kind, code", EXIT_CODES,
+                             ids=[kind.__name__ for kind, _ in EXIT_CODES])
+    def test_exception_kind_sets_the_exit_code(self, kind, code, tmp_path,
+                                               capsys, monkeypatch):
+        def cmd_run(*args):
+            raise kind("stopped here")
+
+        monkeypatch.setattr(cli, "cmd_run", cmd_run)
+        assert run_main(["run", "quad_well", "yand", "exact",
+                         "--out", str(tmp_path / "x.csv")], capsys) == (
+            code, "", "error: stopped here\n")
 
 
 # The flags of all subcommands, each with a value and what it parses to,
@@ -527,6 +552,18 @@ class TestInvarianceCommand:
                                    "iters_base\n10000000000000000,0,0,3\n")
         assert err == ("gamma 10000000000000000 scaled: LineSearchFailure "
                        "at k = 0\n")
+
+    def test_overflowed_hessian_exits_three(self, tmp_path, capsys):
+        """At gamma 1e200 the composed Hessian B^T H B overflows at the
+        start point. The scaled run ends NonFiniteHessian, with no numpy
+        warning, which this suite's filterwarnings = error would raise."""
+        out = tmp_path / "inv.csv"
+        code, _, err = run_main(
+            ["invariance", "--gammas", "1e200", "--out", str(out)], capsys)
+        assert code == 3
+        assert out.read_text().splitlines()[1].split(",")[2:] == ["0", "3"]
+        assert err == ("gamma 9.9999999999999997e+199 scaled: "
+                       "NonFiniteHessian at k = 0\n")
 
     def test_bad_gammas_exits_one(self, tmp_path, capsys):
         code, _, _ = run_main(

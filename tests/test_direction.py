@@ -21,7 +21,7 @@ from affinedescent.direction import (DirectionCase, DirectionResult,
                                      newton_direction)
 from affinedescent.errors import (DegenerateTangentBlock, NonFiniteHessian,
                                   NonFiniteThird, SingularHessian,
-                                  UnsupportedDimension, ZeroGradient)
+                                  ZeroGradient)
 from affinedescent.invariance import compose_scaled
 from affinedescent.numerics import (DefinitenessTag, Frame, angle_between,
                                     build_gradient_frame, classify_symmetric,
@@ -336,7 +336,7 @@ class TestCases:
 
     def test_one_dim_objective_raises_unsupported_dimension(self):
         obj = quadratic([[2.0]], [1.0])
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(ValueError, match="needs dimension >= 2, got 1"):
             descent_direction(obj, np.array([0.5]))
 
     def test_classify_point_tags(self):

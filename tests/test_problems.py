@@ -3,7 +3,6 @@ import struct
 import numpy as np
 import pytest
 
-from affinedescent.errors import UnknownProblem, UnsupportedDimension
 from affinedescent.objective import make_objective
 from affinedescent.problems import (CATALOG_NAMES, Problem, catalog,
                                     inverse_barrier_optimum,
@@ -21,7 +20,8 @@ class TestCatalog:
         assert set(CATALOG_NAMES) == EXPECTED_NAMES
 
     def test_unknown_name_raises(self):
-        with pytest.raises(UnknownProblem):
+        with pytest.raises(ValueError, match="unknown problem 'nope'; known: "
+                                             "quad_well, "):
             catalog("nope")
 
     def test_one_dimensional_problem_rejected(self):
@@ -29,7 +29,7 @@ class TestCatalog:
         obj = make_objective(1, lambda x: float(x[0] ** 2),
                              lambda x: 2.0 * x, lambda x: np.full((1, 1), 2.0),
                              lambda x, u, v, w: 0.0)
-        with pytest.raises(UnsupportedDimension, match="dimension 1"):
+        with pytest.raises(ValueError, match="line: dimension 1 < 2"):
             Problem(name="line", objective=obj, x0=np.array([1.0]),
                     x_star=None, f_star=None, notes="")
 
