@@ -11,7 +11,7 @@ from .direction import descent_direction
 from .line_search import LineSearchSpec
 from .numerics import angle_between, as_vector
 from .objective import make_objective
-from .optimizer import RunReport, StoppingSpec, yand_run
+from .optimizer import RunReport, yand_run
 from .problems import Problem
 
 
@@ -74,8 +74,6 @@ def run_invariance(base: Problem, B, ls: LineSearchSpec,
     """Run the geometric method on phi(B x) from B^-1 y0 and on phi from
     y0; deviations are ||B x_k - y_k|| over the shared iterate range,
     which holds row 0 at least."""
-    if stop is None:
-        stop = StoppingSpec()
     B = np.asarray(B, dtype=float)
     scaled = yand_run(compose_scaled(base, B), ls, stop)
     unscaled = yand_run(base, ls, stop)

@@ -102,6 +102,9 @@ def unit_gradient(grad) -> tuple[Vector, float]:
     if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
     gnorm = norm2(g)
+    if gnorm < 1e-146 and g.any():   # ~sqrt(tiny/eps): g.g underflowed
+        scale = float(np.abs(g).max())
+        gnorm = scale * norm2(g / scale)
     if gnorm <= ZERO_GRAD_FLOOR:
         raise ZeroGradient(f"gradient norm {gnorm:g} below {ZERO_GRAD_FLOOR:g}")
     return g / gnorm, gnorm

@@ -17,7 +17,7 @@ from .direction import DirectionResult, descent_direction, newton_direction
 from .errors import (NonFiniteHessian, NonFiniteThird, SingularHessian,
                      ZeroGradient)
 from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
-                          LineSearchResult, LineSearchSpec, LineSearchStatus,
+                          LineSearchSpec, LineSearchStatus,
                           StrongWolfeSearch, armijo_backtrack, exact_search,
                           strong_wolfe_search)
 from .numerics import Vector, as_vector, norm2, positive_finite
@@ -77,27 +77,44 @@ class RunReport(NamedTuple):
         return self.records[-1]
 
 
-def _run_line_search(obj: Objective, x: Vector, g: Vector, d: Vector,
-                     ls: LineSearchSpec) -> LineSearchResult:
+def _step(obj: Objective, x: Vector, g: Vector, d: Vector, f_k: float,
+          ls: LineSearchSpec | FixedStep) -> tuple | None:
+    """The step taken from x along d, (x_new, alpha, f_new), or None: a fixed
+    step wherever f is finite, even uphill (classical Newton); a search's
+    only where it ends Accepted at alpha > 0 with f_new below f_k."""
+    if isinstance(ls, FixedStep):
+        x_new = x + ls.alpha * d
+        f_new = obj.value(x_new)
+        return (x_new, ls.alpha, f_new) if isfinite(f_new) else None
+
     def phi(alpha: float) -> float:
         return obj.value(x + alpha * d)
 
     if isinstance(ls, ExactSearch):
-        return exact_search(phi, alpha_max=ls.alpha_max)
-    if isinstance(ls, ArmijoSearch):
+        res = exact_search(phi, alpha_max=ls.alpha_max)
+    elif isinstance(ls, ArmijoSearch):
         # d first: a gradient oracle may return any array-like
-        return armijo_backtrack(phi, float(d.dot(g)), ls)
-    if isinstance(ls, StrongWolfeSearch):
+        res = armijo_backtrack(phi, float(d.dot(g)), ls)
+    elif isinstance(ls, StrongWolfeSearch):
         def dphi(alpha: float) -> float:
             return float(d.dot(obj.gradient(x + alpha * d)))
 
-        return strong_wolfe_search(phi, dphi, ls)
-    raise TypeError(f"unsupported line-search spec {ls!r}")
+        res = strong_wolfe_search(phi, dphi, ls)
+    else:
+        raise TypeError(f"unsupported line-search spec {ls!r}")
+    if res.status is LineSearchStatus.ACCEPTED and res.alpha > 0.0 \
+            and res.f_new < f_k:
+        return x + res.alpha * d, res.alpha, res.f_new
+    return None
 
 
 def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
-          stop: StoppingSpec, direction_fn) -> RunReport:
-    """Shared driver. direction_fn(x, g) -> (step vector, case, T)."""
+          stop: StoppingSpec | None, direction_fn) -> RunReport:
+    """Shared driver. direction_fn(x, g) -> (step vector, case, T). _step
+    is the one place that decides whether a step is taken, and this the one
+    place where stop=None means StoppingSpec()."""
+    if stop is None:
+        stop = StoppingSpec()
     obj = problem.objective
     x = as_vector(problem.x0).copy()
     f_curr = obj.value(x)
@@ -129,23 +146,12 @@ def _loop(problem: Problem, ls: LineSearchSpec | FixedStep,
         except NonFiniteThird:
             status = RunStatus.NON_FINITE_THIRD
             break
-        if isinstance(ls, FixedStep):
-            alpha = ls.alpha
-            x_new = x + alpha * d
-            f_new = obj.value(x_new)
-            if not isfinite(f_new):
-                status = RunStatus.LINE_SEARCH_FAILURE
-                break
-        else:
-            res = _run_line_search(obj, x, g, d, ls)
-            if res.status is not LineSearchStatus.ACCEPTED or \
-                    res.alpha <= 0.0 or not res.f_new < f_curr:
-                status = RunStatus.LINE_SEARCH_FAILURE
-                break
-            alpha = res.alpha
-            x_new = x + alpha * d
-            f_new = res.f_new
-        x, f_curr, g = x_new, f_new, as_vector(obj.gradient(x_new))
+        step = _step(obj, x, g, d, f_curr, ls)
+        if step is None:
+            status = RunStatus.LINE_SEARCH_FAILURE
+            break
+        x, alpha, f_curr = step
+        g = as_vector(obj.gradient(x))
         gnorm = norm2(g)
         iters += 1
         records.append(IterateRecord(iters, x, f_curr, gnorm, float(alpha),
@@ -159,8 +165,6 @@ def yand_run(problem: Problem, ls: LineSearchSpec,
     The direction reads the gradient the loop holds at the iterate, so
     for n >= 3 it makes no gradient call of its own (the planar path of
     n = 2 still makes two; see descent_direction)."""
-    if stop is None:
-        stop = StoppingSpec()
     obj = problem.objective
 
     def direction(x, g):
@@ -173,9 +177,6 @@ def yand_run(problem: Problem, ls: LineSearchSpec,
 def gradient_descent_run(problem: Problem,
                          step: LineSearchSpec | FixedStep,
                          stop: StoppingSpec | None = None) -> RunReport:
-    if stop is None:
-        stop = StoppingSpec()
-
     def direction(x, g):
         return (-g, "GD", 0.0)
 
@@ -188,8 +189,6 @@ def newton_run(problem: Problem, damped: bool = False,
     """Newton baseline with the given step rule; the damped variant
     regularizes the Hessian. Without ls, unit steps (classical Newton)
     when undamped, a strong Wolfe search when damped."""
-    if stop is None:
-        stop = StoppingSpec()
     obj = problem.objective
     if ls is None:
         ls = StrongWolfeSearch() if damped else FixedStep(1.0)

@@ -154,9 +154,9 @@ def rotated_quartic(n, seed):
 
 def quartic_points():
     """Seeded (objective, point) pairs from both families, three of each
-    for every n = 2..6."""
+    for every n = 2..10."""
     out = []
-    for n in range(2, 7):
+    for n in range(2, 11):
         for seed in range(3):
             rng = np.random.default_rng(100 * n + seed)
             objs = [rotated_quartic(n, seed),

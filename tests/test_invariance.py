@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_affine_normal_reference import rotated_quartic
+from test_direction import random_gl_plus
 
-from affinedescent.direction import block_decompose
+from affinedescent.direction import (DirectionCase, block_decompose,
+                                     descent_direction)
 from affinedescent.invariance import (compose_scaled,
                                       direction_covariance_angle,
                                       run_invariance)
 from affinedescent.line_search import ExactSearch
 from affinedescent.objective import verify_derivatives
 from affinedescent.optimizer import RunStatus, StoppingSpec
-from affinedescent.problems import CATALOG_NAMES, catalog
+from affinedescent.problems import CATALOG_NAMES, Problem, catalog
 
 BASE = catalog("strongly_convex_base")
 
@@ -113,6 +116,33 @@ class TestDirectionCovariance:
         rounding = np.finfo(float).eps * np.linalg.cond(A) ** 2 * kappa
         angle = direction_covariance_angle(p, A, p.x0)
         assert angle <= max(1e-6, 10.0 * rounding)
+
+    def test_covariant_in_n_dimensions(self):
+        """Seeded rotated quartics at n = 3..10, six maps of
+        cond(A) <= 1e3 each, at a seeded point y; the rounding bound is that
+        of test_covariant_under_general_maps."""
+        cases = set()
+        for n in range(3, 11):
+            for seed in range(3):
+                rng = np.random.default_rng(1000 * n + seed)
+                obj = rotated_quartic(n, seed)
+                for _ in range(6):
+                    y = rng.normal(size=n)
+                    A = random_gl_plus(rng, n, rng.uniform(0.0, 3.0))
+                    res = descent_direction(obj, y)
+                    if res.case is DirectionCase.STEEPEST_FALLBACK:
+                        continue
+                    cases.add(res.case)
+                    base = Problem(name=f"rotated_quartic_{n}", objective=obj,
+                                   x0=y, x_star=None, f_star=None, notes="")
+                    B = block_decompose(obj, y).B
+                    kappa = np.linalg.norm(obj.hessian(y), 2) / \
+                        np.min(np.abs(np.linalg.eigvalsh(B)))
+                    rounding = (np.finfo(float).eps * np.linalg.cond(A) ** 2
+                                * kappa)
+                    angle = direction_covariance_angle(base, A, y)
+                    assert angle <= max(1e-6, 10.0 * rounding), (n, seed)
+        assert cases == {DirectionCase.AN, DirectionCase.FLIPPED_AN}
 
 
 class TestRunInvariance:

@@ -38,6 +38,15 @@ def test_frame_is_orthonormal_with_gradient_normal(g):
     assert np.max(np.abs(fr.tangent.T @ g)) <= 1e-8 * max(1.0, gnorm)
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-161, 1e-200, 1e-290])
+def test_frame_of_a_tiny_gradient_has_a_unit_normal(scale):
+    """The squares in g.g underflow below |g| ~ 1e-154; the norm, and so
+    the unit normal, must not lose their bits to it."""
+    fr = build_gradient_frame(scale * np.array([3.0, 4.0, 0.0]))
+    assert fr.grad_norm == pytest.approx(5.0 * scale, rel=1e-15)
+    assert fr.normal == pytest.approx([0.6, 0.8, 0.0], rel=1e-15)
+
+
 def test_frame_zero_gradient_rejected():
     with pytest.raises(ZeroGradient):
         build_gradient_frame(np.zeros(3))

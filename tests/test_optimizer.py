@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fd_kernels import Recorder
 
-from affinedescent import line_search
+from affinedescent import line_search, optimizer
 from affinedescent.direction import classify_point
 from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
+                                       LineSearchResult, LineSearchStatus,
                                        StrongWolfeSearch)
 from affinedescent.numerics import DefinitenessTag
 from affinedescent.objective import make_objective, verify_derivatives
@@ -205,6 +206,30 @@ class TestStatuses:
             assert rep.status is RunStatus.CONVERGED
             assert rep.iters == 1
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [3, 5, 10, 20, 40])
+    def test_one_exact_step_on_seeded_spd_quadratics(self, n, seed):
+        """The paper's one-step claim beyond the 2-D catalog: f = x.Ax/2 +
+        b.x with A = Q diag(U(0.5, 10)) Q^T, under the default stop."""
+        rng = np.random.default_rng(1000 * n + seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        A = Q @ np.diag(rng.uniform(0.5, 10.0, size=n)) @ Q.T
+        A = 0.5 * (A + A.T)
+        b = rng.normal(size=n)
+        obj = make_objective(
+            dim=n, value=lambda x: float(0.5 * x @ A @ x + b @ x),
+            gradient=lambda x: A @ x + b, hessian=lambda x: A,
+            third_directional=lambda x, u, v, w: 0.0)
+        x_star = np.linalg.solve(A, -b)
+        p = Problem(name=f"spd_quadratic_{n}", objective=obj,
+                    x0=rng.normal(size=n), x_star=x_star, f_star=None,
+                    notes="")
+        rep = yand_run(p, ExactSearch())
+        assert rep.status is RunStatus.CONVERGED
+        assert rep.iters == 1 and rep.final.case == "AN"
+        err = np.linalg.norm(rep.final.x - x_star)
+        assert err <= 1e-8 * (1.0 + np.linalg.norm(x_star)), err
+
     def test_start_at_minimum_converges_immediately(self):
         p = catalog("quad_well")
         start_at_min = Problem(name="at_min", objective=p.objective,
@@ -326,6 +351,54 @@ class TestStatuses:
                       notes="")
         with pytest.raises(ValueError):
             yand_run(bad, ExactSearch(), STOP)
+
+
+class TestStepRule:
+    """A search's step is taken only when it ends Accepted at alpha > 0
+    below f_k; a fixed step wherever f is finite."""
+
+    @staticmethod
+    def run_with_search_result(monkeypatch, alpha, df, status):
+        """gradient_descent_run on quad_well whose exact search returns
+        alpha and f(x0) + df with the given status."""
+        p = catalog("quad_well")
+        f0 = p.objective.value(p.x0)
+        monkeypatch.setattr(optimizer, "exact_search",
+                            lambda phi, alpha_max: LineSearchResult(
+                                alpha, f0 + df, 1, status))
+        return gradient_descent_run(p, ExactSearch(), STOP)
+
+    FAILED = [s for s in LineSearchStatus if s is not LineSearchStatus.ACCEPTED]
+
+    @pytest.mark.parametrize("alpha, df, status", [
+        (0.0, -1.0, LineSearchStatus.ACCEPTED),
+        (0.5, 0.0, LineSearchStatus.ACCEPTED),
+        *[(0.5, -1.0, s) for s in FAILED]],
+        ids=["accepted-at-zero", "accepted-not-below"]
+        + [s.value for s in FAILED])
+    def test_search_step_not_taken(self, monkeypatch, alpha, df, status):
+        rep = self.run_with_search_result(monkeypatch, alpha, df, status)
+        assert rep.status is RunStatus.LINE_SEARCH_FAILURE
+        assert rep.iters == 0 and len(rep.records) == 1
+
+    def test_search_step_taken(self, monkeypatch):
+        rep = self.run_with_search_result(monkeypatch, 0.5, -1.0,
+                                          LineSearchStatus.ACCEPTED)
+        assert rep.records[1].alpha == 0.5
+        assert rep.records[1].f == rep.records[0].f - 1.0
+
+    def test_fixed_step_uphill_is_taken(self):
+        """On quad_well, f = x.Ax/2 + b.x with A = diag(2, 8), a gradient
+        step of 0.5 overshoots along the stiff axis: f rises at every
+        step, and the run goes on."""
+        p = catalog("quad_well")
+        rep = gradient_descent_run(p, FixedStep(alpha=0.5),
+                                   StoppingSpec(max_iter=2))
+        assert rep.status is RunStatus.MAX_ITER_REACHED
+        assert rep.iters == 2
+        f = [r.f for r in rep.records]
+        assert f[0] < f[1] < f[2]
+        assert f[1] == p.objective.value(rep.records[1].x)
 
 
 class TestConvergence:
