@@ -23,9 +23,9 @@ from .numerics import (NON_FINITE_MATRIX, DefinitenessTag, Frame, Matrix,
                        solve_symmetric, unit_gradient)
 from .objective import Objective
 
-# Relative width of the near-orthogonality band that triggers the
-# steepest-descent fallback.
-EPS_ORTH = 1e-12
+# d = tangent @ tau - n_hat has ||d||^2 = 1 + T^2 for T = ||tau||: from
+# T = T_TANGENT on, d is numerically tangent and the direction falls back.
+T_TANGENT = 1e12
 # Floor on the along-normal curvature used for the step scale.
 SCALE_FLOOR = 1e-12
 _NON_FINITE_THIRD = "third derivative has infs or NaNs"
@@ -175,56 +175,51 @@ def descent_direction(obj: Objective, x, g=None) -> DirectionResult:
     g.d = -||g||. The case is the orientation sign omega: AN iff omega > 0;
     otherwise FlippedAN, where the geometric normal omega * d pointed
     uphill and was flipped. SteepestFallback: the tangent block is
-    numerically singular, or d is numerically tangent, which needs
-    ||d|| >~ 1e12; the unit negative gradient is used.
+    numerically singular, or d is numerically tangent (T = ||tau|| not
+    below T_TANGENT); the unit negative gradient is used.
 
     g is the gradient of obj at x, for a caller that already holds it, as
     yand_run's loop does. It is not checked, so it must be that gradient;
     None evaluates it here. n >= 3 takes the matrix path, which builds its
-    frame and g.d from that gradient: it makes no gradient call when g is
-    given and one otherwise. A 2-D objective takes a scalar closed form of
-    the 1x1 tangent block, with the same errors and result bits as the
-    matrix path. It does not read g and makes two gradient calls at x (see
-    _planar_direction): catalog2d's gradient count recorded in
-    perfbench/golden.json includes both, so reading g there waits until
-    that record is re-recorded. Below dimension 2 it raises ValueError.
+    frame from that gradient: it makes no gradient call when g is given
+    and one otherwise. A 2-D objective takes a scalar closed form of the
+    1x1 tangent block, with the same errors and result bits as the matrix
+    path. It does not read g and makes two gradient calls at x (see
+    _planar_direction). Below dimension 2 it raises ValueError.
     """
     x = as_vector(x, obj.dim)
     if obj.dim == 2:
         return _planar_direction(obj, x)
-    return _matrix_direction(obj, x, None, g)
+    return _matrix_direction(obj, x,
+                             None if g is None else build_gradient_frame(g))
 
 
-def _matrix_direction(obj: Objective, x: Vector, frame: Frame | None,
-                      g=None) -> DirectionResult:
+def _matrix_direction(obj: Objective, x: Vector,
+                      frame: Frame | None) -> DirectionResult:
     """descent_direction for any n >= 2 through the tangent-block
     classification and solves, in the given frame (None: the Householder
-    frame of the gradient at x). g is the gradient at x, which gives the
-    default frame and g.d; None evaluates it with one gradient call."""
-    if g is None:
-        g = obj.gradient(x)
-    if frame is None:
-        frame = build_gradient_frame(g)
+    frame of the gradient at x, with one gradient call)."""
     block, cls_B, tau, d = _affine_normal(obj, x, frame)
     if tau is None:
         return _fallback_result(block.frame.normal, cls_B)
     return _oriented_result(
-        float(g @ d), d, tau, block.frame.normal, block.frame.grad_norm, cls_B,
+        d, tau, block.frame.normal, block.frame.grad_norm, cls_B,
         lambda: block.d_nn - float(block.c @ solve_symmetric(cls_B, block.c)),
         block.d_nn, inf_norm(cls_B.matrix))
 
 
-def _oriented_result(gd: float, d: Vector, tau: Vector, n_hat: Vector,
-                     gnorm: float, cls_B: SymmetricClass, schur, d_nn: float,
+def _oriented_result(d: Vector, tau: Vector, n_hat: Vector, gnorm: float,
+                     cls_B: SymmetricClass, schur, d_nn: float,
                      b_norm: float) -> DirectionResult:
-    """The paper's descent characterization: d descends, with g.d = -||g||,
-    unless it is numerically tangent (g.d not below the EPS_ORTH band) and
-    falls back. The case is the orientation sign omega: sign(det B) for an
-    odd number of tangent directions, +1 for an even number, where the real
-    root does not exist for negative det. Then the step scale from schur(),
-    the Schur complement d_nn - c.B^-1 c, which a fallback never evaluates.
-    b_norm is ||B||_inf."""
-    if not gd < -EPS_ORTH * gnorm * norm2(d):
+    """The paper's descent characterization: d = tangent @ tau - n_hat
+    descends, with g.d = -||g||, unless it is numerically tangent (T =
+    ||tau|| not below T_TANGENT, NaN included) and falls back. The case is the
+    orientation sign omega: sign(det B) for an odd number of tangent
+    directions, +1 for an even number, where the real root does not exist
+    for negative det. Then the step scale from schur(), the Schur
+    complement d_nn - c.B^-1 c, which a fallback never evaluates. b_norm
+    is ||B||_inf."""
+    if not norm2(tau) < T_TANGENT:
         return _fallback_result(n_hat, cls_B)
     omega = cls_B.det_sign if tau.size % 2 else 1.0
     case = DirectionCase.AN if omega > 0.0 else DirectionCase.FLIPPED_AN
@@ -260,14 +255,13 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
     LAPACK computes them on a 1x1 matrix. Sums of several products stay
     numpy calls, whose BLAS kernels may fuse multiply-adds. The errors and
     the result bits are those of the matrix path. So are the oracle calls
-    of the matrix path called without a gradient, but for a second
-    gradient call at x for the frame. It reads no gradient from its
-    caller, so under yand_run it makes two gradient calls per direction
-    where the matrix path makes none: catalog2d's gradient count recorded
-    in perfbench/golden.json includes both, so they stay until that record
-    is re-recorded.
+    of the matrix path called without a gradient, but for a first gradient
+    call at x whose value is not read: under yand_run it makes two
+    gradient calls per direction where the matrix path makes none.
     """
-    g = obj.gradient(x)
+    # Read by nothing: catalog2d's gradient count recorded in
+    # perfbench/golden.json includes this call until it is re-recorded.
+    obj.gradient(x)
     n_hat, gnorm = unit_gradient(obj.gradient(x))
     basis = _planar_basis(n_hat)
     (t0, n0), (t1, n1) = basis.tolist()
@@ -301,9 +295,8 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
         raise NonFiniteThird(_NON_FINITE_CORRECTION)
     tau = solve(rhs)
     d = np.array([(0.0 + t0 * tau) - n0, (0.0 + t1 * tau) - n1])
-    return _oriented_result(   # g may be any array-like
-        float(d.dot(g)), d, np.array([tau]), n_hat, gnorm, cls_B,
-        lambda: d_nn - c * solve(c), d_nn, abs(b))
+    return _oriented_result(d, np.array([tau]), n_hat, gnorm, cls_B,
+                            lambda: d_nn - c * solve(c), d_nn, abs(b))
 
 
 def newton_direction(obj: Objective, x, regularize: bool = False) -> Vector:

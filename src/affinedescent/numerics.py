@@ -11,6 +11,7 @@ bits as LAPACK's potrf/potrs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from enum import Enum
 from typing import NamedTuple
 
@@ -159,9 +160,9 @@ class SymmetricClass(NamedTuple):
 
     @property
     def det_sign(self) -> float:
-        """sign(det M) from the parity of the negative eigenvalues; only
-        meaningful when the matrix is not Singular."""
-        return -1.0 if np.count_nonzero(self.eigs < 0.0) % 2 else 1.0
+        """sign(det M) from the parity of the negative eigenvalues, counted
+        by bisecting the ascending eigs; meaningful unless Singular."""
+        return -1.0 if bisect_left(self.eigs.tolist(), 0.0) % 2 else 1.0
 
 
 def definiteness_tag(lowest: float, nearest_zero: float,

@@ -230,27 +230,47 @@ class TestCases:
         assert res.T == 0.0 and res.cos_theta == 1.0 and res.step_scale == 1.0
 
     def test_fallback_when_band_swallows_inner_product(self, monkeypatch):
-        # |g.d| <= ||g|| ||d|| always, so a band of width 2 swallows it
-        monkeypatch.setattr(direction, "EPS_ORTH", 2.0)
+        # The band |g.d| <= ||g|| ||d|| / T_TANGENT, in which d is
+        # numerically tangent, is T >= T_TANGENT: at T_TANGENT = 0 it
+        # swallows every d
+        monkeypatch.setattr(direction, "T_TANGENT", 0.0)
         obj = catalog("quad_51").objective
         res = descent_direction(obj, np.array([2.0, 0.0]))
         assert res.case is DirectionCase.STEEPEST_FALLBACK
 
     @pytest.mark.parametrize("b", [1.0, -1.0])
-    def test_ascent_falls_back_whatever_the_orientation(self, b):
-        """g.d above the band, which d = T tau - n_hat, with g.d = -||g||,
-        reaches only through rounding: no orientation makes d a descent
-        direction, so the case falls back where the g.d-sign rule named
-        FlippedAN (omega = +1) or AN (omega = -1)."""
+    def test_tangent_falls_back_whatever_the_orientation(self, b):
+        """T = ||tau|| at or past T_TANGENT, infinite or NaN falls back,
+        where the orientation sign names AN (omega = +1) or FlippedAN
+        (omega = -1) just below T_TANGENT: as _oriented_result reads T, and
+        on both paths, whose 1x1 tangent block b * 1e-9 gives T = 1e13, or
+        an infinite T where the solve overflows."""
         cls = classify_symmetric(np.array([[b]]))
         n_hat = np.array([0.0, 1.0])
-        args = (1.0, np.array([0.5, -1.0]), np.array([0.5]), n_hat, 1.0, cls,
-                lambda: 1.0, 1.0, 1.0)
-        res = _oriented_result(*args)
-        assert res.case is DirectionCase.STEEPEST_FALLBACK
-        assert result_bits(res) == result_bits(_fallback_result(n_hat, cls))
-        assert gd_sign_oriented_result(*args).case is (
-            DirectionCase.FLIPPED_AN if b > 0.0 else DirectionCase.AN)
+        below = np.nextafter(direction.T_TANGENT, 0.0)
+        res = _oriented_result(np.array([below, -1.0]), np.array([below]),
+                               n_hat, 1.0, cls, lambda: 1.0, 1.0, 1.0)
+        assert res.case is (
+            DirectionCase.AN if b > 0.0 else DirectionCase.FLIPPED_AN)
+
+        def schur():
+            raise AssertionError("a fallback evaluates no step scale")
+
+        for T in (direction.T_TANGENT, np.inf, np.nan):
+            res = _oriented_result(np.array([T, -1.0]), np.array([T]), n_hat,
+                                   1.0, cls, schur, 1.0, 1.0)
+            assert result_bits(res) == \
+                result_bits(_fallback_result(n_hat, cls))
+        for c in (1e4, 1e300):
+            # the frame of g = (0, 1) is the identity, so H is the framed
+            # Hessian as written
+            obj = fixed_oracles(np.array([0.0, 1.0]),
+                                np.array([[b * 1e-9, c], [c, 1.0]]), 0.0)
+            assert_planar_is_matrix_path(obj, np.zeros(2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = descent_direction(obj, np.zeros(2))
+            assert res.case is DirectionCase.STEEPEST_FALLBACK
+            assert res.point_class.det_sign == b
 
     def test_fallback_on_indefinite_block_with_zero_eigenvalue(self):
         # tangent block diag(-2, 0): Singular, though its lowest eigenvalue
@@ -470,19 +490,17 @@ def gd_sign_oriented_result(gd, d, tau, n_hat, gnorm, cls_B, schur, d_nn,
                            b_norm):
     """_oriented_result as it decided the case before reading it from the
     orientation sign alone, the g.d-sign rule: inner = omega * g.d against
-    the EPS_ORTH band, AN below it and FlippedAN above it. The planar path
-    took omega as -1 if b < 0 else +1, which is det_sign of its 1x1 class.
-    The two rules differ only where g.d lies above the band: this one names
-    a case there, the package falls back."""
+    the band |inner| <= ||g|| ||d|| / T_TANGENT, AN below it and FlippedAN
+    above it; by ||d||^2 = 1 + T^2 that band is T >= T_TANGENT. The planar
+    path took omega as -1 if b < 0 else +1, which is det_sign of its 1x1
+    class. The two rules agree but for rounding at the band's edge: g.d =
+    -||g|| rounds to a value above the band only where its error exceeds
+    ||g||, at ||d|| far past T_TANGENT, where both fall back."""
     omega = cls_B.det_sign if tau.size % 2 else 1.0
     inner = omega * gd
-    band = direction.EPS_ORTH * gnorm * norm2(d)
-    if inner < -band:
-        case = DirectionCase.AN
-    elif inner > band:
-        case = DirectionCase.FLIPPED_AN
-    else:
+    if not direction.T_TANGENT * abs(inner) > gnorm * norm2(d):
         return _fallback_result(n_hat, cls_B)
+    case = DirectionCase.AN if inner < 0.0 else DirectionCase.FLIPPED_AN
     s = schur()
     floor = direction.SCALE_FLOOR * max(1.0, abs(d_nn), b_norm)
     step_scale = gnorm / s if s > floor else 1.0
@@ -492,9 +510,15 @@ def gd_sign_oriented_result(gd, d, tau, n_hat, gnorm, cls_B, schur, d_nn,
 
 def assert_gd_sign_rule_agrees(paths, obj, x):
     """Each path gives the same outcome, oracle calls included, under the
-    g.d-sign rule."""
+    g.d-sign rule. g is evaluated here, outside the recorded calls, since
+    the package reads no g.d."""
+    g = np.asarray(obj.gradient(x), dtype=float)
+
+    def gd_sign_rule(d, *args):
+        return gd_sign_oriented_result(float(d @ g), d, *args)
+
     new = [logged_outcome(path, obj, x) for path in paths]
-    with patch.object(direction, "_oriented_result", gd_sign_oriented_result):
+    with patch.object(direction, "_oriented_result", gd_sign_rule):
         assert [logged_outcome(path, obj, x) for path in paths] == new
 
 
@@ -563,7 +587,7 @@ class TestPlanarPath:
     # tau = -0 beside n_hat[0] = +0: d[0] is +0 only if t[0] * tau is
     # summed from +0, as the matrix-vector product does
     @example((0.0, 1.0), -1.0, 0.0, 1.0, 0.0, None)
-    # |tau| ~ 1e13: d lies within the near-orthogonality band
+    # T ~ 1e13: d is numerically tangent
     @example((0.6, 0.8), 1e-9, 1e4, 1.0, 0.0, None)
     # b = 1e308 in the frame e1, e2: 2b overflows in the classification
     @example((0.0, 1.0), 1.5, 1.0, 1.0, 0.0, 308.0)
@@ -621,7 +645,7 @@ class TestPlanarPath:
                 fr.basis.tobytes()
 
     def test_only_planar_default_frames_take_it(self, monkeypatch):
-        def matrix_path(obj, x, frame, g):
+        def matrix_path(obj, x, frame):
             raise AssertionError("matrix path")
 
         monkeypatch.setattr(direction, "_matrix_direction", matrix_path)
@@ -642,7 +666,7 @@ class TestPlanarPath:
 
     @pytest.mark.parametrize("target, value", [
         ("numerics.DEGENERACY_TOL", 1e6), ("numerics.DEGENERACY_TOL", 0.5),
-        ("direction.EPS_ORTH", 2.0), ("direction.SCALE_FLOOR", 1e6)])
+        ("direction.T_TANGENT", 0.0), ("direction.SCALE_FLOOR", 1e6)])
     def test_both_paths_read_each_tolerance_from_its_home(
             self, monkeypatch, target, value):
         # built before the patch, which would otherwise reach the reference
@@ -845,9 +869,9 @@ def assert_descent_characterized(obj, x):
 
 
 class TestDescentCharacterization:
-    """The paper's descent characterization, which the case logic reaches
-    through the sign of g.d: AN or FlippedAN is the orientation sign, and
-    the oriented direction descends with g.d = -||g||."""
+    """The paper's descent characterization: AN or FlippedAN is the
+    orientation sign, and the oriented direction descends with g.d =
+    -||g||, in agreement with the g.d-sign rule."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(CATALOG_NAMES), st.integers(0, 2 ** 32 - 1))
