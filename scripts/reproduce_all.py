@@ -32,6 +32,13 @@ TRAJECTORY_RUNS = [
     ("four_well", "yand", "exact"),
 ]
 
+# (argv without --out, output file name) of every step, in run order
+STEPS = [(["verify"], "verify.csv"), (["examples"], "examples.csv"),
+         (["table2"], "table2.csv"),
+         (["invariance", "--gammas", "10,100,10000"], "invariance.csv")]
+STEPS += [(["run", p, m, ls], f"traj_{p}_{m}_{ls}.csv")
+          for p, m, ls in TRAJECTORY_RUNS]
+
 
 def run_step(argv: list[str]) -> bool:
     code = cli_main(argv)
@@ -55,14 +62,8 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ok = True
-    ok &= run_step(["verify", "--out", str(out_dir / "verify.csv")])
-    ok &= run_step(["examples", "--out", str(out_dir / "examples.csv")])
-    ok &= run_step(["table2", "--out", str(out_dir / "table2.csv")])
-    ok &= run_step(["invariance", "--gammas", "10,100,10000",
-                    "--out", str(out_dir / "invariance.csv")])
-    for problem, method, ls in TRAJECTORY_RUNS:
-        out = out_dir / f"traj_{problem}_{method}_{ls}.csv"
-        ok &= run_step(["run", problem, method, ls, "--out", str(out)])
+    for argv, filename in STEPS:
+        ok &= run_step(argv + ["--out", str(out_dir / filename)])
 
     print(f"\nresults written to {out_dir}")
     return 0 if ok else 1

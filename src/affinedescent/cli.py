@@ -229,7 +229,8 @@ def _example_checks() -> list[tuple[str, float, float, float]]:
     # 2-variable quadratic at (2,0): tangential coefficient and direction
     p51 = catalog("quad_51")
     x51 = np.array([2.0, 0.0])
-    tau, d = affine_normal_direction(p51.objective, x51)
+    res51 = affine_normal_direction(p51.objective, x51)
+    tau, d = res51.tau, res51.d
     t_hat = np.array([4.0, 1.0]) / np.sqrt(17.0)
     checks.append(("quad_51_tau", float(d @ t_hat), -0.6, 1e-12))
     checks.append(("quad_51_tau_coeff", float(np.linalg.norm(tau)), 0.6, 1e-12))
@@ -244,14 +245,14 @@ def _example_checks() -> list[tuple[str, float, float, float]]:
     # 3-variable quadratic at (2,0,0): direction is the negative unit gradient
     p52 = catalog("quad_52")
     x52 = np.array([2.0, 0.0, 0.0])
-    _, d52 = affine_normal_direction(p52.objective, x52)
+    d52 = affine_normal_direction(p52.objective, x52).d
     for i, expect in enumerate((-1.0, 0.0, 0.0)):
         checks.append((f"quad_52_d{i + 1}", float(d52[i]), expect, 1e-12))
 
     # nonquadratic at (1,1): third-derivative correction kicks in
     p53 = catalog("convex_53")
     x53 = np.array([1.0, 1.0])
-    _, d53 = affine_normal_direction(p53.objective, x53)
+    d53 = affine_normal_direction(p53.objective, x53).d
     t53 = np.array([-3.0, 1.0]) / np.sqrt(10.0)
     checks.append(("convex_53_tau", float(d53 @ t53), 0.7687, 1e-3))
     checks.append(("convex_53_d1", float(d53[0]), -1.0454, 1e-3))

@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegenerateTangentBlock, NonFiniteHessian,
-                     NonFiniteThird, SingularHessian)
+from .errors import NonFiniteHessian, NonFiniteThird, SingularHessian
 from .numerics import (NON_FINITE_MATRIX, DefinitenessTag, Frame, Matrix,
                        SymmetricClass, Vector, as_vector, build_gradient_frame,
                        classify_symmetric, definiteness_tag, inf_norm, norm2,
@@ -143,29 +142,12 @@ def _tau(obj: Objective, x: Vector, block: BlockHessian,
     return solve_symmetric(cls_B, rhs)
 
 
-def _affine_normal(obj: Objective, x: Vector, frame: Frame | None):
-    """The block at x and its classification, then tau and d = T tau - n_hat,
-    or None and None when the block is Singular."""
-    block = block_decompose(obj, x, frame=frame)
-    cls_B = _classify_hessian(block.B)
-    if cls_B.tag is DefinitenessTag.SINGULAR:
-        return block, cls_B, None, None
-    tau = _tau(obj, x, block, cls_B)
-    return block, cls_B, tau, block.frame.tangent @ tau - block.frame.normal
-
-
-def affine_normal_direction(obj: Objective, x) -> tuple[Vector, Vector]:
-    """Tangential coefficients tau and the ambient direction d with
-    frame-normal component -1.
-
-    Raises ZeroGradient at stationary points and DegenerateTangentBlock
-    when the tangent Hessian block is numerically singular.
-    """
-    _, cls_B, tau, d = _affine_normal(obj, as_vector(x, obj.dim), None)
-    if tau is None:
-        raise DegenerateTangentBlock(
-            f"tangent block min |eig| = {np.abs(cls_B.eigs).min():.3e}")
-    return tau, d
+def affine_normal_direction(obj: Objective, x) -> DirectionResult:
+    """descent_direction through the matrix path at every n >= 2, in the
+    frame of one gradient call at x: at n = 2 it takes no planar closed
+    form. The same result, errors and oracle calls as descent_direction
+    at n >= 3 without a gradient."""
+    return _matrix_direction(obj, as_vector(x, obj.dim), None)
 
 
 def descent_direction(obj: Objective, x, g=None) -> DirectionResult:
@@ -199,9 +181,12 @@ def _matrix_direction(obj: Objective, x: Vector,
     """descent_direction for any n >= 2 through the tangent-block
     classification and solves, in the given frame (None: the Householder
     frame of the gradient at x, with one gradient call)."""
-    block, cls_B, tau, d = _affine_normal(obj, x, frame)
-    if tau is None:
+    block = block_decompose(obj, x, frame=frame)
+    cls_B = _classify_hessian(block.B)
+    if cls_B.tag is DefinitenessTag.SINGULAR:
         return _fallback_result(block.frame.normal, cls_B)
+    tau = _tau(obj, x, block, cls_B)
+    d = block.frame.tangent @ tau - block.frame.normal
     return _oriented_result(
         d, tau, block.frame.normal, block.frame.grad_norm, cls_B,
         lambda: block.d_nn - float(block.c @ solve_symmetric(cls_B, block.c)),

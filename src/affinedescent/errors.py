@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 An AffineDescentError is a numerical outcome at a point: the method met a
-vanishing gradient, a singular block, a non-finite derivative, a domain wall
+vanishing gradient, a singular Hessian, a non-finite derivative, a domain wall
 or an empty slice, and cannot continue from there. A run ends on those it
 meets with a RunStatus; the CLI exits 3 on any that reaches it. Anything the
 caller got wrong (an unknown name, a wrong shape or dimension, a matrix that
@@ -15,10 +15,6 @@ class AffineDescentError(Exception):
 
 class ZeroGradient(AffineDescentError):
     """Gradient norm is numerically zero; no normal direction exists."""
-
-
-class DegenerateTangentBlock(AffineDescentError):
-    """Tangent Hessian block is singular; the direction formula divides by it."""
 
 
 class SingularHessian(AffineDescentError):

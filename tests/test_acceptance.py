@@ -2,15 +2,14 @@
 
 Each test function is one numbered criterion; `pytest -v` therefore prints
 one pass/fail line per criterion. Tolerances are pinned in the assertions.
-Criterion 8 is split: the small-offset angle bound holds, while the
-offset-halving error-scaling clause is an expected failure (see the xfail
-reason on the test).
+Criterion 8 is split into the small-offset angle bound and the
+offset-halving clause, which is stated where the cubic term is nonzero
+(see the docstring of its test).
 """
 
 import dataclasses
 
 import numpy as np
-import pytest
 
 from affinedescent.cli import _build_specs, _verify_points, cmd_table2
 from affinedescent.direction import _matrix_direction, descent_direction
@@ -69,12 +68,12 @@ def test_criterion_03_worked_example_values():
 
     # 2-d quadratic: tangential coefficient is exactly -3/5.
     quad = catalog("quad_51")
-    tau, d = affine_normal_direction(quad.objective, quad.x0)
+    tau = affine_normal_direction(quad.objective, quad.x0).tau
     assert abs(tau[0] + 0.6) <= 1e-14
 
     # 3-d quadratic: the direction is an exact coordinate vector.
     quad3 = catalog("quad_52")
-    _, d3 = affine_normal_direction(quad3.objective, quad3.x0)
+    d3 = affine_normal_direction(quad3.objective, quad3.x0).d
     assert np.array_equal(d3, np.array([-1.0, 0.0, 0.0]))
 
     # Nonquadratic convex case at (1,1), direction normalized so the
@@ -83,7 +82,7 @@ def test_criterion_03_worked_example_values():
     # tau sign depends on the basis orientation, d does not.
     conv = catalog("convex_53")
     x = np.array([1.0, 1.0])
-    _, d_c = affine_normal_direction(conv.objective, x)
+    d_c = affine_normal_direction(conv.objective, x).d
     g = conv.objective.gradient(x)
     t_hat = np.array([-3.0, 1.0]) / np.sqrt(10.0)
     assert abs(float(d_c @ t_hat) - 0.7687) <= 1e-3
@@ -158,33 +157,35 @@ def test_criterion_07_nonconvex_runs_and_symmetry_trap():
     assert dist <= 1e-5
 
 
-def _slice_angle_errors(deltas):
-    p = catalog("quad_51")
-    d_an = descent_direction(p.objective, p.x0).d
-    return [angle_between(
-        slice_centroid_direction(p.objective, p.x0, delta=d),
-        d_an) for d in deltas]
+def _slice_angle_errors(name, x, deltas):
+    obj = catalog(name).objective
+    d_an = descent_direction(obj, x).d
+    return [angle_between(slice_centroid_direction(obj, x, delta=d), d_an)
+            for d in deltas]
 
 
 def test_criterion_08_slice_estimate_angle_at_small_offset():
-    err = _slice_angle_errors([1e-3])[0]
+    p = catalog("quad_51")
+    err = _slice_angle_errors("quad_51", p.x0, [1e-3])[0]
     assert err <= 1e-2, err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="On a quadratic objective the slice centroid reproduces the "
-    "analytic direction exactly for every offset: the chord midpoint of a "
-    "conic slice lies on the diameter through the analytic direction, so "
-    "the angle error has no first-order term in the offset. The measured "
-    "angles (~1e-10 rad) are edge-bisection noise and do not shrink by "
-    "half when the offset is halved. Non-quadratic objectives do show the "
-    "expected first-order scaling (ratios ~0.5); see "
-    "tests/test_slice_centroid.py.")
 def test_criterion_08_slice_estimate_angle_scales_with_offset():
-    errs = _slice_angle_errors([1e-2, 5e-3, 2.5e-3])
+    """The angle error halves with the offset where the cubic term is
+    nonzero: convex_53 at (1, 1) gives ratios near 0.5.
+
+    On a quadratic objective the slice centroid reproduces the analytic
+    direction exactly for every offset: the chord midpoint of a conic
+    slice lies on the diameter through the analytic direction, so the
+    angle error has no first-order term in the offset. quad_51's angles
+    (~1e-10 rad) are edge-bisection noise and do not halve with the
+    offset, so there the criterion is exactness."""
+    deltas = [1e-2, 5e-3, 2.5e-3]
+    errs = _slice_angle_errors("convex_53", np.array([1.0, 1.0]), deltas)
     ratios = [b / a for a, b in zip(errs, errs[1:])]
     assert all(0.25 <= r <= 0.75 for r in ratios), (errs, ratios)
+    exact = _slice_angle_errors("quad_51", catalog("quad_51").x0, deltas)
+    assert max(exact) <= 1e-8, exact
 
 
 def test_criterion_09_slice_estimate_ascent_counterexample():

@@ -103,7 +103,7 @@ def reference_tau(obj, x):
 
 def relative_error(obj, x):
     x = np.asarray(x, dtype=float)
-    tau, _ = affine_normal_direction(obj, x)
+    tau = affine_normal_direction(obj, x).tau
     return float(np.linalg.norm(reference_tau(obj, x) - tau)
                  / np.sqrt(1.0 + tau @ tau))
 

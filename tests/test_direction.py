@@ -12,16 +12,14 @@ from test_optimizer import non_finite_third_problem
 
 from affinedescent import direction
 from affinedescent.direction import (DirectionCase, DirectionResult,
-                                     _affine_normal, _fallback_result,
-                                     _matrix_direction, _oriented_result,
-                                     _planar_basis, _planar_direction,
-                                     _third_tensor_tangent,
+                                     _fallback_result, _matrix_direction,
+                                     _oriented_result, _planar_basis,
+                                     _planar_direction, _third_tensor_tangent,
                                      affine_normal_direction, block_decompose,
                                      classify_point, descent_direction,
                                      newton_direction)
-from affinedescent.errors import (DegenerateTangentBlock, NonFiniteHessian,
-                                  NonFiniteThird, SingularHessian,
-                                  ZeroGradient)
+from affinedescent.errors import (NonFiniteHessian, NonFiniteThird,
+                                  SingularHessian, ZeroGradient)
 from affinedescent.invariance import compose_scaled
 from affinedescent.numerics import (DefinitenessTag, Frame, angle_between,
                                     build_gradient_frame, classify_symmetric,
@@ -122,16 +120,16 @@ class TestWorkedQuadratic2d:
         self.x = np.array([2.0, 0.0])
 
     def test_tau_is_minus_three_fifths(self):
-        tau, _ = affine_normal_direction(self.problem.objective, self.x)
+        tau = affine_normal_direction(self.problem.objective, self.x).tau
         assert tau[0] == pytest.approx(-0.6, abs=1e-14)
 
     def test_direction_parallel_to_diagonal(self):
-        _, d = affine_normal_direction(self.problem.objective, self.x)
+        d = affine_normal_direction(self.problem.objective, self.x).d
         assert np.allclose(d, np.array([-3.4, 3.4]) / S17, atol=1e-13)
         assert angle_between(d, np.array([-1.0, 1.0])) <= 1e-12
 
     def test_direction_matches_newton_ray(self):
-        _, d = affine_normal_direction(self.problem.objective, self.x)
+        d = affine_normal_direction(self.problem.objective, self.x).d
         dn = newton_direction(self.problem.objective, self.x)
         assert angle_between(d, dn) <= 1e-12
 
@@ -159,14 +157,14 @@ class TestWorkedQuadratic3d:
         self.x = np.array([2.0, 0.0, 0.0])
 
     def test_direction_is_negative_unit_gradient(self):
-        tau, d = affine_normal_direction(self.problem.objective, self.x)
-        assert np.array_equal(d, np.array([-1.0, 0.0, 0.0]))
-        assert np.allclose(tau, 0.0, atol=1e-15)
+        res = affine_normal_direction(self.problem.objective, self.x)
+        assert np.array_equal(res.d, np.array([-1.0, 0.0, 0.0]))
+        assert np.allclose(res.tau, 0.0, atol=1e-15)
 
     def test_axis_frame_blocks(self):
         basis = np.eye(3)[:, [1, 2, 0]]
         frame = Frame(basis=basis, grad_norm=1.0)
-        _, _, tau, d = _affine_normal(self.problem.objective, self.x, frame)
+        d = _matrix_direction(self.problem.objective, self.x, frame).d
         assert np.array_equal(d, np.array([-1.0, 0.0, 0.0]))
 
     def test_default_frame_tangent_eigenvalues(self):
@@ -186,27 +184,44 @@ class TestWorkedNonquadratic:
         self.t_hat = np.array([-3.0, 1.0]) / S10
 
     def test_tau_closed_form(self):
-        tau, d = affine_normal_direction(self.problem.objective, self.x)
-        assert abs(tau[0]) == pytest.approx(93.0 / 121.0, rel=1e-13)
-        assert float(d @ self.t_hat) == pytest.approx(93.0 / 121.0, rel=1e-13)
+        res = affine_normal_direction(self.problem.objective, self.x)
+        assert abs(res.tau[0]) == pytest.approx(93.0 / 121.0, rel=1e-13)
+        assert float(res.d @ self.t_hat) == \
+            pytest.approx(93.0 / 121.0, rel=1e-13)
 
     def test_direction_closed_form(self):
-        _, d = affine_normal_direction(self.problem.objective, self.x)
+        d = affine_normal_direction(self.problem.objective, self.x).d
         expect = np.array([-400.0, -270.0]) / (121.0 * S10)
         assert np.allclose(d, expect, atol=1e-13)
 
     def test_gradient_inner_product_closed_form(self):
-        _, d = affine_normal_direction(self.problem.objective, self.x)
+        d = affine_normal_direction(self.problem.objective, self.x).d
         g = self.problem.objective.gradient(self.x)
         assert float(g @ d) == pytest.approx(-40.0 / (3.0 * S10), rel=1e-13)
 
     def test_reported_paper_values(self):
-        _, d = affine_normal_direction(self.problem.objective, self.x)
+        d = affine_normal_direction(self.problem.objective, self.x).d
         g = self.problem.objective.gradient(self.x)
         assert float(d @ self.t_hat) == pytest.approx(0.7687, abs=1e-3)
         assert d[0] == pytest.approx(-1.0454, abs=1e-3)
         assert d[1] == pytest.approx(-0.7056, abs=1e-3)
         assert float(g @ d) == pytest.approx(-4.2164, abs=1e-3)
+
+
+def assert_singular_fallback(obj, x):
+    """Both entry points report a singular tangent block at x alike:
+    SteepestFallback along -n_hat with zero tau and step scale 1. Returns
+    descent_direction's result."""
+    n_hat = build_gradient_frame(obj.gradient(x)).normal
+    results = [entry(obj, x)
+               for entry in (descent_direction, affine_normal_direction)]
+    for res in results:
+        assert res.case is DirectionCase.STEEPEST_FALLBACK
+        assert res.point_class.tag is DefinitenessTag.SINGULAR
+        assert np.array_equal(res.d, -n_hat)
+        assert np.array_equal(res.tau, np.zeros(obj.dim - 1))
+        assert res.step_scale == 1.0
+    return results[0]
 
 
 class TestCases:
@@ -221,13 +236,19 @@ class TestCases:
         assert float(g @ res.d) < 0.0
 
     def test_fallback_on_singular_tangent_block(self):
-        obj = flat_valley()
-        x = np.array([3.0, 2.0])
-        res = descent_direction(obj, x)
+        res = assert_singular_fallback(flat_valley(), np.array([3.0, 2.0]))
+        assert np.array_equal(res.d, np.array([0.0, -1.0]))
+        assert res.T == 0.0 and res.cos_theta == 1.0
+
+    def test_degenerate_block_raises_in_plain_direction(self):
+        """The plain entry point raises nothing at a singular tangent
+        block: it reports the fallback, field for field as
+        descent_direction does at the same 2-D point."""
+        obj, x = flat_valley(), np.array([3.0, 2.0])
+        res = affine_normal_direction(obj, x)
         assert res.case is DirectionCase.STEEPEST_FALLBACK
         assert res.point_class.tag is DefinitenessTag.SINGULAR
-        assert np.allclose(res.d, np.array([0.0, -1.0]), atol=1e-15)
-        assert res.T == 0.0 and res.cos_theta == 1.0 and res.step_scale == 1.0
+        assert result_bits(res) == result_bits(descent_direction(obj, x))
 
     def test_fallback_when_band_swallows_inner_product(self, monkeypatch):
         # The band |g.d| <= ||g|| ||d|| / T_TANGENT, in which d is
@@ -282,22 +303,14 @@ class TestCases:
             hessian=lambda x: np.diag([-2.0, 0.0, 1.0]),
             third_directional=lambda x, u, v, w: 0.0,
         )
-        x = np.array([0.0, 0.0, 1.0])
-        res = descent_direction(obj, x)
-        assert res.case is DirectionCase.STEEPEST_FALLBACK
-        with pytest.raises(DegenerateTangentBlock):
-            affine_normal_direction(obj, x)
+        res = assert_singular_fallback(obj, np.array([0.0, 0.0, 1.0]))
+        assert res.point_class.eigs.tolist() == [-2.0, 0.0]
 
     def test_fallback_on_indefinite_block_with_near_zero_eigenvalue(self):
         # frame at 0 is (e1, e2 | e3): tangent block diag(-2, 1e-11), c = (0, 0.5)
         obj = quadratic([[-2.0, 0.0, 0.0], [0.0, 1e-11, 0.5], [0.0, 0.5, 1.0]],
                         [0.0, 0.0, 1.0])
-        x = np.zeros(3)
-        res = descent_direction(obj, x)
-        assert res.case is DirectionCase.STEEPEST_FALLBACK
-        assert res.point_class.tag is DefinitenessTag.SINGULAR
-        with pytest.raises(DegenerateTangentBlock):
-            affine_normal_direction(obj, x)
+        assert_singular_fallback(obj, np.zeros(3))
 
     @pytest.mark.parametrize("dim, third, scale, message", [
         (2, np.nan, 1.0, "^third derivative has infs or NaNs$"),
@@ -344,10 +357,6 @@ class TestCases:
         assert np.count_nonzero(res.point_class.eigs < 0.0) == negatives
         assert res.case is case
         assert float(obj.gradient(np.zeros(4)) @ res.d) < 0.0
-
-    def test_degenerate_block_raises_in_plain_direction(self):
-        with pytest.raises(DegenerateTangentBlock):
-            affine_normal_direction(flat_valley(), np.array([3.0, 2.0]))
 
     def test_zero_gradient_raises(self):
         obj = catalog("quad_well").objective
@@ -418,7 +427,7 @@ class TestNewtonAgreement:
         g = obj.gradient(x)
         if np.linalg.norm(g) < 1e-8:
             return
-        _, d = affine_normal_direction(obj, x)
+        d = affine_normal_direction(obj, x).d
         d_newton = -np.linalg.solve(A, g)
         assert angle_between(d, d_newton) <= 1e-8
 
@@ -700,11 +709,15 @@ class TestOracleCalls:
         # the same result bits. The planar path does not read it and
         # evaluates the gradient twice: catalog2d's golden gradient count
         # in perfbench/golden.json includes both calls.
+        # affine_normal_direction takes the matrix path at n = 2 too, so it
+        # makes one gradient call at every n.
         bits = []
-        for given, gradients in (((), 2 if dim == 2 else 1),
-                                 ((obj.gradient(x),), 2 if dim == 2 else 0)):
+        for entry, given, gradients in (
+                (descent_direction, (), 2 if dim == 2 else 1),
+                (descent_direction, (obj.gradient(x),), 2 if dim == 2 else 0),
+                (affine_normal_direction, (), 1)):
             rec = Recorder(obj)
-            res = descent_direction(rec.obj, x, *given)
+            res = entry(rec.obj, x, *given)
             assert res.case is not DirectionCase.STEEPEST_FALLBACK
             bits.append(result_bits(res))
             assert len(rec.of("gradient")) == gradients
@@ -713,7 +726,7 @@ class TestOracleCalls:
             assert rec.of("value") == []
             # every gradient call is at x itself
             assert all(c[1] == x.tobytes() for c in rec.of("gradient"))
-        assert bits[0] == bits[1]
+        assert bits[0] == bits[1] == bits[2]
 
 
 def coupled_quartic(a, c):
@@ -730,6 +743,30 @@ def coupled_quartic(a, c):
             np.sum(a * u) * np.sum(a * v) * np.sum(a * w)
             + np.sum(c * x * u * v * w)),
     )
+
+
+class TestAffineNormalDirection:
+    def test_is_descent_direction_beyond_the_plane(self):
+        """At n >= 3 the same result bits, oracle calls and case as
+        descent_direction without a gradient, on definite and indefinite
+        tangent blocks."""
+        # imported here, since that module imports this one
+        from test_affine_normal_reference import rotated_quartic
+        p = catalog("quad_52")
+        points = [(p.objective, p.x0)]
+        for n in range(3, 7):
+            rng = np.random.default_rng(n)
+            for seed in range(2):
+                points += [(rotated_quartic(n, seed), rng.normal(size=n)),
+                           (coupled_quartic(rng.normal(size=n),
+                                            rng.uniform(-2.0, 2.0, size=n)),
+                            rng.normal(size=n))]
+        cases = set()
+        for obj, x in points:
+            out = logged_outcome(affine_normal_direction, obj, x)
+            assert out == logged_outcome(descent_direction, obj, x)
+            cases.add(affine_normal_direction(obj, x).case)
+        assert cases == {DirectionCase.AN, DirectionCase.FLIPPED_AN}
 
 
 class TestThirdTensorTangent:

@@ -20,19 +20,15 @@ RTOL = 1e-9
 ATOL = 1e-12
 
 
-def _trajectory_runs():
+def _reproduce_steps():
     spec = importlib.util.spec_from_file_location(
         "reproduce_all", ROOT / "scripts" / "reproduce_all.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRAJECTORY_RUNS
+    return module.STEPS
 
 
-STEPS = [(["verify"], "verify.csv"), (["examples"], "examples.csv"),
-         (["table2"], "table2.csv"),
-         (["invariance", "--gammas", "10,100,10000"], "invariance.csv")]
-STEPS += [(["run", p, m, ls], f"traj_{p}_{m}_{ls}.csv")
-          for p, m, ls in _trajectory_runs()]
+STEPS = _reproduce_steps()
 
 
 def _float(cell: str):

@@ -130,7 +130,7 @@ class TestSliceDirection:
     def test_matches_analytic_on_quadratic_for_every_offset(self):
         p = catalog("quad_51")
         x = np.array([2.0, 0.0])
-        _, d_an = affine_normal_direction(p.objective, x)
+        d_an = affine_normal_direction(p.objective, x).d
         for delta in (1e-2, 1e-3, 1e-4):
             v = slice_centroid_direction(p.objective, x, delta=delta)
             assert angle_between(v, d_an) <= 1e-8
@@ -142,7 +142,7 @@ class TestSliceDirection:
     def test_first_order_error_where_cubic_term_is_nonzero(self):
         p = catalog("convex_53")
         x = np.array([1.0, 1.0])
-        _, d_an = affine_normal_direction(p.objective, x)
+        d_an = affine_normal_direction(p.objective, x).d
         errs = []
         for delta in (1e-2, 5e-3, 2.5e-3):
             v = slice_centroid_direction(p.objective, x, delta=delta)
