@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NonFiniteHessian, NonFiniteThird, SingularHessian
 from .numerics import (NON_FINITE_MATRIX, DefinitenessTag, Frame, Matrix,
                        SymmetricClass, Vector, as_vector, build_gradient_frame,
-                       classify_symmetric, definiteness_tag, inf_norm, norm2,
+                       classify_symmetric, definiteness_tag, norm2,
                        solve_symmetric, unit_gradient)
 from .objective import Objective
 
@@ -190,26 +190,25 @@ def _matrix_direction(obj: Objective, x: Vector,
     return _oriented_result(
         d, tau, block.frame.normal, block.frame.grad_norm, cls_B,
         lambda: block.d_nn - float(block.c @ solve_symmetric(cls_B, block.c)),
-        block.d_nn, inf_norm(cls_B.matrix))
+        block.d_nn)
 
 
 def _oriented_result(d: Vector, tau: Vector, n_hat: Vector, gnorm: float,
-                     cls_B: SymmetricClass, schur, d_nn: float,
-                     b_norm: float) -> DirectionResult:
+                     cls_B: SymmetricClass, schur,
+                     d_nn: float) -> DirectionResult:
     """The paper's descent characterization: d = tangent @ tau - n_hat
     descends, with g.d = -||g||, unless it is numerically tangent (T =
     ||tau|| not below T_TANGENT, NaN included) and falls back. The case is the
     orientation sign omega: sign(det B) for an odd number of tangent
     directions, +1 for an even number, where the real root does not exist
     for negative det. Then the step scale from schur(), the Schur
-    complement d_nn - c.B^-1 c, which a fallback never evaluates. b_norm
-    is ||B||_inf."""
+    complement d_nn - c.B^-1 c, which a fallback never evaluates."""
     if not norm2(tau) < T_TANGENT:
         return _fallback_result(n_hat, cls_B)
     omega = cls_B.det_sign if tau.size % 2 else 1.0
     case = DirectionCase.AN if omega > 0.0 else DirectionCase.FLIPPED_AN
     s = schur()
-    floor = SCALE_FLOOR * max(1.0, abs(d_nn), b_norm)
+    floor = SCALE_FLOOR * max(cls_B.scale, abs(d_nn))
     step_scale = gnorm / s if s > floor else 1.0
     return DirectionResult(d=d, case=case, tau=tau, point_class=cls_B,
                            step_scale=step_scale)
@@ -258,10 +257,11 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
     b = 0.5 * (h00 + h00)
     if not isfinite(b):
         raise NonFiniteHessian(NON_FINITE_MATRIX)
-    tag = definiteness_tag(b, abs(b), max(1.0, abs(b)))
+    scale = max(1.0, abs(b))
+    tag = definiteness_tag(b, abs(b), scale)
     w = 1.0 / sqrt(b) if tag is DefinitenessTag.POSITIVE_DEFINITE else None
     cls_B = SymmetricClass(tag=tag, eigs=np.array([b]),
-                           matrix=np.array([[b]]),
+                           matrix=np.array([[b]]), scale=scale,
                            factor=None if w is None else np.array([[w]]))
     if tag is DefinitenessTag.SINGULAR:
         return _fallback_result(n_hat, cls_B)
@@ -281,7 +281,7 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
     tau = solve(rhs)
     d = np.array([(0.0 + t0 * tau) - n0, (0.0 + t1 * tau) - n1])
     return _oriented_result(d, np.array([tau]), n_hat, gnorm, cls_B,
-                            lambda: d_nn - c * solve(c), d_nn, abs(b))
+                            lambda: d_nn - c * solve(c), d_nn)
 
 
 def newton_direction(obj: Objective, x, regularize: bool = False) -> Vector:
@@ -296,9 +296,8 @@ def newton_direction(obj: Objective, x, regularize: bool = False) -> Vector:
     g = obj.gradient(x)
     cls = _classify_hessian(_hessian(obj, x))
     if regularize and not cls.is_positive_definite:
-        H = cls.matrix
-        shift = max(0.0, -cls.min_eig) + 1e-8 * max(1.0, inf_norm(H))
-        cls = _classify_hessian(H + shift * np.eye(obj.dim))
+        shift = max(0.0, -cls.min_eig) + 1e-8 * cls.scale
+        cls = _classify_hessian(cls.matrix + shift * np.eye(obj.dim))
     if cls.tag is DefinitenessTag.SINGULAR:
         raise SingularHessian(f"min |eig| = {np.abs(cls.eigs).min():.3e}")
     return -solve_symmetric(cls, g)

@@ -42,22 +42,25 @@ def as_vector(x, dim: int | None = None) -> Vector:
 
 
 def norm2(v) -> float:
-    """Euclidean norm of a 1-d float vector.
+    """Euclidean norm of a float vector: the package's one scaled norm.
 
-    Wherever v.v is finite it performs the same operations as
+    Wherever 1e-146 <= sqrt(v.v) < inf it performs the same operations as
     np.linalg.norm(v), hence returns the same bits, without its dispatch
-    overhead. Where v.v overflows it scales by the largest |entry| first,
-    so a finite vector has a finite norm up to the float maximum.
+    overhead. Below that v.v may have underflowed (1e-146 is about
+    sqrt(tiny/eps)), and above it v.v has overflowed: there it scales by
+    the largest |entry| first, so every finite vector has its norm, from
+    the least subnormal to the float maximum.
     """
     v = v.ravel(order="K")
     try:
         ss = v.dot(v)
     except RuntimeWarning:   # the overflow, where warnings are errors
         ss = math.inf
-    if ss != math.inf:
-        return math.sqrt(ss)
-    scale = float(np.abs(v).max())
-    if scale == math.inf:
+    r = math.sqrt(ss)
+    if 1e-146 <= r < math.inf:
+        return r
+    scale = float(np.abs(v).max(initial=0.0))
+    if not 0.0 < scale < math.inf:   # zero, empty, inf or NaN
         return scale
     w = v / scale
     return scale * math.sqrt(w.dot(w))
@@ -67,11 +70,6 @@ def positive_finite(name: str, value) -> None:
     """Raise ValueError unless 0 < value < inf; NaN fails the test."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive")
-
-
-def inf_norm(M) -> float:
-    a = np.abs(M)
-    return float(a.max()) if a.size else 0.0
 
 
 class Frame(NamedTuple):
@@ -103,9 +101,6 @@ def unit_gradient(grad) -> tuple[Vector, float]:
     if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
     gnorm = norm2(g)
-    if gnorm < 1e-146 and g.any():   # ~sqrt(tiny/eps): g.g underflowed
-        scale = float(np.abs(g).max())
-        gnorm = scale * norm2(g / scale)
     if gnorm <= ZERO_GRAD_FLOOR:
         raise ZeroGradient(f"gradient norm {gnorm:g} below {ZERO_GRAD_FLOOR:g}")
     return g / gnorm, gnorm
@@ -148,6 +143,7 @@ class SymmetricClass(NamedTuple):
     tag: DefinitenessTag
     eigs: Vector     # ascending
     matrix: Matrix
+    scale: float     # max(1, ||matrix||_inf), the scale of its thresholds
     factor: Matrix | None = None
 
     @property
@@ -190,7 +186,7 @@ def classify_symmetric(M) -> SymmetricClass:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         S = 0.5 * (A + A.T)
-    norm = inf_norm(S)
+    norm = float(np.abs(S).max())
     if not math.isfinite(norm):
         raise ValueError(NON_FINITE_MATRIX)
     scale = max(1.0, norm)
@@ -201,7 +197,8 @@ def classify_symmetric(M) -> SymmetricClass:
         lowest, lowest if lowest > 0.0 else float(np.abs(eigs).min()), scale)
     factor = (np.linalg.inv(np.linalg.cholesky(S)).T
               if tag is DefinitenessTag.POSITIVE_DEFINITE else None)
-    return SymmetricClass(tag=tag, eigs=eigs, matrix=S, factor=factor)
+    return SymmetricClass(tag=tag, eigs=eigs, matrix=S, scale=scale,
+                          factor=factor)
 
 
 def solve_spd(cls: SymmetricClass, rhs) -> Vector:

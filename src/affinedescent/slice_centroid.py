@@ -87,20 +87,14 @@ def slice_region_2d(obj: Objective, z, C: float) -> SliceRegion:
         raise EmptySlice(f"no feasible point in [-{R:g}, {R:g}] at C={C:g}")
 
     intervals: list[tuple[float, float]] = []
-    i = 0
-    while i < n:
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and flags[j + 1]:
-            j += 1
+    # the runs of feasible flags, each from its first index i to its last j
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False))
+    for i, j in zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()):
         lo = grid[i] if i == 0 else _bisect_edge(
             feasible, grid[i - 1], grid[i], False)
         hi = grid[j] if j == n - 1 else _bisect_edge(
             feasible, grid[j], grid[j + 1], True)
         intervals.append((float(lo), float(hi)))
-        i = j + 1
 
     total = sum(b - a for a, b in intervals)
     if total > 1e-300:

@@ -493,7 +493,10 @@ class TestTable2Command:
     def test_failed_run_exits_three_and_keeps_every_row(self, tmp_path,
                                                          capsys):
         """At tol_grad 1e-300 the exact search of gradient descent fails
-        at gamma 10 and 100; the table is the same, the exit code 3."""
+        at gamma 10 and 100, and at gamma 1e4 the Wolfe and Armijo searches
+        of the affine normal fail at a gradient norm of 6.5e-165, below
+        where its squares underflow; the table is the same, the exit code
+        3."""
         out = tmp_path / "table2.csv"
         code, _, err = run_main(
             ["table2", "--tol-grad", "1e-300", "--out", str(out)], capsys)
@@ -507,7 +510,9 @@ class TestTable2Command:
             "1000,1000,1000000,1,1,1,16,200*,1\n"
             "10000,10000,100000000,1,11,11,18,200*,1\n")
         assert err == ("gamma 10 gd_exact: LineSearchFailure at k = 178\n"
-                       "gamma 100 gd_exact: LineSearchFailure at k = 83\n")
+                       "gamma 100 gd_exact: LineSearchFailure at k = 83\n"
+                       "gamma 10000 yand_wolfe: LineSearchFailure at k = 11\n"
+                       "gamma 10000 yand_armijo: LineSearchFailure at k = 11\n")
 
 
 class TestExamplesCommand:

@@ -270,7 +270,7 @@ class TestCases:
         n_hat = np.array([0.0, 1.0])
         below = np.nextafter(direction.T_TANGENT, 0.0)
         res = _oriented_result(np.array([below, -1.0]), np.array([below]),
-                               n_hat, 1.0, cls, lambda: 1.0, 1.0, 1.0)
+                               n_hat, 1.0, cls, lambda: 1.0, 1.0)
         assert res.case is (
             DirectionCase.AN if b > 0.0 else DirectionCase.FLIPPED_AN)
 
@@ -279,7 +279,7 @@ class TestCases:
 
         for T in (direction.T_TANGENT, np.inf, np.nan):
             res = _oriented_result(np.array([T, -1.0]), np.array([T]), n_hat,
-                                   1.0, cls, schur, 1.0, 1.0)
+                                   1.0, cls, schur, 1.0)
             assert result_bits(res) == \
                 result_bits(_fallback_result(n_hat, cls))
         for c in (1e4, 1e300):
@@ -495,8 +495,7 @@ def result_bits(res):
             + [bits(getattr(cls, name)) for name in cls._fields])
 
 
-def gd_sign_oriented_result(gd, d, tau, n_hat, gnorm, cls_B, schur, d_nn,
-                           b_norm):
+def gd_sign_oriented_result(gd, d, tau, n_hat, gnorm, cls_B, schur, d_nn):
     """_oriented_result as it decided the case before reading it from the
     orientation sign alone, the g.d-sign rule: inner = omega * g.d against
     the band |inner| <= ||g|| ||d|| / T_TANGENT, AN below it and FlippedAN
@@ -504,14 +503,17 @@ def gd_sign_oriented_result(gd, d, tau, n_hat, gnorm, cls_B, schur, d_nn,
     path took omega as -1 if b < 0 else +1, which is det_sign of its 1x1
     class. The two rules agree but for rounding at the band's edge: g.d =
     -||g|| rounds to a value above the band only where its error exceeds
-    ||g||, at ||d|| far past T_TANGENT, where both fall back."""
+    ||g||, at ||d|| far past T_TANGENT, where both fall back. The
+    step-scale floor is computed here from the block's entries, not read
+    from its scale."""
     omega = cls_B.det_sign if tau.size % 2 else 1.0
     inner = omega * gd
     if not direction.T_TANGENT * abs(inner) > gnorm * norm2(d):
         return _fallback_result(n_hat, cls_B)
     case = DirectionCase.AN if inner < 0.0 else DirectionCase.FLIPPED_AN
     s = schur()
-    floor = direction.SCALE_FLOOR * max(1.0, abs(d_nn), b_norm)
+    floor = direction.SCALE_FLOOR * max(1.0, abs(d_nn),
+                                        float(np.abs(cls_B.matrix).max()))
     step_scale = gnorm / s if s > floor else 1.0
     return DirectionResult(d=d, case=case, tau=tau, point_class=cls_B,
                            step_scale=step_scale)
@@ -552,7 +554,8 @@ def default_matrix_path(obj, x):
 def assert_planar_is_matrix_path(obj, x):
     """The same outcome on both paths, under the case rule and under the
     g.d-sign rule it replaced; T is the sqrt(tau * tau) that the planar
-    path stored before T was derived from tau. The oracle calls are the
+    path stored before T was derived from tau, where that lies in norm2's
+    unscaled range, and |tau| elsewhere. The oracle calls are the
     same but for the planar path's second gradient call at x, which the
     matrix path saves by building its frame from the gradient it holds."""
     planar = logged_outcome(_planar_direction, obj, x)
@@ -565,7 +568,13 @@ def assert_planar_is_matrix_path(obj, x):
         with np.errstate(all="ignore"):
             res = _planar_direction(obj, x)
         t = float(res.tau[0])
-        assert struct.pack("d", res.T) == struct.pack("d", sqrt(t * t))
+        assert struct.pack("d", res.T) == struct.pack("d", one_entry_norm(t))
+
+
+def one_entry_norm(t):
+    """||(t,)||: sqrt(t * t) where 1e-146 <= sqrt(t * t) < inf, else |t|."""
+    r = sqrt(t * t)
+    return r if 1e-146 <= r < np.inf else abs(t)
 
 
 def fixed_oracles(g, H, third):
@@ -629,19 +638,20 @@ class TestPlanarPath:
 
     def test_T_of_one_entry_is_sqrt_of_square(self):
         """T = norm2(tau) on a 1-entry tau gives the bits of sqrt(t * t)
-        where t * t is finite and |t| where it overflows, over random bit
-        patterns and the edges of the double range."""
+        where 1e-146 <= sqrt(t * t) < inf, and |t| where t * t overflows
+        or may have underflowed, over random bit patterns and the edges of
+        the double range."""
         rng = np.random.default_rng(20)
         ts = rng.integers(0, 2 ** 64, size=200_000,
                           dtype=np.uint64).view(float)
         edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 1e-146, -1e-146, np.nextafter(1e-146, 0.0),
                  1.4916681462400413e-154, 1.3407807929942596e154,
                  1.4e154, 1.7976931348623157e308, np.inf, -np.inf]
         ts = np.concatenate([edges, ts[~np.isnan(ts)]])
         with np.errstate(over="ignore", under="ignore"):
             got = [norm2(ts[i:i + 1]) for i in range(ts.size)]
-        want = [abs(t) if t * t == np.inf else sqrt(t * t)
-                for t in ts.tolist()]
+        want = [one_entry_norm(t) for t in ts.tolist()]
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @settings(max_examples=300, deadline=None)

@@ -13,8 +13,7 @@ from hypothesis.extra.numpy import arrays
 from affinedescent.errors import ZeroGradient
 from affinedescent.numerics import (DefinitenessTag, angle_between,
                                     build_gradient_frame, classify_symmetric,
-                                    inf_norm, norm2, solve_spd,
-                                    solve_symmetric)
+                                    norm2, solve_spd, solve_symmetric)
 
 
 def finite_vectors(dim):
@@ -88,13 +87,26 @@ def test_classification_agrees_with_eigenvalues(S):
     assert cls.min_eig == pytest.approx(eigs[0], rel=1e-9, abs=1e-9)
     assert cls.eigs[-1] == pytest.approx(eigs[-1], rel=1e-9, abs=1e-9)
     # singular when any eigenvalue is near zero, whatever the others' signs
-    thresh = 1e-10 * max(1.0, inf_norm(S))
+    assert cls.scale == max(1.0, float(np.abs(S).max()))
+    thresh = 1e-10 * cls.scale
     if eigs[0] > thresh:
         assert cls.tag is DefinitenessTag.POSITIVE_DEFINITE
     elif np.min(np.abs(eigs)) <= thresh:
         assert cls.tag is DefinitenessTag.SINGULAR
     else:
         assert cls.tag is DefinitenessTag.OTHER_INDEFINITE
+
+
+@pytest.mark.parametrize("M", [[[0.0]], [[0.5, 0.2], [0.0, -0.25]],
+                               [[3.0, -8.0], [2.0, 1.0]],
+                               [[1e-3, 0.0, 7.0], [0.0, -2.0, 0.0],
+                                [-1.0, 0.0, 4.0]]])
+def test_scale_is_that_of_the_symmetric_part(M):
+    """The threshold scale max(1, ||S||_inf) of S = (M + M^T) / 2, with
+    ||.||_inf the largest |entry|: 1 below unit size."""
+    M = np.array(M)
+    assert classify_symmetric(M).scale == \
+        max(1.0, float(np.abs(0.5 * (M + M.T)).max()))
 
 
 def test_near_zero_eigenvalue_above_a_negative_one_is_singular():
@@ -276,8 +288,23 @@ def test_solve_requires_positive_definite_factor():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 8).flatmap(finite_vectors))
 def test_norm2_is_bitwise_numpy_norm(v):
+    """The bits of np.linalg.norm where that is at least 1e-146 or the
+    vector is zero; below, those of the same norm after scaling by the
+    largest |entry|."""
     for view in (v, v[::-1], v[::2], np.stack([v, v], axis=1)[:, 0]):
-        assert norm2(view) == np.linalg.norm(view)
+        want = np.linalg.norm(view)
+        if want < 1e-146 and view.any():
+            s = np.abs(view).max()
+            want = s * np.linalg.norm(view / s)
+        assert norm2(view) == want
+
+
+@pytest.mark.parametrize("v", [[5e-324], [6.46907938e-173, 6.46907938e-165],
+                               [1.078e-161, 0.0], [-3e-160, 4e-160], []])
+def test_norm2_is_exact_where_the_squares_underflow(v):
+    """The correctly rounded norm, which math.hypot gives on these; 0 on
+    an empty vector."""
+    assert norm2(np.array(v, dtype=float)) == math.hypot(*v)
 
 
 @pytest.mark.parametrize("action", ["error", "ignore"])
@@ -306,6 +333,11 @@ def test_angle_between_basics():
         pytest.approx(np.pi / 2, rel=1e-12)
     assert angle_between(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == \
         pytest.approx(np.pi, rel=1e-12)
+
+
+def test_angle_between_vectors_whose_squares_underflow():
+    assert angle_between(np.array([1e-170, 0.0]), np.array([0.0, 1.0])) == \
+        math.pi / 2
 
 
 def test_angle_between_is_accurate_for_tiny_angles():

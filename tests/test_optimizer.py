@@ -457,6 +457,18 @@ class TestConvergence:
             assert rep.status is RunStatus.CONVERGED
             assert rep.iters <= 10
 
+    @pytest.mark.parametrize("ls", [StrongWolfeSearch(), ArmijoSearch()],
+                             ids=["wolfe", "armijo"])
+    def test_a_gradient_below_the_square_range_keeps_its_norm(self, ls):
+        """At gamma 1e4 the search from the 11th iterate finds no step; its
+        gradient norm 6.47e-165 lies where g.g underflows, so an unscaled
+        norm would read 0 and stop the run as Converged."""
+        problem, _ = make_affine_scaled(1e4)
+        rep = yand_run(problem, ls, StoppingSpec(tol_grad=1e-300))
+        assert rep.status is RunStatus.LINE_SEARCH_FAILURE
+        assert rep.iters == 11
+        assert rep.records[-1].grad_norm == 6.469079379123512e-165
+
 
 def convex_quartic_problem(dim, seed):
     """f = x.Qx/2 + sum_i c_i x_i^4/4 with Q positive definite: strictly

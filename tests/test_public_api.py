@@ -40,7 +40,7 @@ DATACLASSES = {
 }
 RECORD_FIELDS = {
     "numerics.Frame": ("basis", "grad_norm"),
-    "numerics.SymmetricClass": ("tag", "eigs", "matrix", "factor"),
+    "numerics.SymmetricClass": ("tag", "eigs", "matrix", "scale", "factor"),
     "direction.BlockHessian": ("frame", "B", "c", "d_nn"),
     "direction.DirectionResult": ("d", "case", "tau", "point_class",
                                   "step_scale"),
