@@ -40,7 +40,7 @@ from .errors import AffineDescentError
 from .invariance import run_invariance
 from .line_search import (ArmijoSearch, ExactSearch, FixedStep,
                           StrongWolfeSearch)
-from .numerics import angle_between, positive_finite
+from .numerics import angle_between, norm2, positive_finite
 from .objective import verify_derivatives
 from .optimizer import (RunReport, RunStatus, StoppingSpec,
                         gradient_descent_run, newton_run, yand_run)
@@ -80,10 +80,8 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float) or isinstance(v, np.floating):
-        return f"{float(v):.17g}"
-    return str(v)
+def _fmt(v: float) -> str:
+    return "%.17g" % v
 
 
 def _write_lines(path: str | Path, lines: list[str]) -> None:
@@ -116,7 +114,6 @@ def write_trajectory_csv(report: RunReport, path: str | Path) -> None:
     dim = report.records[0].x.size
     header = ["k"] + [f"x{i + 1}" for i in range(dim)] + \
         ["f", "gnorm", "alpha", "case", "T", "cos_theta"]
-    # "%.17g" % v is _fmt(v) for every float
     row = ",".join(["%d"] + ["%.17g"] * (dim + 3) + ["%s", "%.17g", "%.17g"])
     _write_lines(path, [",".join(header)] + [
         row % (r.k, *r.x.tolist(), r.f, r.grad_norm, r.alpha, r.case, r.T,
@@ -233,7 +230,7 @@ def _example_checks() -> list[tuple[str, float, float, float]]:
     tau, d = res51.tau, res51.d
     t_hat = np.array([4.0, 1.0]) / np.sqrt(17.0)
     checks.append(("quad_51_tau", float(d @ t_hat), -0.6, 1e-12))
-    checks.append(("quad_51_tau_coeff", float(np.linalg.norm(tau)), 0.6, 1e-12))
+    checks.append(("quad_51_tau_coeff", norm2(tau), 0.6, 1e-12))
     checks.append(("quad_51_dir_angle",
                    angle_between(d, np.array([-1.0, 1.0])), 0.0, 1e-10))
     d_newton = newton_direction(p51.objective, x51)
@@ -272,29 +269,33 @@ def _example_checks() -> list[tuple[str, float, float, float]]:
     return checks
 
 
-def cmd_examples(out_path: str | Path) -> int:
-    rows = _example_checks()
-    lines = ["check,computed,expected,tol,pass"]
+def _check_table(header: str, rows, out_path: str | Path) -> int:
+    """Write the header and one line per row, each row's cells joined with
+    pass or FAIL, to out_path and stdout; 0, or 4 on any FAIL. rows gives
+    (cells, passed) pairs."""
+    lines = [header]
     ok = True
-    for label, computed, expected, tol in rows:
-        passed = abs(computed - expected) <= tol
+    for cells, passed in rows:
         ok = ok and passed
-        lines.append(f"{label},{_fmt(computed)},{_fmt(expected)},{_fmt(tol)},"
-                     f"{'pass' if passed else 'FAIL'}")
+        lines.append(",".join(cells + ["pass" if passed else "FAIL"]))
     _write_lines(out_path, lines)
     print("\n".join(lines))
     return 0 if ok else 4
 
 
+def cmd_examples(out_path: str | Path) -> int:
+    rows = [([label, _fmt(computed), _fmt(expected), _fmt(tol)],
+             abs(computed - expected) <= tol)
+            for label, computed, expected, tol in _example_checks()]
+    return _check_table("check,computed,expected,tol,pass", rows, out_path)
+
+
 def cmd_invariance(gammas, specs: dict, out_path: str | Path) -> int:
     base = catalog("strongly_convex_base")
     exact, stop = specs["exact"], specs["stop"]
-    for gamma in gammas:
-        positive_finite("gammas", gamma)
     lines = ["gamma,max_deviation,iters_scaled,iters_base"]
     runs = []
     for gamma in gammas:
-        gamma = float(gamma)
         rep = run_invariance(base, np.diag([1.0, gamma]), exact, stop)
         lines.append(f"{_fmt(gamma)},{_fmt(max(rep.per_iterate_deviation))},"
                      f"{rep.scaled.iters},{rep.base.iters}")
@@ -322,18 +323,15 @@ def cmd_verify(seed: int, out_path: str | Path) -> int:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
-    lines = ["problem,grad_err,hess_err,third_err,pass"]
-    ok = True
+    rows = []
     for problem in (catalog(name) for name in CATALOG_NAMES):
         report = verify_derivatives(problem.objective,
                                     _verify_points(problem, rng), rng=rng)
-        ok = ok and report.ok
-        lines.append(f"{problem.name},{_fmt(report.grad_err)},"
-                     f"{_fmt(report.hess_err)},{_fmt(report.third_err)},"
-                     f"{'pass' if report.ok else 'FAIL'}")
-    _write_lines(out_path, lines)
-    print("\n".join(lines))
-    return 0 if ok else 4
+        rows.append(([problem.name, _fmt(report.grad_err),
+                      _fmt(report.hess_err), _fmt(report.third_err)],
+                     report.ok))
+    return _check_table("problem,grad_err,hess_err,third_err,pass", rows,
+                        out_path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -394,14 +392,17 @@ def _load_settings(args) -> dict:
 
 
 def _parse_gammas(text: str) -> list[float]:
-    """The comma-separated scalings of --gammas. An item that is not a
-    number, an empty one included, is an error, so the list is never
-    empty."""
+    """The comma-separated scalings of --gammas, each finite and positive.
+    An item that is not a number, an empty one included, is an error, so
+    the list is never empty."""
     try:
-        return [float(item) for item in text.split(",")]
+        gammas = [float(item) for item in text.split(",")]
     except ValueError:
         raise ValueError(f"--gammas: expected comma-separated numbers, such "
                          f"as 10,100, got {text!r}") from None
+    for gamma in gammas:
+        positive_finite("gammas", gamma)
+    return gammas
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ from .errors import NonFiniteHessian, NonFiniteThird, SingularHessian
 from .numerics import (NON_FINITE_MATRIX, DefinitenessTag, Frame, Matrix,
                        SymmetricClass, Vector, as_vector, build_gradient_frame,
                        classify_symmetric, definiteness_tag, norm2,
-                       solve_symmetric, unit_gradient)
+                       solve_symmetric)
 from .objective import Objective
 
 # d = tangent @ tau - n_hat has ||d||^2 = 1 + T^2 for T = ||tau||: from
@@ -220,17 +220,6 @@ def _fallback_result(normal: Vector, cls_B: SymmetricClass) -> DirectionResult:
         tau=np.zeros(cls_B.eigs.size), point_class=cls_B, step_scale=1.0)
 
 
-def _planar_basis(n_hat: Vector) -> Matrix:
-    """build_gradient_frame's basis for n = 2 from the unit gradient, in
-    scalars: the tangent column of its Householder reflection, then n_hat."""
-    n0, n1 = n_hat.tolist()
-    s = -1.0 if n1 >= 0.0 else 1.0
-    u = np.array([n0, n1 - s])
-    k = 2.0 / float(u.dot(u))   # a numpy dot, as in build_gradient_frame
-    u0, u1 = u.tolist()
-    return np.array([[1.0 - k * (u0 * u0), n0], [0.0 - k * (u1 * u0), n1]])
-
-
 def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
     """descent_direction for n = 2, in scalars.
 
@@ -246,8 +235,8 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
     # Read by nothing: catalog2d's gradient count recorded in
     # perfbench/golden.json includes this call until it is re-recorded.
     obj.gradient(x)
-    n_hat, gnorm = unit_gradient(obj.gradient(x))
-    basis = _planar_basis(n_hat)
+    frame = build_gradient_frame(obj.gradient(x))
+    basis, gnorm = frame.basis, frame.grad_norm
     (t0, n0), (t1, n1) = basis.tolist()
     # matmul, as in block_decompose: dot would round a Hessian that is
     # neither C- nor F-contiguous differently.
@@ -264,7 +253,7 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
                            matrix=np.array([[b]]), scale=scale,
                            factor=None if w is None else np.array([[w]]))
     if tag is DefinitenessTag.SINGULAR:
-        return _fallback_result(n_hat, cls_B)
+        return _fallback_result(frame.normal, cls_B)
 
     def solve(r: float) -> float:
         return r / b if w is None else w * (w * r)
@@ -280,7 +269,7 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
         raise NonFiniteThird(_NON_FINITE_CORRECTION)
     tau = solve(rhs)
     d = np.array([(0.0 + t0 * tau) - n0, (0.0 + t1 * tau) - n1])
-    return _oriented_result(d, np.array([tau]), n_hat, gnorm, cls_B,
+    return _oriented_result(d, np.array([tau]), frame.normal, gnorm, cls_B,
                             lambda: d_nn - c * solve(c), d_nn)
 
 

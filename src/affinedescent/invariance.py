@@ -9,7 +9,7 @@ import numpy as np
 
 from .direction import descent_direction
 from .line_search import LineSearchSpec
-from .numerics import angle_between, as_vector
+from .numerics import angle_between, as_vector, norm2
 from .objective import make_objective
 from .optimizer import RunReport, yand_run
 from .problems import Problem
@@ -24,7 +24,7 @@ class InvarianceReport(NamedTuple):
 def compose_scaled(base: Problem, B) -> Problem:
     """The problem min f(x) = phi(Bx) with start B^-1 y0, derivatives by
     the chain rule. Raises ValueError when B is not dim x dim, holds infs or
-    NaNs, or has det(B) <= 0."""
+    NaNs, has det(B) <= 0, or has an inverse that overflows."""
     B = np.asarray(B, dtype=float)
     dim = base.objective.dim
     if B.shape != (dim, dim):
@@ -37,6 +37,9 @@ def compose_scaled(base: Problem, B) -> Problem:
                          "invertible and orientation-preserving")
     phi = base.objective
     Binv = np.linalg.inv(B)
+    if not np.isfinite(Binv).all():
+        raise ValueError("B must have a finite inverse: inv(B) has infs or "
+                         "NaNs")
     BT = B.T
     # B.dot(y) is B @ y by the same BLAS call for a C- or F-contiguous B. The
     # Hessian, an oracle's array of any layout, keeps matmul.
@@ -79,7 +82,7 @@ def run_invariance(base: Problem, B, ls: LineSearchSpec,
     unscaled = yand_run(base, ls, stop)
     n_shared = min(len(scaled.records), len(unscaled.records))
     deviations = [
-        float(np.linalg.norm(B @ scaled.records[k].x - unscaled.records[k].x))
+        norm2(B @ scaled.records[k].x - unscaled.records[k].x)
         for k in range(n_shared)
     ]
     return InvarianceReport(scaled, unscaled, deviations)

@@ -197,13 +197,10 @@ def exact_search(phi: Phi, alpha_max: float) -> LineSearchResult:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    best_alpha, best_f = x, fx
-    if f0 < best_f:
-        best_alpha, best_f = 0.0, f0
+    # x is the best point seen, 0 included: the swap left fx <= min(f0, fU)
     status = LineSearchStatus.ACCEPTED if b - a <= EXACT_TOL else \
         LineSearchStatus.MAX_EXACT_STEPS
-    return LineSearchResult(alpha=best_alpha, f_new=best_f, evals=evals,
-                            status=status)
+    return LineSearchResult(alpha=x, f_new=fx, evals=evals, status=status)
 
 
 def armijo_backtrack(phi: Phi, dphi0: float,

@@ -113,11 +113,20 @@ def build_gradient_frame(grad) -> Frame:
     gradient (s chosen so the reflector is well conditioned); its first
     n-1 columns are the tangent vectors, and the unit gradient itself is
     stored as the last column in place of s times the reflection's. Checks
-    and errors are those of unit_gradient. Deterministic in the input bits.
+    and errors are those of unit_gradient. Deterministic in the input bits;
+    at n = 2 it computes the same bits in scalars.
     """
     n_hat, gnorm = unit_gradient(grad)
     # Reflector u = n_hat - s*e_last with s opposing n_hat[-1]: no cancellation.
     s = -1.0 if n_hat[-1] >= 0.0 else 1.0
+    if n_hat.size == 2:
+        n0, n1 = n_hat.tolist()
+        u = np.array([n0, n1 - s])
+        k = 2.0 / float(u.dot(u))   # a numpy dot, as u @ u below
+        u0, u1 = u.tolist()
+        return Frame(basis=np.array([[1.0 - k * (u0 * u0), n0],
+                                     [0.0 - k * (u1 * u0), n1]]),
+                     grad_norm=gnorm)
     u = n_hat.copy()
     u[-1] -= s
     basis = np.eye(n_hat.size) - (2.0 / float(u @ u)) * np.outer(u, u)

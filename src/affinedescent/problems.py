@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import inf, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -49,17 +49,7 @@ class Problem:
             as_vector(self.x_star, dim)
 
 
-def _validated(p: Problem) -> Problem:
-    if not np.isfinite(p.objective.value(p.x0)):
-        raise ValueError(f"{p.name}: start point outside domain")
-    if p.x_star is not None:
-        gstar = np.linalg.norm(p.objective.gradient(p.x_star))
-        if gstar > 1e-8:
-            raise ValueError(f"{p.name}: reference optimum has ||grad|| = {gstar:.2e}")
-    return p
-
-
-def _quadratic(dim: int, A: np.ndarray, b: np.ndarray) -> Objective:
+def _quadratic_problem(name: str, A, b, x0, notes: str) -> Problem:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     # x (A/2) x is (x/2) A x bit for bit at any float64 x for the
@@ -78,16 +68,9 @@ def _quadratic(dim: int, A: np.ndarray, b: np.ndarray) -> Objective:
     def third(x, u, v, w):
         return 0.0
 
-    return make_objective(dim, value, gradient, hessian, third)
-
-
-def _quadratic_problem(name: str, A, b, x0, notes: str) -> Problem:
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    obj = make_objective(len(b), value, gradient, hessian, third)
     x_star = np.linalg.solve(A, -b)
-    obj = _quadratic(len(b), A, b)
-    return _validated(Problem(name, obj, as_vector(x0), x_star,
-                              obj.value(x_star), notes))
+    return Problem(name, obj, as_vector(x0), x_star, obj.value(x_star), notes)
 
 
 # ---------------------------------------------------------------- catalog
@@ -126,9 +109,8 @@ def _build_convex_53() -> Problem:
         return float(2.0 * x[0] * u[0] * v[0] * w[0])
 
     obj = make_objective(2, value, gradient, hessian, third)
-    return _validated(Problem("convex_53", obj, np.array([1.0, 1.0]),
-                              np.zeros(2), 0.0,
-                              "strictly convex quartic-augmented bowl"))
+    return Problem("convex_53", obj, np.array([1.0, 1.0]), np.zeros(2), 0.0,
+                   "strictly convex quartic-augmented bowl")
 
 
 def _build_poly6() -> Problem:
@@ -163,9 +145,9 @@ def _build_poly6() -> Problem:
 
     obj = make_objective(2, value, gradient, hessian, third)
     x_star = np.array([-0.04837739824833604, -0.08817082809036664])
-    return _validated(Problem("poly6", obj, np.array([0.5, -0.5]), x_star,
-                              obj.value(x_star),
-                              "sixth-degree anisotropic convex polynomial"))
+    return Problem("poly6", obj, np.array([0.5, -0.5]), x_star,
+                   obj.value(x_star),
+                   "sixth-degree anisotropic convex polynomial")
 
 
 def _build_inverse_barrier() -> Problem:
@@ -196,9 +178,9 @@ def _build_inverse_barrier() -> Problem:
 
     obj = make_objective(2, value, gradient, hessian, third, in_domain)
     x_star, f_star = inverse_barrier_optimum()
-    return _validated(Problem(
+    return Problem(
         "inverse_barrier", obj, np.array([0.01, 0.98]), x_star, f_star,
-        "quadratic bowl plus inverse barrier on the half-space x1+x2 < 1"))
+        "quadratic bowl plus inverse barrier on the half-space x1+x2 < 1")
 
 
 def _build_rosenbrock() -> Problem:
@@ -224,9 +206,8 @@ def _build_rosenbrock() -> Problem:
                                 + u[1] * v[0] * w[0]))
 
     obj = make_objective(2, value, gradient, hessian, third)
-    return _validated(Problem("rosenbrock", obj, np.array([-1.2, 1.0]),
-                              np.array([1.0, 1.0]), 0.0,
-                              "classical banana valley"))
+    return Problem("rosenbrock", obj, np.array([-1.2, 1.0]),
+                   np.array([1.0, 1.0]), 0.0, "classical banana valley")
 
 
 def _build_ring_tilted() -> Problem:
@@ -254,9 +235,9 @@ def _build_ring_tilted() -> Problem:
 
     obj = make_objective(2, value, gradient, hessian, third)
     x_star = np.array([-1.012273131032681, 0.0])
-    return _validated(Problem("ring_tilted", obj, np.array([0.0, 1.5]), x_star,
-                              obj.value(x_star),
-                              "ring-shaped valley tilted by a linear term"))
+    return Problem("ring_tilted", obj, np.array([0.0, 1.5]), x_star,
+                   obj.value(x_star),
+                   "ring-shaped valley tilted by a linear term")
 
 
 def _build_saddle_poly() -> Problem:
@@ -273,9 +254,9 @@ def _build_saddle_poly() -> Problem:
         return float(24.0 * x[0] * u[0] * v[0] * w[0])
 
     obj = make_objective(2, value, gradient, hessian, third)
-    return _validated(Problem("saddle_poly", obj, np.array([0.1, 0.2]),
-                              np.array([1.0 / sqrt(2.0), 0.0]), -0.25,
-                              "strict saddle at the origin, wells on the x1 axis"))
+    return Problem("saddle_poly", obj, np.array([0.1, 0.2]),
+                   np.array([1.0 / sqrt(2.0), 0.0]), -0.25,
+                   "strict saddle at the origin, wells on the x1 axis")
 
 
 def _build_four_well() -> Problem:
@@ -296,9 +277,9 @@ def _build_four_well() -> Problem:
                      + 24.0 * x[1] * u[1] * v[1] * w[1])
 
     obj = make_objective(2, value, gradient, hessian, third)
-    return _validated(Problem("four_well", obj, np.array([0.1, -1.5]),
-                              np.array([1.0, -1.0]), 0.0,
-                              "quartic with four equivalent wells at (+-1, +-1)"))
+    return Problem("four_well", obj, np.array([0.1, -1.5]),
+                   np.array([1.0, -1.0]), 0.0,
+                   "quartic with four equivalent wells at (+-1, +-1)")
 
 
 def _build_counterexample() -> Problem:
@@ -316,8 +297,8 @@ def _build_counterexample() -> Problem:
         return float(24.0 * x[0] * u[0] * v[0] * w[0])
 
     obj = make_objective(2, value, gradient, hessian, third)
-    return _validated(Problem("counterexample", obj, np.zeros(2), None, None,
-                              "nonconvex level sets; slice centroid points uphill"))
+    return Problem("counterexample", obj, np.zeros(2), None, None,
+                   "nonconvex level sets; slice centroid points uphill")
 
 
 def _build_strongly_convex_base() -> Problem:
@@ -338,9 +319,9 @@ def _build_strongly_convex_base() -> Problem:
                      + 2.0 * x[1] * u[1] * v[1] * w[1])
 
     obj = make_objective(2, value, gradient, hessian, third)
-    return _validated(Problem("strongly_convex_base", obj,
-                              np.array([1.2, -0.7]), np.zeros(2), 0.0,
-                              "quartic-regularized bowl for scaling studies"))
+    return Problem("strongly_convex_base", obj, np.array([1.2, -0.7]),
+                   np.zeros(2), 0.0,
+                   "quartic-regularized bowl for scaling studies")
 
 
 _BUILDERS = {
@@ -392,14 +373,19 @@ class AffineScalingSpec(NamedTuple):
 def make_affine_scaled(gamma: float) -> tuple[Problem, AffineScalingSpec]:
     """The diagonally scaled bowl f(x) = (x1^2 + gamma^2 x2^2)/2 from
     (1,1), paired with its scaling spec (B = diag(1, gamma) applied to an
-    isotropic bowl started at B @ x0)."""
+    isotropic bowl started at B @ x0). Raises ValueError unless gamma and
+    gamma^2 are finite and positive."""
     positive_finite("gamma", gamma)
+    g = float(gamma)
+    # g * g, not g ** 2, which raises OverflowError on a Python float
+    if not 0.0 < g * g < inf:
+        raise ValueError(f"gamma = {g:g}: its square {g * g:g} must be "
+                         "finite and positive")
     scaled = _quadratic_problem(
-        f"affine_scaled_{gamma:g}", np.diag([1.0, gamma * gamma]),
+        f"affine_scaled_{g:g}", np.diag([1.0, g * g]),
         np.zeros(2), (1.0, 1.0),
-        f"diagonally scaled bowl, Hessian condition {gamma * gamma:g}")
+        f"diagonally scaled bowl, Hessian condition {g * g:g}")
     base = _quadratic_problem(
-        "isotropic_bowl", np.eye(2), np.zeros(2), (1.0, gamma),
+        "isotropic_bowl", np.eye(2), np.zeros(2), (1.0, g),
         "unit bowl seen through the scaling")
-    return scaled, AffineScalingSpec(B=np.diag([1.0, float(gamma)]),
-                                     base=base)
+    return scaled, AffineScalingSpec(B=np.diag([1.0, g]), base=base)

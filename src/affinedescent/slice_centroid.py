@@ -96,11 +96,9 @@ def slice_region_2d(obj: Objective, z, C: float) -> SliceRegion:
             feasible, grid[j], grid[j + 1], True)
         intervals.append((float(lo), float(hi)))
 
+    # R >= 1, so a refined edge lies >= 2.5e-13 beyond its run: total > 0
     total = sum(b - a for a, b in intervals)
-    if total > 1e-300:
-        centroid_param = sum(0.5 * (b * b - a * a) for a, b in intervals) / total
-    else:
-        centroid_param = float(np.mean([0.5 * (a + b) for a, b in intervals]))
+    centroid_param = sum(0.5 * (b * b - a * a) for a, b in intervals) / total
     centroid = foot + centroid_param * t_hat
     return SliceRegion(intervals=intervals, total_length=float(total),
                        centroid_param=float(centroid_param),

@@ -13,8 +13,8 @@ from test_optimizer import non_finite_third_problem
 from affinedescent import direction
 from affinedescent.direction import (DirectionCase, DirectionResult,
                                      _fallback_result, _matrix_direction,
-                                     _oriented_result, _planar_basis,
-                                     _planar_direction, _third_tensor_tangent,
+                                     _oriented_result, _planar_direction,
+                                     _third_tensor_tangent,
                                      affine_normal_direction, block_decompose,
                                      classify_point, descent_direction,
                                      newton_direction)
@@ -657,11 +657,18 @@ class TestPlanarPath:
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)))
     def test_basis_is_the_gradient_frame(self, g):
+        """build_gradient_frame's scalar n = 2 branch gives the bits of the
+        general Householder formula: I - k u u^T with u = n_hat - s e_2 and
+        k = 2 / u.u, its last column replaced by n_hat."""
         g = np.array(g)
         if np.linalg.norm(g) > 1e-300:
             fr = build_gradient_frame(g)
-            assert _planar_basis(g / fr.grad_norm).tobytes() == \
-                fr.basis.tobytes()
+            n_hat = g / fr.grad_norm
+            u = n_hat.copy()
+            u[-1] -= -1.0 if n_hat[-1] >= 0.0 else 1.0
+            want = np.eye(2) - (2.0 / float(u @ u)) * np.outer(u, u)
+            want[:, -1] = n_hat
+            assert fr.basis.tobytes() == want.tobytes()
 
     def test_only_planar_default_frames_take_it(self, monkeypatch):
         def matrix_path(obj, x, frame):

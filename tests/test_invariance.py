@@ -61,6 +61,12 @@ class TestComposeScaled:
         with pytest.raises(ValueError, match="infs or NaNs"):
             compose_scaled(BASE, B)
 
+    def test_matrix_whose_inverse_overflows_rejected(self):
+        """det(B) = 1e-320 > 0, but inv(B) holds 1e320 = inf, which made
+        B^-1 @ x_star a NaN and a RuntimeWarning."""
+        with pytest.raises(ValueError, match="^B must have a finite inverse"):
+            compose_scaled(BASE, np.diag([1.0, 1e-320]))
+
     @pytest.mark.parametrize("B", [np.ones((2, 3)), np.eye(2)[None],
                                    np.eye(3)])
     def test_matrix_of_wrong_shape_rejected(self, B):

@@ -52,7 +52,39 @@ class TestSpecValidation:
                 make(bad)
 
 
+# phi(a) from parameters (p, q, r): a quadratic, a tilted quartic, a
+# quadratic walled off at +inf beyond a = q, and an oscillating ramp
+PHI_FAMILIES = {
+    "quadratic": lambda p, q, r, a: p * (a - q) ** 2 + r,
+    "quartic": lambda p, q, r, a: p * (a - q) ** 4 + r * a,
+    "walled": lambda p, q, r, a: math.inf if a > q else p * (a - r) ** 2,
+    "oscillating": lambda p, q, r, a: math.sin(p * a) + q * math.cos(a)
+    + r * a,
+}
+
+
 class TestExactSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(PHI_FAMILIES)), st.floats(-50.0, 50.0),
+           st.floats(-20.0, 20.0), st.floats(-10.0, 10.0),
+           st.floats(0.1, 100.0))
+    def test_result_is_the_least_value_seen(self, family, p, q, r,
+                                            alpha_max):
+        """The incumbent x is the best point evaluated, 0 included: the
+        initial swap leaves fx <= min(phi(0), phi(U)), and a trial replaces
+        it only with a value no larger."""
+        values = {}
+
+        def phi(a):
+            values[a] = PHI_FAMILIES[family](p, q, r, a)
+            return values[a]
+
+        res = exact_search(phi, alpha_max)
+        if res.status in (LineSearchStatus.ACCEPTED,
+                          LineSearchStatus.MAX_EXACT_STEPS):
+            assert res.f_new <= values[0.0]
+            assert res.f_new == values[res.alpha]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_alpha_max_raises(self, bad):
         # A NaN or infinite bound never halves below 1e-16 of itself; the

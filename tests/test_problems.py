@@ -172,6 +172,20 @@ class TestAffineScaling:
             make_affine_scaled(gamma)
 
 
+    @pytest.mark.parametrize("gamma", [1e-200, 1e155])
+    def test_gamma_squared_must_be_finite_and_positive(self, gamma):
+        """gamma^2 underflows to 0 (a singular Hessian) or overflows to inf
+        (an infinite start value)."""
+        with pytest.raises(ValueError, match="^gamma = .*: its square"):
+            make_affine_scaled(gamma)
+
+    @pytest.mark.parametrize("gamma", [1e154, 1e-155])
+    def test_gamma_with_a_float_square_builds(self, gamma):
+        problem, scaling = make_affine_scaled(gamma)
+        assert problem.objective.hessian(problem.x0)[1, 1] == gamma * gamma
+        assert scaling.B[1, 1] == gamma
+
+
 class TestQuadraticValue:
     """The quadratics' value, x (A/2) x + b x with A/2 formed once."""
 

@@ -6,7 +6,7 @@ from affinedescent.errors import EmptySlice
 from affinedescent.numerics import angle_between
 from affinedescent.objective import make_objective
 from affinedescent import slice_centroid
-from affinedescent.problems import catalog
+from affinedescent.problems import CATALOG_NAMES, catalog
 from affinedescent.slice_centroid import (slice_centroid_direction,
                                           slice_region_2d)
 
@@ -63,6 +63,33 @@ class TestSliceRegion:
         assert b2 == pytest.approx(outer, abs=1e-9)
         assert b1 < a2   # ordered and disjoint
         assert region.centroid_param == pytest.approx(0.0, abs=1e-9)
+
+    def test_every_interval_has_positive_width(self):
+        """R >= 1 spaces the scan grid at least 9.8e-4 apart, so a bisected
+        edge lies at least 2.5e-13 beyond the grid points of its run, and
+        an unbisected one is -R or R: every interval has b > a, and the
+        centroid's division by the total length is safe."""
+        rng = np.random.default_rng(4)
+        cases = [(catalog("counterexample").objective, np.zeros(2), 1e-2)]
+        for name in CATALOG_NAMES:
+            p = catalog(name)
+            if p.objective.dim != 2:
+                continue
+            points = [p.x0] + list(p.x0 + rng.uniform(-0.5, 0.5, (2, 2)))
+            cases += [(p.objective, z, sign * offset)
+                      for z in points if p.objective.in_domain(z)
+                      for offset in (1e-9, 1e-5, 1e-1) for sign in (-1, 1)]
+        regions = []
+        for obj, z, C in cases:
+            try:
+                regions.append(slice_region_2d(obj, z, C))
+            except EmptySlice:   # above a convex level set, say
+                pass
+        assert len(regions[0].intervals) == 2
+        assert len(regions) > len(cases) // 2
+        for region in regions:
+            assert all(b > a for a, b in region.intervals)
+            assert region.total_length > 0.0
 
     def test_empty_slice_raises(self):
         obj = isotropic_bowl()
