@@ -20,8 +20,8 @@ an OSError), 2 iteration cap, 3 the numerics stopped (an AffineDescentError,
 or a line-search failure, degeneracy, or a non-finite gradient, Hessian or
 third derivative), 4 check failure. table2 and invariance write every row
 and exit 3 when any of their runs ends with exit code 3, naming it on
-stderr, and 0 otherwise: a run at the iteration cap is data (table2 marks
-it N*).
+stderr (a run at the iteration cap is data; table2 marks it N*), else
+invariance 4 when a row's max_deviation exceeds 1e-6, and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -180,16 +180,19 @@ def _count_cell(report: RunReport) -> str:
     return str(report.iters)
 
 
-def _sweep_exit_code(runs) -> int:
-    """0, or 3 when a run of a sweep could not continue: its _exit_code is
-    3. Each such run, given as (gamma, name, report), is named on stderr.
-    A run at the iteration cap is a row's data, not a failure."""
+def _sweep_exit_code(runs, broken=()) -> int:
+    """3 when a run of a sweep could not continue (its _exit_code is 3),
+    naming each, given as (gamma, name, report), on stderr: a run at the
+    iteration cap is data. Else 4, printing each message of broken, or 0."""
     code = 0
     for gamma, name, report in runs:
         if _exit_code(report.status) == 3:
             print(f"gamma {_fmt(gamma)} {name}: {report.status.value} "
                   f"at k = {report.iters}", file=sys.stderr)
             code = 3
+    if code == 0 and broken:
+        print("\n".join(broken), file=sys.stderr)
+        code = 4
     return code
 
 
@@ -294,14 +297,17 @@ def cmd_invariance(gammas, specs: dict, out_path: str | Path) -> int:
     base = catalog("strongly_convex_base")
     exact, stop = specs["exact"], specs["stop"]
     lines = ["gamma,max_deviation,iters_scaled,iters_base"]
-    runs = []
+    runs, broken = [], []
     for gamma in gammas:
         rep = run_invariance(base, np.diag([1.0, gamma]), exact, stop)
-        lines.append(f"{_fmt(gamma)},{_fmt(max(rep.per_iterate_deviation))},"
+        deviation = max(rep.per_iterate_deviation)
+        lines.append(f"{_fmt(gamma)},{_fmt(deviation)},"
                      f"{rep.scaled.iters},{rep.base.iters}")
         runs += [(gamma, "scaled", rep.scaled), (gamma, "base", rep.base)]
+        if deviation > 1e-6:   # criterion 12's bound on ||B x_k - y_k||
+            broken.append(f"gamma {_fmt(gamma)}: max_deviation > 1e-6")
     _write_lines(out_path, lines)
-    return _sweep_exit_code(runs)
+    return _sweep_exit_code(runs, broken)
 
 
 def _verify_points(problem, rng) -> list[np.ndarray]:

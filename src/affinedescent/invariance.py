@@ -24,7 +24,7 @@ class InvarianceReport(NamedTuple):
 def compose_scaled(base: Problem, B) -> Problem:
     """The problem min f(x) = phi(Bx) with start B^-1 y0, derivatives by
     the chain rule. Raises ValueError when B is not dim x dim, holds infs or
-    NaNs, has det(B) <= 0, or has an inverse that overflows."""
+    NaNs, has det(B) <= 0, or when B^-1, B^-1 y0 or B^-1 y* overflows."""
     B = np.asarray(B, dtype=float)
     dim = base.objective.dim
     if B.shape != (dim, dim):
@@ -37,9 +37,13 @@ def compose_scaled(base: Problem, B) -> Problem:
                          "invertible and orientation-preserving")
     phi = base.objective
     Binv = np.linalg.inv(B)
-    if not np.isfinite(Binv).all():
-        raise ValueError("B must have a finite inverse: inv(B) has infs or "
-                         "NaNs")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0 = Binv @ as_vector(base.x0)
+        x_star = None if base.x_star is None else Binv @ base.x_star
+    if not all(np.isfinite(a).all() for a in (Binv, x0, x_star)
+               if a is not None):
+        raise ValueError("B must have a finite inverse that maps x0 and "
+                         "x_star to finite points")
     BT = B.T
     # B.dot(y) is B @ y by the same BLAS call for a C- or F-contiguous B. The
     # Hessian, an oracle's array of any layout, keeps matmul.
@@ -66,10 +70,8 @@ def compose_scaled(base: Problem, B) -> Problem:
         return phi.in_domain(Bx(x))
 
     obj = make_objective(dim, value, gradient, hessian, third, in_domain)
-    x_star = None if base.x_star is None else Binv @ base.x_star
-    return Problem(name=f"{base.name}_scaled", objective=obj,
-                   x0=Binv @ as_vector(base.x0), x_star=x_star,
-                   f_star=base.f_star, notes=f"{base.notes} (composed with B)")
+    return Problem(f"{base.name}_scaled", obj, x0, x_star, base.f_star,
+                   f"{base.notes} (composed with B)")
 
 
 def run_invariance(base: Problem, B, ls: LineSearchSpec,

@@ -98,8 +98,8 @@ MAX_EXACT_STEPS = 500
 EXACT_TOL = 1e-10
 
 
-def exact_search(phi: Phi, alpha_max: float) -> LineSearchResult:
-    """Derivative-free minimization of phi on [0, U], U <= alpha_max.
+def exact_search(phi: Phi, spec: ExactSearch) -> LineSearchResult:
+    """Derivative-free minimization of phi on [0, U], U <= spec.alpha_max.
 
     U is halved until phi(U) is finite, then a golden-section bracket is
     shrunk to width EXACT_TOL, with parabolic-interpolation trial points taken
@@ -108,23 +108,22 @@ def exact_search(phi: Phi, alpha_max: float) -> LineSearchResult:
     the best evaluated point, with status MaxExactSteps when the bracket
     is still wider than EXACT_TOL after MAX_EXACT_STEPS trial points, and
     alpha 0 with status NoFiniteStep when phi(0) is not finite or U falls
-    below 1e-16 alpha_max. Raises ValueError unless 0 < alpha_max < inf,
-    since halving a NaN or infinite bound never ends.
+    below 1e-16 alpha_max, which ExactSearch has checked is finite and
+    positive: halving a NaN or infinite bound would never end.
     """
-    positive_finite("alpha_max", alpha_max)
     f0 = phi(0.0)
     evals = 1
     if not isfinite(f0):
         return LineSearchResult(alpha=0.0, f_new=f0, evals=evals,
                                 status=LineSearchStatus.NO_FINITE_STEP)
-    U = alpha_max
+    U = spec.alpha_max
     fU = phi(U)
     evals += 1
     wall = None   # smallest alpha seen with phi = +inf, if any
     while not isfinite(fU):
         wall = U
         U *= 0.5
-        if U < 1e-16 * alpha_max:
+        if U < 1e-16 * spec.alpha_max:
             return LineSearchResult(alpha=0.0, f_new=f0, evals=evals,
                                     status=LineSearchStatus.NO_FINITE_STEP)
         fU = phi(U)

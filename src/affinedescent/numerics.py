@@ -88,11 +88,16 @@ class Frame(NamedTuple):
         return self.basis[:, -1]
 
 
-def unit_gradient(grad) -> tuple[Vector, float]:
-    """(grad/||grad||, ||grad||) after the checks every gradient frame needs.
+def build_gradient_frame(grad) -> Frame:
+    """Orthonormal frame whose last column is grad/||grad||.
 
-    Raises ValueError below dimension 2 or on non-finite entries, and
-    ZeroGradient when the norm is numerically zero.
+    Uses a single Householder reflection mapping s*e_last to the unit
+    gradient (s chosen so the reflector is well conditioned); its first
+    n-1 columns are the tangent vectors, and the unit gradient itself is
+    stored as the last column in place of s times the reflection's.
+    Deterministic in the input bits; at n = 2 it computes the same bits in
+    scalars. Raises ValueError below dimension 2 or on non-finite entries,
+    and ZeroGradient when the norm is numerically zero.
     """
     g = as_vector(grad)
     if g.size < 2:
@@ -103,20 +108,7 @@ def unit_gradient(grad) -> tuple[Vector, float]:
     gnorm = norm2(g)
     if gnorm <= ZERO_GRAD_FLOOR:
         raise ZeroGradient(f"gradient norm {gnorm:g} below {ZERO_GRAD_FLOOR:g}")
-    return g / gnorm, gnorm
-
-
-def build_gradient_frame(grad) -> Frame:
-    """Orthonormal frame whose last column is grad/||grad||.
-
-    Uses a single Householder reflection mapping s*e_last to the unit
-    gradient (s chosen so the reflector is well conditioned); its first
-    n-1 columns are the tangent vectors, and the unit gradient itself is
-    stored as the last column in place of s times the reflection's. Checks
-    and errors are those of unit_gradient. Deterministic in the input bits;
-    at n = 2 it computes the same bits in scalars.
-    """
-    n_hat, gnorm = unit_gradient(grad)
+    n_hat = g / gnorm
     # Reflector u = n_hat - s*e_last with s opposing n_hat[-1]: no cancellation.
     s = -1.0 if n_hat[-1] >= 0.0 else 1.0
     if n_hat.size == 2:

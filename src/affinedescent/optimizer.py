@@ -91,7 +91,7 @@ def _step(obj: Objective, x: Vector, g: Vector, d: Vector, f_k: float,
         return obj.value(x + alpha * d)
 
     if isinstance(ls, ExactSearch):
-        res = exact_search(phi, alpha_max=ls.alpha_max)
+        res = exact_search(phi, ls)
     elif isinstance(ls, ArmijoSearch):
         # d first: a gradient oracle may return any array-like
         res = armijo_backtrack(phi, float(d.dot(g)), ls)

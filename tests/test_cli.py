@@ -545,6 +545,32 @@ class TestInvarianceCommand:
             assert r[2] == r[3]
         assert out.read_bytes() == (RESULTS / "invariance.csv").read_bytes()
 
+    def test_broken_equivalence_exits_four(self, tmp_path, capsys):
+        """At gamma 1e-8 both runs end Converged, but the scaled run stops
+        after 1 step where the base run takes 3, and its iterates miss the
+        base ones by about 1: the row is written, and stderr names gamma."""
+        out = tmp_path / "inv.csv"
+        code, _, err = run_main(
+            ["invariance", "--gammas", "10,1e-8", "--out", str(out)], capsys)
+        assert code == 4
+        assert err == "gamma 1e-08: max_deviation > 1e-6\n"
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["10", "1e-08"]
+        assert float(rows[0][1]) <= 1e-6 < float(rows[1][1])
+        assert rows[1][2:] == ["1", "3"]
+
+    def test_failed_run_outranks_a_broken_equivalence(self, tmp_path,
+                                                      capsys):
+        """A run that could not continue exits 3, naming only that run."""
+        out = tmp_path / "inv.csv"
+        code, _, err = run_main(
+            ["invariance", "--gammas", "1e-8,1e16", "--out", str(out)],
+            capsys)
+        assert code == 3
+        assert len(out.read_text().splitlines()) == 3
+        assert err == ("gamma 10000000000000000 scaled: LineSearchFailure "
+                       "at k = 0\n")
+
     def test_failed_run_exits_three(self, tmp_path, capsys):
         """At gamma 1e16 the scaled run ends before its first step: the
         row is written, its deviation covers row 0 only, and stderr names

@@ -58,6 +58,13 @@ BAD_INPUT = {
                     "line: dimension 1 < 2 has no tangent space"),
     "1-D frame": (lambda: build_gradient_frame([1.0]),
                   "frame construction needs dimension >= 2, got 1"),
+    "non-finite gradient": (lambda: build_gradient_frame([np.nan, 1.0]),
+                            "gradient has non-finite entries"),
+    "B overflowing x0": (
+        lambda: compose_scaled(catalog("strongly_convex_base"),
+                               np.diag([6e-309, 1.0])),
+        "B must have a finite inverse that maps x0 and x_star to finite "
+        "points"),
 }
 
 

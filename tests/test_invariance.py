@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ class TestComposeScaled:
         B^-1 @ x_star a NaN and a RuntimeWarning."""
         with pytest.raises(ValueError, match="^B must have a finite inverse"):
             compose_scaled(BASE, np.diag([1.0, 1e-320]))
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_matrix_whose_inverse_overflows_the_start_rejected(self, action):
+        """inv(B) = diag(1.7e308, 1) is finite, but inv(B) @ x0 overflows to
+        [inf, -0.7]: a ValueError naming B, whether numpy's overflow
+        warning is an error or not."""
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(ValueError, match="^B must have a finite "
+                               "inverse that maps x0 and x_star"):
+                compose_scaled(BASE, np.diag([6e-309, 1.0]))
 
     @pytest.mark.parametrize("B", [np.ones((2, 3)), np.eye(2)[None],
                                    np.eye(3)])

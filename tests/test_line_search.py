@@ -79,49 +79,32 @@ class TestExactSearch:
             values[a] = PHI_FAMILIES[family](p, q, r, a)
             return values[a]
 
-        res = exact_search(phi, alpha_max)
+        res = exact_search(phi, ExactSearch(alpha_max))
         if res.status in (LineSearchStatus.ACCEPTED,
                           LineSearchStatus.MAX_EXACT_STEPS):
             assert res.f_new <= values[0.0]
             assert res.f_new == values[res.alpha]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
-    def test_bad_alpha_max_raises(self, bad):
-        # A NaN or infinite bound never halves below 1e-16 of itself; the
-        # bounded phi turns a regression into a failure, not a hang.
-        calls = []
-
-        def phi(a):
-            calls.append(a)
-            if len(calls) > 10_000:
-                raise RuntimeError("exact search did not stop")
-            return math.inf
-
-        with pytest.raises(ValueError,
-                           match="^alpha_max must be finite and positive$"):
-            exact_search(phi, alpha_max=bad)
-        assert calls == []
-
     def test_quadratic_minimum_to_machine_precision(self):
-        res = exact_search(lambda a: (a - 0.3) ** 2, alpha_max=10.0)
+        res = exact_search(lambda a: (a - 0.3) ** 2, ExactSearch())
         assert res.status is LineSearchStatus.ACCEPTED
         assert res.alpha == pytest.approx(0.3, abs=1e-10)
 
     def test_tiny_quadratic_minimizer_resolved(self):
         # minimizer near 1e-4 of the span still found to ~1e-10
         t = 1.2345e-4
-        res = exact_search(lambda a: (a - t) ** 2, alpha_max=10.0)
+        res = exact_search(lambda a: (a - t) ** 2, ExactSearch())
         assert res.alpha == pytest.approx(t, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.01, 9.9))
     def test_random_quadratic_minimizers(self, t):
-        res = exact_search(lambda a: 3.0 * (a - t) ** 2 - 1.0, alpha_max=10.0)
+        res = exact_search(lambda a: 3.0 * (a - t) ** 2 - 1.0, ExactSearch())
         assert res.alpha == pytest.approx(t, abs=1e-8)
         assert res.f_new == pytest.approx(-1.0, abs=1e-12)
 
     def test_increasing_phi_returns_zero(self):
-        res = exact_search(lambda a: a * a + a, alpha_max=10.0)
+        res = exact_search(lambda a: a * a + a, ExactSearch())
         assert res.alpha == 0.0
         assert res.f_new == 0.0
 
@@ -129,13 +112,13 @@ class TestExactSearch:
         def phi(a):
             return np.inf if a > 0.5 else (a - 0.4) ** 2
 
-        res = exact_search(phi, alpha_max=10.0)
+        res = exact_search(phi, ExactSearch())
         assert res.alpha == pytest.approx(0.4, abs=1e-8)
 
     def test_everything_infinite_reports_no_finite_step(self):
         calls = []
         res = exact_search(recorded(lambda a: np.inf if a > 0 else 0.0, calls),
-                           alpha_max=10.0)
+                           ExactSearch())
         assert res.status is LineSearchStatus.NO_FINITE_STEP
         assert (res.alpha, res.f_new) == (0.0, 0.0)
         # phi(0), then alpha_max halved until it drops below 1e-16 of itself
@@ -145,18 +128,19 @@ class TestExactSearch:
     def test_infinite_origin_reports_no_finite_step(self):
         for f0 in (np.inf, np.nan):
             calls = []
-            res = exact_search(recorded(lambda a: f0, calls), alpha_max=1.0)
+            res = exact_search(recorded(lambda a: f0, calls),
+                               ExactSearch(alpha_max=1.0))
             assert res.status is LineSearchStatus.NO_FINITE_STEP
             assert calls == [0.0] and res.evals == 1
 
     def test_nonsmooth_phi_still_bracketed(self):
-        res = exact_search(lambda a: abs(a - 2.0), alpha_max=10.0)
+        res = exact_search(lambda a: abs(a - 2.0), ExactSearch())
         assert res.alpha == pytest.approx(2.0, abs=1e-8)
 
     def test_step_cap_reports_max_exact_steps(self, monkeypatch):
         # a zero tolerance is never met, so the loop runs to its cap
         monkeypatch.setattr(line_search, "EXACT_TOL", 0.0)
-        res = exact_search(lambda a: (a - 0.3) ** 2, alpha_max=10.0)
+        res = exact_search(lambda a: (a - 0.3) ** 2, ExactSearch())
         assert res.status is LineSearchStatus.MAX_EXACT_STEPS
         assert res.evals == 3 + MAX_EXACT_STEPS
         assert res.alpha == pytest.approx(0.3, abs=1e-10)

@@ -364,7 +364,7 @@ class TestStepRule:
         p = catalog("quad_well")
         f0 = p.objective.value(p.x0)
         monkeypatch.setattr(optimizer, "exact_search",
-                            lambda phi, alpha_max: LineSearchResult(
+                            lambda phi, spec: LineSearchResult(
                                 alpha, f0 + df, 1, status))
         return gradient_descent_run(p, ExactSearch(), STOP)
 

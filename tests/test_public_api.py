@@ -101,7 +101,8 @@ def test_per_call_records_are_immutable():
         numerics.classify_symmetric(np.eye(2)),
         direction.block_decompose(obj, p.x0),
         direction.descent_direction(obj, p.x0),
-        line_search.exact_search(lambda a: (a - 1.0) ** 2, 10.0),
+        line_search.exact_search(lambda a: (a - 1.0) ** 2,
+                                 line_search.ExactSearch()),
         objective.verify_derivatives(obj, [p.x0]),
         report.records[0],
         report,
