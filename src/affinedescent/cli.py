@@ -7,13 +7,17 @@ Subcommands:
   invariance              scaling-equivalence deviations, CSV
   verify                  finite-difference derivative check on the catalog
 
-Each subcommand takes only the flags it reads (see its --help). A flag
-overrides its key in the --config file, whose keys every command checks.
-Every method of run takes the LS token: `newton fixed:1` is classical
-Newton.
+Each subcommand takes only the flags it reads (see its --help), spelled
+in full: a prefix such as --max is a usage error. The settings are the keys of the line-search and stopping specs, each a flag
+of the commands whose specs read it: run and table2 take --tol-grad,
+--max-iter, --sigma, --beta, --alpha0, --alpha-max, --c1 and --c2,
+invariance --tol-grad, --max-iter and --alpha-max; verify takes --seed. A
+key left out takes its spec's default, and a key given is checked by all
+four specs, also when the search that reads it does not run. Every
+method of run takes the LS token: `newton fixed:1` is classical Newton.
 
 All floating-point output uses 17 significant digits; repeated invocations
-with the same config and seed produce byte-identical files.
+with the same flags produce byte-identical files.
 
 Exit codes: 0 converged/ok, 1 bad input (a rejected flag, a ValueError or
 an OSError), 2 iteration cap, 3 the numerics stopped (an AffineDescentError,
@@ -21,7 +25,8 @@ or a line-search failure, degeneracy, or a non-finite gradient, Hessian or
 third derivative), 4 check failure. table2 and invariance write every row
 and exit 3 when any of their runs ends with exit code 3, naming it on
 stderr (a run at the iteration cap is data; table2 marks it N*), else
-invariance 4 when a row's max_deviation exceeds 1e-6, and 0 otherwise.
+invariance 4 when a row's max_deviation exceeds 1e-6 or its scaled and
+base runs take different numbers of iterations, and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -52,32 +57,11 @@ _SEARCHES = {"exact": ExactSearch, "armijo": ArmijoSearch,
 _SPECS = {**_SEARCHES, "stop": StoppingSpec}
 # The settable keys and their types: the fields of the specs, int where
 # the default is an int, and the seed of `verify` (default 42). Settings
-# are a dict of the keys given; a spec takes its own default for every key
-# left out.
+# are a dict of the keys whose flags are given; a spec takes its own
+# default for every key left out.
 _KEYS = {f.name: int if isinstance(f.default, int) else float
          for cls in _SPECS.values() for f in fields(cls)}
 _KEYS["seed"] = int
-
-
-def parse_config_file(path: str | Path) -> dict:
-    """Plain key=value lines; '#' starts a comment; blank lines ignored."""
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _KEYS[key](val)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return values
 
 
 def _fmt(v: float) -> str:
@@ -306,6 +290,8 @@ def cmd_invariance(gammas, specs: dict, out_path: str | Path) -> int:
         runs += [(gamma, "scaled", rep.scaled), (gamma, "base", rep.base)]
         if deviation > 1e-6:   # criterion 12's bound on ||B x_k - y_k||
             broken.append(f"gamma {_fmt(gamma)}: max_deviation > 1e-6")
+        if rep.scaled.iters != rep.base.iters:
+            broken.append(f"gamma {_fmt(gamma)}: iters_scaled != iters_base")
     _write_lines(out_path, lines)
     return _sweep_exit_code(runs, broken)
 
@@ -347,16 +333,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_subcommand(sub, name: str, summary: str, out: str,
-                    keys: tuple[str, ...] | None = None):
-    """A subcommand that writes to --out; with keys, it also reads
-    --config and one flag per key."""
-    p = sub.add_parser(name, help=summary)
+                    keys: tuple[str, ...] = ()):
+    """A subcommand that writes to --out and reads one flag per key."""
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
     p.add_argument("--out", help=f"output file path (default {out})")
     p.set_defaults(out=out)
-    if keys is not None:
-        p.add_argument("--config", help="key=value config file")
-        for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), type=_KEYS[key])
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), type=_KEYS[key])
     return p
 
 
@@ -366,9 +349,11 @@ def _build_parser() -> _Parser:
     (parsing leaves no state in it): scripts/reproduce_all.py calls main
     once per step in one process."""
     parser = _Parser(prog="affinedescent", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+                     formatter_class=argparse.RawDescriptionHelpFormatter,
+                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    stop_and_step = ("tol_grad", "max_iter", "sigma")
+    stop_and_step = ("tol_grad", "max_iter", "sigma", "beta", "alpha0",
+                     "alpha_max", "c1", "c2")
     p_run = _add_subcommand(sub, "run", "single optimization run",
                             "trajectory.csv", stop_and_step)
     p_run.add_argument("problem", help=f"one of: {', '.join(CATALOG_NAMES)}")
@@ -380,7 +365,8 @@ def _build_parser() -> _Parser:
                     "examples.csv")
     p_inv = _add_subcommand(sub, "invariance",
                             "scaling-equivalence deviations",
-                            "invariance.csv", ("tol_grad", "max_iter"))
+                            "invariance.csv",
+                            ("tol_grad", "max_iter", "alpha_max"))
     p_inv.add_argument("--gammas", default="10,100,10000",
                        help="comma-separated scaling factors")
     _add_subcommand(sub, "verify", "finite-difference derivative check",
@@ -389,12 +375,9 @@ def _build_parser() -> _Parser:
 
 
 def _load_settings(args) -> dict:
-    """The keys of the config file, if any, with every flag given
-    overriding its key."""
-    settings = parse_config_file(args.config) if args.config else {}
-    settings.update((key, value) for key, value in vars(args).items()
-                    if key in _KEYS and value is not None)
-    return settings
+    """The keys whose flags are given, with their values."""
+    return {key: value for key, value in vars(args).items()
+            if key in _KEYS and value is not None}
 
 
 def _parse_gammas(text: str) -> list[float]:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from affinedescent import cli
 from affinedescent.cli import (_build_parser, _build_specs, _exit_code, _fmt,
                                _load_settings, _parse_ls, cmd_verify, main,
-                               parse_config_file, write_trajectory_csv)
+                               write_trajectory_csv)
 from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
                                        StrongWolfeSearch)
 from affinedescent.objective import Objective
@@ -57,108 +57,87 @@ def run_main(argv, capsys):
     return code, out.out, out.err
 
 
+def setting_flags(setting: str) -> list[str]:
+    """The flag and value that give a setting, which the cases below write
+    as "key = value" (their test ids keep that form); none for ""."""
+    if not setting:
+        return []
+    key, _, value = setting.partition("=")
+    return ["--" + key.strip().replace("_", "-"), value.strip()]
+
+
 class TestConfigFile:
-    def test_parse_with_comments_and_types(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text(
-            "# solver settings\n"
-            "tol_grad = 1e-6\n"
-            "max_iter=50   # inline comment\n"
-            "\n"
-            "seed = 7\n"
-            "c2 = 0.25\n")
-        cfg = parse_config_file(p)
-        assert cfg == {"tol_grad": 1e-6, "max_iter": 50, "seed": 7,
-                       "c2": 0.25}
-        assert isinstance(cfg["max_iter"], int)
-        assert isinstance(cfg["seed"], int)
-        assert isinstance(cfg["tol_grad"], float)
+    """The run configuration: each spec key is a typed flag of the commands
+    whose specs read it, and there is no config file."""
 
-    def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "bad.cfg"
-        p.write_text("step_size = 0.1\n")
-        with pytest.raises(ValueError):
-            parse_config_file(p)
-
-    def test_missing_separator_rejected(self, tmp_path):
-        p = tmp_path / "bad.cfg"
-        p.write_text("tol_grad 1e-6\n")
-        with pytest.raises(ValueError):
-            parse_config_file(p)
-
-    def test_flag_overrides_config_file(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("max_iter = 50\n")
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
-        code, stdout, _ = run_main(
-            ["run", "quad_well", "gd", "fixed:1e-4",
-             "--config", str(cfgfile), "--max-iter", "3", "--out", str(out)],
-            capsys)
-        assert code == 2
-        status, iters = stdout.split()[:2]
-        assert status == "MaxIterReached"
-        assert iters == "3"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "quad_well", "yand", "exact", "--step-size", "0.1",
+                  "--out", str(out)])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "error: unrecognized arguments: --step-size 0.1\n")
+        assert not out.exists()
 
-    def test_spec_defaults_fill_unset_keys(self, tmp_path):
+    def test_spec_defaults_fill_unset_keys(self):
         specs = _build_specs({})
         assert _parse_ls("exact", specs) == ExactSearch()
         assert _parse_ls("armijo", specs) == ArmijoSearch()
         assert _parse_ls("wolfe", specs) == StrongWolfeSearch()
         assert specs["stop"] == StoppingSpec()
-        p = tmp_path / "c2.cfg"
-        p.write_text("c2 = 0.25\n")
-        assert _parse_ls("wolfe", _build_specs(parse_config_file(p))) == \
+        args = _build_parser().parse_args(
+            ["run", "quad_well", "yand", "wolfe", "--c2", "0.25"])
+        assert _parse_ls("wolfe", _build_specs(_load_settings(args))) == \
             replace(StrongWolfeSearch(), c2=0.25)
 
-    def test_each_flag_overrides_only_its_key(self, tmp_path):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("tol_grad = 1e-6\nmax_iter = 50\nsigma = 0.1\n"
-                           "seed = 7\nc2 = 0.25\n")
-        run = ["run", "quad_well", "yand", "exact"]
-        flags = {"tol_grad": (run, "--tol-grad", "1e-3", 1e-3),
-                 "max_iter": (run, "--max-iter", "3", 3),
-                 "sigma": (run, "--sigma", "0.2", 0.2),
-                 "seed": (["verify"], "--seed", "11", 11)}
-        for key, (base, flag, text, value) in flags.items():
-            base = base + ["--config", str(cfgfile)]
-            from_file = _load_settings(_build_parser().parse_args(base))
-            assert from_file == parse_config_file(cfgfile)
-            cfg = _load_settings(
-                _build_parser().parse_args(base + [flag, text]))
-            assert cfg == {**from_file, key: value}, flag
+    def test_each_flag_overrides_only_its_key(self):
+        """A flag sets its key, typed, and no other: each spec takes its
+        default for every key left out."""
+        for command, (base, reads) in COMMANDS.items():
+            assert _load_settings(_build_parser().parse_args(base)) == {}
+            for flag in reads & KEY_FLAGS:
+                text, key, value = FLAGS[flag]
+                settings = _load_settings(
+                    _build_parser().parse_args(base + [flag, text]))
+                assert settings == {key: value}, (command, flag)
+                assert type(settings[key]) is type(value)
 
-    @pytest.mark.parametrize("line, message", [
-        ("max_iter = 2.5",
-         "max_iter: invalid literal for int() with base 10: '2.5'"),
-        ("tol_grad = abc",
-         "tol_grad: could not convert string to float: 'abc'"),
-    ])
-    def test_value_of_the_wrong_type_names_file_line_and_key(
-            self, line, message, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"# settings\nc2 = 0.25\n{line}\n")
-        with pytest.raises(ValueError) as exc:
-            parse_config_file(cfgfile)
-        assert str(exc.value) == f"{cfgfile}:3: {message}"
-        code, _, err = run_main(
-            ["run", "quad_well", "yand", "exact", "--config", str(cfgfile),
-             "--out", str(tmp_path / "t.csv")], capsys)
-        assert code == 1
-        assert err == f"error: {cfgfile}:3: {message}\n"
+    # The last flag of each case below, with the whole of stderr that its
+    # value gives.
+    KEY_ERRORS = {
+        "--sigma": "error: sigma must be in (0, 1)\n",
+        "--beta": "error: beta must be in (0, 1)\n",
+        "--max-iter": "error: max_iter must be a positive integer\n",
+        "--seed": "error: seed must be a non-negative integer, got -1\n",
+    }
 
     @pytest.mark.parametrize("argv", [
-        ["run", "quad_well", "yand", "exact"], ["table2"],
-        ["invariance", "--gammas", "10"], ["verify"]])
+        ["run", "quad_well", "yand", "exact", "--sigma", "2.0"],
+        ["table2", "--beta", "1.5"],
+        ["invariance", "--gammas", "10", "--max-iter", "0"],
+        ["verify", "--seed", "-1"]])
     def test_every_command_checks_every_key(self, argv, tmp_path, capsys):
-        """The config file is shared: a command checks also the keys it does
-        not read, with the message every command gives."""
-        cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text("sigma = 2.0\n")
+        """A command checks each key it is given before it runs, also one
+        its runs do not read (the exact search has no sigma), and names the
+        key and its bound."""
         out = tmp_path / "out.csv"
-        code, _, err = run_main(
-            argv + ["--config", str(cfgfile), "--out", str(out)], capsys)
+        code, _, err = run_main(argv + ["--out", str(out)], capsys)
         assert code == 1
-        assert err == "error: sigma must be in (0, 1)\n"
+        assert err == self.KEY_ERRORS[argv[-2]]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--max-iter", "2.5", "int"), ("--tol-grad", "abc", "float")])
+    def test_value_of_the_wrong_type_names_the_flag(self, flag, value, kind,
+                                                    tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "quad_well", "yand", "exact", flag, value,
+                  "--out", str(out)])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            f"error: argument {flag}: invalid {kind} value: {value!r}\n")
         assert not out.exists()
 
 
@@ -335,10 +314,12 @@ class TestRunCommand:
         assert codes.pop("MaxIterReached") == 2
         assert set(codes.values()) == {3}
 
-    def test_bad_flag_exits_one(self):
+    def test_bad_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "quad_well", "yand", "exact", "--max-iter", "ten"])
         assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "error: argument --max-iter: invalid int value: 'ten'\n")
 
     def test_unknown_subcommand_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -370,40 +351,46 @@ class TestExitCodeContract:
 
 
 # The flags of all subcommands, each with a value and what it parses to,
-# and the argv of each subcommand with the flags it reads.
+# and the argv of each subcommand with the flags it reads. No subcommand
+# takes --config: settings are flags only.
 FLAGS = {
     "--out": ("x.csv", "out", "x.csv"),
     "--config": ("c.cfg", "config", "c.cfg"),
     "--tol-grad": ("1e-3", "tol_grad", 1e-3),
     "--max-iter": ("3", "max_iter", 3),
     "--sigma": ("0.2", "sigma", 0.2),
+    "--beta": ("0.25", "beta", 0.25),
+    "--alpha0": ("2", "alpha0", 2.0),
+    "--alpha-max": ("5", "alpha_max", 5.0),
+    "--c1": ("0.01", "c1", 0.01),
+    "--c2": ("0.5", "c2", 0.5),
     "--seed": ("7", "seed", 7),
 }
+KEY_FLAGS = set(FLAGS) - {"--out", "--config"}
+SPEC_FLAGS = KEY_FLAGS - {"--seed"}
 COMMANDS = {
-    "run": (["run", "quad_well", "yand", "exact"],
-            {"--out", "--config", "--tol-grad", "--max-iter", "--sigma"}),
-    "table2": (["table2"],
-               {"--out", "--config", "--tol-grad", "--max-iter", "--sigma"}),
+    "run": (["run", "quad_well", "yand", "exact"], {"--out"} | SPEC_FLAGS),
+    "table2": (["table2"], {"--out"} | SPEC_FLAGS),
     "examples": (["examples"], {"--out"}),
     "invariance": (["invariance"],
-                   {"--out", "--config", "--tol-grad", "--max-iter"}),
-    "verify": (["verify"], {"--out", "--config", "--seed"}),
+                   {"--out", "--tol-grad", "--max-iter", "--alpha-max"}),
+    "verify": (["verify"], {"--out", "--seed"}),
 }
 
 
 class TestSubcommandFlags:
-    """Each subcommand takes only the flags it reads: 18 of the 30 pairs."""
+    """Each subcommand takes only the flags it reads: 25 of the 55 pairs."""
 
-    def test_parser_has_eighteen_flag_slots(self, capsys):
+    def test_parser_has_twenty_five_flag_slots(self, capsys):
         slots = 0
         for command, (_, reads) in COMMANDS.items():
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             usage = capsys.readouterr().out.split("\n\n")[0]
-            flags = set(re.findall(r"\[(--[a-z-]+)", usage)) - {"--gammas"}
+            flags = set(re.findall(r"\[(--[a-z0-9-]+)", usage)) - {"--gammas"}
             assert flags == reads, command
             slots += len(flags)
-        assert slots == 18
+        assert slots == 25
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command in COMMANDS for flag in FLAGS])
@@ -419,6 +406,24 @@ class TestSubcommandFlags:
         err = capsys.readouterr().err
         assert exc.value.code == 1
         assert err == f"error: unrecognized arguments: {flag} {text}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "quad_well", "yand", "exact", "--max", "3"],
+        ["run", "quad_well", "yand", "armijo", "--alpha", "0.5"],
+        ["table2", "--c", "0.5"],
+        ["invariance", "--tol", "1e-3"],
+        ["verify", "--se", "7"],
+        ["examples", "--ou", "x.csv"]])
+    def test_flag_prefix_is_rejected(self, argv, tmp_path, capsys):
+        """A flag is spelled in full: a prefix of one flag, or of several
+        (--alpha of --alpha0 and --alpha-max), is not read as that flag."""
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+        assert not out.exists()
 
 
 class TestSharedParser:
@@ -548,16 +553,37 @@ class TestInvarianceCommand:
     def test_broken_equivalence_exits_four(self, tmp_path, capsys):
         """At gamma 1e-8 both runs end Converged, but the scaled run stops
         after 1 step where the base run takes 3, and its iterates miss the
-        base ones by about 1: the row is written, and stderr names gamma."""
+        base ones by about 1: the row is written, and stderr names gamma
+        with both faults."""
         out = tmp_path / "inv.csv"
         code, _, err = run_main(
             ["invariance", "--gammas", "10,1e-8", "--out", str(out)], capsys)
         assert code == 4
-        assert err == "gamma 1e-08: max_deviation > 1e-6\n"
+        assert err == ("gamma 1e-08: max_deviation > 1e-6\n"
+                       "gamma 1e-08: iters_scaled != iters_base\n")
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [r[0] for r in rows] == ["10", "1e-08"]
         assert float(rows[0][1]) <= 1e-6 < float(rows[1][1])
         assert rows[1][2:] == ["1", "3"]
+
+    def test_unequal_iteration_counts_exit_four(self, tmp_path, capsys):
+        """At gamma 1e11 and 1e12 the scaled iterates stay within 1e-6 of
+        the base ones, but the scaled run takes 4 steps where the base run
+        takes 3: the gradient-norm stop is not invariant. Deviations are
+        compared over the rows both runs share, so the count is checked on
+        its own; both rows are written and stderr names both gammas."""
+        out = tmp_path / "inv.csv"
+        code, _, err = run_main(
+            ["invariance", "--gammas", "1e11,1e12", "--out", str(out)],
+            capsys)
+        assert code == 4
+        assert err == ("gamma 100000000000: iters_scaled != iters_base\n"
+                       "gamma 1000000000000: iters_scaled != iters_base\n")
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["100000000000", "1000000000000"]
+        for r in rows:
+            assert float(r[1]) <= 1e-6
+            assert r[2:] == ["4", "3"]
 
     def test_failed_run_outranks_a_broken_equivalence(self, tmp_path,
                                                       capsys):
@@ -665,17 +691,14 @@ class TestVerifyCommand:
         assert code == 4
         assert out.read_text().splitlines()[1].endswith(",inf,FAIL")
 
-    @pytest.mark.parametrize("argv, cfg_text", [
+    @pytest.mark.parametrize("argv, setting", [
         (["verify", "--seed", "-1"], ""),
-        (["verify"], "seed = -1\n"),
-        (["verify", "--seed", "-7"], "seed = 3\n")])
-    def test_negative_seed_names_the_key(self, argv, cfg_text, tmp_path,
+        (["verify"], "seed = -1\n")])
+    def test_negative_seed_names_the_key(self, argv, setting, tmp_path,
                                          capsys):
-        cfg = tmp_path / "v.cfg"
-        cfg.write_text(cfg_text)
         out = tmp_path / "verify.csv"
         code, _, err = run_main(
-            argv + ["--config", str(cfg), "--out", str(out)], capsys)
+            argv + setting_flags(setting) + ["--out", str(out)], capsys)
         assert code == 1
         assert err.startswith("error: seed must be a non-negative integer")
         assert not out.exists()
@@ -701,7 +724,7 @@ class TestNonFiniteSettings:
         monkeypatch.setattr(cli, "make_affine_scaled",
                             lambda gamma: (stub, None))
 
-    @pytest.mark.parametrize("argv, cfg_text", [
+    @pytest.mark.parametrize("argv, setting", [
         (["run", "quad_well", "yand", "exact"], "alpha_max = nan\n"),
         (["run", "quad_well", "yand", "exact"], "alpha_max = inf\n"),
         (["run", "quad_well", "yand", "armijo"], "alpha0 = inf\n"),
@@ -718,17 +741,15 @@ class TestNonFiniteSettings:
         (["run", "quad_well", "yand", "exact", "--tol-grad", "-1"], ""),
         (["run", "quad_well", "yand", "wolfe"], "alpha_max = -1\n"),
         (["invariance", "--gammas", "10,0"], ""),
-        # every line search is built from the config, so a bad alpha0 is
-        # an error also when the exact search, which has none, runs
+        # every line search is built from the settings, so a bad alpha0
+        # is an error also when the exact search, which has none, runs
         (["run", "quad_well", "yand", "exact"], "alpha0 = inf\n"),
     ])
-    def test_exits_one_with_message(self, argv, cfg_text, tmp_path, capsys,
+    def test_exits_one_with_message(self, argv, setting, tmp_path, capsys,
                                     no_oracle):
-        cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text(cfg_text)
         out = tmp_path / "out.csv"
         code, _, err = run_main(
-            argv + ["--config", str(cfgfile), "--out", str(out)], capsys)
+            argv + setting_flags(setting) + ["--out", str(out)], capsys)
         assert code == 1
         assert "must be finite and positive" in err
         assert not out.exists()

@@ -148,6 +148,24 @@ class TestWorkedQuadratic2d:
         assert res.T == pytest.approx(0.6, abs=1e-13)
         assert res.cos_theta == pytest.approx(1.0 / np.sqrt(1.36), rel=1e-13)
 
+    @pytest.mark.parametrize("entry", [descent_direction,
+                                       affine_normal_direction],
+                             ids=["planar", "matrix"])
+    def test_small_schur_complement_still_scales_the_step(self, entry):
+        """Kills the mutant SCALE_FLOOR = 1e-3 (for 1e-12). f = x.A.x/2 +
+        x_1 with A = [[1, 1], [1, 1 + 1e-6]] at 0: the gradient is e_1, so
+        B = 1 + 1e-6 and the Schur complement is det A / B, about 1e-6 of
+        the block scale, above the floor of 1e-12 and below 1e-3 of it.
+        The step scale is ||g|| / s, about 1e6, where that mutant gives 1."""
+        A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]])
+        res = entry(quadratic(A, [1.0, 0.0]), np.zeros(2))
+        B = 1.0 + 1e-6
+        s = np.linalg.det(A) / B
+        assert res.case is DirectionCase.AN
+        assert res.point_class.scale == B
+        assert 1e-12 * B < s < 1e-3 * B
+        assert res.step_scale == pytest.approx(1.0 / s, rel=1e-8)
+
 
 class TestWorkedQuadratic3d:
     """f = (x^2+4y^2+9z^2)/2 - x at (2,0,0): pure normal direction."""
@@ -876,6 +894,15 @@ class TestNewtonDirection:
                       hessian=lambda x: np.ones(shape))
         with pytest.raises(ValueError, match="Hessian oracle returned shape"):
             entry(obj, np.array([1.0, 2.0]))
+
+    def test_regularizing_shift_leaves_least_eigenvalue_1e_8_of_scale(self):
+        """Kills the mutant shift 1e-4 * scale (for 1e-8 * scale). H =
+        diag(-1, 2), g = (1, 1) at 0: the shift 1 + 2e-8 leaves the least
+        eigenvalue 2e-8 = 1e-8 * scale, so the first entry of -H^-1 g is
+        -1 / 2e-8; that mutant gives -5e3."""
+        obj = quadratic(np.diag([-1.0, 2.0]), [1.0, 1.0])
+        d = newton_direction(obj, np.zeros(2), regularize=True)
+        assert d[0] == pytest.approx(-1.0 / 2e-8, rel=1e-6)
 
     def test_regularized_returns_descent_direction(self):
         obj = catalog("four_well").objective

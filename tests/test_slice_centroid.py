@@ -64,6 +64,23 @@ class TestSliceRegion:
         assert b1 < a2   # ordered and disjoint
         assert region.centroid_param == pytest.approx(0.0, abs=1e-9)
 
+    def test_two_interval_centroid_is_length_weighted(self):
+        """Kills the mutant that takes the midpoint of the intervals' hull
+        for the centroid. On four_well at (-0.982, -0.225) with C = -0.1
+        the slice has two intervals of lengths 0.377 and 0.083; their
+        centroid sum(b^2 - a^2) / 2 / sum(b - a) lies 0.43 from the hull
+        midpoint."""
+        region = slice_region_2d(catalog("four_well").objective,
+                                 [-0.982, -0.225], -0.1)
+        (a1, b1), (a2, b2) = region.intervals
+        assert (a1, b1) == pytest.approx((-0.1429, 0.2344), abs=1e-4)
+        assert (a2, b2) == pytest.approx((1.5736, 1.6570), abs=1e-4)
+        weighted = (0.5 * (b1 * b1 - a1 * a1 + b2 * b2 - a2 * a2)
+                    / (b1 - a1 + b2 - a2))
+        assert region.centroid_param == pytest.approx(weighted, rel=1e-12)
+        assert region.centroid_param == pytest.approx(0.3298, abs=1e-4)
+        assert abs(region.centroid_param - 0.5 * (a1 + b2)) > 0.4
+
     def test_every_interval_has_positive_width(self):
         """R >= 1 spaces the scan grid at least 9.8e-4 apart, so a bisected
         edge lies at least 2.5e-13 beyond the grid points of its run, and
