@@ -49,14 +49,12 @@ def norm2(v) -> float:
     overhead. Below that v.v may have underflowed (1e-146 is about
     sqrt(tiny/eps)), and above it v.v has overflowed: there it scales by
     the largest |entry| first, so every finite vector has its norm, from
-    the least subnormal to the float maximum.
+    the least subnormal to the float maximum. v.v is np.vdot(v, v), which
+    gives the bits of v.dot(v) but raises no overflow warning, so one
+    rescale serves every warning filter.
     """
     v = v.ravel(order="K")
-    try:
-        ss = v.dot(v)
-    except RuntimeWarning:   # the overflow, where warnings are errors
-        ss = math.inf
-    r = math.sqrt(ss)
+    r = math.sqrt(np.vdot(v, v))
     if 1e-146 <= r < math.inf:
         return r
     scale = float(np.abs(v).max(initial=0.0))

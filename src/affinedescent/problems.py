@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -365,16 +364,11 @@ def inverse_barrier_optimum() -> tuple[Vector, float]:
     return x_star, float(f_star)
 
 
-class AffineScalingSpec(NamedTuple):
-    B: np.ndarray
-    base: Problem
-
-
-def make_affine_scaled(gamma: float) -> tuple[Problem, AffineScalingSpec]:
+def make_affine_scaled(gamma: float) -> tuple[Problem, np.ndarray]:
     """The diagonally scaled bowl f(x) = (x1^2 + gamma^2 x2^2)/2 from
-    (1,1), paired with its scaling spec (B = diag(1, gamma) applied to an
-    isotropic bowl started at B @ x0). Raises ValueError unless gamma and
-    gamma^2 are finite and positive."""
+    (1,1), paired with B = diag(1, gamma), which maps it to the unit bowl
+    |Bx|^2/2 started at B @ x0 = (1, gamma). Raises ValueError unless gamma
+    and gamma^2 are finite and positive."""
     positive_finite("gamma", gamma)
     g = float(gamma)
     # g * g, not g ** 2, which raises OverflowError on a Python float
@@ -385,7 +379,4 @@ def make_affine_scaled(gamma: float) -> tuple[Problem, AffineScalingSpec]:
         f"affine_scaled_{g:g}", np.diag([1.0, g * g]),
         np.zeros(2), (1.0, 1.0),
         f"diagonally scaled bowl, Hessian condition {g * g:g}")
-    base = _quadratic_problem(
-        "isotropic_bowl", np.eye(2), np.zeros(2), (1.0, g),
-        "unit bowl seen through the scaling")
-    return scaled, AffineScalingSpec(B=np.diag([1.0, g]), base=base)
+    return scaled, np.diag([1.0, g])

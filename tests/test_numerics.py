@@ -312,11 +312,20 @@ def test_norm2_is_exact_where_the_squares_underflow(v):
     ([1e200, 1.0], 1e200), ([3e200, -4e200], 5e200),
     ([1e300, 1e300, -1e300, 1e300], 2e300), ([1e155], 1e155)])
 def test_norm2_of_a_finite_vector_is_finite(v, want, action):
-    """Where v.v overflows, norm2 scales first, whether the dot's overflow
-    warning is raised or not."""
+    """Where v.v overflows, norm2 scales first, whether warnings are errors
+    or not."""
     with warnings.catch_warnings():
         warnings.simplefilter(action, RuntimeWarning)
         assert norm2(np.array(v)) == pytest.approx(want, rel=1e-15)
+
+
+def test_norm2_overflow_warns_nothing():
+    """An overflowing v.v is no fault of the caller's: norm2 scales and
+    warns nothing, where ndarray.dot would warn."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert norm2(np.array([1e200, 3.0])) == 1e200
+    assert caught == []
 
 
 @pytest.mark.parametrize("v, want", [([np.inf, 1.0], np.inf),

@@ -134,22 +134,23 @@ class TestInverseBarrier:
 
 class TestAffineScaling:
     def test_scaled_problem_is_composition_of_base(self):
-        problem, scaling = make_affine_scaled(100.0)
-        B = scaling.B
+        """f(x) = |Bx|^2/2, the unit bowl seen through B, with gradient
+        B^T B x."""
+        problem, B = make_affine_scaled(100.0)
         assert np.allclose(B, np.diag([1.0, 100.0]))
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.normal(size=2)
+            y = B @ x
             assert problem.objective.value(x) == pytest.approx(
-                scaling.base.objective.value(B @ x), rel=1e-12)
-            assert np.allclose(problem.objective.gradient(x),
-                               B.T @ scaling.base.objective.gradient(B @ x),
+                0.5 * (y @ y), rel=1e-12)
+            assert np.allclose(problem.objective.gradient(x), B.T @ y,
                                rtol=1e-12)
 
     def test_start_points_correspond(self):
-        problem, scaling = make_affine_scaled(7.0)
-        assert np.allclose(scaling.B @ problem.x0, scaling.base.x0)
+        problem, B = make_affine_scaled(7.0)
         assert np.allclose(problem.x0, [1.0, 1.0])
+        assert np.array_equal(B @ problem.x0, [1.0, 7.0])
 
     def test_minimizer_is_origin(self):
         problem, _ = make_affine_scaled(1e4)
@@ -181,9 +182,9 @@ class TestAffineScaling:
 
     @pytest.mark.parametrize("gamma", [1e154, 1e-155])
     def test_gamma_with_a_float_square_builds(self, gamma):
-        problem, scaling = make_affine_scaled(gamma)
+        problem, B = make_affine_scaled(gamma)
         assert problem.objective.hessian(problem.x0)[1, 1] == gamma * gamma
-        assert scaling.B[1, 1] == gamma
+        assert B[1, 1] == gamma
 
 
 class TestQuadraticValue:

@@ -54,7 +54,6 @@ RECORD_FIELDS = {
                                    "centroid_param", "centroid", "frame"),
     "invariance.InvarianceReport": ("scaled", "base",
                                     "per_iterate_deviation"),
-    "problems.AffineScalingSpec": ("B", "base"),
 }
 
 
@@ -95,7 +94,6 @@ def test_per_call_records_are_immutable():
     p = problems.catalog("rosenbrock")
     obj = p.objective
     report = optimizer.yand_run(p, line_search.ExactSearch())
-    _, spec = problems.make_affine_scaled(10.0)
     records = [
         numerics.build_gradient_frame(np.array([1.0, 2.0])),
         numerics.classify_symmetric(np.eye(2)),
@@ -108,8 +106,9 @@ def test_per_call_records_are_immutable():
         report,
         optimizer.empirical_rates(report, x_star=p.x_star),
         slice_centroid.slice_region_2d(obj, p.x0, -1e-3),
-        invariance.run_invariance(spec.base, spec.B, line_search.ExactSearch()),
-        spec,
+        invariance.run_invariance(problems.catalog("strongly_convex_base"),
+                                  np.diag([1.0, 10.0]),
+                                  line_search.ExactSearch()),
     ]
     assert sorted(short_name(type(r)) for r in records) == sorted(RECORD_FIELDS)
     for record in records:
