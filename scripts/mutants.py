@@ -93,6 +93,22 @@ MUTANTS = [
     Mutant("direction.py", "+ 1e-8 * cls.scale", "+ 1e-4 * cls.scale",
            "the regularized Newton shift leaves a least eigenvalue of "
            "1e-8 of the scale"),
+    Mutant("direction.py", "(frame.grad_norm / (m + 2.0)) * s",
+           "(1.0 / (m + 2.0)) * s",
+           "the third-derivative term scales with ||g||, so the direction "
+           "is invariant under f -> phi(f) (matrix path)"),
+    Mutant("direction.py", "rhs = c - (gnorm / 3.0) * s3",
+           "rhs = c - (1.0 / 3.0) * s3",
+           "the same scaling with ||g|| at m = 1 (planar path)"),
+    Mutant("direction.py",
+           "lambda: block.d_nn - float(block.c @ solve_symmetric(cls_B, "
+           "block.c))",
+           "lambda: block.d_nn",
+           "the step scale divides by the Schur complement d_nn - c.B^-1 c "
+           "(matrix path)"),
+    Mutant("direction.py", "lambda: d_nn - c * solve(c), d_nn)",
+           "lambda: d_nn, d_nn)",
+           "the same Schur complement at m = 1 (planar path)"),
     Mutant("optimizer.py", "if gnorm <= stop.tol_grad:",
            "if gnorm < stop.tol_grad:",
            "the run stops at gradient norm <= tol_grad"),

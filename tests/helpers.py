@@ -1,0 +1,203 @@
+"""The test modules' shared families, maps and stand-in problems.
+
+Test modules import these as `from helpers import ...`; no test module
+imports another. Each helper draws from a seed or a given generator in a
+fixed order, so a seeded case builds the same arrays wherever it runs.
+"""
+from dataclasses import replace
+
+import numpy as np
+
+from affinedescent.errors import (DomainViolation, EmptySlice,
+                                  NonFiniteHessian, NonFiniteThird,
+                                  SingularHessian, ZeroGradient)
+from affinedescent.numerics import Frame
+from affinedescent.objective import make_objective
+from affinedescent.problems import Problem, catalog
+
+NUMERICAL_OUTCOMES = (ZeroGradient, SingularHessian, NonFiniteHessian,
+                      NonFiniteThird, DomainViolation, EmptySlice)
+
+
+class Recorder:
+    """An objective whose every oracle call is logged as (oracle, bytes of
+    each argument), so that two call sequences compare bit for bit."""
+
+    KINDS = ("value", "gradient", "hessian", "third_directional", "in_domain")
+
+    def __init__(self, obj):
+        self.calls = []
+        self.obj = replace(obj, **{kind: self._logged(kind, getattr(obj, kind))
+                                   for kind in self.KINDS})
+
+    def _logged(self, kind, fn):
+        def call(*args):
+            self.calls.append((kind,) + tuple(
+                np.asarray(a, dtype=float).tobytes() for a in args))
+            return fn(*args)
+        return call
+
+    def of(self, kind):
+        return [c for c in self.calls if c[0] == kind]
+
+
+# -- families ----------------------------------------------------------------
+
+def random_objective(dim, seed, in_domain=None):
+    """A smooth seeded objective with consistent analytic derivatives, and a
+    point to probe it at."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(dim)
+    M = rng.standard_normal((dim, dim))
+    Q = M @ M.T / dim
+    c = rng.uniform(0.1, 1.0, dim)
+
+    def value(x):
+        return float(a @ x + 0.5 * x @ Q @ x + 0.25 * np.sum(c * x ** 4)
+                     + np.sum(np.sin(x)))
+
+    def gradient(x):
+        return a + Q @ x + c * x ** 3 + np.cos(x)
+
+    def hessian(x):
+        return Q + np.diag(3.0 * c * x ** 2 - np.sin(x))
+
+    def third(x, u, v, w):
+        return float(np.sum((6.0 * c * x - np.cos(x)) * u * v * w))
+
+    obj = make_objective(dim, value, gradient, hessian, third, in_domain)
+    return obj, rng.standard_normal(dim)
+
+
+def rotated_quartic(n, seed):
+    """f = sum_i a_i y_i^2 / 2 + y_i^4 / 4 with y = Q x for a seeded
+    orthogonal Q and a_i of both signs: nonconvex, with level sets of
+    every inertia."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = rng.uniform(-2.0, 2.0, n)
+    return make_objective(
+        dim=n,
+        value=lambda x: float(np.sum(0.5 * a * (Q @ x) ** 2
+                                     + 0.25 * (Q @ x) ** 4)),
+        gradient=lambda x: Q.T @ (a * (Q @ x) + (Q @ x) ** 3),
+        hessian=lambda x: (Q.T * (a + 3.0 * (Q @ x) ** 2)) @ Q,
+        third_directional=lambda x, u, v, w: float(
+            np.sum(6.0 * (Q @ x) * (Q @ u) * (Q @ v) * (Q @ w))))
+
+
+def coupled_quartic(a, c):
+    """f = (a.x)^3/6 + sum_i c_i x_i^4/24: a non-separable third derivative
+    D3f[u,v,w] = (a.u)(a.v)(a.w) + sum_i c_i x_i u_i v_i w_i, built from
+    elementwise products and sums only."""
+    return make_objective(
+        dim=a.size,
+        value=lambda x: np.sum(a * x) ** 3 / 6.0 + np.sum(c * x ** 4) / 24.0,
+        gradient=lambda x: 0.5 * np.sum(a * x) ** 2 * a + c * x ** 3 / 6.0,
+        hessian=lambda x: (np.sum(a * x) * np.outer(a, a)
+                           + np.diag(0.5 * c * x * x)),
+        third_directional=lambda x, u, v, w: float(
+            np.sum(a * u) * np.sum(a * v) * np.sum(a * w)
+            + np.sum(c * x * u * v * w)),
+    )
+
+
+def spd_quadratic(rng, n):
+    """(objective, A, b) for f = x.Ax/2 + b.x with A = Q diag(U(0.5, 10))
+    Q^T for a random orthogonal Q: Q, the spectrum and b are drawn from
+    rng in that order."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = Q @ np.diag(rng.uniform(0.5, 10.0, size=n)) @ Q.T
+    A = 0.5 * (A + A.T)
+    b = rng.normal(size=n)
+    obj = make_objective(
+        dim=n, value=lambda x: float(0.5 * x @ A @ x + b @ x),
+        gradient=lambda x: A @ x + b, hessian=lambda x: A,
+        third_directional=lambda x, u, v, w: 0.0)
+    return obj, A, b
+
+
+def flat_valley():
+    # f = y^2/2: tangent curvature vanishes everywhere off the x-axis
+    return make_objective(
+        dim=2,
+        value=lambda x: 0.5 * x[1] ** 2,
+        gradient=lambda x: np.array([0.0, x[1]]),
+        hessian=lambda x: np.diag([0.0, 1.0]),
+        third_directional=lambda x, u, v, w: 0.0,
+    )
+
+
+# -- maps and frames ---------------------------------------------------------
+
+def random_gl_plus(rng, dim, log_cond, scale=1.0):
+    """scale * U diag(s) V^T with random orthogonal U, V, cond =
+    10**log_cond, flipped to det > 0. The scale multiplies U diag(s)
+    before V^T does; at 1.0 that product is exact."""
+    U, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    V, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    u = np.sort(rng.uniform(size=dim))
+    u[0], u[-1] = 0.0, 1.0
+    A = scale * (U * 10.0 ** (log_cond * u)) @ V.T
+    if np.linalg.det(A) < 0.0:
+        A[:, 0] = -A[:, 0]
+    return A
+
+
+def rotated_frame(frame, rng):
+    """frame with its tangent columns turned by a random orthogonal Q (the
+    sign of each column of Q fixed by R's diagonal); the normal and the
+    gradient norm are kept."""
+    m = frame.tangent.shape[1]
+    Q, R = np.linalg.qr(rng.normal(size=(m, m)))
+    Q = Q * np.sign(np.diag(R))
+    basis = frame.basis.copy()
+    basis[:, :m] = frame.tangent @ Q
+    return Frame(basis=basis, grad_norm=frame.grad_norm)
+
+
+# -- stand-in problems whose oracles fail --------------------------------------
+
+def non_finite_third_problem(dim, sign, third):
+    """f = (sign x0^2 + x1^2 + ... ) / 2 from e_last, where the gradient is
+    e_last and the tangent block is diag(sign, 1, ...): positive definite
+    for sign 1, indefinite for -1. The third derivative is `third`."""
+    H = np.diag([sign] + [1.0] * (dim - 1))
+    obj = make_objective(
+        dim=dim,
+        value=lambda x: float(0.5 * x @ H @ x),
+        gradient=lambda x: H @ x,
+        hessian=lambda x: H.copy(),
+        third_directional=lambda x, u, v, w: third,
+    )
+    return Problem(name="non_finite_third", objective=obj,
+                   x0=np.eye(dim)[-1], x_star=None, f_star=None, notes="")
+
+
+def nan_gradient_problem(name, at_start=False):
+    """Catalog problem whose gradient is NaN everywhere except at x0 (or,
+    with at_start, everywhere)."""
+    p = catalog(name)
+    grad = p.objective.gradient
+
+    def gradient(x):
+        g = grad(x)
+        if at_start or not np.array_equal(x, p.x0):
+            return np.full_like(g, np.nan)
+        return g
+
+    return replace(p, objective=replace(p.objective, gradient=gradient))
+
+
+def nan_hessian_problem(name):
+    """Catalog problem whose Hessian is NaN everywhere except at x0."""
+    p = catalog(name)
+    hess = p.objective.hessian
+
+    def hessian(x):
+        H = hess(x)
+        if not np.array_equal(x, p.x0):
+            return np.full_like(H, np.nan)
+        return H
+
+    return replace(p, objective=replace(p.objective, hessian=hessian))

@@ -10,14 +10,15 @@ offset-halving clause, which is stated where the cubic term is nonzero
 import dataclasses
 
 import numpy as np
+from helpers import rotated_frame, spd_quadratic
 
 from affinedescent.cli import _build_specs, _verify_points, cmd_table2
 from affinedescent.direction import _matrix_direction, descent_direction
 from affinedescent.line_search import (ArmijoSearch, ExactSearch,
                                        StrongWolfeSearch)
 from affinedescent.invariance import run_invariance
-from affinedescent.numerics import Frame, angle_between, build_gradient_frame
-from affinedescent.objective import make_objective, verify_derivatives
+from affinedescent.numerics import angle_between, build_gradient_frame
+from affinedescent.objective import verify_derivatives
 from affinedescent.optimizer import (RunStatus, StoppingSpec, empirical_rates,
                                      gradient_descent_run, newton_run,
                                      yand_run)
@@ -43,16 +44,7 @@ def test_criterion_02_direction_matches_newton_on_random_spd_quadratics():
     worst = 0.0
     for i in range(50):
         n = 2 + i % 5
-        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        A = Q @ np.diag(rng.uniform(0.5, 10.0, size=n)) @ Q.T
-        A = 0.5 * (A + A.T)
-        b = rng.normal(size=n)
-        obj = make_objective(
-            n,
-            lambda x, A=A, b=b: 0.5 * x @ A @ x + b @ x,
-            lambda x, A=A, b=b: A @ x + b,
-            lambda x, A=A: A,
-            lambda x, u, v, w: 0.0)
+        obj, A, _ = spd_quadratic(rng, n)
         x = rng.normal(size=n)
         g = obj.gradient(x)
         if np.linalg.norm(g) < 1e-8:
@@ -293,15 +285,9 @@ def test_criterion_15_direction_unchanged_under_tangent_rotation():
             continue
         if np.linalg.norm(obj.gradient(x)) < 1e-8:
             continue
-        fr = build_gradient_frame(obj.gradient(x))
-        m = obj.dim - 1
-        Q, R = np.linalg.qr(rng.normal(size=(m, m)))
-        Q = Q * np.sign(np.diag(R))
-        basis = fr.basis.copy()
-        basis[:, :m] = fr.tangent @ Q
+        rotated = rotated_frame(build_gradient_frame(obj.gradient(x)), rng)
         r0 = descent_direction(obj, x)
-        r1 = _matrix_direction(obj, x, Frame(basis=basis,
-                                             grad_norm=fr.grad_norm))
+        r1 = _matrix_direction(obj, x, rotated)
         assert r0.case == r1.case
         worst = max(worst, float(np.max(np.abs(r0.d - r1.d))))
         checked += 1

@@ -22,12 +22,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_direction import coupled_quartic
+from helpers import coupled_quartic, rotated_quartic
 
 from affinedescent.direction import (DirectionCase, affine_normal_direction,
                                      descent_direction)
 from affinedescent.numerics import DefinitenessTag, build_gradient_frame
-from affinedescent.objective import make_objective
 from affinedescent.problems import CATALOG_NAMES, catalog
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -133,23 +132,6 @@ def test_trajectory_iterates(path):
     assert xs
     errors = [relative_error(obj, x) for x in xs]
     assert max(errors) <= TOL, errors
-
-
-def rotated_quartic(n, seed):
-    """f = sum_i a_i y_i^2 / 2 + y_i^4 / 4 with y = Q x for a seeded
-    orthogonal Q and a_i of both signs: nonconvex, with level sets of
-    every inertia."""
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    a = rng.uniform(-2.0, 2.0, n)
-    return make_objective(
-        dim=n,
-        value=lambda x: float(np.sum(0.5 * a * (Q @ x) ** 2
-                                     + 0.25 * (Q @ x) ** 4)),
-        gradient=lambda x: Q.T @ (a * (Q @ x) + (Q @ x) ** 3),
-        hessian=lambda x: (Q.T * (a + 3.0 * (Q @ x) ** 2)) @ Q,
-        third_directional=lambda x, u, v, w: float(
-            np.sum(6.0 * (Q @ x) * (Q @ u) * (Q @ v) * (Q @ w))))
 
 
 def quartic_points():

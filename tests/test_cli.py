@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import (NUMERICAL_OUTCOMES, nan_gradient_problem,
+                     nan_hessian_problem, non_finite_third_problem)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +24,6 @@ from affinedescent.objective import Objective
 from affinedescent.optimizer import (IterateRecord, RunReport, RunStatus,
                                      StoppingSpec, newton_run)
 from affinedescent.problems import Problem, catalog
-from test_errors import NUMERICAL_OUTCOMES
-from test_optimizer import (nan_gradient_problem, nan_hessian_problem,
-                            non_finite_third_problem)
 
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -57,18 +56,8 @@ def run_main(argv, capsys):
     return code, out.out, out.err
 
 
-def setting_flags(setting: str) -> list[str]:
-    """The flag and value that give a setting, which the cases below write
-    as "key = value" (their test ids keep that form); none for ""."""
-    if not setting:
-        return []
-    key, _, value = setting.partition("=")
-    return ["--" + key.strip().replace("_", "-"), value.strip()]
-
-
-class TestConfigFile:
-    """The run configuration: each spec key is a typed flag of the commands
-    whose specs read it, and there is no config file."""
+class TestSettingFlags:
+    """Each spec key is a typed flag of the commands whose specs read it."""
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -351,11 +340,9 @@ class TestExitCodeContract:
 
 
 # The flags of all subcommands, each with a value and what it parses to,
-# and the argv of each subcommand with the flags it reads. No subcommand
-# takes --config: settings are flags only.
+# and the argv of each subcommand with the flags it reads.
 FLAGS = {
     "--out": ("x.csv", "out", "x.csv"),
-    "--config": ("c.cfg", "config", "c.cfg"),
     "--tol-grad": ("1e-3", "tol_grad", 1e-3),
     "--max-iter": ("3", "max_iter", 3),
     "--sigma": ("0.2", "sigma", 0.2),
@@ -366,7 +353,7 @@ FLAGS = {
     "--c2": ("0.5", "c2", 0.5),
     "--seed": ("7", "seed", 7),
 }
-KEY_FLAGS = set(FLAGS) - {"--out", "--config"}
+KEY_FLAGS = set(FLAGS) - {"--out"}
 SPEC_FLAGS = KEY_FLAGS - {"--seed"}
 COMMANDS = {
     "run": (["run", "quad_well", "yand", "exact"], {"--out"} | SPEC_FLAGS),
@@ -379,7 +366,7 @@ COMMANDS = {
 
 
 class TestSubcommandFlags:
-    """Each subcommand takes only the flags it reads: 25 of the 55 pairs."""
+    """Each subcommand takes only the flags it reads: 25 of the 50 pairs."""
 
     def test_parser_has_twenty_five_flag_slots(self, capsys):
         slots = 0
@@ -406,6 +393,15 @@ class TestSubcommandFlags:
         err = capsys.readouterr().err
         assert exc.value.code == 1
         assert err == f"error: unrecognized arguments: {flag} {text}\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_file_is_rejected(self, command, capsys):
+        """Settings are flags only: no subcommand takes a config file."""
+        with pytest.raises(SystemExit) as exc:
+            main(COMMANDS[command][0] + ["--config", "c.cfg"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "error: unrecognized arguments: --config c.cfg\n")
 
     @pytest.mark.parametrize("argv", [
         ["run", "quad_well", "yand", "exact", "--max", "3"],
@@ -691,18 +687,6 @@ class TestVerifyCommand:
         assert code == 4
         assert out.read_text().splitlines()[1].endswith(",inf,FAIL")
 
-    @pytest.mark.parametrize("argv, setting", [
-        (["verify", "--seed", "-1"], ""),
-        (["verify"], "seed = -1\n")])
-    def test_negative_seed_names_the_key(self, argv, setting, tmp_path,
-                                         capsys):
-        out = tmp_path / "verify.csv"
-        code, _, err = run_main(
-            argv + setting_flags(setting) + ["--out", str(out)], capsys)
-        assert code == 1
-        assert err.startswith("error: seed must be a non-negative integer")
-        assert not out.exists()
-
 
 class TestNonFiniteSettings:
     """A zero, negative, NaN or infinite step, tolerance or scaling is a
@@ -724,32 +708,30 @@ class TestNonFiniteSettings:
         monkeypatch.setattr(cli, "make_affine_scaled",
                             lambda gamma: (stub, None))
 
-    @pytest.mark.parametrize("argv, setting", [
-        (["run", "quad_well", "yand", "exact"], "alpha_max = nan\n"),
-        (["run", "quad_well", "yand", "exact"], "alpha_max = inf\n"),
-        (["run", "quad_well", "yand", "armijo"], "alpha0 = inf\n"),
-        (["run", "quad_well", "yand", "wolfe"], "alpha0 = nan\n"),
-        (["run", "quad_well", "gd", "fixed:nan"], ""),
-        (["run", "quad_well", "gd", "fixed:inf"], ""),
-        (["run", "quad_well", "yand", "exact", "--tol-grad", "nan"], ""),
-        (["run", "quad_well", "yand", "exact", "--tol-grad", "inf"], ""),
-        (["table2"], "alpha_max = nan\n"),
-        (["invariance", "--gammas", "10,nan"], ""),
-        (["invariance", "--gammas", "inf"], ""),
-        (["invariance", "--gammas", "10"], "alpha_max = nan\n"),
-        (["run", "quad_well", "gd", "fixed:0"], ""),
-        (["run", "quad_well", "yand", "exact", "--tol-grad", "-1"], ""),
-        (["run", "quad_well", "yand", "wolfe"], "alpha_max = -1\n"),
-        (["invariance", "--gammas", "10,0"], ""),
+    @pytest.mark.parametrize("argv", [
+        ["run", "quad_well", "yand", "exact", "--alpha-max", "nan"],
+        ["run", "quad_well", "yand", "exact", "--alpha-max", "inf"],
+        ["run", "quad_well", "yand", "armijo", "--alpha0", "inf"],
+        ["run", "quad_well", "yand", "wolfe", "--alpha0", "nan"],
+        ["run", "quad_well", "gd", "fixed:nan"],
+        ["run", "quad_well", "gd", "fixed:inf"],
+        ["run", "quad_well", "yand", "exact", "--tol-grad", "nan"],
+        ["run", "quad_well", "yand", "exact", "--tol-grad", "inf"],
+        ["table2", "--alpha-max", "nan"],
+        ["invariance", "--gammas", "10,nan"],
+        ["invariance", "--gammas", "inf"],
+        ["invariance", "--gammas", "10", "--alpha-max", "nan"],
+        ["run", "quad_well", "gd", "fixed:0"],
+        ["run", "quad_well", "yand", "exact", "--tol-grad", "-1"],
+        ["run", "quad_well", "yand", "wolfe", "--alpha-max", "-1"],
+        ["invariance", "--gammas", "10,0"],
         # every line search is built from the settings, so a bad alpha0
         # is an error also when the exact search, which has none, runs
-        (["run", "quad_well", "yand", "exact"], "alpha0 = inf\n"),
+        ["run", "quad_well", "yand", "exact", "--alpha0", "inf"],
     ])
-    def test_exits_one_with_message(self, argv, setting, tmp_path, capsys,
-                                    no_oracle):
+    def test_exits_one_with_message(self, argv, tmp_path, capsys, no_oracle):
         out = tmp_path / "out.csv"
-        code, _, err = run_main(
-            argv + setting_flags(setting) + ["--out", str(out)], capsys)
+        code, _, err = run_main(argv + ["--out", str(out)], capsys)
         assert code == 1
         assert "must be finite and positive" in err
         assert not out.exists()

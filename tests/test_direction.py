@@ -5,10 +5,11 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from helpers import (Recorder, coupled_quartic, flat_valley,
+                     non_finite_third_problem, random_gl_plus,
+                     random_objective, rotated_frame, rotated_quartic)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_fd_kernels import Recorder, random_objective
-from test_optimizer import non_finite_third_problem
 
 from affinedescent import direction
 from affinedescent.direction import (DirectionCase, DirectionResult,
@@ -40,17 +41,6 @@ def quadratic(H, b):
         value=lambda x: 0.5 * x @ H @ x + b @ x,
         gradient=lambda x: H @ x + b,
         hessian=lambda x: H.copy(),
-        third_directional=lambda x, u, v, w: 0.0,
-    )
-
-
-def flat_valley():
-    # f = y^2/2: tangent curvature vanishes everywhere off the x-axis
-    return make_objective(
-        dim=2,
-        value=lambda x: 0.5 * x[1] ** 2,
-        gradient=lambda x: np.array([0.0, x[1]]),
-        hessian=lambda x: np.diag([0.0, 1.0]),
         third_directional=lambda x, u, v, w: 0.0,
     )
 
@@ -483,13 +473,7 @@ class TestFrameInvariance:
         g = obj.gradient(x)
         if np.linalg.norm(g) < 1e-10:
             return
-        fr = build_gradient_frame(g)
-        m = obj.dim - 1
-        Q, R = np.linalg.qr(rng.normal(size=(m, m)))
-        Q = Q * np.sign(np.diag(R))
-        basis = fr.basis.copy()
-        basis[:, :m] = fr.tangent @ Q
-        rotated = Frame(basis=basis, grad_norm=fr.grad_norm)
+        rotated = rotated_frame(build_gradient_frame(g), rng)
         r0 = descent_direction(obj, x)
         r1 = _matrix_direction(obj, x, rotated)
         assert r0.case == r1.case
@@ -764,29 +748,11 @@ class TestOracleCalls:
         assert bits[0] == bits[1] == bits[2]
 
 
-def coupled_quartic(a, c):
-    """f = (a.x)^3/6 + sum_i c_i x_i^4/24: a non-separable third derivative
-    D3f[u,v,w] = (a.u)(a.v)(a.w) + sum_i c_i x_i u_i v_i w_i, built from
-    elementwise products and sums only."""
-    return make_objective(
-        dim=a.size,
-        value=lambda x: np.sum(a * x) ** 3 / 6.0 + np.sum(c * x ** 4) / 24.0,
-        gradient=lambda x: 0.5 * np.sum(a * x) ** 2 * a + c * x ** 3 / 6.0,
-        hessian=lambda x: (np.sum(a * x) * np.outer(a, a)
-                           + np.diag(0.5 * c * x * x)),
-        third_directional=lambda x, u, v, w: float(
-            np.sum(a * u) * np.sum(a * v) * np.sum(a * w)
-            + np.sum(c * x * u * v * w)),
-    )
-
-
 class TestAffineNormalDirection:
     def test_is_descent_direction_beyond_the_plane(self):
         """At n >= 3 the same result bits, oracle calls and case as
         descent_direction without a gradient, on definite and indefinite
         tangent blocks."""
-        # imported here, since that module imports this one
-        from test_affine_normal_reference import rotated_quartic
         p = catalog("quad_52")
         points = [(p.objective, p.x0)]
         for n in range(3, 7):
@@ -912,19 +878,6 @@ class TestNewtonDirection:
         d2 = newton_direction(flat_valley(), np.array([3.0, 2.0]),
                               regularize=True)
         assert np.all(np.isfinite(d2))
-
-
-def random_gl_plus(rng, dim, log_cond):
-    """U diag(s) V^T with random orthogonal U, V, cond = 10**log_cond,
-    flipped to det > 0."""
-    U, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    V, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    u = np.sort(rng.uniform(size=dim))
-    u[0], u[-1] = 0.0, 1.0
-    A = (U * 10.0 ** (log_cond * u)) @ V.T
-    if np.linalg.det(A) < 0.0:
-        A[:, 0] = -A[:, 0]
-    return A
 
 
 def assert_descent_characterized(obj, x):

@@ -5,21 +5,16 @@ import inspect
 
 import numpy as np
 import pytest
+from helpers import NUMERICAL_OUTCOMES
 
 from affinedescent import errors
-from affinedescent.errors import (AffineDescentError, DomainViolation,
-                                  EmptySlice, NonFiniteHessian,
-                                  NonFiniteThird, SingularHessian,
-                                  ZeroGradient)
+from affinedescent.errors import AffineDescentError
 from affinedescent.invariance import compose_scaled
 from affinedescent.numerics import (build_gradient_frame, classify_symmetric,
                                     solve_spd)
 from affinedescent.objective import make_objective
 from affinedescent.optimizer import RunReport, RunStatus, empirical_rates
 from affinedescent.problems import Problem, catalog
-
-NUMERICAL_OUTCOMES = (ZeroGradient, SingularHessian, NonFiniteHessian,
-                      NonFiniteThird, DomainViolation, EmptySlice)
 
 
 def test_errors_defines_the_base_and_the_numerical_outcomes():

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import Recorder, random_objective
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,54 +142,6 @@ def ref_slice_intervals(obj, z, C, R):
 
 
 # -- helpers ---------------------------------------------------------------
-
-class Recorder:
-    """An objective whose every oracle call is logged as (oracle, bytes of
-    each argument), so that two call sequences compare bit for bit."""
-
-    KINDS = ("value", "gradient", "hessian", "third_directional", "in_domain")
-
-    def __init__(self, obj):
-        self.calls = []
-        self.obj = replace(obj, **{kind: self._logged(kind, getattr(obj, kind))
-                                   for kind in self.KINDS})
-
-    def _logged(self, kind, fn):
-        def call(*args):
-            self.calls.append((kind,) + tuple(
-                np.asarray(a, dtype=float).tobytes() for a in args))
-            return fn(*args)
-        return call
-
-    def of(self, kind):
-        return [c for c in self.calls if c[0] == kind]
-
-
-def random_objective(dim, seed, in_domain=None):
-    """A smooth seeded objective with consistent analytic derivatives, and a
-    point to probe it at."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(dim)
-    M = rng.standard_normal((dim, dim))
-    Q = M @ M.T / dim
-    c = rng.uniform(0.1, 1.0, dim)
-
-    def value(x):
-        return float(a @ x + 0.5 * x @ Q @ x + 0.25 * np.sum(c * x ** 4)
-                     + np.sum(np.sin(x)))
-
-    def gradient(x):
-        return a + Q @ x + c * x ** 3 + np.cos(x)
-
-    def hessian(x):
-        return Q + np.diag(3.0 * c * x ** 2 - np.sin(x))
-
-    def third(x, u, v, w):
-        return float(np.sum((6.0 * c * x - np.cos(x)) * u * v * w))
-
-    obj = make_objective(dim, value, gradient, hessian, third, in_domain)
-    return obj, rng.standard_normal(dim)
-
 
 def bits(values):
     return np.asarray(values, dtype=float).tobytes()

@@ -10,7 +10,7 @@ within a constant times eps^2 of x*, as Newton's step does.
 """
 import numpy as np
 import pytest
-from test_affine_normal_reference import rotated_quartic
+from helpers import rotated_quartic
 
 from affinedescent.direction import descent_direction, newton_direction
 from affinedescent.numerics import DefinitenessTag, angle_between

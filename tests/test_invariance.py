@@ -3,10 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import random_gl_plus, rotated_quartic
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_affine_normal_reference import rotated_quartic
-from test_direction import random_gl_plus
 
 from affinedescent.direction import (DirectionCase, block_decompose,
                                      descent_direction)
@@ -107,18 +106,11 @@ class TestDirectionCovariance:
            log_scale=st.floats(-1.0, 1.0))
     def test_covariant_under_general_maps(self, name, seed, log_cond,
                                           log_scale):
-        # A = U diag(s) V^T with random orthogonal U, V and
-        # cond(A) = 10**log_cond <= 1e3, flipped to det A > 0.
+        # A in GL+ with cond(A) = 10**log_cond <= 1e3, scaled by
+        # 10**log_scale.
         p = catalog(name)
-        dim = p.objective.dim
-        rng = np.random.default_rng(seed)
-        U, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        V, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        u = np.sort(rng.uniform(size=dim))
-        u[0], u[-1] = 0.0, 1.0
-        A = 10.0 ** log_scale * (U * 10.0 ** (log_cond * u)) @ V.T
-        if np.linalg.det(A) < 0.0:
-            A[:, 0] = -A[:, 0]
+        A = random_gl_plus(np.random.default_rng(seed), p.objective.dim,
+                           log_cond, 10.0 ** log_scale)
         # The angle is rounding, not a broken formula: the x-space Hessian
         # A^T H A is formed in floating point, which perturbs the tangent
         # block by about eps * cond(A)^2 * kappa relative to its size, with

@@ -3,9 +3,11 @@ from math import cos, sin
 
 import numpy as np
 import pytest
+from helpers import (Recorder, flat_valley, nan_gradient_problem,
+                     nan_hessian_problem, non_finite_third_problem,
+                     spd_quadratic)
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_fd_kernels import Recorder
 
 from affinedescent import line_search, optimizer
 from affinedescent.direction import classify_point
@@ -23,14 +25,7 @@ STOP = StoppingSpec(tol_grad=1e-4, max_iter=200)
 
 
 def flat_valley_problem():
-    obj = make_objective(
-        dim=2,
-        value=lambda x: 0.5 * x[1] ** 2,
-        gradient=lambda x: np.array([0.0, x[1]]),
-        hessian=lambda x: np.diag([0.0, 1.0]),
-        third_directional=lambda x, u, v, w: 0.0,
-    )
-    return Problem(name="flat_valley", objective=obj,
+    return Problem(name="flat_valley", objective=flat_valley(),
                    x0=np.array([3.0, 2.0]), x_star=None, f_star=None,
                    notes="")
 
@@ -64,51 +59,6 @@ def overflowing_hessian_problem(dim):
     )
     return Problem(name="overflowing_hessian", objective=obj,
                    x0=np.zeros(dim), x_star=None, f_star=None, notes="")
-
-
-def non_finite_third_problem(dim, sign, third):
-    """f = (sign x0^2 + x1^2 + ... ) / 2 from e_last, where the gradient is
-    e_last and the tangent block is diag(sign, 1, ...): positive definite
-    for sign 1, indefinite for -1. The third derivative is `third`."""
-    H = np.diag([sign] + [1.0] * (dim - 1))
-    obj = make_objective(
-        dim=dim,
-        value=lambda x: float(0.5 * x @ H @ x),
-        gradient=lambda x: H @ x,
-        hessian=lambda x: H.copy(),
-        third_directional=lambda x, u, v, w: third,
-    )
-    return Problem(name="non_finite_third", objective=obj,
-                   x0=np.eye(dim)[-1], x_star=None, f_star=None, notes="")
-
-
-def nan_gradient_problem(name, at_start=False):
-    """Catalog problem whose gradient is NaN everywhere except at x0 (or,
-    with at_start, everywhere)."""
-    p = catalog(name)
-    grad = p.objective.gradient
-
-    def gradient(x):
-        g = grad(x)
-        if at_start or not np.array_equal(x, p.x0):
-            return np.full_like(g, np.nan)
-        return g
-
-    return replace(p, objective=replace(p.objective, gradient=gradient))
-
-
-def nan_hessian_problem(name):
-    """Catalog problem whose Hessian is NaN everywhere except at x0."""
-    p = catalog(name)
-    hess = p.objective.hessian
-
-    def hessian(x):
-        H = hess(x)
-        if not np.array_equal(x, p.x0):
-            return np.full_like(H, np.nan)
-        return H
-
-    return replace(p, objective=replace(p.objective, hessian=hessian))
 
 
 def list_oracle_problem(name):
@@ -212,14 +162,7 @@ class TestStatuses:
         """The paper's one-step claim beyond the 2-D catalog: f = x.Ax/2 +
         b.x with A = Q diag(U(0.5, 10)) Q^T, under the default stop."""
         rng = np.random.default_rng(1000 * n + seed)
-        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        A = Q @ np.diag(rng.uniform(0.5, 10.0, size=n)) @ Q.T
-        A = 0.5 * (A + A.T)
-        b = rng.normal(size=n)
-        obj = make_objective(
-            dim=n, value=lambda x: float(0.5 * x @ A @ x + b @ x),
-            gradient=lambda x: A @ x + b, hessian=lambda x: A,
-            third_directional=lambda x, u, v, w: 0.0)
+        obj, A, b = spd_quadratic(rng, n)
         x_star = np.linalg.solve(A, -b)
         p = Problem(name=f"spd_quadratic_{n}", objective=obj,
                     x0=rng.normal(size=n), x_star=x_star, f_star=None,
