@@ -8,13 +8,14 @@ Subcommands:
   verify                  finite-difference derivative check on the catalog
 
 Each subcommand takes only the flags it reads (see its --help), spelled
-in full: a prefix such as --max is a usage error. The settings are the keys of the line-search and stopping specs, each a flag
-of the commands whose specs read it: run and table2 take --tol-grad,
---max-iter, --sigma, --beta, --alpha0, --alpha-max, --c1 and --c2,
-invariance --tol-grad, --max-iter and --alpha-max; verify takes --seed. A
-key left out takes its spec's default, and a key given is checked by all
-four specs, also when the search that reads it does not run. Every
-method of run takes the LS token: `newton fixed:1` is classical Newton.
+in full: a prefix such as --max is a usage error. The settings are the
+keys of the line-search and stopping specs, each a flag of the commands
+whose specs read it: run and table2 take --tol-grad, --max-iter,
+--sigma, --beta, --alpha0, --alpha-max, --c1 and --c2, invariance
+--tol-grad, --max-iter and --alpha-max; verify takes --seed. A key left
+out takes its spec's default, and a key given is checked by all four
+specs, also when the search that reads it does not run. Every method of
+run takes the LS token: `newton fixed:1` is classical Newton.
 
 All floating-point output uses 17 significant digits; repeated invocations
 with the same flags produce byte-identical files.

@@ -109,10 +109,6 @@ class TestWorkedQuadratic2d:
         self.problem = catalog("quad_51")
         self.x = np.array([2.0, 0.0])
 
-    def test_tau_is_minus_three_fifths(self):
-        tau = affine_normal_direction(self.problem.objective, self.x).tau
-        assert tau[0] == pytest.approx(-0.6, abs=1e-14)
-
     def test_direction_parallel_to_diagonal(self):
         d = affine_normal_direction(self.problem.objective, self.x).d
         assert np.allclose(d, np.array([-3.4, 3.4]) / S17, atol=1e-13)
@@ -206,14 +202,6 @@ class TestWorkedNonquadratic:
         d = affine_normal_direction(self.problem.objective, self.x).d
         g = self.problem.objective.gradient(self.x)
         assert float(g @ d) == pytest.approx(-40.0 / (3.0 * S10), rel=1e-13)
-
-    def test_reported_paper_values(self):
-        d = affine_normal_direction(self.problem.objective, self.x).d
-        g = self.problem.objective.gradient(self.x)
-        assert float(d @ self.t_hat) == pytest.approx(0.7687, abs=1e-3)
-        assert d[0] == pytest.approx(-1.0454, abs=1e-3)
-        assert d[1] == pytest.approx(-0.7056, abs=1e-3)
-        assert float(g @ d) == pytest.approx(-4.2164, abs=1e-3)
 
 
 def assert_singular_fallback(obj, x):
@@ -423,22 +411,6 @@ class TestAngleIdentity:
 
 
 class TestNewtonAgreement:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
-    def test_direction_collinear_with_newton_on_spd_quadratics(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        M = rng.normal(size=(dim, dim))
-        A = M @ M.T + dim * np.eye(dim)
-        b = rng.normal(size=dim)
-        obj = quadratic(A, b)
-        x = rng.normal(size=dim)
-        g = obj.gradient(x)
-        if np.linalg.norm(g) < 1e-8:
-            return
-        d = affine_normal_direction(obj, x).d
-        d_newton = -np.linalg.solve(A, g)
-        assert angle_between(d, d_newton) <= 1e-8
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
     def test_scaled_direction_equals_newton_step(self, dim, seed):

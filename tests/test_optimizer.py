@@ -345,24 +345,6 @@ class TestStepRule:
 
 
 class TestConvergence:
-    @pytest.mark.parametrize("ls", [ExactSearch(), ArmijoSearch(),
-                                    StrongWolfeSearch()])
-    def test_barrier_with_each_search(self, ls):
-        p = catalog("inverse_barrier")
-        rep = yand_run(p, ls, STOP)
-        assert rep.status is RunStatus.CONVERGED
-        assert np.linalg.norm(rep.final.x - p.x_star) <= 1e-5
-        assert abs(rep.final.f - p.f_star) <= 1e-8
-        for r in rep.records:
-            assert p.objective.in_domain(r.x)
-
-    @pytest.mark.parametrize("ls", [ExactSearch(), ArmijoSearch(),
-                                    StrongWolfeSearch()])
-    def test_rosenbrock_with_each_search(self, ls):
-        rep = yand_run(catalog("rosenbrock"), ls, STOP)
-        assert rep.status is RunStatus.CONVERGED
-        assert rep.iters <= 200
-
     def test_damped_newton_on_nonconvex(self):
         for name in ("rosenbrock", "ring_tilted", "four_well"):
             rep = newton_run(catalog(name), damped=True, stop=STOP)
@@ -509,16 +491,6 @@ class TestLineSearchContracts:
             rep = newton_run(p, damped=True, ls=ls, stop=STOP)
         fs = [r.f for r in rep.records]
         assert all(f1 < f0 for f0, f1 in zip(fs, fs[1:]))
-
-
-class TestAngleIdentityOnRuns:
-    @pytest.mark.parametrize("name", ["quad_51", "convex_53", "poly6",
-                                      "rosenbrock", "ring_tilted",
-                                      "four_well", "inverse_barrier"])
-    def test_identity_at_every_yand_iterate(self, name):
-        rep = yand_run(catalog(name), StrongWolfeSearch(), STOP)
-        for r in rep.records[1:]:
-            assert abs(r.cos_theta * np.sqrt(1.0 + r.T ** 2) - 1.0) <= 1e-10
 
 
 class TestEmpiricalRates:

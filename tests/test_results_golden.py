@@ -1,13 +1,14 @@
 """Regenerate every output of scripts/reproduce_all.py and compare it with the
 committed results/*.csv.
 
-Integer and text cells (iteration counts, k, the case column, pass/FAIL)
-must match exactly; float cells must satisfy
-|a - b| <= RTOL * max(|a|, |b|) + ATOL, the rule the benchmark's catalog2d
-workload applies to the same files.
+The rule is perfbench/workloads.py's compare_csv, which the benchmark's
+catalog2d workload applies to the same files: integer and text cells
+(iteration counts, k, the case column, pass/FAIL) must match exactly, and
+float cells must satisfy |a - b| <= 1e-9 * max(|a|, |b|) + 1e-12. The module
+is imported, not changed.
 """
-import csv
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,9 @@ from affinedescent.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
-RTOL = 1e-9
-ATOL = 1e-12
+sys.path.append(str(ROOT / "perfbench"))
+
+from workloads import compare_csv  # noqa: E402
 
 
 def _reproduce_steps():
@@ -31,27 +33,6 @@ def _reproduce_steps():
 STEPS = _reproduce_steps()
 
 
-def _float(cell: str):
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
-def _mismatch(got: str, want: str) -> bool:
-    if got == want:
-        return False
-    a, b = _float(got), _float(want)
-    if want.lstrip("-").isdigit() or a is None or b is None:
-        return True
-    return abs(a - b) > RTOL * max(abs(a), abs(b)) + ATOL
-
-
-def _read(path: Path) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
-
-
 def test_every_committed_result_is_regenerated():
     assert sorted(name for _, name in STEPS) == \
         sorted(p.name for p in RESULTS.glob("*.csv"))
@@ -62,23 +43,23 @@ def test_every_committed_result_is_regenerated():
 def test_regenerated_csv_matches_committed(argv, filename, tmp_path, capsys):
     out = tmp_path / filename
     assert main(argv + ["--out", str(out)]) == 0
-    capsys.readouterr()
-    got, want = _read(out), _read(RESULTS / filename)
-    assert got[0] == want[0]
-    assert len(got) == len(want)
-    for row_no, (g_row, w_row) in enumerate(zip(got, want), start=1):
-        assert len(g_row) == len(w_row), f"row {row_no}"
-        bad = [(g, w) for g, w in zip(g_row, w_row) if _mismatch(g, w)]
-        assert not bad, f"{filename} row {row_no}: {bad}"
+    stdout = capsys.readouterr().out
+    assert compare_csv(out, RESULTS / filename)[0] is None
+    if argv[0] in ("verify", "examples"):   # check tables echo their rows
+        assert stdout == out.read_text()
 
 
 @pytest.mark.parametrize("got,want,differs", [
     ("1.0000000000000002", "1", True),        # integer cells are exact
     ("12*", "12", True),
     ("AN", "FlippedAN", True),
-    ("0.50000000000000011", "0.5", False),    # floats within RTOL
+    ("0.50000000000000011", "0.5", False),    # floats within 1e-9 relative
     ("0.50000001", "0.5", True),
-    ("-1e-13", "1e-13", False),               # ATOL near zero
+    ("-1e-13", "1e-13", False),               # 1e-12 absolute near zero
 ])
-def test_cell_rule(got, want, differs):
-    assert _mismatch(got, want) is differs
+def test_cell_rule(got, want, differs, tmp_path):
+    """One cell under a shared header, which compare_csv checks exactly."""
+    paths = tmp_path / "got.csv", tmp_path / "want.csv"
+    for path, cell in zip(paths, (got, want)):
+        path.write_text(f"cell\n{cell}\n")
+    assert (compare_csv(*paths)[0] is not None) is differs
