@@ -7,9 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .direction import descent_direction
 from .line_search import LineSearchSpec
-from .numerics import angle_between, as_vector, norm2
+from .numerics import as_vector, norm2
 from .objective import make_objective
 from .optimizer import RunReport, yand_run
 from .problems import Problem
@@ -89,14 +88,3 @@ def run_invariance(base: Problem, B, ls: LineSearchSpec,
     ]
     return InvarianceReport(scaled, unscaled, deviations)
 
-
-def direction_covariance_angle(base: Problem, B, y) -> float:
-    """Angle between B d_f(B^-1 y) and d_phi(y): zero when the direction
-    field transforms covariantly under the scaling."""
-    B = np.asarray(B, dtype=float)
-    scaled = compose_scaled(base, B)
-    y = as_vector(y, base.objective.dim)
-    x = np.linalg.solve(B, y)
-    d_f = descent_direction(scaled.objective, x).d
-    d_phi = descent_direction(base.objective, y).d
-    return angle_between(B @ d_f, d_phi)

@@ -199,31 +199,3 @@ def newton_run(problem: Problem, damped: bool = False,
 
     return _loop(problem, ls, stop, direction)
 
-
-class RateTable(NamedTuple):
-    linear_ratios: list[float]
-    quad_ratios: list[float]
-
-
-def empirical_rates(report: RunReport, x_star=None,
-                    f_star: float | None = None) -> RateTable:
-    """Per-step diagnostics: (f_{k+1}-f*)/(f_k-f*) and ||e_{k+1}||/||e_k||^2.
-
-    Ratios are reported as computed (inf where a denominator vanishes);
-    nothing is asserted here.
-    """
-    if x_star is None and f_star is None:
-        raise ValueError("empirical_rates needs x_star or f_star")
-    linear: list[float] = []
-    quad: list[float] = []
-    recs = report.records
-    if f_star is not None:
-        for r0, r1 in zip(recs, recs[1:]):
-            gap0 = r0.f - f_star
-            linear.append((r1.f - f_star) / gap0 if gap0 > 0.0 else float("inf"))
-    if x_star is not None:
-        xs = as_vector(x_star, recs[0].x.size)
-        errs = [norm2(r.x - xs) for r in recs]
-        for e0, e1 in zip(errs, errs[1:]):
-            quad.append(e1 / (e0 * e0) if e0 > 0.0 else float("inf"))
-    return RateTable(linear_ratios=linear, quad_ratios=quad)

@@ -1,4 +1,5 @@
-"""The test modules' shared families, maps and stand-in problems.
+"""The test modules' shared families, maps and stand-in problems, and the
+direction's covariance angle under a map.
 
 Test modules import these as `from helpers import ...`; no test module
 imports another. Each helper draws from a seed or a given generator in a
@@ -8,10 +9,12 @@ from dataclasses import replace
 
 import numpy as np
 
+from affinedescent.direction import descent_direction
 from affinedescent.errors import (DomainViolation, EmptySlice,
                                   NonFiniteHessian, NonFiniteThird,
                                   SingularHessian, ZeroGradient)
-from affinedescent.numerics import Frame
+from affinedescent.invariance import compose_scaled
+from affinedescent.numerics import Frame, angle_between, as_vector
 from affinedescent.objective import make_objective
 from affinedescent.problems import Problem, catalog
 
@@ -142,6 +145,18 @@ def random_gl_plus(rng, dim, log_cond, scale=1.0):
     if np.linalg.det(A) < 0.0:
         A[:, 0] = -A[:, 0]
     return A
+
+
+def direction_covariance_angle(base: Problem, B, y) -> float:
+    """Angle between B d_f(B^-1 y) and d_phi(y): zero when the direction
+    field transforms covariantly under the scaling."""
+    B = np.asarray(B, dtype=float)
+    scaled = compose_scaled(base, B)
+    y = as_vector(y, base.objective.dim)
+    x = np.linalg.solve(B, y)
+    d_f = descent_direction(scaled.objective, x).d
+    d_phi = descent_direction(base.objective, y).d
+    return angle_between(B @ d_f, d_phi)
 
 
 def rotated_frame(frame, rng):

@@ -16,6 +16,16 @@ differentiation, and the gradient of log|det H_h| from central differences
 of it. No third derivative is used, so the reference checks the
 third-derivative closures and the (m + 2) weight of the correction term
 together.
+
+A second reference needs no frame at all. With S = (H + H^T) / 2 and the
+bordered matrix K = [[S, n_hat], [n_hat^T, 0]], the leading n x n block of
+K^-1 is P = T B^-1 T^T for any orthonormal tangent basis T, and K has one
+negative eigenvalue more than B (Nocedal & Wright, Numerical Optimization,
+2nd ed., 2006, section 16.2). So one eigendecomposition of K gives the
+direction d = P (S n_hat - ||g|| / (m + 2) D3f[P]) - n_hat, with
+D3f[P]_j = sum_ab P_ab D3f[e_a, e_b, e_j], the orientation from the parity
+of B's negative eigenvalues, and the Schur complement
+n_hat.S n_hat - (S n_hat).P (S n_hat) of the step scale.
 """
 import csv
 from pathlib import Path
@@ -26,12 +36,16 @@ from helpers import coupled_quartic, rotated_quartic
 
 from affinedescent.direction import (DirectionCase, affine_normal_direction,
                                      descent_direction)
-from affinedescent.numerics import DefinitenessTag, build_gradient_frame
+from affinedescent.numerics import (DefinitenessTag, angle_between,
+                                    build_gradient_frame)
 from affinedescent.problems import CATALOG_NAMES, catalog
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 # The gate on |tau - tau_ref| / ||(tau, 1)||.
 TOL = 1e-6
+# The gates of the bordered reference: the angle between the directions
+# (radians) and the relative step-scale error.
+BORDERED_ANGLE, BORDERED_SCALE = 1e-10, 1e-9
 # Central-difference steps STEP * rho / RATIO**k for k = 0..STEPS - 1, with
 # rho = min(1, the least radius of curvature of the level set at x).
 STEP, RATIO, STEPS = 0.1, 4.0, 9
@@ -161,3 +175,60 @@ def test_nonconvex_quartics():
     assert tags == {DefinitenessTag.POSITIVE_DEFINITE,
                     DefinitenessTag.OTHER_INDEFINITE}
     assert {DirectionCase.AN, DirectionCase.FLIPPED_AN} <= cases
+
+
+def bordered_reference(obj, x):
+    """(d, FlippedAN?, step scale) from one eigh of the bordered matrix K,
+    with D3f[P] from the scalar oracle on the coordinate axes. The step
+    scale is ||g|| over the Schur complement where that is positive, and 1
+    where it is not, as in the package; its floor of 1e-12 of the block
+    scale is far below the complements met here."""
+    g = np.asarray(obj.gradient(x), dtype=float)
+    H = np.asarray(obj.hessian(x), dtype=float)
+    S = 0.5 * (H + H.T)
+    gnorm = np.linalg.norm(g)
+    n_hat = g / gnorm
+    n = x.size
+    m = n - 1
+    K = np.block([[S, n_hat[:, None]], [n_hat[None, :], np.zeros((1, 1))]])
+    lam, V = np.linalg.eigh(K)
+    P = (V[:n] / lam) @ V[:n].T
+    E = np.eye(n)
+    D3 = np.empty((n, n, n))
+    for a in range(n):
+        for b in range(a, n):
+            D3[a, b] = D3[b, a] = [obj.third_directional(x, E[a], E[b], e)
+                                   for e in E]
+    D3P = np.einsum("ab,abj->j", P, D3)
+    Sn = S @ n_hat
+    d = P @ (Sn - gnorm / (m + 2.0) * D3P) - n_hat
+    flipped = m % 2 == 1 and (np.count_nonzero(lam < 0.0) - 1) % 2 == 1
+    schur = n_hat @ Sn - Sn @ P @ Sn
+    return d, flipped, gnorm / schur if schur > 0.0 else 1.0
+
+
+def test_bordered_reference_on_quartics():
+    """Both families, six seeds each for every n = 3..10, at a seeded
+    point; points whose tangent block is singular fall back and have no
+    affine normal."""
+    cases, checked = set(), 0
+    for n in range(3, 11):
+        for seed in range(6):
+            rng = np.random.default_rng(100 * n + seed)
+            objs = [rotated_quartic(n, seed),
+                    coupled_quartic(rng.normal(size=n),
+                                    rng.uniform(-2.0, 2.0, size=n))]
+            for obj in objs:
+                x = rng.normal(size=n)
+                res = descent_direction(obj, x)
+                if res.case is DirectionCase.STEEPEST_FALLBACK:
+                    continue
+                d, flipped, step_scale = bordered_reference(obj, x)
+                assert angle_between(res.d, d) <= BORDERED_ANGLE, (n, seed)
+                assert flipped == (res.case is DirectionCase.FLIPPED_AN)
+                assert res.step_scale == pytest.approx(
+                    step_scale, rel=BORDERED_SCALE), (n, seed)
+                cases.add(res.case)
+                checked += 1
+    assert checked == 96
+    assert cases == {DirectionCase.AN, DirectionCase.FLIPPED_AN}

@@ -1,5 +1,6 @@
-"""scripts/bench_scaling.py at n = 10: the record it writes and the oracle
-calls of one direction, which are deterministic."""
+"""scripts/bench_scaling.py at n = 10: the record it writes, the oracle
+calls of one direction, which are deterministic, and the stages it times,
+whose seconds are not."""
 import json
 import subprocess
 import sys
@@ -23,3 +24,6 @@ def test_records_the_counts_of_one_direction(tmp_path):
     assert point["counts"] == {"f": 0, "g": 0, "h": 1, "t3": 405}
     assert len(point["times_s"]) == 3
     assert point["best_s"] == min(point["times_s"]) > 0.0
+    assert set(point["stages_s"]) == {
+        "descent_direction", "build_gradient_frame", "block_decompose",
+        "classify_symmetric", "solve_spd", "t3"}

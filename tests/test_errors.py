@@ -13,7 +13,6 @@ from affinedescent.invariance import compose_scaled
 from affinedescent.numerics import (build_gradient_frame, classify_symmetric,
                                     solve_spd)
 from affinedescent.objective import make_objective
-from affinedescent.optimizer import RunReport, RunStatus, empirical_rates
 from affinedescent.problems import Problem, catalog
 
 
@@ -42,9 +41,6 @@ BAD_INPUT = {
                                np.diag([1.0, -1.0])),
         r"det\(B\) = -1 must be positive: B must be invertible and "
         "orientation-preserving"),
-    "no reference": (
-        lambda: empirical_rates(RunReport([], RunStatus.CONVERGED)),
-        "empirical_rates needs x_star or f_star"),
     "solve without factor": (
         lambda: solve_spd(classify_symmetric(-np.eye(2)), np.ones(2)),
         "solve_spd needs a positive definite matrix, got "

@@ -3,15 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import random_gl_plus, rotated_quartic
+from helpers import (direction_covariance_angle, random_gl_plus,
+                     rotated_quartic)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinedescent.direction import (DirectionCase, block_decompose,
                                      descent_direction)
-from affinedescent.invariance import (compose_scaled,
-                                      direction_covariance_angle,
-                                      run_invariance)
+from affinedescent.invariance import compose_scaled, run_invariance
 from affinedescent.line_search import ExactSearch
 from affinedescent.objective import verify_derivatives
 from affinedescent.optimizer import RunStatus, StoppingSpec

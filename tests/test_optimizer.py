@@ -17,8 +17,8 @@ from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
 from affinedescent.numerics import DefinitenessTag
 from affinedescent.objective import make_objective, verify_derivatives
 from affinedescent.optimizer import (RunStatus, StoppingSpec,
-                                     empirical_rates, gradient_descent_run,
-                                     newton_run, yand_run)
+                                     gradient_descent_run, newton_run,
+                                     yand_run)
 from affinedescent.problems import Problem, catalog, make_affine_scaled
 
 STOP = StoppingSpec(tol_grad=1e-4, max_iter=200)
@@ -494,34 +494,14 @@ class TestLineSearchContracts:
 
 
 class TestEmpiricalRates:
-    def test_requires_a_reference(self):
-        rep = yand_run(catalog("quad_well"), ExactSearch(), STOP)
-        with pytest.raises(ValueError, match="needs x_star or f_star"):
-            empirical_rates(rep)
-
     def test_linear_ratio_of_fixed_step_on_isotropic_bowl(self):
         problem, _ = make_affine_scaled(1.0)
         rep = gradient_descent_run(problem, FixedStep(alpha=0.5),
                                    StoppingSpec(tol_grad=1e-10, max_iter=60))
-        rates = empirical_rates(rep, f_star=0.0)
-        # contraction (1 - alpha)^2 = 0.25 per step in f
-        for ratio in rates.linear_ratios[:-1]:
-            assert ratio == pytest.approx(0.25, rel=1e-6)
-
-    def test_quadratic_ratio_bounded_for_newton_like_steps(self):
-        p = catalog("quad_well")
-        rep = yand_run(p, ArmijoSearch(), STOP)
-        rates = empirical_rates(rep, x_star=p.x_star, f_star=p.f_star)
-        assert all(np.isfinite(q) and q <= 1e3 for q in rates.quad_ratios)
-
-    def test_vanishing_denominator_reports_inf(self):
-        p = catalog("quad_well")
-        start_at_min = Problem(name="at_min", objective=p.objective,
-                               x0=p.x_star, x_star=p.x_star, f_star=p.f_star,
-                               notes="")
-        rep = yand_run(start_at_min, ExactSearch(), STOP)
-        rates = empirical_rates(rep, x_star=p.x_star, f_star=p.f_star)
-        assert rates.linear_ratios == [] and rates.quad_ratios == []
+        fs = [r.f for r in rep.records]
+        # contraction (1 - alpha)^2 = 0.25 per step in f, whose minimum is 0
+        for f0, f1 in zip(fs[:-2], fs[1:-1]):
+            assert f1 / f0 == pytest.approx(0.25, rel=1e-6)
 
 
 class TestListOracles:

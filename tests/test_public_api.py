@@ -48,7 +48,6 @@ RECORD_FIELDS = {
     "objective.DerivativeReport": ("grad_err", "hess_err", "third_err"),
     "optimizer.IterateRecord": ("k", "x", "f", "grad_norm", "alpha", "case",
                                 "T"),
-    "optimizer.RateTable": ("linear_ratios", "quad_ratios"),
     "optimizer.RunReport": ("records", "status"),
     "slice_centroid.SliceRegion": ("intervals", "total_length",
                                    "centroid_param", "centroid", "frame"),
@@ -104,7 +103,6 @@ def test_per_call_records_are_immutable():
         objective.verify_derivatives(obj, [p.x0]),
         report.records[0],
         report,
-        optimizer.empirical_rates(report, x_star=p.x_star),
         slice_centroid.slice_region_2d(obj, p.x0, -1e-3),
         invariance.run_invariance(problems.catalog("strongly_convex_base"),
                                   np.diag([1.0, 10.0]),
@@ -146,14 +144,6 @@ ENTRY_POINTS = {
         "p", obj, x, None, None, ""),
     "Problem_x_star": lambda obj, x: problems.Problem(
         "p", obj, np.array([-1.2, 1.0]), x, 0.0, ""),
-    "empirical_rates": lambda obj, x: optimizer.empirical_rates(
-        optimizer.yand_run(problems.Problem(
-            "p", obj, np.array([-1.2, 1.0]), None, None, ""),
-            line_search.ExactSearch(), optimizer.StoppingSpec(max_iter=1)),
-        x_star=x),
-    "direction_covariance_angle": lambda obj, x:
-        invariance.direction_covariance_angle(problems.Problem(
-            "p", obj, np.array([-1.2, 1.0]), None, None, ""), np.eye(2), x),
 }
 
 
