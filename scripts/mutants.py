@@ -49,6 +49,8 @@ MUTANTS = [
            "omega = cls_B.det_sign if not tau.size % 2 else 1.0",
            "the orientation sign is sign(det B) for an odd number of "
            "tangent directions, +1 for an even number"),
+    Mutant("direction.py", "-1.0 if b < 0.0 else 1.0", "1.0",
+           "the same orientation sign at m = 1 is sign(b) (planar path)"),
     Mutant("direction.py", "rhs = block.c - (frame.grad_norm",
            "rhs = block.c + (frame.grad_norm",
            "the third-derivative correction is subtracted from c"),

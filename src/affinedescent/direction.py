@@ -4,8 +4,8 @@ The frame splits the Hessian into a tangent block B, a cross column c,
 and a normal-normal scalar d_nn. The geometric step direction combines
 the curvature of the level set with a third-derivative correction; it is
 reported with its frame-normal component normalized to -1, together with
-the tangential coefficients tau and telemetry (T = ||tau||, cos_theta =
-cosine of the angle to the negative unit gradient).
+its case, its step scale and telemetry: T, the norm of its tangential
+part, and cos_theta, the cosine of its angle to the negative gradient.
 """
 from __future__ import annotations
 
@@ -50,13 +50,8 @@ class DirectionCase(Enum):
 class DirectionResult(NamedTuple):
     d: Vector              # ambient direction, frame-normal component -1
     case: DirectionCase
-    tau: Vector            # tangential coefficients of d in the frame
-    point_class: SymmetricClass   # classification of the tangent block B
+    T: float               # norm of d's tangential part, ||tau||; 0 on fallback
     step_scale: float      # multiplier making step_scale*d a unit-step-friendly length
-
-    @property
-    def T(self) -> float:
-        return norm2(self.tau)
 
     @property
     def cos_theta(self) -> float:
@@ -184,40 +179,41 @@ def _matrix_direction(obj: Objective, x: Vector,
     block = block_decompose(obj, x, frame=frame)
     cls_B = _classify_hessian(block.B)
     if cls_B.tag is DefinitenessTag.SINGULAR:
-        return _fallback_result(block.frame.normal, cls_B)
+        return _fallback_result(block.frame.normal)
     tau = _tau(obj, x, block, cls_B)
     d = block.frame.tangent @ tau - block.frame.normal
+    # The orientation sign: sign(det B) for an odd number of tangent
+    # directions, +1 for an even number, where the real root does not
+    # exist for negative det.
+    omega = cls_B.det_sign if tau.size % 2 else 1.0
     return _oriented_result(
-        d, tau, block.frame.normal, block.frame.grad_norm, cls_B,
+        d, norm2(tau), omega, block.frame.normal, block.frame.grad_norm,
+        cls_B.scale,
         lambda: block.d_nn - float(block.c @ solve_symmetric(cls_B, block.c)),
         block.d_nn)
 
 
-def _oriented_result(d: Vector, tau: Vector, n_hat: Vector, gnorm: float,
-                     cls_B: SymmetricClass, schur,
+def _oriented_result(d: Vector, T: float, omega: float, n_hat: Vector,
+                     gnorm: float, scale: float, schur,
                      d_nn: float) -> DirectionResult:
     """The paper's descent characterization: d = tangent @ tau - n_hat
     descends, with g.d = -||g||, unless it is numerically tangent (T =
-    ||tau|| not below T_TANGENT, NaN included) and falls back. The case is the
-    orientation sign omega: sign(det B) for an odd number of tangent
-    directions, +1 for an even number, where the real root does not exist
-    for negative det. Then the step scale from schur(), the Schur
-    complement d_nn - c.B^-1 c, which a fallback never evaluates."""
-    if not norm2(tau) < T_TANGENT:
-        return _fallback_result(n_hat, cls_B)
-    omega = cls_B.det_sign if tau.size % 2 else 1.0
+    ||tau|| not below T_TANGENT, NaN included) and falls back. The case is
+    the orientation sign omega: AN iff omega > 0. Then the step scale from
+    schur(), the Schur complement d_nn - c.B^-1 c, which a fallback never
+    evaluates, against a floor relative to B's threshold scale `scale`."""
+    if not T < T_TANGENT:
+        return _fallback_result(n_hat)
     case = DirectionCase.AN if omega > 0.0 else DirectionCase.FLIPPED_AN
     s = schur()
-    floor = SCALE_FLOOR * max(cls_B.scale, abs(d_nn))
+    floor = SCALE_FLOOR * max(scale, abs(d_nn))
     step_scale = gnorm / s if s > floor else 1.0
-    return DirectionResult(d=d, case=case, tau=tau, point_class=cls_B,
-                           step_scale=step_scale)
+    return DirectionResult(d=d, case=case, T=T, step_scale=step_scale)
 
 
-def _fallback_result(normal: Vector, cls_B: SymmetricClass) -> DirectionResult:
-    return DirectionResult(
-        d=-normal, case=DirectionCase.STEEPEST_FALLBACK,
-        tau=np.zeros(cls_B.eigs.size), point_class=cls_B, step_scale=1.0)
+def _fallback_result(normal: Vector) -> DirectionResult:
+    return DirectionResult(d=-normal, case=DirectionCase.STEEPEST_FALLBACK,
+                           T=0.0, step_scale=1.0)
 
 
 def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
@@ -248,12 +244,9 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
         raise NonFiniteHessian(NON_FINITE_MATRIX)
     scale = max(1.0, abs(b))
     tag = definiteness_tag(b, abs(b), scale)
-    w = 1.0 / sqrt(b) if tag is DefinitenessTag.POSITIVE_DEFINITE else None
-    cls_B = SymmetricClass(tag=tag, eigs=np.array([b]),
-                           matrix=np.array([[b]]), scale=scale,
-                           factor=None if w is None else np.array([[w]]))
     if tag is DefinitenessTag.SINGULAR:
-        return _fallback_result(frame.normal, cls_B)
+        return _fallback_result(frame.normal)
+    w = 1.0 / sqrt(b) if tag is DefinitenessTag.POSITIVE_DEFINITE else None
 
     def solve(r: float) -> float:
         return r / b if w is None else w * (w * r)
@@ -269,7 +262,10 @@ def _planar_direction(obj: Objective, x: Vector) -> DirectionResult:
         raise NonFiniteThird(_NON_FINITE_CORRECTION)
     tau = solve(rhs)
     d = np.array([(0.0 + t0 * tau) - n0, (0.0 + t1 * tau) - n1])
-    return _oriented_result(d, np.array([tau]), frame.normal, gnorm, cls_B,
+    # |tau| is norm2 of the 1-vector (tau,) and the sign of b is det_sign of
+    # the 1x1 block, bit for bit.
+    return _oriented_result(d, abs(tau), -1.0 if b < 0.0 else 1.0,
+                            frame.normal, gnorm, scale,
                             lambda: d_nn - c * solve(c), d_nn)
 
 

@@ -60,7 +60,9 @@ def test_criterion_03_worked_example_values():
 
     # 2-d quadratic: tangential coefficient is exactly -3/5.
     quad = catalog("quad_51")
-    tau = affine_normal_direction(quad.objective, quad.x0).tau
+    d = affine_normal_direction(quad.objective, quad.x0).d
+    tangent = build_gradient_frame(quad.objective.gradient(quad.x0)).tangent
+    tau = tangent.T @ d
     assert abs(tau[0] + 0.6) <= 1e-14
 
     # 3-d quadratic: the direction is an exact coordinate vector.

@@ -130,7 +130,8 @@ class TestWorkedQuadratic2d:
     def test_case_and_telemetry(self):
         res = descent_direction(self.problem.objective, self.x)
         assert res.case is DirectionCase.AN
-        assert res.point_class.tag is DefinitenessTag.POSITIVE_DEFINITE
+        assert classify_point(self.problem.objective, self.x).tag is \
+            DefinitenessTag.POSITIVE_DEFINITE
         assert res.T == pytest.approx(0.6, abs=1e-13)
         assert res.cos_theta == pytest.approx(1.0 / np.sqrt(1.36), rel=1e-13)
 
@@ -144,11 +145,12 @@ class TestWorkedQuadratic2d:
         the block scale, above the floor of 1e-12 and below 1e-3 of it.
         The step scale is ||g|| / s, about 1e6, where that mutant gives 1."""
         A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]])
-        res = entry(quadratic(A, [1.0, 0.0]), np.zeros(2))
+        obj = quadratic(A, [1.0, 0.0])
+        res = entry(obj, np.zeros(2))
         B = 1.0 + 1e-6
         s = np.linalg.det(A) / B
         assert res.case is DirectionCase.AN
-        assert res.point_class.scale == B
+        assert classify_point(obj, np.zeros(2)).scale == B
         assert 1e-12 * B < s < 1e-3 * B
         assert res.step_scale == pytest.approx(1.0 / s, rel=1e-8)
 
@@ -161,9 +163,11 @@ class TestWorkedQuadratic3d:
         self.x = np.array([2.0, 0.0, 0.0])
 
     def test_direction_is_negative_unit_gradient(self):
-        res = affine_normal_direction(self.problem.objective, self.x)
+        obj = self.problem.objective
+        res = affine_normal_direction(obj, self.x)
         assert np.array_equal(res.d, np.array([-1.0, 0.0, 0.0]))
-        assert np.allclose(res.tau, 0.0, atol=1e-15)
+        tangent = build_gradient_frame(obj.gradient(self.x)).tangent
+        assert np.allclose(tangent.T @ res.d, 0.0, atol=1e-15)
 
     def test_axis_frame_blocks(self):
         basis = np.eye(3)[:, [1, 2, 0]]
@@ -189,7 +193,7 @@ class TestWorkedNonquadratic:
 
     def test_tau_closed_form(self):
         res = affine_normal_direction(self.problem.objective, self.x)
-        assert abs(res.tau[0]) == pytest.approx(93.0 / 121.0, rel=1e-13)
+        assert res.T == pytest.approx(93.0 / 121.0, rel=1e-13)
         assert float(res.d @ self.t_hat) == \
             pytest.approx(93.0 / 121.0, rel=1e-13)
 
@@ -205,17 +209,17 @@ class TestWorkedNonquadratic:
 
 
 def assert_singular_fallback(obj, x):
-    """Both entry points report a singular tangent block at x alike:
-    SteepestFallback along -n_hat with zero tau and step scale 1. Returns
+    """At a singular tangent block, both entry points report alike:
+    SteepestFallback along -n_hat with T = 0 and step scale 1. Returns
     descent_direction's result."""
+    assert classify_point(obj, x).tag is DefinitenessTag.SINGULAR
     n_hat = build_gradient_frame(obj.gradient(x)).normal
     results = [entry(obj, x)
                for entry in (descent_direction, affine_normal_direction)]
     for res in results:
         assert res.case is DirectionCase.STEEPEST_FALLBACK
-        assert res.point_class.tag is DefinitenessTag.SINGULAR
         assert np.array_equal(res.d, -n_hat)
-        assert np.array_equal(res.tau, np.zeros(obj.dim - 1))
+        assert res.T == 0.0
         assert res.step_scale == 1.0
     return results[0]
 
@@ -226,7 +230,7 @@ class TestCases:
         x = np.array([0.0, -1.5])
         res = descent_direction(obj, x)
         assert res.case is DirectionCase.FLIPPED_AN
-        assert res.point_class.tag is DefinitenessTag.OTHER_INDEFINITE
+        assert classify_point(obj, x).tag is DefinitenessTag.OTHER_INDEFINITE
         assert np.array_equal(res.d, np.array([0.0, 1.0]))
         g = obj.gradient(x)
         assert float(g @ res.d) < 0.0
@@ -243,7 +247,7 @@ class TestCases:
         obj, x = flat_valley(), np.array([3.0, 2.0])
         res = affine_normal_direction(obj, x)
         assert res.case is DirectionCase.STEEPEST_FALLBACK
-        assert res.point_class.tag is DefinitenessTag.SINGULAR
+        assert classify_point(obj, x).tag is DefinitenessTag.SINGULAR
         assert result_bits(res) == result_bits(descent_direction(obj, x))
 
     def test_fallback_when_band_swallows_inner_product(self, monkeypatch):
@@ -265,8 +269,8 @@ class TestCases:
         cls = classify_symmetric(np.array([[b]]))
         n_hat = np.array([0.0, 1.0])
         below = np.nextafter(direction.T_TANGENT, 0.0)
-        res = _oriented_result(np.array([below, -1.0]), np.array([below]),
-                               n_hat, 1.0, cls, lambda: 1.0, 1.0)
+        res = _oriented_result(np.array([below, -1.0]), below, cls.det_sign,
+                               n_hat, 1.0, cls.scale, lambda: 1.0, 1.0)
         assert res.case is (
             DirectionCase.AN if b > 0.0 else DirectionCase.FLIPPED_AN)
 
@@ -274,10 +278,9 @@ class TestCases:
             raise AssertionError("a fallback evaluates no step scale")
 
         for T in (direction.T_TANGENT, np.inf, np.nan):
-            res = _oriented_result(np.array([T, -1.0]), np.array([T]), n_hat,
-                                   1.0, cls, schur, 1.0)
-            assert result_bits(res) == \
-                result_bits(_fallback_result(n_hat, cls))
+            res = _oriented_result(np.array([T, -1.0]), T, cls.det_sign,
+                                   n_hat, 1.0, cls.scale, schur, 1.0)
+            assert result_bits(res) == result_bits(_fallback_result(n_hat))
         for c in (1e4, 1e300):
             # the frame of g = (0, 1) is the identity, so H is the framed
             # Hessian as written
@@ -287,7 +290,7 @@ class TestCases:
             with np.errstate(over="ignore", invalid="ignore"):
                 res = descent_direction(obj, np.zeros(2))
             assert res.case is DirectionCase.STEEPEST_FALLBACK
-            assert res.point_class.det_sign == b
+            assert classify_point(obj, np.zeros(2)).det_sign == b
 
     def test_fallback_on_indefinite_block_with_zero_eigenvalue(self):
         # tangent block diag(-2, 0): Singular, though its lowest eigenvalue
@@ -299,8 +302,9 @@ class TestCases:
             hessian=lambda x: np.diag([-2.0, 0.0, 1.0]),
             third_directional=lambda x, u, v, w: 0.0,
         )
-        res = assert_singular_fallback(obj, np.array([0.0, 0.0, 1.0]))
-        assert res.point_class.eigs.tolist() == [-2.0, 0.0]
+        x = np.array([0.0, 0.0, 1.0])
+        assert_singular_fallback(obj, x)
+        assert classify_point(obj, x).eigs.tolist() == [-2.0, 0.0]
 
     def test_fallback_on_indefinite_block_with_near_zero_eigenvalue(self):
         # frame at 0 is (e1, e2 | e3): tangent block diag(-2, 1e-11), c = (0, 0.5)
@@ -350,7 +354,8 @@ class TestCases:
         H[:3, 3] = H[3, :3] = [0.5, 0.3, 0.1]
         obj = quadratic(H, [0.0, 0.0, 0.0, 1.0])
         res = descent_direction(obj, np.zeros(4))
-        assert np.count_nonzero(res.point_class.eigs < 0.0) == negatives
+        eigs = classify_point(obj, np.zeros(4)).eigs
+        assert np.count_nonzero(eigs < 0.0) == negatives
         assert res.case is case
         assert float(obj.gradient(np.zeros(4)) @ res.d) < 0.0
 
@@ -455,42 +460,34 @@ class TestFrameInvariance:
 
 
 def result_bits(res):
-    """Every field of a DirectionResult and its T, floats and arrays as
-    their bytes."""
+    """Every field of a DirectionResult, floats and arrays as their
+    bytes."""
     def bits(v):
         if isinstance(v, float):
             return struct.pack("d", v)
         if isinstance(v, np.ndarray):
             return (v.dtype.str, v.shape, v.tobytes())
         return v
-    cls = res.point_class
-    return ([bits(getattr(res, name)) for name in res._fields
-             if name != "point_class"] + [bits(res.T)]
-            + [bits(getattr(cls, name)) for name in cls._fields])
+    return [bits(getattr(res, name)) for name in res._fields]
 
 
-def gd_sign_oriented_result(gd, d, tau, n_hat, gnorm, cls_B, schur, d_nn):
+def gd_sign_oriented_result(gd, d, T, omega, n_hat, gnorm, scale, schur,
+                            d_nn):
     """_oriented_result as it decided the case before reading it from the
     orientation sign alone, the g.d-sign rule: inner = omega * g.d against
     the band |inner| <= ||g|| ||d|| / T_TANGENT, AN below it and FlippedAN
-    above it; by ||d||^2 = 1 + T^2 that band is T >= T_TANGENT. The planar
-    path took omega as -1 if b < 0 else +1, which is det_sign of its 1x1
-    class. The two rules agree but for rounding at the band's edge: g.d =
-    -||g|| rounds to a value above the band only where its error exceeds
-    ||g||, at ||d|| far past T_TANGENT, where both fall back. The
-    step-scale floor is computed here from the block's entries, not read
-    from its scale."""
-    omega = cls_B.det_sign if tau.size % 2 else 1.0
+    above it; by ||d||^2 = 1 + T^2 that band is T >= T_TANGENT. The two
+    rules agree but for rounding at the band's edge: g.d = -||g|| rounds to
+    a value above the band only where its error exceeds ||g||, at ||d|| far
+    past T_TANGENT, where both fall back."""
     inner = omega * gd
     if not direction.T_TANGENT * abs(inner) > gnorm * norm2(d):
-        return _fallback_result(n_hat, cls_B)
+        return _fallback_result(n_hat)
     case = DirectionCase.AN if inner < 0.0 else DirectionCase.FLIPPED_AN
     s = schur()
-    floor = direction.SCALE_FLOOR * max(1.0, abs(d_nn),
-                                        float(np.abs(cls_B.matrix).max()))
+    floor = direction.SCALE_FLOOR * max(scale, abs(d_nn))
     step_scale = gnorm / s if s > floor else 1.0
-    return DirectionResult(d=d, case=case, tau=tau, point_class=cls_B,
-                           step_scale=step_scale)
+    return DirectionResult(d=d, case=case, T=T, step_scale=step_scale)
 
 
 def assert_gd_sign_rule_agrees(paths, obj, x):
@@ -527,9 +524,8 @@ def default_matrix_path(obj, x):
 
 def assert_planar_is_matrix_path(obj, x):
     """The same outcome on both paths, under the case rule and under the
-    g.d-sign rule it replaced; T is the sqrt(tau * tau) that the planar
-    path stored before T was derived from tau, where that lies in norm2's
-    unscaled range, and |tau| elsewhere. The oracle calls are the
+    g.d-sign rule it replaced: the planar path's T = |tau| has the bits of
+    the matrix path's norm2 of the 1-entry tau. The oracle calls are the
     same but for the planar path's second gradient call at x, which the
     matrix path saves by building its frame from the gradient it holds."""
     planar = logged_outcome(_planar_direction, obj, x)
@@ -538,11 +534,6 @@ def assert_planar_is_matrix_path(obj, x):
     assert planar == (out, calls[:1] + calls)
     assert_gd_sign_rule_agrees([_planar_direction, default_matrix_path],
                                 obj, x)
-    if isinstance(planar[0], list):   # a result, not an error
-        with np.errstate(all="ignore"):
-            res = _planar_direction(obj, x)
-        t = float(res.tau[0])
-        assert struct.pack("d", res.T) == struct.pack("d", one_entry_norm(t))
 
 
 def one_entry_norm(t):
@@ -614,7 +605,8 @@ class TestPlanarPath:
         """T = norm2(tau) on a 1-entry tau gives the bits of sqrt(t * t)
         where 1e-146 <= sqrt(t * t) < inf, and |t| where t * t overflows
         or may have underflowed, over random bit patterns and the edges of
-        the double range."""
+        the double range: everywhere the bits of |t|, the planar path's
+        T."""
         rng = np.random.default_rng(20)
         ts = rng.integers(0, 2 ** 64, size=200_000,
                           dtype=np.uint64).view(float)
@@ -627,6 +619,7 @@ class TestPlanarPath:
             got = [norm2(ts[i:i + 1]) for i in range(ts.size)]
         want = [one_entry_norm(t) for t in ts.tolist()]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.abs(ts).tobytes() == np.array(want).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)))
@@ -866,7 +859,8 @@ def assert_descent_characterized(obj, x):
     res = descent_direction(obj, x)
     if res.case is DirectionCase.STEEPEST_FALLBACK:
         return
-    omega = res.point_class.det_sign if res.tau.size % 2 else 1.0
+    cls = classify_point(obj, x)
+    omega = cls.det_sign if cls.eigs.size % 2 else 1.0
     assert (res.case is DirectionCase.AN) == (omega > 0.0)
     g = np.asarray(obj.gradient(x), dtype=float)
     gnorm = float(np.linalg.norm(g))

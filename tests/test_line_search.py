@@ -29,11 +29,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ArmijoSearch(sigma=0.0)
         with pytest.raises(ValueError):
+            ArmijoSearch(sigma=1.0)
+        with pytest.raises(ValueError):
             ArmijoSearch(beta=1.0)
         with pytest.raises(ValueError):
             ArmijoSearch(alpha0=0.0)
         with pytest.raises(ValueError):
             StrongWolfeSearch(c1=0.5, c2=0.4)
+        with pytest.raises(ValueError):
+            StrongWolfeSearch(c1=0.5, c2=0.5)
         with pytest.raises(ValueError):
             StrongWolfeSearch(c1=0.0)
         with pytest.raises(ValueError):
@@ -188,6 +192,7 @@ class TestArmijo:
                                ArmijoSearch())
         assert res.status is LineSearchStatus.MAX_BACKTRACKS
         assert res.evals == MAX_BACKTRACKS + 2   # phi(0) plus every trial
+        assert res.alpha == 0.5 ** MAX_BACKTRACKS   # the last trial
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.05, 20.0), st.floats(0.1, 5.0))

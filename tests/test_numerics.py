@@ -12,8 +12,9 @@ from hypothesis.extra.numpy import arrays
 
 from affinedescent.errors import ZeroGradient
 from affinedescent.numerics import (DefinitenessTag, angle_between,
-                                    build_gradient_frame, classify_symmetric,
-                                    norm2, solve_spd, solve_symmetric)
+                                    as_vector, build_gradient_frame,
+                                    classify_symmetric, norm2, solve_spd,
+                                    solve_symmetric)
 
 
 def finite_vectors(dim):
@@ -333,6 +334,19 @@ def test_norm2_overflow_warns_nothing():
                                      ([np.nan, 1e200], np.nan)])
 def test_norm2_of_a_non_finite_vector(v, want):
     assert norm2(np.array(v)) == pytest.approx(want, nan_ok=True)
+
+
+def test_as_vector_rejects_a_matrix():
+    with pytest.raises(ValueError, match=r"^expected a 1-d vector, got shape "
+                                         r"\(2, 2\)$"):
+        as_vector(np.eye(2))
+
+
+def test_angle_between_rejects_a_zero_vector():
+    for u, v in ((np.zeros(2), np.ones(2)), (np.ones(2), np.zeros(2))):
+        with pytest.raises(ValueError,
+                           match="^angle undefined for a zero vector$"):
+            angle_between(u, v)
 
 
 def test_angle_between_basics():

@@ -330,6 +330,13 @@ class TestStepRule:
         assert rep.records[1].alpha == 0.5
         assert rep.records[1].f == rep.records[0].f - 1.0
 
+    def test_unsupported_step_spec_is_a_type_error(self):
+        """A spec that is neither a search nor a fixed step is a caller's
+        error, not a run status."""
+        with pytest.raises(TypeError,
+                           match="^unsupported line-search spec 'exact'$"):
+            yand_run(catalog("quad_well"), "exact", STOP)
+
     def test_fixed_step_uphill_is_taken(self):
         """On quad_well, f = x.Ax/2 + b.x with A = diag(2, 8), a gradient
         step of 0.5 overshoots along the stiff axis: f rises at every

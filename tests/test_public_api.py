@@ -42,8 +42,7 @@ RECORD_FIELDS = {
     "numerics.Frame": ("basis", "grad_norm"),
     "numerics.SymmetricClass": ("tag", "eigs", "matrix", "scale", "factor"),
     "direction.BlockHessian": ("frame", "B", "c", "d_nn"),
-    "direction.DirectionResult": ("d", "case", "tau", "point_class",
-                                  "step_scale"),
+    "direction.DirectionResult": ("d", "case", "T", "step_scale"),
     "line_search.LineSearchResult": ("alpha", "f_new", "evals", "status"),
     "objective.DerivativeReport": ("grad_err", "hess_err", "third_err"),
     "optimizer.IterateRecord": ("k", "x", "f", "grad_norm", "alpha", "case",
