@@ -76,6 +76,8 @@ MUTANTS = [
            "the step scale is ||g|| over the Schur complement"),
     Mutant("numerics.py", "DEGENERACY_TOL = 1e-10", "DEGENERACY_TOL = 1e-6",
            "a block is singular only within 1e-10 of its scale"),
+    Mutant("numerics.py", "DEGENERACY_TOL = 1e-10", "DEGENERACY_TOL = 2e-10",
+           "the same threshold is 1e-10 of the scale and not twice that"),
     Mutant("direction.py", "T_TANGENT = 1e12", "T_TANGENT = 1e3",
            "the direction falls back only at T >= 1e12"),
     Mutant("line_search.py", "if d * (hi - lo) >= 0.0:",
@@ -92,6 +94,8 @@ MUTANTS = [
     Mutant("direction.py", "SCALE_FLOOR = 1e-12", "SCALE_FLOOR = 1e-3",
            "the step scale uses Schur complements down to 1e-12 of the "
            "block scale"),
+    Mutant("direction.py", "SCALE_FLOOR = 1e-12", "SCALE_FLOOR = 2e-12",
+           "the same floor is 1e-12 of the block scale and not twice that"),
     Mutant("direction.py", "+ 1e-8 * cls.scale", "+ 1e-4 * cls.scale",
            "the regularized Newton shift leaves a least eigenvalue of "
            "1e-8 of the scale"),

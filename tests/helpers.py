@@ -105,6 +105,21 @@ def coupled_quartic(a, c):
     )
 
 
+def quadratic(H, b=None, in_domain=None):
+    """f = x.Hx/2 + b.x for any symmetric H (no definiteness required), b
+    zero by default, with a zero third derivative."""
+    H = np.asarray(H, dtype=float)
+    b = np.zeros(len(H)) if b is None else np.asarray(b, dtype=float)
+    return make_objective(
+        dim=b.size,
+        value=lambda x: float(0.5 * x @ H @ x + b @ x),
+        gradient=lambda x: H @ x + b,
+        hessian=lambda x: H.copy(),
+        third_directional=lambda x, u, v, w: 0.0,
+        in_domain=in_domain,
+    )
+
+
 def spd_quadratic(rng, n):
     """(objective, A, b) for f = x.Ax/2 + b.x with A = Q diag(U(0.5, 10))
     Q^T for a random orthogonal Q: Q, the spectrum and b are drawn from
@@ -113,22 +128,12 @@ def spd_quadratic(rng, n):
     A = Q @ np.diag(rng.uniform(0.5, 10.0, size=n)) @ Q.T
     A = 0.5 * (A + A.T)
     b = rng.normal(size=n)
-    obj = make_objective(
-        dim=n, value=lambda x: float(0.5 * x @ A @ x + b @ x),
-        gradient=lambda x: A @ x + b, hessian=lambda x: A,
-        third_directional=lambda x, u, v, w: 0.0)
-    return obj, A, b
+    return quadratic(A, b), A, b
 
 
 def flat_valley():
     # f = y^2/2: tangent curvature vanishes everywhere off the x-axis
-    return make_objective(
-        dim=2,
-        value=lambda x: 0.5 * x[1] ** 2,
-        gradient=lambda x: np.array([0.0, x[1]]),
-        hessian=lambda x: np.diag([0.0, 1.0]),
-        third_directional=lambda x, u, v, w: 0.0,
-    )
+    return quadratic(np.diag([0.0, 1.0]))
 
 
 # -- maps and frames ---------------------------------------------------------
@@ -177,14 +182,8 @@ def non_finite_third_problem(dim, sign, third):
     """f = (sign x0^2 + x1^2 + ... ) / 2 from e_last, where the gradient is
     e_last and the tangent block is diag(sign, 1, ...): positive definite
     for sign 1, indefinite for -1. The third derivative is `third`."""
-    H = np.diag([sign] + [1.0] * (dim - 1))
-    obj = make_objective(
-        dim=dim,
-        value=lambda x: float(0.5 * x @ H @ x),
-        gradient=lambda x: H @ x,
-        hessian=lambda x: H.copy(),
-        third_directional=lambda x, u, v, w: third,
-    )
+    obj = replace(quadratic(np.diag([sign] + [1.0] * (dim - 1))),
+                  third_directional=lambda x, u, v, w: third)
     return Problem(name="non_finite_third", objective=obj,
                    x0=np.eye(dim)[-1], x_star=None, f_star=None, notes="")
 

@@ -10,6 +10,7 @@ offset-halving clause, which is stated where the cubic term is nonzero
 import dataclasses
 
 import numpy as np
+import pytest
 from helpers import rotated_frame, spd_quadratic
 
 from affinedescent.cli import _build_specs, _verify_points, cmd_table2
@@ -30,7 +31,7 @@ THREE_SEARCHES = (ExactSearch(), ArmijoSearch(), StrongWolfeSearch())
 
 
 def test_criterion_01_quadratics_converge_in_one_exact_step():
-    for name in ("quad_well", "quad_51"):
+    for name in ("quad_well", "quad_51", "quad_52"):
         p = catalog(name)
         report = yand_run(p, ExactSearch(), STOP)
         assert report.status is RunStatus.CONVERGED, name
@@ -215,10 +216,13 @@ def test_criterion_11_line_search_contracts_hold_posthoc():
     checked = 0
     for name in CATALOG_NAMES:
         p = catalog(name)
-        runs = [
-            ("armijo", yand_run(p, armijo, STOP)),
+        yand = [("armijo", yand_run(p, armijo, STOP)),
+                ("wolfe", yand_run(p, wolfe, STOP))]
+        if p.x_star is not None:
+            for kind, report in yand:
+                assert report.status is RunStatus.CONVERGED, (name, kind)
+        runs = yand + [
             ("armijo", gradient_descent_run(p, armijo, STOP)),
-            ("wolfe", yand_run(p, wolfe, STOP)),
             ("wolfe", gradient_descent_run(p, wolfe, STOP)),
             ("wolfe", newton_run(p, damped=True, ls=StrongWolfeSearch(),
                                  stop=STOP)),
@@ -291,6 +295,8 @@ def test_criterion_15_direction_unchanged_under_tangent_rotation():
         r0 = descent_direction(obj, x)
         r1 = _matrix_direction(obj, x, rotated)
         assert r0.case == r1.case
+        assert r0.T == pytest.approx(r1.T, rel=1e-9, abs=1e-12)
+        assert r0.step_scale == pytest.approx(r1.step_scale, rel=1e-9)
         worst = max(worst, float(np.max(np.abs(r0.d - r1.d))))
         checked += 1
     assert worst <= 1e-9, worst

@@ -505,21 +505,6 @@ class TestTable2Command:
                        "gamma 10000 yand_armijo: LineSearchFailure at k = 11\n")
 
 
-class TestExamplesCommand:
-    def test_all_checks_pass(self, tmp_path, capsys):
-        out = tmp_path / "examples.csv"
-        code, stdout, _ = run_main(["examples", "--out", str(out)], capsys)
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "check,computed,expected,tol,pass"
-        assert len(lines) >= 11
-        for line in lines[1:]:
-            fields = line.split(",")
-            assert fields[-1] == "pass"
-            assert abs(float(fields[1]) - float(fields[2])) <= float(fields[3])
-        assert "pass" in stdout
-
-
 class TestInvarianceCommand:
     def test_reported_deviations_are_small(self, tmp_path, capsys):
         out = tmp_path / "inv.csv"

@@ -5,14 +5,13 @@ import inspect
 
 import numpy as np
 import pytest
-from helpers import NUMERICAL_OUTCOMES
+from helpers import NUMERICAL_OUTCOMES, quadratic
 
 from affinedescent import errors
 from affinedescent.errors import AffineDescentError
 from affinedescent.invariance import compose_scaled
 from affinedescent.numerics import (build_gradient_frame, classify_symmetric,
                                     solve_spd)
-from affinedescent.objective import make_objective
 from affinedescent.problems import Problem, catalog
 
 
@@ -25,11 +24,8 @@ def test_errors_defines_the_base_and_the_numerical_outcomes():
 
 
 def one_dimensional_problem():
-    obj = make_objective(1, lambda x: float(x[0] ** 2), lambda x: 2.0 * x,
-                         lambda x: np.full((1, 1), 2.0),
-                         lambda x, u, v, w: 0.0)
-    return Problem(name="line", objective=obj, x0=np.array([1.0]),
-                   x_star=None, f_star=None, notes="")
+    return Problem(name="line", objective=quadratic([[2.0]]),
+                   x0=np.array([1.0]), x_star=None, f_star=None, notes="")
 
 
 # Each call passes a wrong argument, with what its message must name.

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -82,6 +82,9 @@ def symmetric_matrices(dim):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6).flatmap(symmetric_matrices))
+# lowest eigenvalue 1.5e-10 of the scale: PositiveDefinite at the tolerance
+# 1e-10, Singular at twice it
+@example(np.diag([1.5e-10, 1.0]))
 def test_classification_agrees_with_eigenvalues(S):
     cls = classify_symmetric(S)
     eigs = np.linalg.eigvalsh(0.5 * (S + S.T))

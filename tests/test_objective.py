@@ -138,3 +138,10 @@ def test_fd_third_raises_outside_domain():
     edge = np.array([0.49999999, 0.5])
     with pytest.raises(DomainViolation):
         _fd_third_rows(barrier, edge, np.array([[e1, e1, e1]]), THIRD_H)
+    # 5e-6 inside it, the value stencils of fd_gradient (step 1e-5) and
+    # fd_hessian (step 1e-4) cross it too, and name the point outside
+    near = np.array([0.5 - 5e-6, 0.5])
+    for fd, x in ((fd_gradient, r"0\.500005"), (fd_hessian, r"0\.500095")):
+        message = rf"^stencil point \[{x} +0\.5 +\] has non-finite value inf$"
+        with pytest.raises(DomainViolation, match=message):
+            fd(barrier, near)

@@ -4,7 +4,7 @@ from math import cos, sin
 import numpy as np
 import pytest
 from helpers import (Recorder, flat_valley, nan_gradient_problem,
-                     nan_hessian_problem, non_finite_third_problem,
+                     nan_hessian_problem, non_finite_third_problem, quadratic,
                      spd_quadratic)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,14 +33,7 @@ def flat_valley_problem():
 def walled_bowl_problem():
     """f = x.x on the domain x0 >= 1, started on its wall at (1, 0): every
     descent direction leaves the domain at once."""
-    obj = make_objective(
-        dim=2,
-        value=lambda x: float(x @ x),
-        gradient=lambda x: 2.0 * x,
-        hessian=lambda x: 2.0 * np.eye(2),
-        third_directional=lambda x, u, v, w: 0.0,
-        in_domain=lambda x: x[0] >= 1.0,
-    )
+    obj = quadratic(2.0 * np.eye(2), in_domain=lambda x: x[0] >= 1.0)
     return Problem(name="walled_bowl", objective=obj,
                    x0=np.array([1.0, 0.0]), x_star=None, f_star=None,
                    notes="")
@@ -150,12 +143,6 @@ class TestRecordConventions:
 
 
 class TestStatuses:
-    def test_one_step_convergence_on_quadratics(self):
-        for name in ("quad_well", "quad_51", "quad_52"):
-            rep = yand_run(catalog(name), ExactSearch(), STOP)
-            assert rep.status is RunStatus.CONVERGED
-            assert rep.iters == 1
-
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n", [3, 5, 10, 20, 40])
     def test_one_exact_step_on_seeded_spd_quadratics(self, n, seed):
@@ -443,44 +430,10 @@ class TestOracleCalls:
         assert len(rec.of("hessian")) == rep.iters
 
 
-def _posthoc_armijo(problem, rep, sigma):
-    obj = problem.objective
-    for r0, r1 in zip(rep.records, rep.records[1:]):
-        step = r1.x - r0.x
-        g0 = obj.gradient(r0.x)
-        assert r1.f <= r0.f + sigma * float(g0 @ step) + 1e-12
-
-
-def _posthoc_wolfe(problem, rep, c1, c2):
-    obj = problem.objective
-    for r0, r1 in zip(rep.records, rep.records[1:]):
-        step = r1.x - r0.x
-        d0 = float(obj.gradient(r0.x) @ step)
-        d1 = float(obj.gradient(r1.x) @ step)
-        assert r1.f <= r0.f + c1 * d0 + 1e-12
-        assert abs(d1) <= -c2 * d0 + 1e-12
-
-
 class TestLineSearchContracts:
     PROBLEMS = ["quad_well", "convex_53", "poly6", "inverse_barrier",
                 "rosenbrock", "ring_tilted", "saddle_poly", "four_well",
                 "strongly_convex_base"]
-
-    @pytest.mark.parametrize("name", PROBLEMS)
-    def test_armijo_inequality_post_hoc(self, name):
-        p = catalog(name)
-        spec = ArmijoSearch()
-        rep = yand_run(p, spec, STOP)
-        assert rep.status is RunStatus.CONVERGED
-        _posthoc_armijo(p, rep, spec.sigma)
-
-    @pytest.mark.parametrize("name", PROBLEMS)
-    def test_wolfe_inequalities_post_hoc(self, name):
-        p = catalog(name)
-        spec = StrongWolfeSearch()
-        rep = yand_run(p, spec, STOP)
-        assert rep.status is RunStatus.CONVERGED
-        _posthoc_wolfe(p, rep, spec.c1, spec.c2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(PROBLEMS),

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from helpers import quadratic
 
 from affinedescent.direction import affine_normal_direction
 from affinedescent.errors import EmptySlice
 from affinedescent.numerics import angle_between
-from affinedescent.objective import make_objective
 from affinedescent import slice_centroid
 from affinedescent.problems import CATALOG_NAMES, catalog
 from affinedescent.slice_centroid import (slice_centroid_direction,
@@ -12,13 +12,7 @@ from affinedescent.slice_centroid import (slice_centroid_direction,
 
 
 def isotropic_bowl():
-    return make_objective(
-        dim=2,
-        value=lambda x: 0.5 * float(x @ x),
-        gradient=lambda x: x.copy(),
-        hessian=lambda x: np.eye(2),
-        third_directional=lambda x, u, v, w: 0.0,
-    )
+    return quadratic(np.eye(2))
 
 
 class TestSliceRegion:
@@ -123,15 +117,9 @@ class TestSliceRegion:
         assert a == -1.0 and b == 1.0
 
     def test_requires_two_dims(self):
-        obj = make_objective(
-            dim=3,
-            value=lambda x: 0.5 * float(x @ x),
-            gradient=lambda x: x.copy(),
-            hessian=lambda x: np.eye(3),
-            third_directional=lambda x, u, v, w: 0.0,
-        )
         with pytest.raises(ValueError):
-            slice_region_2d(obj, np.array([1.0, 0.0, 0.0]), -1e-3)
+            slice_region_2d(quadratic(np.eye(3)), np.array([1.0, 0.0, 0.0]),
+                            -1e-3)
 
     def test_rejects_zero_offset(self):
         with pytest.raises(ValueError, match="^C must be finite and nonzero$"):
