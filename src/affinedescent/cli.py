@@ -7,18 +7,15 @@ Subcommands:
   invariance              scaling-equivalence deviations, CSV
   verify                  finite-difference derivative check on the catalog
 
-Each subcommand takes only the flags it reads (see its --help), spelled
-in full: a prefix such as --max is a usage error. The settings are the
-keys of the line-search and stopping specs, each a flag of the commands
-whose specs read it: run and table2 take --tol-grad, --max-iter,
---sigma, --beta, --alpha0, --alpha-max, --c1 and --c2, invariance
---tol-grad, --max-iter and --alpha-max; verify takes --seed. A key left
-out takes its spec's default, and a key given is checked by all four
-specs, also when the search that reads it does not run. Every method of
-run takes the LS token: `newton fixed:1` is classical Newton.
+Each subcommand takes --out, and invariance also --gammas, each spelled
+in full: a prefix such as --ou is a usage error. Every run uses the
+default line-search and stopping specs, and verify seeds its sample
+points with 42; to change a setting, build the spec (StoppingSpec,
+ExactSearch, ArmijoSearch, StrongWolfeSearch) in the Python API. Every
+method of run takes the LS token: `newton fixed:1` is classical Newton.
 
 All floating-point output uses 17 significant digits; repeated invocations
-with the same flags produce byte-identical files.
+with the same arguments produce byte-identical files.
 
 Exit codes: 0 converged/ok, 1 bad input (a rejected flag, a ValueError or
 an OSError), 2 iteration cap, 3 the numerics stopped (an AffineDescentError,
@@ -35,7 +32,6 @@ import argparse
 import os
 import stat
 import sys
-from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
@@ -53,16 +49,8 @@ from .optimizer import (RunReport, RunStatus, StoppingSpec,
 from .problems import CATALOG_NAMES, catalog, make_affine_scaled
 from .slice_centroid import slice_centroid_direction
 
-_SEARCHES = {"exact": ExactSearch, "armijo": ArmijoSearch,
-             "wolfe": StrongWolfeSearch}
-_SPECS = {**_SEARCHES, "stop": StoppingSpec}
-# The settable keys and their types: the fields of the specs, int where
-# the default is an int, and the seed of `verify` (default 42). Settings
-# are a dict of the keys whose flags are given; a spec takes its own
-# default for every key left out.
-_KEYS = {f.name: int if isinstance(f.default, int) else float
-         for cls in _SPECS.values() for f in fields(cls)}
-_KEYS["seed"] = int
+_SEARCHES = {"exact": ExactSearch(), "armijo": ArmijoSearch(),
+             "wolfe": StrongWolfeSearch()}
 
 
 def _fmt(v: float) -> str:
@@ -105,18 +93,9 @@ def write_trajectory_csv(report: RunReport, path: str | Path) -> None:
                r.cos_theta) for r in report.records])
 
 
-def _build_specs(settings: dict) -> dict:
-    """Each line search under its token and StoppingSpec under "stop",
-    from the keys of settings that are their fields (the specs' defaults
-    fill the rest): all four, so every key is checked whatever runs."""
-    return {name: cls(**{f.name: settings[f.name] for f in fields(cls)
-                         if f.name in settings})
-            for name, cls in _SPECS.items()}
-
-
-def _parse_ls(token: str, specs: dict):
+def _parse_ls(token: str):
     if token in _SEARCHES:
-        return specs[token]
+        return _SEARCHES[token]
     if token.startswith("fixed:"):
         try:
             alpha = float(token[len("fixed:"):])
@@ -135,11 +114,11 @@ def _exit_code(status: RunStatus) -> int:
     return 2 if status is RunStatus.MAX_ITER_REACHED else 3
 
 
-def cmd_run(problem_name: str, method: str, ls_token: str, specs: dict,
+def cmd_run(problem_name: str, method: str, ls_token: str,
             out_path: str | Path) -> int:
     problem = catalog(problem_name)
-    ls = _parse_ls(ls_token, specs)
-    stop = specs["stop"]
+    ls = _parse_ls(ls_token)
+    stop = StoppingSpec()
     if method == "yand":
         report = yand_run(problem, ls, stop)
     elif method == "gd":
@@ -157,6 +136,7 @@ def cmd_run(problem_name: str, method: str, ls_token: str, specs: dict,
 
 
 TABLE2_GAMMAS = (1.0, 10.0, 1e2, 1e3, 1e4)
+VERIFY_SEED = 42   # the seed that wrote results/verify.csv
 
 
 def _count_cell(report: RunReport) -> str:
@@ -181,9 +161,10 @@ def _sweep_exit_code(runs, broken=()) -> int:
     return code
 
 
-def cmd_table2(specs: dict, out_path: str | Path) -> int:
-    exact, wolfe, armijo, stop = (specs[name] for name in
-                                  ("exact", "wolfe", "armijo", "stop"))
+def cmd_table2(out_path: str | Path) -> int:
+    exact, wolfe, armijo = (_SEARCHES[name]
+                            for name in ("exact", "wolfe", "armijo"))
+    stop = StoppingSpec()
     columns = ["yand_exact", "yand_wolfe", "yand_armijo", "gd_exact",
                "gd_fixed", "newton"]
     lines = [",".join(["gamma", "kappaB", "kappaH"] + columns)]
@@ -278,9 +259,9 @@ def cmd_examples(out_path: str | Path) -> int:
     return _check_table("check,computed,expected,tol,pass", rows, out_path)
 
 
-def cmd_invariance(gammas, specs: dict, out_path: str | Path) -> int:
+def cmd_invariance(gammas, out_path: str | Path) -> int:
     base = catalog("strongly_convex_base")
-    exact, stop = specs["exact"], specs["stop"]
+    exact, stop = _SEARCHES["exact"], StoppingSpec()
     lines = ["gamma,max_deviation,iters_scaled,iters_base"]
     runs, broken = [], []
     for gamma in gammas:
@@ -312,10 +293,8 @@ def _verify_points(problem, rng) -> list[np.ndarray]:
     return points
 
 
-def cmd_verify(seed: int, out_path: str | Path) -> int:
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
+def cmd_verify(out_path: str | Path) -> int:
+    rng = np.random.default_rng(VERIFY_SEED)
     rows = []
     for problem in (catalog(name) for name in CATALOG_NAMES):
         report = verify_derivatives(problem.objective,
@@ -333,14 +312,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_subcommand(sub, name: str, summary: str, out: str,
-                    keys: tuple[str, ...] = ()):
-    """A subcommand that writes to --out and reads one flag per key."""
+def _add_subcommand(sub, name: str, summary: str, out: str):
+    """A subcommand that writes to --out."""
     p = sub.add_parser(name, help=summary, allow_abbrev=False)
     p.add_argument("--out", help=f"output file path (default {out})")
     p.set_defaults(out=out)
-    for key in keys:
-        p.add_argument("--" + key.replace("_", "-"), type=_KEYS[key])
     return p
 
 
@@ -353,32 +329,22 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter,
                      allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    stop_and_step = ("tol_grad", "max_iter", "sigma", "beta", "alpha0",
-                     "alpha_max", "c1", "c2")
     p_run = _add_subcommand(sub, "run", "single optimization run",
-                            "trajectory.csv", stop_and_step)
+                            "trajectory.csv")
     p_run.add_argument("problem", help=f"one of: {', '.join(CATALOG_NAMES)}")
     p_run.add_argument("method", help="yand|gd|newton|dnewton")
     p_run.add_argument("ls", help="exact|armijo|wolfe|fixed:ALPHA")
     _add_subcommand(sub, "table2", "scaling sweep on the diagonal bowl family",
-                    "table2.csv", stop_and_step)
+                    "table2.csv")
     _add_subcommand(sub, "examples", "hand-checked direction computations",
                     "examples.csv")
     p_inv = _add_subcommand(sub, "invariance",
-                            "scaling-equivalence deviations",
-                            "invariance.csv",
-                            ("tol_grad", "max_iter", "alpha_max"))
+                            "scaling-equivalence deviations", "invariance.csv")
     p_inv.add_argument("--gammas", default="10,100,10000",
                        help="comma-separated scaling factors")
     _add_subcommand(sub, "verify", "finite-difference derivative check",
-                    "verify.csv", ("seed",))
+                    "verify.csv")
     return parser
-
-
-def _load_settings(args) -> dict:
-    """The keys whose flags are given, with their values."""
-    return {key: value for key, value in vars(args).items()
-            if key in _KEYS and value is not None}
 
 
 def _parse_gammas(text: str) -> list[float]:
@@ -398,18 +364,15 @@ def _parse_gammas(text: str) -> list[float]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "run":
+            return cmd_run(args.problem, args.method, args.ls, args.out)
+        if args.command == "table2":
+            return cmd_table2(args.out)
         if args.command == "examples":
             return cmd_examples(args.out)
-        settings = _load_settings(args)
-        specs = _build_specs(settings)
-        if args.command == "run":
-            return cmd_run(args.problem, args.method, args.ls, specs, args.out)
-        if args.command == "table2":
-            return cmd_table2(specs, args.out)
         if args.command == "invariance":
-            return cmd_invariance(_parse_gammas(args.gammas), specs,
-                                  args.out)
-        return cmd_verify(settings.get("seed", 42), args.out)
+            return cmd_invariance(_parse_gammas(args.gammas), args.out)
+        return cmd_verify(args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from helpers import rotated_frame, spd_quadratic
 
-from affinedescent.cli import _build_specs, _verify_points, cmd_table2
+from affinedescent.cli import _verify_points, cmd_table2
 from affinedescent.direction import _matrix_direction, descent_direction
 from affinedescent.line_search import (ArmijoSearch, ExactSearch,
                                        StrongWolfeSearch)
@@ -88,7 +88,7 @@ def test_criterion_03_worked_example_values():
 
 def test_criterion_04_scaling_table_iteration_counts(tmp_path):
     out = tmp_path / "table2.csv"
-    assert cmd_table2(_build_specs({}), out) == 0
+    assert cmd_table2(out) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [float(r[0]) for r in rows] == [1.0, 10.0, 1e2, 1e3, 1e4]
     for r in rows:
