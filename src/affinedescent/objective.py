@@ -116,16 +116,16 @@ def fd_hessian(obj: Objective, x) -> np.ndarray:
     return H
 
 
-def _fd_third_rows(obj: Objective, x: Vector, triples: np.ndarray,
-                   h: float) -> np.ndarray:
-    """Entry k, for triples[k] = (u, v, w):
+def _fd_third_rows(obj: Objective, x: Vector,
+                   triples: np.ndarray) -> np.ndarray:
+    """Entry k, for triples[k] = (u, v, w) and h = THIRD_H:
     (v' H(x + h u) w - v' H(x - h u) w) / (2 h).
 
     Every stencil point x +- h u is built in one broadcast; the Hessian is
     then evaluated at each pair, triple by triple. The contraction sums
     from +0 as matmul does: dot multiplies 1-element operands as scalars,
     which would give -0 for a zero product in one dimension."""
-    step = h * triples[:, 0]
+    step = THIRD_H * triples[:, 0]
     plus = x + step
     minus = x - step
     out = np.empty(len(triples))
@@ -136,7 +136,7 @@ def _fd_third_rows(obj: Objective, x: Vector, triples: np.ndarray,
         hm = np.asarray(obj.hessian(xm), dtype=float)
         if not (_all_finite(hp) and _all_finite(hm)):
             raise DomainViolation("Hessian stencil produced non-finite entries")
-        out[k] = (0.0 + float(v.dot(hp - hm).dot(w))) / (2.0 * h)
+        out[k] = (0.0 + float(v.dot(hp - hm).dot(w))) / (2.0 * THIRD_H)
     return out
 
 
@@ -207,7 +207,7 @@ def verify_derivatives(obj: Objective, points, rng=None,
         Ha.append(obj.hessian(p))
         Hf.append(fd_hessian(obj, p))
         ta.append([obj.third_directional(p, u, v, w) for u, v, w in triples])
-        tf.append(_fd_third_rows(obj, p, triples, THIRD_H))
+        tf.append(_fd_third_rows(obj, p, triples))
     ga, Ha = np.reshape(ga, (P, n)), np.reshape(Ha, (P, n * n))
     ta = np.reshape(ta, (P, n_triples))
     grad_err = _max_error(ga, np.reshape(gf, (P, n)),

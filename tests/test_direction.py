@@ -22,14 +22,11 @@ from affinedescent.direction import (DirectionCase, DirectionResult,
 from affinedescent.errors import (NonFiniteHessian, NonFiniteThird,
                                   SingularHessian, ZeroGradient)
 from affinedescent.invariance import compose_scaled
-from affinedescent.numerics import (DefinitenessTag, Frame, angle_between,
+from affinedescent.numerics import (DefinitenessTag, Frame,
                                     build_gradient_frame, classify_symmetric,
                                     norm2)
 from affinedescent.objective import make_objective
 from affinedescent.problems import CATALOG_NAMES, catalog
-
-S17 = np.sqrt(17.0)
-S10 = np.sqrt(10.0)
 
 
 def skewed(obj, seed):
@@ -87,110 +84,12 @@ class TestBlockDecomposition:
         block = block_decompose(obj, x, frame=frame)
         assert np.allclose(block.B, np.diag([4.0, 9.0]), atol=1e-15)
         assert np.allclose(block.c, 0.0, atol=1e-15)
-
-
-class TestWorkedQuadratic2d:
-    """f = (x^2+4y^2)/2 - x - 4y at (2,0): everything in closed form."""
-
-    def setup_method(self):
-        self.problem = catalog("quad_51")
-        self.x = np.array([2.0, 0.0])
-
-    def test_direction_parallel_to_diagonal(self):
-        d = affine_normal_direction(self.problem.objective, self.x).d
-        assert np.allclose(d, np.array([-3.4, 3.4]) / S17, atol=1e-13)
-        assert angle_between(d, np.array([-1.0, 1.0])) <= 1e-12
-
-    def test_direction_matches_newton_ray(self):
-        d = affine_normal_direction(self.problem.objective, self.x).d
-        dn = newton_direction(self.problem.objective, self.x)
-        assert angle_between(d, dn) <= 1e-12
-
-    def test_step_scale_recovers_newton_step(self):
-        res = descent_direction(self.problem.objective, self.x)
-        # Schur complement 65/17 - (12/17)^2/(20/17) = 17/5 and scale
-        # sqrt(17)/(17/5); the scaled step lands on the minimizer (1,1)
-        assert res.step_scale == pytest.approx(S17 / 3.4, rel=1e-13)
-        assert np.allclose(self.x + res.step_scale * res.d,
-                           np.array([1.0, 1.0]), atol=1e-12)
-
-    def test_case_and_telemetry(self):
-        res = descent_direction(self.problem.objective, self.x)
-        assert res.case is DirectionCase.AN
-        assert classify_point(self.problem.objective, self.x).tag is \
-            DefinitenessTag.POSITIVE_DEFINITE
-        assert res.T == pytest.approx(0.6, abs=1e-13)
-        assert res.cos_theta == pytest.approx(1.0 / np.sqrt(1.36), rel=1e-13)
-
-    @pytest.mark.parametrize("entry", [descent_direction,
-                                       affine_normal_direction],
-                             ids=["planar", "matrix"])
-    def test_small_schur_complement_still_scales_the_step(self, entry):
-        """Kills the mutants SCALE_FLOOR = 1e-3 and 2e-12 (for 1e-12). f =
-        x.A.x/2 + x_1 with A = [[1, 1], [1, 1 + e]] at 0: the gradient is
-        e_1, so B = 1 + e and the Schur complement is det A / B, about e of
-        the block scale. It lies above the floor of 1e-12 of that scale, and
-        below 1e-3 of it at e = 1e-6 and below 2e-12 of it at e = 1.5e-12.
-        The step scale is ||g|| / s, about 1 / e, where those mutants give
-        1. The direction's Schur complement 1 - 1 / B cancels to a relative
-        error of about eps / e, 1.5e-4 at e = 1.5e-12."""
-        for e, mutant_floor, rel in ((1e-6, 1e-3, 1e-8),
-                                     (1.5e-12, 2e-12, 1e-3)):
-            A = np.array([[1.0, 1.0], [1.0, 1.0 + e]])
-            obj = quadratic(A, [1.0, 0.0])
-            res = entry(obj, np.zeros(2))
-            B = A[1, 1]
-            s = np.linalg.det(A) / B
-            assert res.case is DirectionCase.AN
-            assert classify_point(obj, np.zeros(2)).scale == B
-            assert 1e-12 * B < s < mutant_floor * B
-            assert res.step_scale == pytest.approx(1.0 / s, rel=rel)
-
-
-class TestWorkedQuadratic3d:
-    """f = (x^2+4y^2+9z^2)/2 - x at (2,0,0): pure normal direction."""
-
-    def setup_method(self):
-        self.problem = catalog("quad_52")
-        self.x = np.array([2.0, 0.0, 0.0])
-
-    def test_axis_frame_blocks(self):
-        basis = np.eye(3)[:, [1, 2, 0]]
-        frame = Frame(basis=basis, grad_norm=1.0)
-        d = _matrix_direction(self.problem.objective, self.x, frame).d
+        # the pure normal direction, exactly, in that frame
+        d = _matrix_direction(obj, x, frame).d
         assert np.array_equal(d, np.array([-1.0, 0.0, 0.0]))
-
-    def test_default_frame_tangent_eigenvalues(self):
-        block = block_decompose(self.problem.objective, self.x)
-        assert np.allclose(np.linalg.eigvalsh(block.B), [4.0, 9.0],
-                           atol=1e-12)
-
-
-class TestWorkedNonquadratic:
-    """f = x^2/2 + 2y^2 + x^4/12 at (1,1): tau = 93/121 in closed form
-    (B = 11/5, c = 3/5, third-derivative pullback 12/11 along the tangent).
-    """
-
-    def setup_method(self):
-        self.problem = catalog("convex_53")
-        self.x = np.array([1.0, 1.0])
-        self.t_hat = np.array([-3.0, 1.0]) / S10
-
-    def test_tau_closed_form(self):
-        res = affine_normal_direction(self.problem.objective, self.x)
-        assert res.T == pytest.approx(93.0 / 121.0, rel=1e-13)
-        assert float(res.d @ self.t_hat) == \
-            pytest.approx(93.0 / 121.0, rel=1e-13)
-
-    def test_direction_closed_form(self):
-        d = affine_normal_direction(self.problem.objective, self.x).d
-        expect = np.array([-400.0, -270.0]) / (121.0 * S10)
-        assert np.allclose(d, expect, atol=1e-13)
-
-    def test_gradient_inner_product_closed_form(self):
-        d = affine_normal_direction(self.problem.objective, self.x).d
-        g = self.problem.objective.gradient(self.x)
-        assert float(g @ d) == pytest.approx(-40.0 / (3.0 * S10), rel=1e-13)
+        # the default frame's tangent block has the same eigenvalues
+        B = block_decompose(obj, x).B
+        assert np.allclose(np.linalg.eigvalsh(B), [4.0, 9.0], atol=1e-12)
 
 
 def assert_singular_fallback(obj, x):
@@ -291,6 +190,30 @@ class TestCases:
                         [0.0, 0.0, 1.0])
         assert_singular_fallback(obj, np.zeros(3))
 
+    @pytest.mark.parametrize("entry", [descent_direction,
+                                       affine_normal_direction],
+                             ids=["planar", "matrix"])
+    def test_small_schur_complement_still_scales_the_step(self, entry):
+        """Kills the mutants SCALE_FLOOR = 1e-3 and 2e-12 (for 1e-12). f =
+        x.A.x/2 + x_1 with A = [[1, 1], [1, 1 + e]] at 0: the gradient is
+        e_1, so B = 1 + e and the Schur complement is det A / B, about e of
+        the block scale. It lies above the floor of 1e-12 of that scale, and
+        below 1e-3 of it at e = 1e-6 and below 2e-12 of it at e = 1.5e-12.
+        The step scale is ||g|| / s, about 1 / e, where those mutants give
+        1. The direction's Schur complement 1 - 1 / B cancels to a relative
+        error of about eps / e, 1.5e-4 at e = 1.5e-12."""
+        for e, mutant_floor, rel in ((1e-6, 1e-3, 1e-8),
+                                     (1.5e-12, 2e-12, 1e-3)):
+            A = np.array([[1.0, 1.0], [1.0, 1.0 + e]])
+            obj = quadratic(A, [1.0, 0.0])
+            res = entry(obj, np.zeros(2))
+            B = A[1, 1]
+            s = np.linalg.det(A) / B
+            assert res.case is DirectionCase.AN
+            assert classify_point(obj, np.zeros(2)).scale == B
+            assert 1e-12 * B < s < mutant_floor * B
+            assert res.step_scale == pytest.approx(1.0 / s, rel=rel)
+
     @pytest.mark.parametrize("dim, third, scale, message", [
         (2, np.nan, 1.0, "^third derivative has infs or NaNs$"),
         (3, np.nan, 1.0, "^third derivative has infs or NaNs$"),
@@ -358,51 +281,6 @@ class TestCases:
                 call(obj, x)
         with pytest.raises(NonFiniteHessian):
             newton_direction(obj, x, regularize=True)
-
-
-class TestAngleIdentity:
-    @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from(["quad_51", "convex_53", "rosenbrock",
-                            "ring_tilted", "poly6"]),
-           st.floats(-0.8, 0.8), st.floats(-0.8, 0.8))
-    def test_cosine_times_hypotenuse_is_one(self, name, dx, dy):
-        p = catalog(name)
-        x = np.asarray(p.x0, dtype=float) + np.array([dx, dy])
-        obj = p.objective
-        if not obj.in_domain(x) or np.linalg.norm(obj.gradient(x)) < 1e-8:
-            return
-        res = descent_direction(obj, x)
-        assert res.cos_theta * np.sqrt(1.0 + res.T ** 2) == \
-            pytest.approx(1.0, abs=1e-12)
-
-    def test_cos_theta_matches_angle_to_negative_gradient(self):
-        p = catalog("convex_53")
-        x = np.array([1.0, 1.0])
-        res = descent_direction(p.objective, x)
-        g = p.objective.gradient(x)
-        cos_direct = float(-g @ res.d) / (np.linalg.norm(g)
-                                          * np.linalg.norm(res.d))
-        assert res.cos_theta == pytest.approx(cos_direct, rel=1e-12)
-
-
-class TestNewtonAgreement:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
-    def test_scaled_direction_equals_newton_step(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        M = rng.normal(size=(dim, dim))
-        A = M @ M.T + dim * np.eye(dim)
-        b = rng.normal(size=dim)
-        obj = quadratic(A, b)
-        x = rng.normal(size=dim)
-        g = obj.gradient(x)
-        if np.linalg.norm(g) < 1e-8:
-            return
-        res = descent_direction(obj, x)
-        step = res.step_scale * res.d
-        newton = -np.linalg.solve(A, g)
-        assert np.allclose(step, newton,
-                           atol=1e-9 * max(1.0, float(np.linalg.norm(newton))))
 
 
 def result_bits(res):

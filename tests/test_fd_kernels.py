@@ -173,8 +173,8 @@ def test_fd_third_matches_reference_loop(dim, seed, rows):
     obj, x = random_objective(dim, seed)
     dirs = np.random.default_rng(seed).standard_normal((rows, 3, dim))
     batch, single, ref = Recorder(obj), Recorder(obj), Recorder(obj)
-    got = _fd_third_rows(batch.obj, x, dirs, THIRD_H)
-    one_by_one = [_fd_third_rows(single.obj, x, dirs[k:k + 1], THIRD_H)[0]
+    got = _fd_third_rows(batch.obj, x, dirs)
+    one_by_one = [_fd_third_rows(single.obj, x, dirs[k:k + 1])[0]
                   for k in range(rows)]
     want = [ref_fd_third_directional(ref.obj, x, u, v, w) for u, v, w in dirs]
     assert bits(got) == bits(one_by_one) == bits(want)
@@ -295,7 +295,7 @@ def test_fd_third_on_non_finite_and_overflowing_differences(
     x = np.zeros(dim)
     new, ref = Recorder(obj), Recorder(obj)
     with np.errstate(all=errors):
-        got = outcome(lambda: _fd_third_rows(new.obj, x, dirs, THIRD_H))
+        got = outcome(lambda: _fd_third_rows(new.obj, x, dirs))
         want = outcome(lambda: [ref_fd_third_directional(ref.obj, x, u, v, w)
                                 for u, v, w in dirs])
     assert got == want
@@ -312,7 +312,7 @@ def test_third_kernel_raises_at_the_row_whose_stencil_leaves():
     dirs[2, 0] = [1.0, 0.0, 0.0]  # ... except row 2, whose x + h u leaves
     new, ref = Recorder(obj), Recorder(obj)
     with pytest.raises(DomainViolation):
-        _fd_third_rows(new.obj, x, dirs, THIRD_H)
+        _fd_third_rows(new.obj, x, dirs)
     with pytest.raises(DomainViolation):
         for u, v, w in dirs:
             ref_fd_third_directional(ref.obj, x, u, v, w)

@@ -160,15 +160,6 @@ class TestRunInvariance:
         assert max(rep.per_iterate_deviation) == 0.0
         assert rep.scaled.iters == rep.base.iters
 
-    @pytest.mark.parametrize("gamma", [10.0, 1e2, 1e4])
-    def test_iterates_collapse_after_mapping(self, gamma):
-        rep = run_invariance(BASE, np.diag([1.0, gamma]), ExactSearch())
-        assert max(rep.per_iterate_deviation) <= 1e-6
-        assert rep.scaled.iters == rep.base.iters
-        assert all(r.case == "AN" for run in (rep.scaled, rep.base)
-                   for r in run.records[1:])
-        assert rep.scaled.status is rep.base.status is RunStatus.CONVERGED
-
     def test_report_keeps_the_status_of_a_failed_run(self):
         """At gamma 1e16 the scaled run cannot take its first step; the
         deviations cover row 0 only, and the run's status says why."""

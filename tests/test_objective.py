@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affinedescent.errors import DomainViolation
-from affinedescent.objective import (GRAD_TOL, HESS_TOL, THIRD_H, THIRD_TOL,
+from affinedescent.objective import (GRAD_TOL, HESS_TOL, THIRD_TOL,
                                      _fd_third_rows, fd_gradient, fd_hessian,
                                      make_objective, verify_derivatives)
 from affinedescent.problems import catalog
@@ -50,7 +50,7 @@ def test_fd_third_matches_analytic():
     rng = np.random.default_rng(0)
     for _ in range(5):
         u, v, w = rng.normal(size=(3, 2))
-        fd = _fd_third_rows(obj, x, np.array([[u, v, w]]), THIRD_H)[0]
+        fd = _fd_third_rows(obj, x, np.array([[u, v, w]]))[0]
         assert fd == pytest.approx(obj.third_directional(x, u, v, w),
                                    rel=1e-6, abs=1e-6)
 
@@ -137,7 +137,7 @@ def test_fd_third_raises_outside_domain():
     # x + h*u crosses the barrier boundary, so the Hessian probe blows up
     edge = np.array([0.49999999, 0.5])
     with pytest.raises(DomainViolation):
-        _fd_third_rows(barrier, edge, np.array([[e1, e1, e1]]), THIRD_H)
+        _fd_third_rows(barrier, edge, np.array([[e1, e1, e1]]))
     # 5e-6 inside it, the value stencils of fd_gradient (step 1e-5) and
     # fd_hessian (step 1e-4) cross it too, and name the point outside
     near = np.array([0.5 - 5e-6, 0.5])

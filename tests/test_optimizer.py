@@ -6,8 +6,6 @@ import pytest
 from helpers import (Recorder, flat_valley, nan_gradient_problem,
                      nan_hessian_problem, non_finite_third_problem, quadratic,
                      spd_quadratic)
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from affinedescent import line_search, optimizer
 from affinedescent.direction import classify_point
@@ -428,29 +426,6 @@ class TestOracleCalls:
         assert rep.iters >= 3
         assert len(rec.of("gradient")) == 1 + per_iterate * rep.iters
         assert len(rec.of("hessian")) == rep.iters
-
-
-class TestLineSearchContracts:
-    PROBLEMS = ["quad_well", "convex_53", "poly6", "inverse_barrier",
-                "rosenbrock", "ring_tilted", "saddle_poly", "four_well",
-                "strongly_convex_base"]
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(PROBLEMS),
-           st.sampled_from(["exact", "armijo", "wolfe"]),
-           st.sampled_from(["yand", "gd", "dnewton"]))
-    def test_objective_strictly_decreases(self, name, ls_name, method):
-        ls = {"exact": ExactSearch(), "armijo": ArmijoSearch(),
-              "wolfe": StrongWolfeSearch()}[ls_name]
-        p = catalog(name)
-        if method == "yand":
-            rep = yand_run(p, ls, STOP)
-        elif method == "gd":
-            rep = gradient_descent_run(p, ls, STOP)
-        else:
-            rep = newton_run(p, damped=True, ls=ls, stop=STOP)
-        fs = [r.f for r in rep.records]
-        assert all(f1 < f0 for f0, f1 in zip(fs, fs[1:]))
 
 
 class TestEmpiricalRates:
