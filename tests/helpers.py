@@ -1,10 +1,13 @@
-"""The test modules' shared families, maps and stand-in problems, and the
-direction's covariance angle under a map.
+"""The test modules' shared families, maps and stand-in problems, the
+direction's covariance angle under a map, and the one rule for "the same
+bits".
 
 Test modules import these as `from helpers import ...`; no test module
 imports another. Each helper draws from a seed or a given generator in a
 fixed order, so a seeded case builds the same arrays wherever it runs.
 """
+import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +23,47 @@ from affinedescent.problems import Problem, catalog
 
 NUMERICAL_OUTCOMES = (ZeroGradient, SingularHessian, NonFiniteHessian,
                       NonFiniteThird, DomainViolation, EmptySlice)
+
+
+# -- the same bits ------------------------------------------------------------
+
+def bits(value):
+    """value as a key that two values share exactly when their bits agree:
+    a Python or numpy float is its type and its 8 packed bytes (so -0 is
+    not +0, and a NaN is its payload), an array its dtype, shape and bytes,
+    and a tuple, list or NamedTuple its type and the bits of each field.
+    Anything else is its type and itself."""
+    if isinstance(value, (float, np.floating)):
+        return type(value), struct.pack("d", value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(bits(v) for v in value)
+    return type(value), value
+
+
+def outcome(fn, *args):
+    """(fn(*args)'s bits, or its error's type and message; the warnings it
+    issued, as (category, message))."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = bits(fn(*args))
+        except Exception as exc:
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def aligned(result):
+    """An outcome with matmul's wordings made dot's: of a length mismatch
+    in an error message, and of the function named in a warning."""
+    out, caught = result
+    if isinstance(out[0], type) and issubclass(out[0], Exception) and (
+            out[1].startswith("matmul: Input operand")
+            or " not aligned: " in out[1]):
+        out = (out[0], "operands not aligned")
+    return out, [(kind, message.replace("matmul", "dot"))
+                 for kind, message in caught]
 
 
 class Recorder:

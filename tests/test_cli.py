@@ -21,10 +21,9 @@ from affinedescent.cli import (_build_parser, _exit_code, _fmt, _parse_ls,
                                cmd_verify, main, write_trajectory_csv)
 from affinedescent.line_search import (ArmijoSearch, ExactSearch, FixedStep,
                                        StrongWolfeSearch)
-from affinedescent.objective import Objective
 from affinedescent.optimizer import (IterateRecord, RunReport, RunStatus,
                                      StoppingSpec, newton_run)
-from affinedescent.problems import Problem, catalog
+from affinedescent.problems import catalog
 
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -97,45 +96,24 @@ class TestFormatting:
 
 
 class TestRunCommand:
-    def test_converged_run_writes_trajectory(self, tmp_path, capsys):
-        out = tmp_path / "traj.csv"
-        code, stdout, _ = run_main(
-            ["run", "quad_well", "yand", "exact", "--out", str(out)], capsys)
-        assert code == 0
-        status, iters, f_final, gnorm = stdout.split()
-        assert status == "Converged"
-        assert float(gnorm) <= 1e-4
-        lines = out.read_text().splitlines()
-        assert lines[0] == "k,x1,x2,f,gnorm,alpha,case,T,cos_theta"
-        assert len(lines) == int(iters) + 2
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[5] == "0" and first[6] == "-"
-        assert float(lines[-1].split(",")[4]) <= 1e-4
-
-    def test_all_methods_accepted(self, tmp_path, capsys):
-        for method in ("yand", "gd", "newton", "dnewton"):
-            out = tmp_path / f"{method}.csv"
-            code, stdout, _ = run_main(
-                ["run", "quad_well", method, "exact", "--out", str(out)],
-                capsys)
-            assert code == 0, method
-            assert stdout.split()[0] == "Converged"
-
     @pytest.mark.parametrize("token, spec, iters", [
         ("exact", ExactSearch(), 12), ("armijo", ArmijoSearch(), 21),
         ("wolfe", StrongWolfeSearch(), 22), ("fixed:1", FixedStep(1.0), 5)])
     def test_newton_takes_the_line_search(self, token, spec, iters, tmp_path,
                                           capsys):
         """`newton` runs the given search: the CLI's trajectory is the one
-        newton_run writes with that spec, and `fixed:1` is classical Newton,
-        which takes 5 unit steps on Rosenbrock."""
+        newton_run writes with that spec, its stdout line is the report's
+        status, iterations, final f and gradient norm, and `fixed:1` is
+        classical Newton, which takes 5 unit steps on Rosenbrock."""
         out, expected = tmp_path / "cli.csv", tmp_path / "api.csv"
         code, stdout, _ = run_main(
             ["run", "rosenbrock", "newton", token, "--out", str(out)], capsys)
         report = newton_run(catalog("rosenbrock"), ls=spec)
         write_trajectory_csv(report, expected)
         assert out.read_bytes() == expected.read_bytes()
-        assert stdout.split()[:2] == [report.status.value, str(report.iters)]
+        final = report.final
+        assert stdout == (f"{report.status.value} {report.iters} "
+                          f"{_fmt(final.f)} {_fmt(final.grad_norm)}\n")
         assert code == 0
         assert report.iters == iters
 
@@ -256,47 +234,17 @@ class TestExitCodeContract:
             code, "", "error: stopped here\n")
 
 
-# The argv of each subcommand, and flags that none takes, each with a
-# value: the spec settings and verify's seed, which the CLI dropped, a
-# config file and an unknown key.
-COMMANDS = {
-    "run": ["run", "quad_well", "yand", "exact"],
-    "table2": ["table2"],
-    "examples": ["examples"],
-    "invariance": ["invariance"],
-    "verify": ["verify"],
-}
-REJECTED = {"--tol-grad": "1e-3", "--max-iter": "3", "--sigma": "0.2",
-            "--beta": "0.25", "--alpha0": "2", "--alpha-max": "5",
-            "--c1": "0.01", "--c2": "0.5", "--seed": "7",
-            "--config": "c.cfg", "--step-size": "0.1"}
-
-
 class TestSubcommandFlags:
     """Each subcommand takes --out, and invariance also --gammas."""
 
     def test_usage_lists_only_out_and_gammas(self, capsys):
-        for command in COMMANDS:
+        for command in ("run", "table2", "examples", "invariance", "verify"):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             usage = capsys.readouterr().out.split("\n\n")[0]
             flags = set(re.findall(r"\[(--[a-z0-9-]+)", usage))
             assert flags == ({"--out", "--gammas"} if command == "invariance"
                              else {"--out"}), command
-
-    @pytest.mark.parametrize("command, flag", [
-        (command, flag) for command in COMMANDS
-        for flag in ["--out", *REJECTED]])
-    def test_flag_parses_or_is_rejected(self, command, flag, capsys):
-        argv = COMMANDS[command] + [flag, REJECTED.get(flag, "x.csv")]
-        if flag == "--out":
-            assert _build_parser().parse_args(argv).out == "x.csv"
-            return
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 1
-        assert capsys.readouterr().err == (
-            f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
     @pytest.mark.parametrize("argv", [
         ["run", "quad_well", "yand", "exact", "--ou", "x.csv"],
@@ -320,7 +268,7 @@ class TestSubcommandFlags:
 class TestSharedParser:
     CALLS = [
         ["run", "rosenbrock", "yand", "wolfe", "--out", "run1.csv"],
-        ["run", "quad_well", "yand", "exact", "--max-iter", "ten"],
+        ["run", "quad_well", "yand", "golden"],
         ["table2", "--out", "table2.csv"],
         ["run", "rosenbrock", "gd", "armijo", "--out", "run2.csv"],
     ]
@@ -494,40 +442,16 @@ class TestInvarianceCommand:
 
 
 class TestVerifyCommand:
-    @staticmethod
-    def verify_only(monkeypatch, problem):
-        """cmd_verify checks the one given problem in place of the catalog."""
-        monkeypatch.setattr(cli, "CATALOG_NAMES", (problem.name,))
-        monkeypatch.setattr(cli, "catalog", lambda name: problem)
-
-    def test_inconsistent_gradient_detected(self, tmp_path, capsys,
-                                            monkeypatch):
-        good = catalog("quad_well").objective
-
-        def bad_grad(x):
-            g = np.array(good.gradient(x), dtype=float)
-            g[0] += 1e-3
-            return g
-
-        bad = Problem(
-            name="quad_well_bad_grad",
-            objective=Objective(good.dim, good.value, bad_grad,
-                                good.hessian, good.third_directional,
-                                good.in_domain),
-            x0=catalog("quad_well").x0, x_star=None, f_star=None, notes="")
-        self.verify_only(monkeypatch, bad)
-        out = tmp_path / "verify.csv"
-        code = cmd_verify(out)
-        capsys.readouterr()
-        assert code == 4
-        assert out.read_text().splitlines()[1].endswith(",FAIL")
-
     def test_nan_third_derivative_fails(self, tmp_path, capsys, monkeypatch):
+        """cmd_verify, on the one problem poly6 with a NaN third derivative
+        in place of the catalog, writes an infinite error and FAIL, and
+        exits 4."""
         problem = catalog("poly6")
         bad = replace(problem, objective=replace(
             problem.objective,
             third_directional=lambda x, u, v, w: float("nan")))
-        self.verify_only(monkeypatch, bad)
+        monkeypatch.setattr(cli, "CATALOG_NAMES", (bad.name,))
+        monkeypatch.setattr(cli, "catalog", lambda name: bad)
         out = tmp_path / "verify.csv"
         code = cmd_verify(out)
         capsys.readouterr()
@@ -572,15 +496,8 @@ class TestOutputWriter:
     """Every subcommand writes through cli._write_lines, which overwrites in
     place and truncates only regular files."""
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "quad_well", "yand", "exact"],
-        ["table2"],
-        ["examples"],
-        ["invariance", "--gammas", "10"],
-        ["verify"],
-    ], ids=lambda argv: argv[0])
-    def test_dev_null_target(self, argv, capsys):
-        assert run_main(argv + ["--out", os.devnull], capsys)[0] == 0
+    def test_dev_null_target(self, capsys):
+        assert run_main(["table2", "--out", os.devnull], capsys)[0] == 0
 
     def _fresh(self, tmp_path, capsys):
         out = tmp_path / "fresh.csv"

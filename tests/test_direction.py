@@ -1,13 +1,12 @@
-import struct
 from dataclasses import replace
 from math import sqrt
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from helpers import (Recorder, coupled_quartic, flat_valley,
-                     non_finite_third_problem, quadratic, random_gl_plus,
-                     random_objective, rotated_quartic)
+from helpers import (Recorder, bits, coupled_quartic, flat_valley,
+                     non_finite_third_problem, outcome, quadratic,
+                     random_gl_plus, random_objective, rotated_quartic)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -61,8 +60,7 @@ class TestBlockDecomposition:
         B = block_decompose(obj, x).B
         if dim > 2:
             assert not np.array_equal(B, B.T)
-        assert classify_point(obj, x).matrix.tobytes() == \
-            (0.5 * (B + B.T)).tobytes()
+        assert bits(classify_point(obj, x).matrix) == bits(0.5 * (B + B.T))
 
     def test_blocks_reassemble_to_hessian(self):
         obj = catalog("convex_53").objective
@@ -132,7 +130,7 @@ class TestCases:
         res = affine_normal_direction(obj, x)
         assert res.case is DirectionCase.STEEPEST_FALLBACK
         assert classify_point(obj, x).tag is DefinitenessTag.SINGULAR
-        assert result_bits(res) == result_bits(descent_direction(obj, x))
+        assert bits(res) == bits(descent_direction(obj, x))
 
     def test_fallback_when_band_swallows_inner_product(self, monkeypatch):
         # The band |g.d| <= ||g|| ||d|| / T_TANGENT, in which d is
@@ -164,7 +162,7 @@ class TestCases:
         for T in (direction.T_TANGENT, np.inf, np.nan):
             res = _oriented_result(np.array([T, -1.0]), T, cls.det_sign,
                                    n_hat, 1.0, cls.scale, schur, 1.0)
-            assert result_bits(res) == result_bits(_fallback_result(n_hat))
+            assert bits(res) == bits(_fallback_result(n_hat))
         for c in (1e4, 1e300):
             # the frame of g = (0, 1) is the identity, so H is the framed
             # Hessian as written
@@ -283,18 +281,6 @@ class TestCases:
             newton_direction(obj, x, regularize=True)
 
 
-def result_bits(res):
-    """Every field of a DirectionResult, floats and arrays as their
-    bytes."""
-    def bits(v):
-        if isinstance(v, float):
-            return struct.pack("d", v)
-        if isinstance(v, np.ndarray):
-            return (v.dtype.str, v.shape, v.tobytes())
-        return v
-    return [bits(getattr(res, name)) for name in res._fields]
-
-
 def gd_sign_oriented_result(gd, d, T, omega, n_hat, gnorm, scale, schur,
                             d_nn):
     """_oriented_result as it decided the case before reading it from the
@@ -329,17 +315,12 @@ def assert_gd_sign_rule_agrees(paths, obj, x):
 
 
 def logged_outcome(path, obj, x):
-    """The result bits, or the error type and message, of one direction path
-    together with its oracle calls."""
+    """The outcome of one direction path together with its oracle calls."""
     rec = Recorder(obj)
-    try:
-        # the matrix path's numpy arithmetic warns on overflow, Python
-        # floats do not
-        with np.errstate(all="ignore"):
-            out = result_bits(path(rec.obj, x))
-    except Exception as err:   # both paths must fail alike
-        out = (type(err), str(err))
-    return out, rec.calls
+    # the matrix path's numpy arithmetic warns on overflow, Python floats
+    # do not
+    with np.errstate(all="ignore"):
+        return outcome(path, rec.obj, x), rec.calls
 
 
 def default_matrix_path(obj, x):
@@ -442,8 +423,9 @@ class TestPlanarPath:
         with np.errstate(over="ignore", under="ignore"):
             got = [norm2(ts[i:i + 1]) for i in range(ts.size)]
         want = [one_entry_norm(t) for t in ts.tolist()]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert np.abs(ts).tobytes() == np.array(want).tobytes()
+        want = np.array(want)
+        assert bits(np.array(got)) == bits(want)
+        assert bits(np.abs(ts)) == bits(want)
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)))
@@ -459,7 +441,7 @@ class TestPlanarPath:
             u[-1] -= -1.0 if n_hat[-1] >= 0.0 else 1.0
             want = np.eye(2) - (2.0 / float(u @ u)) * np.outer(u, u)
             want[:, -1] = n_hat
-            assert fr.basis.tobytes() == want.tobytes()
+            assert bits(fr.basis) == bits(want)
 
     def test_only_planar_default_frames_take_it(self, monkeypatch):
         def matrix_path(obj, x, frame):
@@ -519,7 +501,7 @@ class TestOracleCalls:
         # in perfbench/golden.json includes both calls.
         # affine_normal_direction takes the matrix path at n = 2 too, so it
         # makes one gradient call at every n.
-        bits = []
+        seen = []
         for entry, given, gradients in (
                 (descent_direction, (), 2 if dim == 2 else 1),
                 (descent_direction, (obj.gradient(x),), 2 if dim == 2 else 0),
@@ -527,14 +509,14 @@ class TestOracleCalls:
             rec = Recorder(obj)
             res = entry(rec.obj, x, *given)
             assert res.case is not DirectionCase.STEEPEST_FALLBACK
-            bits.append(result_bits(res))
+            seen.append(bits(res))
             assert len(rec.of("gradient")) == gradients
             assert len(rec.of("hessian")) == 1
             assert len(rec.of("third_directional")) == m * m * (m + 1) // 2
             assert rec.of("value") == []
             # every gradient call is at x itself
             assert all(c[1] == x.tobytes() for c in rec.of("gradient"))
-        assert bits[0] == bits[1] == bits[2]
+        assert seen[0] == seen[1] == seen[2]
 
 
 class TestAffineNormalDirection:
@@ -633,8 +615,8 @@ class TestNewtonDirection:
         for x in np.concatenate([xs, -xs]):   # a.x of both signs
             H = obj.hessian(x)
             lowest.append(np.linalg.eigvalsh(0.5 * (H + H.T))[0])
-            assert newton_direction(obj, x, regularize).tobytes() == \
-                newton_direction(symmetrized(obj), x, regularize).tobytes()
+            assert bits(newton_direction(obj, x, regularize)) == \
+                bits(newton_direction(symmetrized(obj), x, regularize))
         assert min(lowest) < 0.0 < max(lowest)
 
     @pytest.mark.parametrize("entry", [

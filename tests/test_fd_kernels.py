@@ -2,13 +2,12 @@
 reference loops, one stencil or scan point per small numpy operation: the
 same bits, the same oracle calls at the same points in the same order, and
 the same random stream."""
-import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import Recorder, random_objective
+from helpers import Recorder, aligned, bits, outcome, random_objective
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,12 +140,6 @@ def ref_slice_intervals(obj, z, C, R):
     return intervals
 
 
-# -- helpers ---------------------------------------------------------------
-
-def bits(values):
-    return np.asarray(values, dtype=float).tobytes()
-
-
 # -- the kernels against the loops ---------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -177,7 +170,8 @@ def test_fd_third_matches_reference_loop(dim, seed, rows):
     one_by_one = [_fd_third_rows(single.obj, x, dirs[k:k + 1])[0]
                   for k in range(rows)]
     want = [ref_fd_third_directional(ref.obj, x, u, v, w) for u, v, w in dirs]
-    assert bits(got) == bits(one_by_one) == bits(want)
+    # the loops' lists of floats as float64 arrays
+    assert bits(got) == bits(np.array(one_by_one)) == bits(np.array(want))
     assert batch.calls == single.calls == ref.calls
 
 
@@ -197,8 +191,7 @@ def test_verify_derivatives_matches_reference_loop(dim, seed, n_triples,
         new.obj, (p for p in points) if as_generator else points,
         rng=rng_new, n_triples=n_triples)
     want = ref_verify_derivatives(ref.obj, points, rng_ref, n_triples)
-    assert bits([report.grad_err, report.hess_err, report.third_err]) == \
-        bits(want)
+    assert bits(tuple(report)) == bits(want)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
     # A point's analytic third derivatives are all taken before its Hessian
     # stencils, so only each oracle's own sequence is compared.
@@ -217,7 +210,7 @@ def test_verify_derivatives_nan_gradient_at_one_point_fails():
     want = ref_verify_derivatives(obj, points, np.random.default_rng(1), 10)
     assert report.grad_err == np.inf
     assert report.ok is False
-    assert bits([report.hess_err, report.third_err]) == bits(want[1:])
+    assert bits(report[1:]) == bits(want[1:])
 
 
 def test_verify_derivatives_of_no_points_passes():
@@ -242,25 +235,11 @@ def test_verify_derivatives_matches_reference_on_catalog():
         rng_ref = np.random.default_rng(42)
         report = verify_derivatives(problem.objective, points, rng=rng_new)
         want = ref_verify_derivatives(problem.objective, points, rng_ref, 10)
-        assert bits([report.grad_err, report.hess_err, report.third_err]) \
-            == bits(want), name
+        assert bits(tuple(report)) == bits(want), name
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 # -- non-finite and overflowing Hessian differences ---------------------------
-
-def outcome(fn):
-    """fn()'s bits, or its error type and message, with the warnings it
-    issued; matmul's warnings are named after dot."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            out = bits(fn())
-        except Exception as exc:
-            out = (type(exc), str(exc))
-    return out, [(w.category, str(w.message).replace("matmul", "dot"))
-                 for w in caught]
-
 
 SPECIAL = [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0]
 
@@ -295,9 +274,12 @@ def test_fd_third_on_non_finite_and_overflowing_differences(
     x = np.zeros(dim)
     new, ref = Recorder(obj), Recorder(obj)
     with np.errstate(all=errors):
-        got = outcome(lambda: _fd_third_rows(new.obj, x, dirs))
-        want = outcome(lambda: [ref_fd_third_directional(ref.obj, x, u, v, w)
-                                for u, v, w in dirs])
+        # matmul's warnings named after dot's, and the loop's list of
+        # floats as a float64 array
+        got = aligned(outcome(_fd_third_rows, new.obj, x, dirs))
+        want = aligned(outcome(lambda: np.array(
+            [ref_fd_third_directional(ref.obj, x, u, v, w)
+             for u, v, w in dirs])))
     assert got == want
     assert new.calls == ref.calls
 

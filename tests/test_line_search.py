@@ -218,6 +218,14 @@ class TestStrongWolfe:
                          lambda a: 2.0 * (a - 1.0))
         assert res.alpha == 1.0
 
+    def test_curvature_test_reads_c2(self):
+        """phi(a) = -a + a^2/4 at a = 1 decreases enough, and |phi'(1)| =
+        0.5 is within c2 = 0.9 of |phi'(0)| = 1 but not within c1 = 1e-4:
+        the first trial is accepted, where a test that read c1 would go on
+        to phi's minimizer at 2."""
+        res = self.check(lambda a: -a + 0.25 * a * a, lambda a: -1.0 + 0.5 * a)
+        assert (res.alpha, res.evals) == (1.0, 2)
+
     def test_narrow_quadratic_needs_zoom(self):
         # minimizer at 0.05: alpha=1 violates sufficient decrease
         res = self.check(lambda a: 100.0 * (a - 0.05) ** 2,

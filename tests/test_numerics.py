@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import bits
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -155,17 +156,17 @@ def test_one_by_one_classification_is_scalar(b, r):
     # eigenvalue of [[b]] is b, its factor W = L^{-T} is w = 1/sqrt(b), and
     # a solve is w * (w * r) when positive definite, r / b otherwise
     cls = classify_symmetric(np.array([[b]]))
-    assert cls.eigs.tobytes() == np.array([b]).tobytes()
+    assert bits(cls.eigs) == bits(np.array([b]))
     if cls.tag is DefinitenessTag.SINGULAR:
         return
     if cls.is_positive_definite:
         w = 1.0 / math.sqrt(b)
-        assert cls.factor.tobytes() == np.array([[w]]).tobytes()
+        assert bits(cls.factor) == bits(np.array([[w]]))
         want = w * (w * r)
     else:
         want = r / b
-    assert solve_symmetric(cls, np.array([r])).tobytes() == \
-        np.array([want]).tobytes()
+    assert bits(solve_symmetric(cls, np.array([r]))) == \
+        bits(np.array([want]))
 
 
 def test_solve_symmetric_picks_cholesky_or_lu():
@@ -204,6 +205,7 @@ def test_spd_solve_is_bitwise_reciprocal_sqrt_on_diagonal_systems(
                            elements=st.floats(-1e6, 1e6, allow_nan=False)))
     r = 1.0 / np.sqrt(diag if ncols == 0 else diag[:, None])
     cls = classify_symmetric(np.diag(diag))
+    # equal in value: W (W^T b) can sum from +0, so a -0 in b can give +0
     assert np.array_equal(solve_spd(cls, rhs), (rhs * r) * r)
 
 
@@ -249,11 +251,6 @@ def square_matrices(dim):
                   elements=st.floats(-100, 100, allow_nan=False))
 
 
-def class_bits(cls):
-    factor = None if cls.factor is None else cls.factor.tobytes()
-    return cls.tag, cls.eigs.tobytes(), cls.matrix.tobytes(), factor
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8).flatmap(square_matrices))
 def test_classification_is_of_the_symmetric_part(M):
@@ -262,8 +259,8 @@ def test_classification_is_of_the_symmetric_part(M):
         M[0, -1] = M[-1, 0] + 1.0
     S = 0.5 * (M + M.T)
     cls = classify_symmetric(M)
-    assert cls.matrix.tobytes() == S.tobytes()
-    assert class_bits(cls) == class_bits(classify_symmetric(S))
+    assert bits(cls.matrix) == bits(S)
+    assert bits(cls) == bits(classify_symmetric(S))
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 1), (3,), (2, 2, 2)])
@@ -300,7 +297,8 @@ def test_norm2_is_bitwise_numpy_norm(v):
         if want < 1e-146 and view.any():
             s = np.abs(view).max()
             want = s * np.linalg.norm(view / s)
-        assert norm2(view) == want
+        # numpy's float64 against norm2's Python float
+        assert bits(norm2(view)) == bits(float(want))
 
 
 @pytest.mark.parametrize("v", [[5e-324], [6.46907938e-173, 6.46907938e-165],

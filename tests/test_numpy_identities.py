@@ -19,6 +19,7 @@ The identities hold where the code uses them, and not everywhere:
 The quadratics' value halves A once, at construction, in place of x at
 each call."""
 import numpy as np
+from helpers import bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,12 +54,6 @@ def contiguous(a):
             np.asfortranarray(a.T).T]
 
 
-def same_bits(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return x.dtype == y.dtype and x.shape == y.shape and \
-        x.tobytes() == y.tobytes()
-
-
 @settings(max_examples=150, deadline=None)
 @given(INNER, SEEDS, SCALES)
 def test_vector_dot_vector(n, seed, scale):
@@ -67,8 +62,8 @@ def test_vector_dot_vector(n, seed, scale):
     with np.errstate(all="ignore"):
         for a in (u, strided(u)):
             for b in (v, strided(v)):
-                assert same_bits(a.dot(b), a @ b)
-                assert same_bits(b.dot(a), a @ b)   # and it commutes
+                assert bits(a.dot(b)) == bits(a @ b)
+                assert bits(b.dot(a)) == bits(a @ b)   # and it commutes
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,11 +77,11 @@ def test_contiguous_matrix_dot_vector(n, k, seed, scale):
     with np.errstate(all="ignore"):
         for A in contiguous(M) + [m.T for m in contiguous(N)]:
             for b in (w, strided(w)):
-                assert same_bits(A.dot(b), A @ b)
+                assert bits(A.dot(b)) == bits(A @ b)
         if n >= 2:
             for A in contiguous(M) + [m.T for m in contiguous(N)]:
                 for a in (u, strided(u)):
-                    assert same_bits(a.dot(A), a @ A)
+                    assert bits(a.dot(A)) == bits(a @ A)
 
 
 @settings(max_examples=150, deadline=None)
@@ -100,11 +95,11 @@ def test_matrix_dot_matrix(n, k, seed, scale):
     with np.errstate(all="ignore"):
         for A in contiguous(M):
             for B in contiguous(N):
-                assert same_bits(A.dot(B), A @ B)
+                assert bits(A.dot(B)) == bits(A @ B)
             # B^T H B, as for a Hessian in a frame or through a scaling
             for Hv in contiguous(H):
-                assert same_bits(A.dot(Hv).dot(A.T), A @ Hv @ A.T)
-                assert same_bits(A.T.T.dot(Hv).dot(A.T), A @ Hv @ A.T)
+                assert bits(A.dot(Hv).dot(A.T)) == bits(A @ Hv @ A.T)
+                assert bits(A.T.T.dot(Hv).dot(A.T)) == bits(A @ Hv @ A.T)
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,8 +111,8 @@ def test_quadratic_form_chain(n, seed, scale):
     A = draw(rng, (n, n), scale)
     with np.errstate(all="ignore"):
         for xv in (x, strided(x)):
-            assert same_bits((0.5 * xv).dot(A).dot(xv) + b.dot(xv),
-                             0.5 * xv @ A @ xv + b @ xv)
+            assert bits((0.5 * xv).dot(A).dot(xv) + b.dot(xv)) == \
+                bits(0.5 * xv @ A @ xv + b @ xv)
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,7 +125,8 @@ def test_contraction_from_plus_zero_is_matmul(n, seed, scale, zero):
     M = np.zeros((n, n)) if zero else draw(rng, (n, n), scale)
     with np.errstate(all="ignore"):
         for Mv in contiguous(M):
-            assert same_bits(0.0 + float(v.dot(Mv).dot(w)), float(v @ Mv @ w))
+            assert bits(0.0 + float(v.dot(Mv).dot(w))) == \
+                bits(float(v @ Mv @ w))
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,16 +135,16 @@ def test_column_times_row_is_outer(n, seed, scale):
     x = draw(np.random.default_rng(seed), n, scale)
     with np.errstate(all="ignore"):
         for a in (x, strided(x)):
-            assert same_bits(a[:, None] * a, np.outer(a, a))
+            assert bits(a[:, None] * a) == bits(np.outer(a, a))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(), st.floats())
 def test_literal_is_diag(a, b):
-    assert same_bits(np.array([[a, 0.0], [0.0, b]]), np.diag([a, b]))
+    assert bits(np.array([[a, 0.0], [0.0, b]])) == bits(np.diag([a, b]))
     x = np.array([a, b])
-    assert same_bits(np.array([[x[0], 0.0], [0.0, x[1]]]),
-                     np.diag([x[0], x[1]]))
+    assert bits(np.array([[x[0], 0.0], [0.0, x[1]]])) == \
+        bits(np.diag([x[0], x[1]]))
 
 
 def test_special_values():
@@ -160,14 +156,14 @@ def test_special_values():
             for b in vals:
                 u = np.array([a, b])
                 M = np.array([[a, b], [b, -a]])
-                assert same_bits(M.dot(u), M @ u)
-                assert same_bits(u.dot(M), u @ M)
-                assert same_bits(M.T.dot(M).dot(M), M.T @ M @ M)
-                assert same_bits(u[:, None] * u, np.outer(u, u))
+                assert bits(M.dot(u)) == bits(M @ u)
+                assert bits(u.dot(M)) == bits(u @ M)
+                assert bits(M.T.dot(M).dot(M)) == bits(M.T @ M @ M)
+                assert bits(u[:, None] * u) == bits(np.outer(u, u))
                 for c in vals:
                     v = np.array([c, -1.0])
-                    assert same_bits(u.dot(v), u @ v)
-                    assert same_bits(v.dot(u), u @ v)
+                    assert bits(u.dot(v)) == bits(u @ v)
+                    assert bits(v.dot(u)) == bits(u @ v)
 
 
 # -- the quadratics' halved matrix -------------------------------------------
@@ -197,7 +193,7 @@ def test_halved_matrix_quadratic_form(diagonal, data):
     b = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n,
                                     max_size=n)))
     with np.errstate(all="ignore"):
-        assert same_bits(x.dot(half_A).dot(x) + b.dot(x),
-                         (0.5 * x).dot(A).dot(x) + b.dot(x))
+        assert bits(x.dot(half_A).dot(x) + b.dot(x)) == \
+            bits((0.5 * x).dot(A).dot(x) + b.dot(x))
         if halving_is_exact(x):
-            assert same_bits(x.dot(half_A), (0.5 * x).dot(A))
+            assert bits(x.dot(half_A)) == bits((0.5 * x).dot(A))

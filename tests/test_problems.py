@@ -1,7 +1,6 @@
-import struct
-
 import numpy as np
 import pytest
+from helpers import bits
 
 from affinedescent.problems import (CATALOG_NAMES, catalog,
                                     inverse_barrier_optimum,
@@ -189,8 +188,7 @@ class TestQuadraticValue:
                   np.eye(obj.dim)[-1] * tiny]
         for x in points:
             x32 = x.astype(np.float32)
-            assert struct.pack("d", obj.value(x32)) == \
-                struct.pack("d", obj.value(x32.astype(float)))
+            assert bits(obj.value(x32)) == bits(obj.value(x32.astype(float)))
         if name == "quad_52":
             assert obj.value(np.array([0.0, tiny, 0.0],
                                       dtype=np.float32)) > 0.0
