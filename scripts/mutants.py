@@ -118,6 +118,14 @@ MUTANTS = [
     Mutant("optimizer.py", "if gnorm <= stop.tol_grad:",
            "if gnorm < stop.tol_grad:",
            "the run stops at gradient norm <= tol_grad"),
+    Mutant("line_search.py", "alpha = min(2.0 * alpha, spec.alpha_max)",
+           "alpha = min(4.0 * alpha, spec.alpha_max)",
+           "strong Wolfe's expansion doubles the trial step"),
+    Mutant("direction.py", "T_TANGENT = 1e12", "T_TANGENT = 2e12",
+           "the same fallback threshold is T = 1e12 and not twice that"),
+    Mutant("line_search.py", "if not 0.0 < self.c1 < self.c2 < 1.0:",
+           "if not 0.0 < self.c1 < self.c2 < 2.0:",
+           "strong Wolfe's c2 is below 1"),
 ]
 
 # Survivors that cannot change an observable result, by claim.

@@ -175,7 +175,7 @@ def _max_error(analytic: np.ndarray, fd: np.ndarray, scale) -> float:
     return err if isfinite(err) else inf
 
 
-def verify_derivatives(obj: Objective, points, rng=None,
+def verify_derivatives(obj: Objective, points, rng,
                        n_triples: int = 10) -> DerivativeReport:
     """Compare analytic derivatives against finite differences at the
     given points; the third derivative is probed along n_triples random
@@ -193,8 +193,6 @@ def verify_derivatives(obj: Objective, points, rng=None,
     error, as from a NaN or inf analytic derivative, is reported as inf
     and fails its check.
     """
-    if rng is None:
-        rng = np.random.default_rng(42)
     points = list(points)
     P, n = len(points), obj.dim
     dirs = rng.standard_normal((P, n_triples, 3, n))

@@ -105,7 +105,7 @@ def slice_region_2d(obj: Objective, z, C: float) -> SliceRegion:
                        centroid=centroid, frame=frame)
 
 
-def slice_centroid_direction(obj: Objective, z, delta: float = 1e-4) -> Vector:
+def slice_centroid_direction(obj: Objective, z, delta: float) -> Vector:
     """Direction estimate from the centroid of the slice at C = -delta,
     for a delta of at least 1e-9, so that the bisection's BISECT_TOL
     resolves the slice.

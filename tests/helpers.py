@@ -54,18 +54,6 @@ def outcome(fn, *args):
     return out, [(w.category, str(w.message)) for w in caught]
 
 
-def aligned(result):
-    """An outcome with matmul's wordings made dot's: of a length mismatch
-    in an error message, and of the function named in a warning."""
-    out, caught = result
-    if isinstance(out[0], type) and issubclass(out[0], Exception) and (
-            out[1].startswith("matmul: Input operand")
-            or " not aligned: " in out[1]):
-        out = (out[0], "operands not aligned")
-    return out, [(kind, message.replace("matmul", "dot"))
-                 for kind, message in caught]
-
-
 class Recorder:
     """An objective whose every oracle call is logged as (oracle, bytes of
     each argument), so that two call sequences compare bit for bit."""

@@ -159,7 +159,7 @@ class TestCases:
         def schur():
             raise AssertionError("a fallback evaluates no step scale")
 
-        for T in (direction.T_TANGENT, np.inf, np.nan):
+        for T in (direction.T_TANGENT, 1.5e12, np.inf, np.nan):
             res = _oriented_result(np.array([T, -1.0]), T, cls.det_sign,
                                    n_hat, 1.0, cls.scale, schur, 1.0)
             assert bits(res) == bits(_fallback_result(n_hat))

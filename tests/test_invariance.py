@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import (direction_covariance_angle, random_gl_plus,
+from helpers import (bits, direction_covariance_angle, random_gl_plus,
                      rotated_quartic)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,13 +40,35 @@ class TestComposeScaled:
         scaled = compose_scaled(BASE, B)
         rng = np.random.default_rng(2)
         pts = [scaled.x0 + 0.2 * rng.uniform(-1, 1, size=2) for _ in range(4)]
-        assert verify_derivatives(scaled.objective, pts).ok
+        assert verify_derivatives(scaled.objective, pts,
+                                  rng=np.random.default_rng(42)).ok
 
     def test_start_and_reference_map_through_inverse(self):
         B = np.diag([1.0, 10.0])
         scaled = compose_scaled(BASE, B)
         assert np.allclose(B @ scaled.x0, BASE.x0)
         assert np.allclose(B @ scaled.x_star, BASE.x_star)
+
+    def test_catalog_starts_and_optima_map_to_the_bit(self):
+        """x0 and x_star are inv(B) @ y0 and inv(B) @ y_star to the bit, and
+        f_star is the base's, on every catalog problem, for B with entries
+        over six decades, C- or F-ordered."""
+        rng = np.random.default_rng(6)
+        for name in CATALOG_NAMES:
+            base = catalog(name)
+            dim = base.objective.dim
+            for order in ("C", "F"):
+                B = rng.standard_normal((dim, dim)) \
+                    * 10.0 ** rng.uniform(-3.0, 3.0)
+                if np.linalg.det(B) <= 0.0:
+                    B[0] = -B[0]
+                B = np.asarray(B, order=order)
+                scaled = compose_scaled(base, B)
+                Binv = np.linalg.inv(B)
+                assert bits(scaled.x0) == bits(Binv @ base.x0), name
+                if base.x_star is not None:
+                    assert bits(scaled.x_star) == bits(Binv @ base.x_star)
+                assert bits(scaled.f_star) == bits(base.f_star), name
 
     def test_singular_or_reflecting_matrix_rejected(self):
         with pytest.raises(ValueError, match=r"det\(B\) = 0 must be positive"):

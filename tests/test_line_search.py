@@ -22,6 +22,19 @@ def recorded(fn, calls):
     return wrapper
 
 
+def falls_to_a_ledge(ledge, after):
+    """phi(a) = -a up to the ledge and `after` from there on; dphi = -1, so
+    the curvature condition never holds and the search must bracket the
+    ledge."""
+    def phi(a):
+        return -a if a < ledge else after
+
+    def dphi(a):
+        return -1.0
+
+    return phi, dphi
+
+
 class TestSpecValidation:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -40,6 +53,8 @@ class TestSpecValidation:
             StrongWolfeSearch(c1=0.5, c2=0.5)
         with pytest.raises(ValueError):
             StrongWolfeSearch(c1=0.0)
+        with pytest.raises(ValueError):
+            StrongWolfeSearch(c2=1.0)
         with pytest.raises(ValueError):
             FixedStep(alpha=0.0)
 
@@ -222,9 +237,13 @@ class TestStrongWolfe:
         """phi(a) = -a + a^2/4 at a = 1 decreases enough, and |phi'(1)| =
         0.5 is within c2 = 0.9 of |phi'(0)| = 1 but not within c1 = 1e-4:
         the first trial is accepted, where a test that read c1 would go on
-        to phi's minimizer at 2."""
-        res = self.check(lambda a: -a + 0.25 * a * a, lambda a: -1.0 + 0.5 * a)
-        assert (res.alpha, res.evals) == (1.0, 2)
+        to phi's minimizer at 2. At c2 = 0.5, |phi'(1)| lies on the bound,
+        which the curvature condition includes."""
+        for c2 in (0.9, 0.5):
+            res = self.check(lambda a: -a + 0.25 * a * a,
+                             lambda a: -1.0 + 0.5 * a,
+                             StrongWolfeSearch(c2=c2))
+            assert (res.alpha, res.evals) == (1.0, 2)
 
     def test_narrow_quadratic_needs_zoom(self):
         # minimizer at 0.05: alpha=1 violates sufficient decrease
@@ -238,6 +257,16 @@ class TestStrongWolfe:
         res = self.check(lambda a: (a - 4.0) ** 2, lambda a: 2.0 * (a - 4.0),
                          StrongWolfeSearch(c2=0.1))
         assert res.alpha > 1.0
+
+    def test_expansion_doubles_the_trial_step(self):
+        """On the same flat tail, each bracketing trial is twice the last:
+        phi is called at 0, 1, 2 and 4, where the minimizer is accepted."""
+        calls = []
+        res = self.check(recorded(lambda a: (a - 4.0) ** 2, calls),
+                         lambda a: 2.0 * (a - 4.0), StrongWolfeSearch(c2=0.1))
+        assert res.alpha == 4.0
+        # the search's own calls; check evaluates phi(0) once more
+        assert calls[:res.evals] == [0.0, 1.0, 2.0, 4.0]
 
     def test_domain_wall_is_bracketed_through(self):
         def phi(a):
@@ -284,3 +313,32 @@ class TestStrongWolfe:
         dphi = lambda a: curv * (a - t)
         self.check(phi, dphi)
 
+    def test_ledge_past_the_square_root_of_the_float_maximum(self):
+        """Squaring a zoom bracket wider than ~1.34e154 overflows a float;
+        the search bisects such a bracket and returns the best point it
+        found below the ledge at 1e200."""
+        calls = []
+        phi, dphi = falls_to_a_ledge(1e200, 0.0)
+        res = strong_wolfe_search(recorded(phi, calls), dphi,
+                                  StrongWolfeSearch(alpha_max=1e300))
+        assert res.status is LineSearchStatus.ZOOM_FAILED
+        assert 0.0 < res.alpha < 1e200
+        assert res.f_new == -res.alpha
+        assert res.evals == len(calls)
+
+    def test_wide_brackets_return_a_status(self):
+        """Ledges and steps from 1e-3 to 1e300: the search returns a status,
+        and counts every phi call, without raising."""
+        rng = np.random.default_rng(13)
+        draws = zip(rng.uniform(-3.0, 300.0, (300, 3)).tolist(),
+                    rng.choice([0.0, math.inf], 300).tolist(),
+                    rng.uniform(1e-6, 0.5, 300).tolist())
+        for (log_ledge, log_alpha0, log_max), after, c1 in draws:
+            calls = []
+            phi, dphi = falls_to_a_ledge(10.0 ** log_ledge, after)
+            res = strong_wolfe_search(
+                recorded(phi, calls), dphi,
+                StrongWolfeSearch(c1=c1, alpha0=10.0 ** log_alpha0,
+                                  alpha_max=10.0 ** log_max))
+            assert isinstance(res.status, LineSearchStatus)
+            assert res.evals == len(calls)

@@ -508,8 +508,9 @@ class TestPolyakLojasiewicz:
 
     def test_helper_derivatives_and_nonconvexity(self):
         p = pl_problem((1.2, -2.0))
-        assert verify_derivatives(p.objective, [np.array(s)
-                                                for s in self.STARTS]).ok
+        assert verify_derivatives(p.objective,
+                                  [np.array(s) for s in self.STARTS],
+                                  rng=np.random.default_rng(42)).ok
         assert p.objective.hessian(p.x0)[0, 0] < 0.0
 
     @pytest.mark.parametrize("ls", [ExactSearch(), ArmijoSearch(),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import bits
+from helpers import bits, outcome
 
 from affinedescent.problems import (CATALOG_NAMES, catalog,
                                     inverse_barrier_optimum,
@@ -192,3 +192,94 @@ class TestQuadraticValue:
         if name == "quad_52":
             assert obj.value(np.array([0.0, tiny, 0.0],
                                       dtype=np.float32)) > 0.0
+
+
+ORACLES = ("value", "gradient", "hessian", "third_directional", "in_domain")
+
+
+def magnitudes(rng, dim):
+    """Entries that are each +-0, ordinary (|a| <= 3) or +-10**e with e
+    uniform over the whole double range, from the subnormals to 1.8e308."""
+    kind = rng.integers(0, 3, dim)
+    return np.where(kind == 0, rng.choice([0.0, -0.0], dim),
+                    np.where(kind == 1, rng.uniform(-3.0, 3.0, dim),
+                             rng.choice([-1.0, 1.0], dim)
+                             * 10.0 ** rng.uniform(-323.5, 308.25, dim)))
+
+
+class TestOracles:
+    """What each catalog oracle hands its caller."""
+
+    def test_each_hessian_call_returns_an_array_of_its_own(self):
+        """A caller may write into a Hessian: two calls share no memory,
+        and a later call's bits are unchanged."""
+        rng = np.random.default_rng(10)
+        for name in CATALOG_NAMES:
+            obj = catalog(name).objective
+            for x in magnitudes(rng, (5, obj.dim)):
+                with np.errstate(all="ignore"):
+                    first, second = obj.hessian(x), obj.hessian(x)
+                    want = bits(second)
+                    assert not np.shares_memory(first, second), name
+                    first[...] = 7.0
+                    second[...] = 7.0
+                    assert bits(obj.hessian(x)) == want, name
+
+    def test_lists_and_tuples_give_the_bits_of_arrays(self):
+        """Each point argument may be a list or a tuple, with the bits of
+        the float64 array, except where an oracle scales x as a whole: the
+        quadratics' value and the gradients of poly6 and ring_tilted need
+        an array x."""
+        whole_x = {("quad_well", "value"), ("quad_51", "value"),
+                   ("quad_52", "value"), ("poly6", "gradient"),
+                   ("ring_tilted", "gradient")}
+        rng = np.random.default_rng(11)
+        for name in CATALOG_NAMES:
+            obj = catalog(name).objective
+            for arrays in rng.uniform(-3.0, 3.0, (10, 4, obj.dim)):
+                args = [(list, tuple)[rng.integers(2)](a.tolist())
+                        if rng.random() < 0.75 else a for a in arrays]
+                for kind in ORACLES:
+                    n = 4 if kind == "third_directional" else 1
+                    oracle = getattr(obj, kind)
+                    if (name, kind) in whole_x:
+                        with pytest.raises((AttributeError, TypeError)):
+                            oracle(arrays[0].tolist())
+                        continue
+                    if kind == "in_domain":   # a bool or numpy's bool
+                        assert oracle(*args[:1]) == oracle(*arrays[:1])
+                        continue
+                    assert outcome(oracle, *args[:n]) == \
+                        outcome(oracle, *arrays[:n]), (name, kind)
+
+    def test_overflow_gives_inf_or_nan_not_an_error(self):
+        """At points with entries from the subnormals to 1.8e308, as float64,
+        float32 (entries past its range become +-inf) or int64 vectors,
+        every oracle returns: a float, an array of the problem's shape or a
+        bool. An overflow gives numpy's inf or NaN, never a bare
+        OverflowError from a Python float."""
+        rng = np.random.default_rng(12)
+        non_finite = 0
+        for name in CATALOG_NAMES:
+            obj = catalog(name).objective
+            n = obj.dim
+            for _ in range(50):
+                with np.errstate(over="ignore"):
+                    draws = [magnitudes(rng, (4, n)),
+                             magnitudes(rng, (4, n)).astype(np.float32),
+                             rng.integers(-10 ** 18, 10 ** 18, (4, n))
+                             // 10 ** rng.integers(0, 19, (4, n))]
+                for x, u, v, w in draws:
+                    with np.errstate(all="ignore"):
+                        f = obj.value(x)
+                        g = obj.gradient(x)
+                        H = obj.hessian(x)
+                        t = obj.third_directional(x, u, v, w)
+                        inside = obj.in_domain(x)
+                    assert type(f) is float and type(t) is float, name
+                    assert g.shape == (n,) and H.shape == (n, n), name
+                    assert inside in (True, False), name
+                    if x.dtype == np.float64:
+                        assert g.dtype == H.dtype == np.float64, name
+                    non_finite += not np.isfinite(f)
+        assert non_finite > 100

@@ -99,7 +99,8 @@ def test_per_call_records_are_immutable():
         direction.descent_direction(obj, p.x0),
         line_search.exact_search(lambda a: (a - 1.0) ** 2,
                                  line_search.ExactSearch()),
-        objective.verify_derivatives(obj, [p.x0]),
+        objective.verify_derivatives(obj, [p.x0],
+                                     rng=np.random.default_rng(42)),
         report.records[0],
         report,
         slice_centroid.slice_region_2d(obj, p.x0, -1e-3),
@@ -134,11 +135,12 @@ ENTRY_POINTS = {
     "newton_direction": direction.newton_direction,
     "slice_region_2d": lambda obj, x: slice_centroid.slice_region_2d(
         obj, x, -1e-3),
-    "slice_centroid_direction": slice_centroid.slice_centroid_direction,
+    "slice_centroid_direction":
+        lambda obj, x: slice_centroid.slice_centroid_direction(obj, x, 1e-4),
     "fd_gradient": objective.fd_gradient,
     "fd_hessian": objective.fd_hessian,
     "verify_derivatives": lambda obj, x: objective.verify_derivatives(
-        obj, [x]),
+        obj, [x], rng=np.random.default_rng(42)),
     "Problem_x0": lambda obj, x: problems.Problem(
         "p", obj, x, None, None, ""),
     "Problem_x_star": lambda obj, x: problems.Problem(

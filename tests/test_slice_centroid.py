@@ -1,16 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import quadratic
 
-from affinedescent.errors import EmptySlice
+from affinedescent.errors import AffineDescentError, EmptySlice
 from affinedescent import slice_centroid
 from affinedescent.problems import CATALOG_NAMES, catalog
-from affinedescent.slice_centroid import (slice_centroid_direction,
+from affinedescent.slice_centroid import (BISECT_TOL,
+                                          slice_centroid_direction,
                                           slice_region_2d)
 
 
 def isotropic_bowl():
     return quadratic(np.eye(2))
+
+
+def banded(value, z, k):
+    """value, but NaN and +inf in alternate parallel bands of the plane,
+    about 2 pi / (1.2 k) apart."""
+    def holed(x):
+        s = np.sin(k * (x[0] - z[0]) + 0.7 * k * (x[1] - z[1]))
+        return np.nan if s > 0.8 else np.inf if s < -0.8 else value(x)
+    return holed
 
 
 class TestSliceRegion:
@@ -100,6 +112,49 @@ class TestSliceRegion:
             assert all(b > a for a, b in region.intervals)
             assert region.total_length > 0.0
 
+    def test_edges_lie_within_bisect_tol_of_a_feasibility_change(self):
+        """Each edge short of the window's ends lies within BISECT_TOL of a
+        feasible and an infeasible point that the scan evaluated, on the
+        2-D catalog near each start, and where the value is NaN or +inf in
+        bands across the line (both compare infeasible)."""
+        rng = np.random.default_rng(8)
+        edges = 0
+        for name in CATALOG_NAMES:
+            p = catalog(name)
+            if p.objective.dim != 2:
+                continue
+            for holes in (None, 20.0):
+                z = p.x0 + 0.05 * rng.uniform(-1.0, 1.0, 2)
+                value = p.objective.value if holes is None else \
+                    banded(p.objective.value, z, holes)
+                seen = []
+
+                def logged(x, value=value):
+                    seen.append((np.array(x), value(x)))
+                    return seen[-1][1]
+
+                obj = replace(p.objective, value=logged)
+                for C in (-1e-3, 1e-2):
+                    seen.clear()
+                    try:
+                        region = slice_region_2d(obj, z, C)
+                    except AffineDescentError:   # e.g. an empty slice
+                        continue
+                    frame = region.frame
+                    R = slice_centroid._auto_window(p.objective, z, abs(C),
+                                                   frame)
+                    foot = z + (C / frame.grad_norm) * frame.normal
+                    (_, f0), *scan = seen
+                    points, values = zip(*scan)
+                    t = (np.array(points) - foot) @ frame.tangent[:, 0]
+                    inside = np.array(values) <= f0
+                    for edge in np.ravel(region.intervals):
+                        if abs(edge) != R:
+                            near = inside[np.abs(t - edge) <= BISECT_TOL]
+                            assert near.any() and not near.all(), (name, C)
+                            edges += 1
+        assert edges > 200
+
     def test_empty_slice_raises(self):
         obj = isotropic_bowl()
         with pytest.raises(EmptySlice):
@@ -154,10 +209,6 @@ class TestSliceParams:
 class TestSliceDirection:
     def test_bowl_gives_inward_radial_direction(self):
         obj = isotropic_bowl()
-        v = slice_centroid_direction(obj, np.array([2.0, 0.0]), delta=1e-3)
-        assert np.allclose(v, np.array([-1.0, 0.0]), atol=1e-6)
-
-    def test_default_params_used_when_omitted(self):
-        obj = isotropic_bowl()
-        v = slice_centroid_direction(obj, np.array([2.0, 0.0]))
-        assert np.allclose(v, np.array([-1.0, 0.0]), atol=1e-5)
+        for delta, atol in ((1e-3, 1e-6), (1e-4, 1e-5)):
+            v = slice_centroid_direction(obj, np.array([2.0, 0.0]), delta)
+            assert np.allclose(v, np.array([-1.0, 0.0]), atol=atol)
