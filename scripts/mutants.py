@@ -54,8 +54,8 @@ MUTANTS = [
     Mutant("direction.py", "rhs = block.c - (frame.grad_norm",
            "rhs = block.c + (frame.grad_norm",
            "the third-derivative correction is subtracted from c"),
-    Mutant("line_search.py", "max_slope = -spec.c2 * dphi0",
-           "max_slope = -spec.c1 * dphi0",
+    Mutant("line_search.py", "max_slope = -c2 * dphi0",
+           "max_slope = -c1 * dphi0",
            "strong Wolfe's curvature test reads c2"),
     Mutant("line_search.py",
            "f_trial <= f0 + spec.sigma * alpha * dphi0:",
@@ -118,14 +118,17 @@ MUTANTS = [
     Mutant("optimizer.py", "if gnorm <= stop.tol_grad:",
            "if gnorm < stop.tol_grad:",
            "the run stops at gradient norm <= tol_grad"),
-    Mutant("line_search.py", "alpha = min(2.0 * alpha, spec.alpha_max)",
-           "alpha = min(4.0 * alpha, spec.alpha_max)",
+    Mutant("line_search.py", "alpha = min(2.0 * alpha, alpha_max)",
+           "alpha = min(4.0 * alpha, alpha_max)",
            "strong Wolfe's expansion doubles the trial step"),
     Mutant("direction.py", "T_TANGENT = 1e12", "T_TANGENT = 2e12",
            "the same fallback threshold is T = 1e12 and not twice that"),
     Mutant("line_search.py", "if not 0.0 < self.c1 < self.c2 < 1.0:",
            "if not 0.0 < self.c1 < self.c2 < 2.0:",
            "strong Wolfe's c2 is below 1"),
+    Mutant("numerics.py", "if not math.isfinite(gnorm):",
+           "if math.isnan(gnorm):",
+           "the gradient frame rejects an infinite or overflowing norm"),
 ]
 
 # Survivors that cannot change an observable result, by claim.
@@ -156,7 +159,9 @@ def run_suite(src: Path) -> tuple[bool, str]:
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
              "no:cacheprovider", str(ROOT / "tests")],
             cwd=cwd, env=env, capture_output=True, text=True, check=False)
-    failed = [line.split()[1] for line in proc.stdout.splitlines()
+    # "FAILED <id> - <reason>", where a parametrized id may hold spaces
+    failed = [line.split(" ", 1)[1].split(" - ", 1)[0]
+              for line in proc.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
     if not failed:
         return proc.returncode == 0, ""

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import NonFiniteHessian, NonFiniteThird, SingularHessian
 from .numerics import (NON_FINITE_MATRIX, DefinitenessTag, Frame, Matrix,
-                       SymmetricClass, Vector, as_vector, build_gradient_frame,
-                       classify_symmetric, definiteness_tag, norm2,
-                       solve_symmetric)
+                       SymmetricClass, Vector, all_finite, as_vector,
+                       build_gradient_frame, classify_symmetric,
+                       definiteness_tag, norm2, solve_symmetric)
 from .objective import Objective
 
 # d = tangent @ tau - n_hat has ||d||^2 = 1 + T^2 for T = ||tau||: from
@@ -66,7 +66,7 @@ def _hessian(obj: Objective, x: Vector) -> Matrix:
     # checked here: classify_symmetric's ValueError reads as NonFiniteHessian
     if H.shape != (obj.dim, obj.dim):
         raise ValueError(f"Hessian oracle returned shape {H.shape}")
-    if not np.isfinite(H).all():
+    if not all_finite(H):
         raise NonFiniteHessian("Hessian has infs or NaNs")
     return H
 
@@ -126,13 +126,13 @@ def _tau(obj: Objective, x: Vector, block: BlockHessian,
     frame = block.frame
     m = block.B.shape[0]
     M3 = _third_tensor_tangent(obj, x, frame)
-    if not np.isfinite(M3).all():
+    if not all_finite(M3):
         raise NonFiniteThird(_NON_FINITE_THIRD)
     Binv_M = solve_symmetric(cls_B, M3.reshape(m, m * m)).reshape(m, m, m)
     # s_i = sum_pq (B^-1)_pq D3[t_p, t_q, t_i] = trace of the solved slab.
     s = np.einsum("ppi->i", Binv_M)
     rhs = block.c - (frame.grad_norm / (m + 2.0)) * s
-    if not np.isfinite(rhs).all():
+    if not all_finite(rhs):
         raise NonFiniteThird(_NON_FINITE_CORRECTION)
     return solve_symmetric(cls_B, rhs)
 

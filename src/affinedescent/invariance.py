@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .line_search import LineSearchSpec
-from .numerics import as_vector, norm2
+from .numerics import all_finite, as_vector, norm2
 from .objective import make_objective
 from .optimizer import RunReport, yand_run
 from .problems import Problem
@@ -28,7 +28,7 @@ def compose_scaled(base: Problem, B) -> Problem:
     dim = base.objective.dim
     if B.shape != (dim, dim):
         raise ValueError(f"B must be {dim}x{dim}, got shape {B.shape}")
-    if not np.isfinite(B).all():
+    if not all_finite(B):
         raise ValueError("B must not contain infs or NaNs")
     det = float(np.linalg.det(B))
     if det <= 0.0:
@@ -39,8 +39,7 @@ def compose_scaled(base: Problem, B) -> Problem:
     with np.errstate(over="ignore", invalid="ignore"):
         x0 = Binv @ as_vector(base.x0)
         x_star = None if base.x_star is None else Binv @ base.x_star
-    if not all(np.isfinite(a).all() for a in (Binv, x0, x_star)
-               if a is not None):
+    if not all(all_finite(a) for a in (Binv, x0, x_star) if a is not None):
         raise ValueError("B must have a finite inverse that maps x0 and "
                          "x_star to finite points")
     BT = B.T

@@ -238,6 +238,10 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
     alpha0 and phi(0)) is returned with status ZoomFailed. A slope dphi(0)
     that is not negative returns NotDescent before phi is evaluated.
     """
+    # Python floats, so that the zoom's float ** raises OverflowError
+    # where a numpy float would warn
+    c1, c2 = float(spec.c1), float(spec.c2)
+    alpha0, alpha_max = float(spec.alpha0), float(spec.alpha_max)
     dphi0 = dphi(0.0)
     if not dphi0 < 0.0:   # NaN included
         return LineSearchResult(alpha=0.0, f_new=nan, evals=0,
@@ -245,14 +249,14 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
     f0 = phi(0.0)
     evals = 1
     best = None   # the sufficient-decrease trial with the lowest phi
-    max_slope = -spec.c2 * dphi0   # curvature holds where |dphi| <= max_slope
+    max_slope = -c2 * dphi0   # curvature holds where |dphi| <= max_slope
 
     def trial(alpha: float) -> tuple[float, bool]:
         """phi(alpha), counted, and whether it gives sufficient decrease."""
         nonlocal evals, best
         f = phi(alpha)
         evals += 1
-        ok = isfinite(f) and f <= f0 + spec.c1 * alpha * dphi0
+        ok = isfinite(f) and f <= f0 + c1 * alpha * dphi0
         if ok and (best is None or f < best[1]):
             best = (alpha, f)
         return f, ok
@@ -261,7 +265,7 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
     # hi the other end of the bracket, once there is one.
     lo, f_lo, d_lo = 0.0, f0, dphi0
     hi = f_hi = None
-    alpha = min(spec.alpha0, spec.alpha_max)
+    alpha = min(alpha0, alpha_max)
     while True:
         f, ok = trial(alpha)
         # after the first trial, lo > 0 and phi must keep falling
@@ -275,10 +279,10 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
         if d >= 0.0:
             lo, f_lo, d_lo, hi, f_hi = alpha, f, d, lo, f_lo
             break
-        if alpha >= spec.alpha_max:
+        if alpha >= alpha_max:
             break
         lo, f_lo, d_lo = alpha, f, d
-        alpha = min(2.0 * alpha, spec.alpha_max)
+        alpha = min(2.0 * alpha, alpha_max)
 
     if hi is not None:
         for _ in range(MAX_ZOOM):
@@ -308,6 +312,6 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
             if d * (hi - lo) >= 0.0:
                 hi, f_hi = lo, f_lo
             lo, f_lo, d_lo = alpha, f, d
-    alpha, f = best if best is not None else (spec.alpha0, f0)
+    alpha, f = best if best is not None else (alpha0, f0)
     return LineSearchResult(alpha=alpha, f_new=f, evals=evals,
                             status=LineSearchStatus.ZOOM_FAILED)

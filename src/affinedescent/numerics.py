@@ -64,6 +64,14 @@ def norm2(v) -> float:
     return scale * math.sqrt(w.dot(w))
 
 
+def all_finite(a) -> bool:
+    """Whether every entry of the array a is finite: the package's one
+    array-finiteness test. It counts the finite entries, which costs less
+    than the dispatch of an all() reduction."""
+    finite = np.isfinite(a)
+    return np.count_nonzero(finite) == finite.size
+
+
 def positive_finite(name: str, value) -> None:
     """Raise ValueError unless 0 < value < inf; NaN fails the test."""
     if not 0.0 < value < math.inf:
@@ -94,16 +102,17 @@ def build_gradient_frame(grad) -> Frame:
     n-1 columns are the tangent vectors, and the unit gradient itself is
     stored as the last column in place of s times the reflection's.
     Deterministic in the input bits; at n = 2 it computes the same bits in
-    scalars. Raises ValueError below dimension 2 or on non-finite entries,
-    and ZeroGradient when the norm is numerically zero.
+    scalars. Raises ValueError below dimension 2 or on non-finite entries
+    or norm (finite entries near the float maximum can overflow it), and
+    ZeroGradient when the norm is numerically zero.
     """
     g = as_vector(grad)
     if g.size < 2:
         raise ValueError(
             f"frame construction needs dimension >= 2, got {g.size}")
-    if not np.isfinite(g).all():
-        raise ValueError("gradient has non-finite entries")
-    gnorm = norm2(g)
+    gnorm = norm2(g)   # inf or NaN exactly when an entry is, or it overflows
+    if not math.isfinite(gnorm):
+        raise ValueError("gradient has non-finite entries or norm")
     if gnorm <= ZERO_GRAD_FLOOR:
         raise ZeroGradient(f"gradient norm {gnorm:g} below {ZERO_GRAD_FLOOR:g}")
     n_hat = g / gnorm
@@ -213,7 +222,7 @@ def solve_spd(cls: SymmetricClass, rhs) -> Vector:
         raise ValueError(f"solve_spd needs a positive definite matrix, got "
                          f"tag={cls.tag.value}")
     b = np.asarray(rhs, dtype=float)
-    if not np.isfinite(b).all():
+    if not all_finite(b):
         raise ValueError("right-hand side must not contain infs or NaNs")
     return W.dot(W.T.dot(b))
 

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainViolation
-from .numerics import Vector, as_vector
+from .numerics import Vector, all_finite, as_vector
 
 ValueFn = Callable[[Vector], float]
 GradFn = Callable[[Vector], Vector]
@@ -124,7 +124,9 @@ def _fd_third_rows(obj: Objective, x: Vector,
     Every stencil point x +- h u is built in one broadcast; the Hessian is
     then evaluated at each pair, triple by triple. The contraction sums
     from +0 as matmul does: dot multiplies 1-element operands as scalars,
-    which would give -0 for a zero product in one dimension."""
+    which would give -0 for a zero product in one dimension. Both
+    Hessians are checked before their difference is taken: inf - inf would
+    warn before the DomainViolation is raised."""
     step = THIRD_H * triples[:, 0]
     plus = x + step
     minus = x - step
@@ -134,19 +136,10 @@ def _fd_third_rows(obj: Objective, x: Vector,
             raise DomainViolation("Hessian stencil left the domain")
         hp = np.asarray(obj.hessian(xp), dtype=float)
         hm = np.asarray(obj.hessian(xm), dtype=float)
-        if not (_all_finite(hp) and _all_finite(hm)):
+        if not (all_finite(hp) and all_finite(hm)):
             raise DomainViolation("Hessian stencil produced non-finite entries")
         out[k] = (0.0 + float(v.dot(hp - hm).dot(w))) / (2.0 * THIRD_H)
     return out
-
-
-def _all_finite(a) -> bool:
-    """np.isfinite(a).all() without the dispatch cost of a reduction.
-
-    Both Hessians are checked before their difference is taken: inf - inf
-    would warn before the DomainViolation is raised."""
-    finite = np.isfinite(a)
-    return np.count_nonzero(finite) == finite.size
 
 
 GRAD_TOL = 1e-7

@@ -1,6 +1,5 @@
 from dataclasses import replace
 from math import sqrt
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -281,39 +280,6 @@ class TestCases:
             newton_direction(obj, x, regularize=True)
 
 
-def gd_sign_oriented_result(gd, d, T, omega, n_hat, gnorm, scale, schur,
-                            d_nn):
-    """_oriented_result as it decided the case before reading it from the
-    orientation sign alone, the g.d-sign rule: inner = omega * g.d against
-    the band |inner| <= ||g|| ||d|| / T_TANGENT, AN below it and FlippedAN
-    above it; by ||d||^2 = 1 + T^2 that band is T >= T_TANGENT. The two
-    rules agree but for rounding at the band's edge: g.d = -||g|| rounds to
-    a value above the band only where its error exceeds ||g||, at ||d|| far
-    past T_TANGENT, where both fall back."""
-    inner = omega * gd
-    if not direction.T_TANGENT * abs(inner) > gnorm * norm2(d):
-        return _fallback_result(n_hat)
-    case = DirectionCase.AN if inner < 0.0 else DirectionCase.FLIPPED_AN
-    s = schur()
-    floor = direction.SCALE_FLOOR * max(scale, abs(d_nn))
-    step_scale = gnorm / s if s > floor else 1.0
-    return DirectionResult(d=d, case=case, T=T, step_scale=step_scale)
-
-
-def assert_gd_sign_rule_agrees(paths, obj, x):
-    """Each path gives the same outcome, oracle calls included, under the
-    g.d-sign rule. g is evaluated here, outside the recorded calls, since
-    the package reads no g.d."""
-    g = np.asarray(obj.gradient(x), dtype=float)
-
-    def gd_sign_rule(d, *args):
-        return gd_sign_oriented_result(float(d @ g), d, *args)
-
-    new = [logged_outcome(path, obj, x) for path in paths]
-    with patch.object(direction, "_oriented_result", gd_sign_rule):
-        assert [logged_outcome(path, obj, x) for path in paths] == new
-
-
 def logged_outcome(path, obj, x):
     """The outcome of one direction path together with its oracle calls."""
     rec = Recorder(obj)
@@ -328,17 +294,15 @@ def default_matrix_path(obj, x):
 
 
 def assert_planar_is_matrix_path(obj, x):
-    """The same outcome on both paths, under the case rule and under the
-    g.d-sign rule it replaced: the planar path's T = |tau| has the bits of
-    the matrix path's norm2 of the 1-entry tau. The oracle calls are the
-    same but for the planar path's second gradient call at x, which the
-    matrix path saves by building its frame from the gradient it holds."""
+    """The same outcome on both paths: the planar path's T = |tau| has the
+    bits of the matrix path's norm2 of the 1-entry tau. The oracle calls
+    are the same but for the planar path's second gradient call at x,
+    which the matrix path saves by building its frame from the gradient it
+    holds."""
     planar = logged_outcome(_planar_direction, obj, x)
     out, calls = logged_outcome(default_matrix_path, obj, x)
     assert calls[0][0] == "gradient"
     assert planar == (out, calls[:1] + calls)
-    assert_gd_sign_rule_agrees([_planar_direction, default_matrix_path],
-                                obj, x)
 
 
 def one_entry_norm(t):
@@ -661,7 +625,6 @@ def assert_descent_characterized(obj, x):
     error scales with ||d||, not with ||g|| alone. At most 2 eps ||g|| ||d||
     was seen over 8,744 such draws. A flat 1e-8 ||g|| fails where T is
     huge: ||d|| = 4.7e10 on a coupled quartic gave 1.2e-6 ||g||."""
-    assert_gd_sign_rule_agrees([descent_direction], obj, x)
     res = descent_direction(obj, x)
     if res.case is DirectionCase.STEEPEST_FALLBACK:
         return
@@ -677,7 +640,7 @@ def assert_descent_characterized(obj, x):
 class TestDescentCharacterization:
     """The paper's descent characterization: AN or FlippedAN is the
     orientation sign, and the oriented direction descends with g.d =
-    -||g||, in agreement with the g.d-sign rule."""
+    -||g||."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(CATALOG_NAMES), st.integers(0, 2 ** 32 - 1))

@@ -47,6 +47,11 @@ BAD_INPUT = {
                   "frame construction needs dimension >= 2, got 1"),
     "non-finite gradient": (lambda: build_gradient_frame([np.nan, 1.0]),
                             "gradient has non-finite entries"),
+    "infinite gradient": (lambda: build_gradient_frame([1.0, -np.inf, 0.0]),
+                          "gradient has non-finite entries"),
+    "overflowing gradient norm": (
+        lambda: build_gradient_frame([1.7976931348623157e308] * 2),
+        "gradient has non-finite entries or norm"),
     "B overflowing x0": (
         lambda: compose_scaled(catalog("strongly_convex_base"),
                                np.diag([6e-309, 1.0])),

@@ -326,6 +326,20 @@ class TestStrongWolfe:
         assert res.f_new == -res.alpha
         assert res.evals == len(calls)
 
+    def test_numpy_float_spec_searches_as_python_floats(self):
+        """A spec of numpy floats passes validation. The search reads each
+        field as a Python float, so it bisects the ledge bracket past
+        1.34e154 as it does for Python floats, with no overflow warning
+        from a numpy power."""
+        phi, dphi = falls_to_a_ledge(1e200, 0.0)
+        fields = dict(c1=1e-4, c2=0.9, alpha0=1.0, alpha_max=1e300)
+        want = strong_wolfe_search(phi, dphi, StrongWolfeSearch(**fields))
+        got = strong_wolfe_search(phi, dphi, StrongWolfeSearch(
+            **{k: np.float64(v) for k, v in fields.items()}))
+        assert want.status is LineSearchStatus.ZOOM_FAILED
+        assert (got.status, got.alpha, got.evals) == \
+            (want.status, want.alpha, want.evals)
+
     def test_wide_brackets_return_a_status(self):
         """Ledges and steps from 1e-3 to 1e300: the search returns a status,
         and counts every phi call, without raising."""

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from affinedescent.errors import ZeroGradient
-from affinedescent.numerics import (DefinitenessTag, angle_between,
-                                    as_vector, build_gradient_frame,
+from affinedescent.numerics import (DefinitenessTag, all_finite,
+                                    angle_between, as_vector,
+                                    build_gradient_frame,
                                     classify_symmetric, norm2, solve_spd,
                                     solve_symmetric)
 
@@ -335,6 +336,37 @@ def test_norm2_overflow_warns_nothing():
                                      ([np.nan, 1e200], np.nan)])
 def test_norm2_of_a_non_finite_vector(v, want):
     assert norm2(np.array(v)) == pytest.approx(want, nan_ok=True)
+
+
+def test_all_finite_is_isfinite_all():
+    """all_finite(a) is bool(np.isfinite(a).all()) on seeded arrays of NaN
+    payloads of either sign, +-inf, +-0, subnormals and +-float max, of
+    every shape from 0-d to empty, on strided views, and on int and bool
+    arrays."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                     0x7FF0000000000001, 0xFFF0DEADBEEF0001],
+                    dtype=np.uint64).view(np.float64)
+    tiny = np.finfo(float).smallest_subnormal
+    big = np.finfo(float).max
+    pool = np.concatenate([nans, [np.inf, -np.inf, 0.0, -0.0, tiny, -tiny,
+                                  1e-310, big, -big, 1.0, -2.5]])
+    rng = np.random.default_rng(42)
+    cases = [np.array(v) for v in pool]
+    cases += [np.empty(0), np.empty((0, 3)), np.arange(6),
+              np.array([True, False]), np.array(True), np.array(7)]
+    for _ in range(300):
+        shape = tuple(rng.integers(0, 5, size=rng.integers(1, 4)))
+        # mostly finite entries, so both outcomes occur
+        a = rng.choice(pool[len(nans) + 2:], size=shape)
+        hole = rng.random(shape) < 0.02
+        a[hole] = rng.choice(pool, size=int(hole.sum()))
+        cases += [a, a.T, a[::2], a[..., ::-1]]
+    outcomes = set()
+    for a in cases:
+        want = bool(np.isfinite(a).all())
+        assert all_finite(a) == want, a
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_as_vector_rejects_a_matrix():
