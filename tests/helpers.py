@@ -1,6 +1,6 @@
-"""The test modules' shared families, maps and stand-in problems, the
-direction's covariance angle under a map, and the one rule for "the same
-bits".
+"""The test modules' ridge-sum builder, shared families, maps and
+stand-in problems, the direction's covariance angle under a map, and the
+one rule for "the same bits".
 
 Test modules import these as `from helpers import ...`; no test module
 imports another. Each helper draws from a seed or a given generator in a
@@ -104,6 +104,19 @@ def random_objective(dim, seed, in_domain=None):
     return obj, rng.standard_normal(dim)
 
 
+def ridge_objective(A, phi):
+    """f(x) = sum_j phi_j(a_j.x) over the rows a_j of the array A, where
+    phi = (phi, phi', phi'', phi''') act elementwise on r = A x, with
+    arrays for per-row coefficients."""
+    f0, f1, f2, f3 = phi
+    return make_objective(
+        dim=A.shape[1], value=lambda x: float(np.sum(f0(A @ x))),
+        gradient=lambda x: A.T @ f1(A @ x),
+        hessian=lambda x: (A.T * f2(A @ x)) @ A,
+        third_directional=lambda x, u, v, w: float(
+            np.sum(f3(A @ x) * (A @ u) * (A @ v) * (A @ w))))
+
+
 def rotated_quartic(n, seed):
     """f = sum_i a_i y_i^2 / 2 + y_i^4 / 4 with y = Q x for a seeded
     orthogonal Q and a_i of both signs: nonconvex, with level sets of
@@ -111,30 +124,22 @@ def rotated_quartic(n, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     a = rng.uniform(-2.0, 2.0, n)
-    return make_objective(
-        dim=n,
-        value=lambda x: float(np.sum(0.5 * a * (Q @ x) ** 2
-                                     + 0.25 * (Q @ x) ** 4)),
-        gradient=lambda x: Q.T @ (a * (Q @ x) + (Q @ x) ** 3),
-        hessian=lambda x: (Q.T * (a + 3.0 * (Q @ x) ** 2)) @ Q,
-        third_directional=lambda x, u, v, w: float(
-            np.sum(6.0 * (Q @ x) * (Q @ u) * (Q @ v) * (Q @ w))))
+    return ridge_objective(Q, (lambda r: 0.5 * a * r ** 2 + 0.25 * r ** 4,
+                               lambda r: a * r + r ** 3,
+                               lambda r: a + 3.0 * r ** 2,
+                               lambda r: 6.0 * r))
 
 
 def coupled_quartic(a, c):
-    """f = (a.x)^3/6 + sum_i c_i x_i^4/24: a non-separable third derivative
-    D3f[u,v,w] = (a.u)(a.v)(a.w) + sum_i c_i x_i u_i v_i w_i, built from
-    elementwise products and sums only."""
-    return make_objective(
-        dim=a.size,
-        value=lambda x: np.sum(a * x) ** 3 / 6.0 + np.sum(c * x ** 4) / 24.0,
-        gradient=lambda x: 0.5 * np.sum(a * x) ** 2 * a + c * x ** 3 / 6.0,
-        hessian=lambda x: (np.sum(a * x) * np.outer(a, a)
-                           + np.diag(0.5 * c * x * x)),
-        third_directional=lambda x, u, v, w: float(
-            np.sum(a * u) * np.sum(a * v) * np.sum(a * w)
-            + np.sum(c * x * u * v * w)),
-    )
+    """f = (a.x)^3/6 + sum_i c_i x_i^4/24, the ridge sum over the rows of
+    [a^T; I]: a non-separable third derivative D3f[u,v,w] =
+    (a.u)(a.v)(a.w) + sum_i c_i x_i u_i v_i w_i."""
+    p, q = np.eye(a.size + 1)[0], np.r_[0.0, c]    # cubic, quartic rows
+    return ridge_objective(np.vstack([a, np.eye(a.size)]), (
+        lambda r: p * r ** 3 / 6.0 + q * r ** 4 / 24.0,
+        lambda r: p * r ** 2 / 2.0 + q * r ** 3 / 6.0,
+        lambda r: p * r + q * r ** 2 / 2.0,
+        lambda r: p + q * r))
 
 
 def quadratic(H, b=None, in_domain=None):

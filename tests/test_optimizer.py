@@ -1,11 +1,11 @@
 from dataclasses import replace
-from math import cos, sin
 
 import numpy as np
 import pytest
-from helpers import (Recorder, bits, flat_valley, nan_gradient_problem,
-                     nan_hessian_problem, non_finite_third_problem, quadratic,
-                     spd_quadratic)
+from helpers import (Recorder, bits, coupled_quartic, flat_valley,
+                     nan_gradient_problem, nan_hessian_problem,
+                     non_finite_third_problem, quadratic, ridge_objective,
+                     rotated_quartic, spd_quadratic)
 
 from affinedescent import line_search, optimizer
 from affinedescent.direction import classify_point
@@ -383,20 +383,17 @@ class TestConvergence:
 
 
 def convex_quartic_problem(dim, seed):
-    """f = x.Qx/2 + sum_i c_i x_i^4/4 with Q positive definite: strictly
+    """f = x.Qx/2 + sum_i c_i x_i^4/4 with Q = MM^T/dim + I positive
+    definite, the ridge sum over the rows of [M^T/sqrt(dim); I]: strictly
     convex, with its minimum f = 0 at the origin."""
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((dim, dim))
-    Q = M @ M.T / dim + np.eye(dim)
-    c = rng.uniform(0.5, 2.0, dim)
-    obj = make_objective(
-        dim=dim,
-        value=lambda x: float(0.5 * x @ Q @ x + 0.25 * np.sum(c * x ** 4)),
-        gradient=lambda x: Q @ x + c * x ** 3,
-        hessian=lambda x: Q + np.diag(3.0 * c * x * x),
-        third_directional=lambda x, u, v, w: float(
-            np.sum(6.0 * c * x * u * v * w)),
-    )
+    q = np.concatenate([np.zeros(dim), rng.uniform(0.5, 2.0, dim)])
+    obj = ridge_objective(np.vstack([M.T / np.sqrt(dim), np.eye(dim)]), (
+        lambda r: 0.5 * r ** 2 + 0.25 * q * r ** 4,
+        lambda r: r + q * r ** 3,
+        lambda r: 1.0 + 3.0 * q * r ** 2,
+        lambda r: 6.0 * q * r))
     return Problem(name=f"convex_quartic_{dim}", objective=obj,
                    x0=rng.standard_normal(dim), x_star=np.zeros(dim),
                    f_star=0.0, notes="")
@@ -483,21 +480,19 @@ class TestStoppingSpec:
         assert StoppingSpec(max_iter=np.int64(3)).max_iter == 3
 
 
-def pl_problem(x0):
-    """f(x, y) = x^2 + 3 sin^2 x + y^2, which satisfies the
-    Polyak-Lojasiewicz inequality but is not convex (Karimi, Nutini &
-    Schmidt, ECML-PKDD 2016); its minimum is f = 0 at the origin."""
-    obj = make_objective(
-        dim=2,
-        value=lambda x: float(x[0] ** 2 + 3.0 * sin(x[0]) ** 2 + x[1] ** 2),
-        gradient=lambda x: np.array([2.0 * x[0] + 3.0 * sin(2.0 * x[0]),
-                                     2.0 * x[1]]),
-        hessian=lambda x: np.diag([2.0 + 6.0 * cos(2.0 * x[0]), 2.0]),
-        third_directional=lambda x, u, v, w:
-            -12.0 * sin(2.0 * x[0]) * u[0] * v[0] * w[0],
-    )
-    return Problem(name="pl_sin", objective=obj, x0=np.array(x0, dtype=float),
-                   x_star=np.zeros(2), f_star=0.0, notes="")
+def pl_problem(x0, Q=None):
+    """f = y_1^2 + 3 sin^2 y_1 + |y_2..y_n|^2 with y = Q x (default I):
+    Polyak-Lojasiewicz but not convex (Karimi, Nutini & Schmidt,
+    ECML-PKDD 2016), with its minimum f = 0 at the origin."""
+    x0 = np.array(x0, dtype=float)
+    s = np.eye(x0.size)[0]             # the one ridge with the sine
+    obj = ridge_objective(np.eye(x0.size) if Q is None else Q, (
+        lambda r: r ** 2 + 3.0 * s * np.sin(r) ** 2,
+        lambda r: 2.0 * r + 3.0 * s * np.sin(2.0 * r),
+        lambda r: 2.0 + 6.0 * s * np.cos(2.0 * r),
+        lambda r: -12.0 * s * np.sin(2.0 * r)))
+    return Problem(name="pl_sin", objective=obj, x0=x0,
+                   x_star=np.zeros(x0.size), f_star=0.0, notes="")
 
 
 class TestPolyakLojasiewicz:
@@ -505,17 +500,15 @@ class TestPolyakLojasiewicz:
     without convexity."""
 
     STARTS = [(3.0, 1.0), (-2.5, 0.5), (1.2, -2.0), (4.0, 3.0)]
+    SEARCHES = pytest.mark.parametrize(
+        "ls", [ExactSearch(), ArmijoSearch(), StrongWolfeSearch()],
+        ids=["exact", "armijo", "wolfe"])
 
-    def test_helper_derivatives_and_nonconvexity(self):
+    def test_not_convex(self):
         p = pl_problem((1.2, -2.0))
-        assert verify_derivatives(p.objective,
-                                  [np.array(s) for s in self.STARTS],
-                                  rng=np.random.default_rng(42)).ok
         assert p.objective.hessian(p.x0)[0, 0] < 0.0
 
-    @pytest.mark.parametrize("ls", [ExactSearch(), ArmijoSearch(),
-                                    StrongWolfeSearch()],
-                             ids=["exact", "armijo", "wolfe"])
+    @SEARCHES
     @pytest.mark.parametrize("x0", STARTS)
     def test_linear_decrease_to_convergence(self, x0, ls):
         rep = yand_run(pl_problem(x0), ls, StoppingSpec())
@@ -523,3 +516,61 @@ class TestPolyakLojasiewicz:
         assert rep.iters <= 12
         fs = [r.f for r in rep.records]
         assert all(f1 / f0 <= 0.97 for f0, f1 in zip(fs, fs[1:]))
+
+    @SEARCHES
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    def test_linear_rate_in_n_dimensions(self, n, ls):
+        """The problem under a seeded rotation, from a seeded start in
+        [-4, 4]^n: f falls at every step, at a mean rate of at most 0.5
+        up to the last step. A single Armijo step may keep 0.998 of f."""
+        rng = np.random.default_rng(n)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        rep = yand_run(pl_problem(rng.uniform(-4.0, 4.0, n), Q), ls,
+                       StoppingSpec())
+        assert rep.status is RunStatus.CONVERGED
+        K = rep.iters
+        assert 2 <= K <= 12
+        fs = [r.f for r in rep.records]
+        assert all(f1 < f0 for f0, f1 in zip(fs, fs[1:]))
+        assert (fs[K - 1] / fs[0]) ** (1.0 / (K - 1)) <= 0.5
+
+
+def ridge_families():
+    """Each family that ridge_objective builds, at seeded points, and
+    whether its derivatives are right."""
+    out = []
+    for n in range(2, 11):
+        rng = np.random.default_rng(n)
+        out += [pytest.param(rotated_quartic(n, n), rng.normal(size=(3, n)),
+                             True, id=f"rotated-n{n}"),
+                pytest.param(coupled_quartic(rng.normal(size=n),
+                                             rng.uniform(-2.0, 2.0, n)),
+                             rng.normal(size=(3, n)), True,
+                             id=f"coupled-n{n}")]
+    convex = convex_quartic_problem(6, seed=3)
+    rq3 = rotated_quartic(3, 3)
+    rng = np.random.default_rng(3)
+    return out + [
+        pytest.param(convex.objective, [convex.x0, -2.0 * convex.x0], True,
+                     id="convex-n6"),
+        pytest.param(pl_problem(TestPolyakLojasiewicz.STARTS[0]).objective,
+                     TestPolyakLojasiewicz.STARTS, True, id="pl"),
+        # phi''' scaled by 1.01, which scales D3f by 1.01
+        pytest.param(replace(rq3, third_directional=lambda x, u, v, w:
+                             1.01 * rq3.third_directional(x, u, v, w)),
+                     rng.normal(size=(3, 3)), False, id="rotated-n3-wrong")]
+
+
+@pytest.mark.parametrize("obj, points, ok", ridge_families())
+def test_ridge_family_derivatives(obj, points, ok):
+    """Each family's derivatives are checked once, here, and a wrong third
+    derivative fails the check. The third derivative has the same bits
+    for strided u, v, w (as a frame's columns are) as for contiguous
+    copies."""
+    assert verify_derivatives(obj, points,
+                              rng=np.random.default_rng(0)).ok is ok
+    U = np.random.default_rng(1).standard_normal((obj.dim, 3))
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        assert bits(obj.third_directional(x, *U.T)) == bits(
+            obj.third_directional(x, *np.ascontiguousarray(U.T)))
