@@ -9,10 +9,10 @@ Subcommands:
 
 Each subcommand takes --out, and invariance also --gammas, each spelled
 in full: a prefix such as --ou is a usage error. Every run uses the
-default line-search and stopping specs, and verify seeds its sample
-points with 42; to change a setting, build the spec (StoppingSpec,
-ExactSearch, ArmijoSearch, StrongWolfeSearch) in the Python API. Every
-method of run takes the LS token: `newton fixed:1` is classical Newton.
+line searches' constants and the default stopping spec, and verify seeds
+its sample points with 42; to change the stop, build a StoppingSpec in
+the Python API. Every method of run takes the LS token: `newton fixed:1`
+is classical Newton.
 
 All floating-point output uses 17 significant digits; repeated invocations
 with the same arguments produce byte-identical files.

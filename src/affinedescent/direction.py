@@ -201,11 +201,16 @@ def _oriented_result(d: Vector, T: float, omega: float, n_hat: Vector,
     ||tau|| not below T_TANGENT, NaN included) and falls back. The case is
     the orientation sign omega: AN iff omega > 0. Then the step scale from
     schur(), the Schur complement d_nn - c.B^-1 c, which a fallback never
-    evaluates, against a floor relative to B's threshold scale `scale`."""
+    evaluates, against a floor relative to B's threshold scale `scale`.
+    A Schur complement that is not finite, as where the framed Hessian
+    overflows, raises NonFiniteHessian."""
     if not T < T_TANGENT:
         return _fallback_result(n_hat)
     case = DirectionCase.AN if omega > 0.0 else DirectionCase.FLIPPED_AN
     s = schur()
+    if not isfinite(s):
+        raise NonFiniteHessian("Schur complement of the tangent block is "
+                               "inf or NaN")
     floor = SCALE_FLOOR * max(scale, abs(d_nn))
     step_scale = gnorm / s if s > floor else 1.0
     return DirectionResult(d=d, case=case, T=T, step_scale=step_scale)

@@ -5,6 +5,9 @@ phi is the one-dimensional restriction alpha -> f(x + alpha*d). Values of
 the exact search first shrinks its upper bound to a finite value, and the
 backtracking/bracketing rules reject them through ordinary comparisons.
 Every outcome, failures included, is reported as a LineSearchResult status.
+Each search runs at the module's constants (SIGMA, BETA, C1, C2, ALPHA0,
+ALPHA_MAX); its spec, a frozen dataclass without fields, names the search
+that a run takes.
 """
 from __future__ import annotations
 
@@ -22,44 +25,17 @@ _GOLDEN = 0.5 * (3.0 - sqrt(5.0))   # minor golden ratio, ~0.382
 
 @dataclass(frozen=True)
 class ExactSearch:
-    """Derivative-free minimization of phi on [0, alpha_max]."""
-
-    alpha_max: float = 10.0
-
-    def __post_init__(self):
-        positive_finite("alpha_max", self.alpha_max)
+    """Derivative-free minimization of phi on [0, ALPHA_MAX]."""
 
 
 @dataclass(frozen=True)
 class ArmijoSearch:
-    """Backtracking from alpha0 by beta until sufficient decrease sigma."""
-
-    sigma: float = 1e-4
-    beta: float = 0.5
-    alpha0: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must be in (0, 1)")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-        positive_finite("alpha0", self.alpha0)
+    """Backtracking from ALPHA0 by BETA until sufficient decrease SIGMA."""
 
 
 @dataclass(frozen=True)
 class StrongWolfeSearch:
-    """Strong Wolfe conditions c1, c2 from alpha0, capped at alpha_max."""
-
-    c1: float = 1e-4
-    c2: float = 0.9
-    alpha0: float = 1.0
-    alpha_max: float = 10.0
-
-    def __post_init__(self):
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError("need 0 < c1 < c2 < 1")
-        positive_finite("alpha0", self.alpha0)
-        positive_finite("alpha_max", self.alpha_max)
+    """Strong Wolfe conditions C1, C2 from ALPHA0, capped at ALPHA_MAX."""
 
 
 @dataclass(frozen=True)
@@ -91,6 +67,17 @@ class LineSearchResult(NamedTuple):
     status: LineSearchStatus
 
 
+# The searches' constants: Armijo's sufficient decrease and backtracking
+# factor, the strong Wolfe pair 0 < C1 < C2 < 1 (Nocedal and Wright,
+# Numerical Optimization, 2nd ed., sec. 3.1), the first trial step of
+# both, and the cap on the exact and strong Wolfe steps.
+SIGMA = 1e-4
+BETA = 0.5
+C1 = 1e-4
+C2 = 0.9
+ALPHA0 = 1.0
+ALPHA_MAX = 10.0
+
 MAX_BACKTRACKS = 60
 MAX_ZOOM = 50
 MAX_EXACT_STEPS = 500
@@ -98,8 +85,8 @@ MAX_EXACT_STEPS = 500
 EXACT_TOL = 1e-10
 
 
-def exact_search(phi: Phi, spec: ExactSearch) -> LineSearchResult:
-    """Derivative-free minimization of phi on [0, U], U <= spec.alpha_max.
+def exact_search(phi: Phi) -> LineSearchResult:
+    """Derivative-free minimization of phi on [0, U], U <= ALPHA_MAX.
 
     U is halved until phi(U) is finite, then a golden-section bracket is
     shrunk to width EXACT_TOL, with parabolic-interpolation trial points taken
@@ -108,22 +95,21 @@ def exact_search(phi: Phi, spec: ExactSearch) -> LineSearchResult:
     the best evaluated point, with status MaxExactSteps when the bracket
     is still wider than EXACT_TOL after MAX_EXACT_STEPS trial points, and
     alpha 0 with status NoFiniteStep when phi(0) is not finite or U falls
-    below 1e-16 alpha_max, which ExactSearch has checked is finite and
-    positive: halving a NaN or infinite bound would never end.
+    below 1e-16 ALPHA_MAX.
     """
     f0 = phi(0.0)
     evals = 1
     if not isfinite(f0):
         return LineSearchResult(alpha=0.0, f_new=f0, evals=evals,
                                 status=LineSearchStatus.NO_FINITE_STEP)
-    U = spec.alpha_max
+    U = ALPHA_MAX
     fU = phi(U)
     evals += 1
     wall = None   # smallest alpha seen with phi = +inf, if any
     while not isfinite(fU):
         wall = U
         U *= 0.5
-        if U < 1e-16 * spec.alpha_max:
+        if U < 1e-16 * ALPHA_MAX:
             return LineSearchResult(alpha=0.0, f_new=f0, evals=evals,
                                     status=LineSearchStatus.NO_FINITE_STEP)
         fU = phi(U)
@@ -202,70 +188,60 @@ def exact_search(phi: Phi, spec: ExactSearch) -> LineSearchResult:
     return LineSearchResult(alpha=x, f_new=fx, evals=evals, status=status)
 
 
-def armijo_backtrack(phi: Phi, dphi0: float,
-                     spec: ArmijoSearch) -> LineSearchResult:
-    """Smallest m >= 0 with phi(beta^m alpha0) <= phi(0) + sigma beta^m
-    alpha0 dphi0 and a finite value; at most MAX_BACKTRACKS halvings.
+def armijo_backtrack(phi: Phi, dphi0: float) -> LineSearchResult:
+    """Smallest m >= 0 with phi(BETA^m ALPHA0) <= phi(0) + SIGMA BETA^m
+    ALPHA0 dphi0 and a finite value; at most MAX_BACKTRACKS halvings.
     A slope dphi0 that is not negative returns NotDescent unevaluated."""
     if not dphi0 < 0.0:   # NaN included
         return LineSearchResult(alpha=0.0, f_new=nan, evals=0,
                                 status=LineSearchStatus.NOT_DESCENT)
     f0 = phi(0.0)
     evals = 1
-    alpha = spec.alpha0
+    alpha = ALPHA0
     for _ in range(MAX_BACKTRACKS + 1):
         f_trial = phi(alpha)
         evals += 1
-        if isfinite(f_trial) and f_trial <= f0 + spec.sigma * alpha * dphi0:
+        if isfinite(f_trial) and f_trial <= f0 + SIGMA * alpha * dphi0:
             return LineSearchResult(alpha=alpha, f_new=f_trial, evals=evals,
                                     status=LineSearchStatus.ACCEPTED)
-        alpha *= spec.beta
-    return LineSearchResult(alpha=alpha / spec.beta, f_new=f0, evals=evals,
+        alpha *= BETA
+    return LineSearchResult(alpha=alpha / BETA, f_new=f0, evals=evals,
                             status=LineSearchStatus.MAX_BACKTRACKS)
 
 
-def strong_wolfe_search(phi: Phi, dphi: Phi,
-                        spec: StrongWolfeSearch) -> LineSearchResult:
+def strong_wolfe_search(phi: Phi, dphi: Phi) -> LineSearchResult:
     """Bracket-then-zoom search for the strong Wolfe conditions: sufficient
-    decrease, phi(a) finite and <= phi(0) + c1 a dphi(0), and curvature,
-    |dphi(a)| <= c2 |dphi(0)|.
+    decrease, phi(a) finite and <= phi(0) + C1 a dphi(0), and curvature,
+    |dphi(a)| <= C2 |dphi(0)|.
 
-    Expansion doubles the trial up to alpha_max until one meets both or
-    brackets a point that does; zoom then alternates a quadratic-
+    Expansion doubles the trial from ALPHA0 up to ALPHA_MAX until one meets
+    both or brackets a point that does; zoom then alternates a quadratic-
     interpolation candidate (used only in the middle 80% of the bracket)
-    with bisection; a bracket so wide that the candidate overflows is
-    bisected. Failing that, the best sufficient-decrease point (else
-    alpha0 and phi(0)) is returned with status ZoomFailed. A slope dphi(0)
-    that is not negative returns NotDescent before phi is evaluated.
+    with bisection. Failing that, the bracket's low end, the lowest
+    sufficient-decrease point (else ALPHA0 and phi(0)), is returned with
+    status ZoomFailed. A slope dphi(0) that is not negative returns
+    NotDescent before phi is evaluated.
     """
-    # Python floats, so that the zoom's float ** raises OverflowError
-    # where a numpy float would warn
-    c1, c2 = float(spec.c1), float(spec.c2)
-    alpha0, alpha_max = float(spec.alpha0), float(spec.alpha_max)
     dphi0 = dphi(0.0)
     if not dphi0 < 0.0:   # NaN included
         return LineSearchResult(alpha=0.0, f_new=nan, evals=0,
                                 status=LineSearchStatus.NOT_DESCENT)
     f0 = phi(0.0)
     evals = 1
-    best = None   # the sufficient-decrease trial with the lowest phi
-    max_slope = -c2 * dphi0   # curvature holds where |dphi| <= max_slope
+    max_slope = -C2 * dphi0   # curvature holds where |dphi| <= max_slope
 
     def trial(alpha: float) -> tuple[float, bool]:
         """phi(alpha), counted, and whether it gives sufficient decrease."""
-        nonlocal evals, best
+        nonlocal evals
         f = phi(alpha)
         evals += 1
-        ok = isfinite(f) and f <= f0 + c1 * alpha * dphi0
-        if ok and (best is None or f < best[1]):
-            best = (alpha, f)
-        return f, ok
+        return f, isfinite(f) and f <= f0 + C1 * alpha * dphi0
 
     # lo is the lowest point found with sufficient decrease, with its slope;
     # hi the other end of the bracket, once there is one.
     lo, f_lo, d_lo = 0.0, f0, dphi0
     hi = f_hi = None
-    alpha = min(alpha0, alpha_max)
+    alpha = ALPHA0
     while True:
         f, ok = trial(alpha)
         # after the first trial, lo > 0 and phi must keep falling
@@ -279,10 +255,10 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
         if d >= 0.0:
             lo, f_lo, d_lo, hi, f_hi = alpha, f, d, lo, f_lo
             break
-        if alpha >= alpha_max:
-            break
         lo, f_lo, d_lo = alpha, f, d
-        alpha = min(2.0 * alpha, alpha_max)
+        if alpha >= ALPHA_MAX:
+            break
+        alpha = min(2.0 * alpha, ALPHA_MAX)
 
     if hi is not None:
         for _ in range(MAX_ZOOM):
@@ -295,10 +271,7 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
             alpha = 0.5 * (lo + hi)
             denom = 2.0 * (f_hi - f_lo - d_lo * (hi - lo))
             if isfinite(f_hi) and denom != 0.0:
-                try:
-                    cand = lo - d_lo * (hi - lo) ** 2 / denom
-                except OverflowError:   # float ** raises past ~1.3e154
-                    cand = nan
+                cand = lo - d_lo * (hi - lo) ** 2 / denom
                 if left + 0.1 * width < cand < right - 0.1 * width:
                     alpha = cand
             f, ok = trial(alpha)
@@ -312,6 +285,6 @@ def strong_wolfe_search(phi: Phi, dphi: Phi,
             if d * (hi - lo) >= 0.0:
                 hi, f_hi = lo, f_lo
             lo, f_lo, d_lo = alpha, f, d
-    alpha, f = best if best is not None else (alpha0, f0)
+    alpha, f = (lo, f_lo) if lo > 0.0 else (ALPHA0, f0)
     return LineSearchResult(alpha=alpha, f_new=f, evals=evals,
                             status=LineSearchStatus.ZOOM_FAILED)

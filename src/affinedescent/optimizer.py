@@ -91,15 +91,15 @@ def _step(obj: Objective, x: Vector, g: Vector, d: Vector, f_k: float,
         return obj.value(x + alpha * d)
 
     if isinstance(ls, ExactSearch):
-        res = exact_search(phi, ls)
+        res = exact_search(phi)
     elif isinstance(ls, ArmijoSearch):
         # d first: a gradient oracle may return any array-like
-        res = armijo_backtrack(phi, float(d.dot(g)), ls)
+        res = armijo_backtrack(phi, float(d.dot(g)))
     elif isinstance(ls, StrongWolfeSearch):
         def dphi(alpha: float) -> float:
             return float(d.dot(obj.gradient(x + alpha * d)))
 
-        res = strong_wolfe_search(phi, dphi, ls)
+        res = strong_wolfe_search(phi, dphi)
     else:
         raise TypeError(f"unsupported line-search spec {ls!r}")
     if res.status is LineSearchStatus.ACCEPTED and res.alpha > 0.0 \

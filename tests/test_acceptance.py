@@ -16,8 +16,8 @@ from helpers import rotated_frame, spd_quadratic
 from affinedescent.cli import _verify_points, cmd_table2
 from affinedescent.direction import (DirectionCase, _matrix_direction,
                                      classify_point, descent_direction)
-from affinedescent.line_search import (ArmijoSearch, ExactSearch,
-                                       StrongWolfeSearch)
+from affinedescent.line_search import (C1, C2, SIGMA, ArmijoSearch,
+                                       ExactSearch, StrongWolfeSearch)
 from affinedescent.invariance import run_invariance
 from affinedescent.numerics import (DefinitenessTag, angle_between,
                                     build_gradient_frame)
@@ -279,11 +279,11 @@ def test_criterion_11_line_search_contracts_hold_posthoc():
             for f0, g0, step, f1, g1 in _accepted_steps(report, p.objective):
                 slope = float(g0 @ step)
                 if kind == "armijo":
-                    assert f1 <= f0 + armijo.sigma * slope + 1e-12, (name,)
+                    assert f1 <= f0 + SIGMA * slope + 1e-12, (name,)
                 else:
-                    assert f1 <= f0 + wolfe.c1 * slope + 1e-12, (name,)
+                    assert f1 <= f0 + C1 * slope + 1e-12, (name,)
                     assert abs(float(g1 @ step)) <= (
-                        wolfe.c2 * abs(slope) + 1e-12), (name,)
+                        C2 * abs(slope) + 1e-12), (name,)
                 checked += 1
     assert checked > 100
 

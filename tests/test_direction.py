@@ -279,6 +279,24 @@ class TestCases:
         with pytest.raises(NonFiniteHessian):
             newton_direction(obj, x, regularize=True)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_infinite_normal_curvature_raises(self, n):
+        """H = 1.6e308 11^T + 1e307 I and g = 1/sqrt(n) at 0: the oracle's
+        values are finite and so is B, 1e307 I, but the framed normal
+        curvature d_nn overflows. Its Schur complement is then inf, which
+        is NonFiniteHessian on both paths, not a unit step scale."""
+        obj = quadratic(1.6e308 * np.ones((n, n)) + 1e307 * np.eye(n),
+                        np.ones(n) / sqrt(n))
+        x = np.zeros(n)
+        # the frame's matmuls overflow on the way to d_nn
+        with np.errstate(all="ignore"):
+            block = block_decompose(obj, x)
+            assert np.all(np.isfinite(block.B)) and np.isfinite(block.c).all()
+            assert block.d_nn == np.inf
+            for call in (descent_direction, affine_normal_direction):
+                with pytest.raises(NonFiniteHessian, match="Schur"):
+                    call(obj, x)
+
 
 def logged_outcome(path, obj, x):
     """The outcome of one direction path together with its oracle calls."""

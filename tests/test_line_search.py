@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinedescent import line_search
-from affinedescent.line_search import (MAX_BACKTRACKS, MAX_EXACT_STEPS,
-                                       ArmijoSearch,
+from affinedescent.line_search import (ALPHA_MAX, C1, C2, MAX_BACKTRACKS,
+                                       MAX_EXACT_STEPS, SIGMA, ArmijoSearch,
                                        ExactSearch, FixedStep,
                                        LineSearchStatus, StrongWolfeSearch,
                                        armijo_backtrack, exact_search,
@@ -22,53 +22,20 @@ def recorded(fn, calls):
     return wrapper
 
 
-def falls_to_a_ledge(ledge, after):
-    """phi(a) = -a up to the ledge and `after` from there on; dphi = -1, so
-    the curvature condition never holds and the search must bracket the
-    ledge."""
-    def phi(a):
-        return -a if a < ledge else after
-
-    def dphi(a):
-        return -1.0
-
-    return phi, dphi
-
-
 class TestSpecValidation:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            ExactSearch(alpha_max=0.0)
-        with pytest.raises(ValueError):
-            ArmijoSearch(sigma=0.0)
-        with pytest.raises(ValueError):
-            ArmijoSearch(sigma=1.0)
-        with pytest.raises(ValueError):
-            ArmijoSearch(beta=1.0)
-        with pytest.raises(ValueError):
-            ArmijoSearch(alpha0=0.0)
-        with pytest.raises(ValueError):
-            StrongWolfeSearch(c1=0.5, c2=0.4)
-        with pytest.raises(ValueError):
-            StrongWolfeSearch(c1=0.5, c2=0.5)
-        with pytest.raises(ValueError):
-            StrongWolfeSearch(c1=0.0)
-        with pytest.raises(ValueError):
-            StrongWolfeSearch(c2=1.0)
-        with pytest.raises(ValueError):
             FixedStep(alpha=0.0)
+        # the searches run at the module's constants and take no parameter
+        for search in (ExactSearch, ArmijoSearch, StrongWolfeSearch):
+            with pytest.raises(TypeError):
+                search(1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_non_finite_steps_rejected(self, bad):
-        for name, make in (("alpha_max", lambda v: ExactSearch(alpha_max=v)),
-                           ("alpha0", lambda v: ArmijoSearch(alpha0=v)),
-                           ("alpha0", lambda v: StrongWolfeSearch(alpha0=v)),
-                           ("alpha_max",
-                            lambda v: StrongWolfeSearch(alpha_max=v)),
-                           ("alpha", lambda v: FixedStep(alpha=v))):
-            with pytest.raises(ValueError,
-                               match=f"^{name} must be finite and positive$"):
-                make(bad)
+        with pytest.raises(ValueError,
+                           match="^alpha must be finite and positive$"):
+            FixedStep(alpha=bad)
 
 
 # phi(a) from parameters (p, q, r): a quadratic, a tilted quartic, a
@@ -85,10 +52,8 @@ PHI_FAMILIES = {
 class TestExactSearch:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(PHI_FAMILIES)), st.floats(-50.0, 50.0),
-           st.floats(-20.0, 20.0), st.floats(-10.0, 10.0),
-           st.floats(0.1, 100.0))
-    def test_result_is_the_least_value_seen(self, family, p, q, r,
-                                            alpha_max):
+           st.floats(-20.0, 20.0), st.floats(-10.0, 10.0))
+    def test_result_is_the_least_value_seen(self, family, p, q, r):
         """The incumbent x is the best point evaluated, 0 included: the
         initial swap leaves fx <= min(phi(0), phi(U)), and a trial replaces
         it only with a value no larger."""
@@ -98,32 +63,32 @@ class TestExactSearch:
             values[a] = PHI_FAMILIES[family](p, q, r, a)
             return values[a]
 
-        res = exact_search(phi, ExactSearch(alpha_max))
+        res = exact_search(phi)
         if res.status in (LineSearchStatus.ACCEPTED,
                           LineSearchStatus.MAX_EXACT_STEPS):
             assert res.f_new <= values[0.0]
             assert res.f_new == values[res.alpha]
 
     def test_quadratic_minimum_to_machine_precision(self):
-        res = exact_search(lambda a: (a - 0.3) ** 2, ExactSearch())
+        res = exact_search(lambda a: (a - 0.3) ** 2)
         assert res.status is LineSearchStatus.ACCEPTED
         assert res.alpha == pytest.approx(0.3, abs=1e-10)
 
     def test_tiny_quadratic_minimizer_resolved(self):
         # minimizer near 1e-4 of the span still found to ~1e-10
         t = 1.2345e-4
-        res = exact_search(lambda a: (a - t) ** 2, ExactSearch())
+        res = exact_search(lambda a: (a - t) ** 2)
         assert res.alpha == pytest.approx(t, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.01, 9.9))
     def test_random_quadratic_minimizers(self, t):
-        res = exact_search(lambda a: 3.0 * (a - t) ** 2 - 1.0, ExactSearch())
+        res = exact_search(lambda a: 3.0 * (a - t) ** 2 - 1.0)
         assert res.alpha == pytest.approx(t, abs=1e-8)
         assert res.f_new == pytest.approx(-1.0, abs=1e-12)
 
     def test_increasing_phi_returns_zero(self):
-        res = exact_search(lambda a: a * a + a, ExactSearch())
+        res = exact_search(lambda a: a * a + a)
         assert res.alpha == 0.0
         assert res.f_new == 0.0
 
@@ -131,35 +96,33 @@ class TestExactSearch:
         def phi(a):
             return np.inf if a > 0.5 else (a - 0.4) ** 2
 
-        res = exact_search(phi, ExactSearch())
+        res = exact_search(phi)
         assert res.alpha == pytest.approx(0.4, abs=1e-8)
 
     def test_everything_infinite_reports_no_finite_step(self):
         calls = []
-        res = exact_search(recorded(lambda a: np.inf if a > 0 else 0.0, calls),
-                           ExactSearch())
+        res = exact_search(recorded(lambda a: np.inf if a > 0 else 0.0, calls))
         assert res.status is LineSearchStatus.NO_FINITE_STEP
         assert (res.alpha, res.f_new) == (0.0, 0.0)
-        # phi(0), then alpha_max halved until it drops below 1e-16 of itself
-        assert calls == [0.0] + [10.0 * 0.5 ** k for k in range(54)]
+        # phi(0), then ALPHA_MAX halved until it drops below 1e-16 of itself
+        assert calls == [0.0] + [ALPHA_MAX * 0.5 ** k for k in range(54)]
         assert res.evals == len(calls)
 
     def test_infinite_origin_reports_no_finite_step(self):
         for f0 in (np.inf, np.nan):
             calls = []
-            res = exact_search(recorded(lambda a: f0, calls),
-                               ExactSearch(alpha_max=1.0))
+            res = exact_search(recorded(lambda a: f0, calls))
             assert res.status is LineSearchStatus.NO_FINITE_STEP
             assert calls == [0.0] and res.evals == 1
 
     def test_nonsmooth_phi_still_bracketed(self):
-        res = exact_search(lambda a: abs(a - 2.0), ExactSearch())
+        res = exact_search(lambda a: abs(a - 2.0))
         assert res.alpha == pytest.approx(2.0, abs=1e-8)
 
     def test_step_cap_reports_max_exact_steps(self, monkeypatch):
         # a zero tolerance is never met, so the loop runs to its cap
         monkeypatch.setattr(line_search, "EXACT_TOL", 0.0)
-        res = exact_search(lambda a: (a - 0.3) ** 2, ExactSearch())
+        res = exact_search(lambda a: (a - 0.3) ** 2)
         assert res.status is LineSearchStatus.MAX_EXACT_STEPS
         assert res.evals == 3 + MAX_EXACT_STEPS
         assert res.alpha == pytest.approx(0.3, abs=1e-10)
@@ -168,43 +131,40 @@ class TestExactSearch:
 class TestArmijo:
     def test_full_step_accepted_on_well_scaled_quadratic(self):
         # phi = (a-1)^2 - 1: phi(1) = -1 <= 0 + sigma*1*(-2)
-        res = armijo_backtrack(lambda a: (a - 1.0) ** 2 - 1.0, -2.0,
-                               ArmijoSearch())
+        res = armijo_backtrack(lambda a: (a - 1.0) ** 2 - 1.0, -2.0)
         assert res.status is LineSearchStatus.ACCEPTED
         assert res.alpha == 1.0
         assert res.f_new == -1.0
 
     def test_backtracks_to_half_on_overshoot(self):
         # phi = a^2 - a: phi(1) = 0 > sigma*(-1); phi(0.5) = -0.25 accepted
-        res = armijo_backtrack(lambda a: a * a - a, -1.0, ArmijoSearch())
+        res = armijo_backtrack(lambda a: a * a - a, -1.0)
         assert res.alpha == 0.5
         assert res.f_new == -0.25
 
     def test_accepts_first_alpha_meeting_inequality(self):
         # phi = a^2/2 - a: phi(1) = -0.5 accepted immediately
-        res = armijo_backtrack(lambda a: 0.5 * a * a - a, -1.0, ArmijoSearch())
+        res = armijo_backtrack(lambda a: 0.5 * a * a - a, -1.0)
         assert res.alpha == 1.0
 
     def test_infinite_values_are_backtracked_through(self):
         def phi(a):
             return np.inf if a > 0.3 else -a
 
-        res = armijo_backtrack(phi, -1.0, ArmijoSearch())
+        res = armijo_backtrack(phi, -1.0)
         assert res.status is LineSearchStatus.ACCEPTED
         assert res.alpha == 0.25
 
     def test_nondescent_slope_rejected(self):
         for dphi0 in (0.0, 1.0, np.nan):
             calls = []
-            res = armijo_backtrack(recorded(lambda a: a, calls), dphi0,
-                                   ArmijoSearch())
+            res = armijo_backtrack(recorded(lambda a: a, calls), dphi0)
             assert res.status is LineSearchStatus.NOT_DESCENT
             assert calls == [] and res.evals == 0
             assert res.alpha == 0.0 and math.isnan(res.f_new)
 
     def test_budget_exhaustion_reports_max_backtracks(self):
-        res = armijo_backtrack(lambda a: a if a > 0 else 0.0, -1.0,
-                               ArmijoSearch())
+        res = armijo_backtrack(lambda a: a if a > 0 else 0.0, -1.0)
         assert res.status is LineSearchStatus.MAX_BACKTRACKS
         assert res.evals == MAX_BACKTRACKS + 2   # phi(0) plus every trial
         assert res.alpha == 0.5 ** MAX_BACKTRACKS   # the last trial
@@ -213,19 +173,21 @@ class TestArmijo:
     @given(st.floats(0.05, 20.0), st.floats(0.1, 5.0))
     def test_accepted_step_satisfies_inequality(self, curv, slope):
         phi = lambda a: 0.5 * curv * a * a - slope * a
-        spec = ArmijoSearch()
-        res = armijo_backtrack(phi, -slope, spec)
+        res = armijo_backtrack(phi, -slope)
         assert res.status is LineSearchStatus.ACCEPTED
-        assert res.f_new <= 0.0 + spec.sigma * res.alpha * (-slope) + 1e-15
+        assert res.f_new <= 0.0 + SIGMA * res.alpha * (-slope) + 1e-15
 
 
 class TestStrongWolfe:
-    def check(self, phi, dphi, spec=None):
-        spec = spec or StrongWolfeSearch()
-        res = strong_wolfe_search(phi, dphi, spec)
+    # (phi, dphi) for phi(a) = a^5/1280 - a: its slope at a = 1 and 2 is
+    # steeper than C2 phi'(0) = -0.9, and 0 at its minimizer 4
+    FLAT_TAIL = (lambda a: a ** 5 / 1280.0 - a, lambda a: a ** 4 / 256.0 - 1.0)
+
+    def check(self, phi, dphi):
+        res = strong_wolfe_search(phi, dphi)
         assert res.status is LineSearchStatus.ACCEPTED
-        assert res.f_new <= phi(0.0) + spec.c1 * res.alpha * dphi(0.0) + 1e-12
-        assert abs(dphi(res.alpha)) <= -spec.c2 * dphi(0.0) + 1e-12
+        assert res.f_new <= phi(0.0) + C1 * res.alpha * dphi(0.0) + 1e-12
+        assert abs(dphi(res.alpha)) <= -C2 * dphi(0.0) + 1e-12
         return res
 
     def test_quadratic_accepts_unit_step(self):
@@ -235,14 +197,17 @@ class TestStrongWolfe:
 
     def test_curvature_test_reads_c2(self):
         """phi(a) = -a + a^2/4 at a = 1 decreases enough, and |phi'(1)| =
-        0.5 is within c2 = 0.9 of |phi'(0)| = 1 but not within c1 = 1e-4:
-        the first trial is accepted, where a test that read c1 would go on
-        to phi's minimizer at 2. At c2 = 0.5, |phi'(1)| lies on the bound,
-        which the curvature condition includes."""
-        for c2 in (0.9, 0.5):
-            res = self.check(lambda a: -a + 0.25 * a * a,
-                             lambda a: -1.0 + 0.5 * a,
-                             StrongWolfeSearch(c2=c2))
+        0.5 is within C2 = 0.9 of |phi'(0)| = 1 but not within C1 = 1e-4:
+        the first trial is accepted, where a test that read C1 would go on
+        to phi's minimizer at 2. For phi(a) = -a + a^2/20, |phi'(1)| = 0.9
+        lies on the bound, which the curvature condition includes: a
+        strict test, or a smaller C2, would go on to a = 2."""
+        within = (lambda a: -a + 0.25 * a * a, lambda a: -1.0 + 0.5 * a)
+        on_bound = (lambda a: -a + 0.05 * a * a, lambda a: -1.0 + 0.1 * a)
+        # its slopes are exact: -1 at 0 and -0.9 at 1
+        assert (on_bound[1](0.0), on_bound[1](1.0)) == (-1.0, -0.9)
+        for phi, dphi in (within, on_bound):
+            res = self.check(phi, dphi)
             assert (res.alpha, res.evals) == (1.0, 2)
 
     def test_narrow_quadratic_needs_zoom(self):
@@ -252,18 +217,17 @@ class TestStrongWolfe:
         assert 0.0 < res.alpha < 1.0
 
     def test_flat_tail_requires_expansion(self):
-        # minimizer at 4: phi keeps decreasing past alpha=1, so the
-        # bracketing loop must expand before any zoom
-        res = self.check(lambda a: (a - 4.0) ** 2, lambda a: 2.0 * (a - 4.0),
-                         StrongWolfeSearch(c2=0.1))
+        # phi keeps decreasing past alpha=1, so the bracketing loop must
+        # expand before any zoom
+        res = self.check(*self.FLAT_TAIL)
         assert res.alpha > 1.0
 
     def test_expansion_doubles_the_trial_step(self):
         """On the same flat tail, each bracketing trial is twice the last:
         phi is called at 0, 1, 2 and 4, where the minimizer is accepted."""
         calls = []
-        res = self.check(recorded(lambda a: (a - 4.0) ** 2, calls),
-                         lambda a: 2.0 * (a - 4.0), StrongWolfeSearch(c2=0.1))
+        phi, dphi = self.FLAT_TAIL
+        res = self.check(recorded(phi, calls), dphi)
         assert res.alpha == 4.0
         # the search's own calls; check evaluates phi(0) once more
         assert calls[:res.evals] == [0.0, 1.0, 2.0, 4.0]
@@ -275,15 +239,17 @@ class TestStrongWolfe:
         def dphi(a):
             return 2.0 * (a - 1.0)
 
-        res = self.check(phi, dphi)
+        calls = []
+        res = self.check(recorded(phi, calls), dphi)
         assert res.alpha < 2.0
+        # evals counts every call of the search; check makes one more
+        assert len(calls) == res.evals + 1
 
     def test_nondescent_slope_rejected(self):
         for dphi0 in (0.0, 1.0, np.nan):
             calls, dcalls = [], []
             res = strong_wolfe_search(recorded(lambda a: a, calls),
-                                      recorded(lambda a: dphi0, dcalls),
-                                      StrongWolfeSearch())
+                                      recorded(lambda a: dphi0, dcalls))
             assert res.status is LineSearchStatus.NOT_DESCENT
             assert calls == [] and dcalls == [0.0] and res.evals == 0
             assert res.alpha == 0.0 and math.isnan(res.f_new)
@@ -292,19 +258,19 @@ class TestStrongWolfe:
         # phi(0) = NaN gives no sufficient-decrease threshold, so no trial
         # is accepted however its slope looks
         res = strong_wolfe_search(lambda a: np.nan if a == 0.0 else -a,
-                                  lambda a: -1.0 if a == 0.0 else 0.0,
-                                  StrongWolfeSearch())
+                                  lambda a: -1.0 if a == 0.0 else 0.0)
         assert res.status is LineSearchStatus.ZOOM_FAILED
         assert res.alpha == 1.0 and math.isnan(res.f_new)
 
     def test_curvature_never_met_returns_best_decrease_point(self):
         # linear descent: |dphi| stays at 1, so the curvature condition is
-        # unattainable and expansion runs out at alpha_max
-        res = strong_wolfe_search(lambda a: -a, lambda a: -1.0,
-                                  StrongWolfeSearch(alpha_max=1.0))
+        # unattainable and expansion runs out at ALPHA_MAX
+        calls = []
+        res = strong_wolfe_search(recorded(lambda a: -a, calls),
+                                  lambda a: -1.0)
         assert res.status is LineSearchStatus.ZOOM_FAILED
-        assert res.alpha == 1.0
-        assert res.f_new == -1.0
+        assert calls == [0.0, 1.0, 2.0, 4.0, 8.0, ALPHA_MAX]
+        assert (res.alpha, res.f_new, res.evals) == (ALPHA_MAX, -ALPHA_MAX, 6)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.02, 8.0), st.floats(0.05, 10.0))
@@ -312,47 +278,3 @@ class TestStrongWolfe:
         phi = lambda a: 0.5 * curv * (a - t) ** 2
         dphi = lambda a: curv * (a - t)
         self.check(phi, dphi)
-
-    def test_ledge_past_the_square_root_of_the_float_maximum(self):
-        """Squaring a zoom bracket wider than ~1.34e154 overflows a float;
-        the search bisects such a bracket and returns the best point it
-        found below the ledge at 1e200."""
-        calls = []
-        phi, dphi = falls_to_a_ledge(1e200, 0.0)
-        res = strong_wolfe_search(recorded(phi, calls), dphi,
-                                  StrongWolfeSearch(alpha_max=1e300))
-        assert res.status is LineSearchStatus.ZOOM_FAILED
-        assert 0.0 < res.alpha < 1e200
-        assert res.f_new == -res.alpha
-        assert res.evals == len(calls)
-
-    def test_numpy_float_spec_searches_as_python_floats(self):
-        """A spec of numpy floats passes validation. The search reads each
-        field as a Python float, so it bisects the ledge bracket past
-        1.34e154 as it does for Python floats, with no overflow warning
-        from a numpy power."""
-        phi, dphi = falls_to_a_ledge(1e200, 0.0)
-        fields = dict(c1=1e-4, c2=0.9, alpha0=1.0, alpha_max=1e300)
-        want = strong_wolfe_search(phi, dphi, StrongWolfeSearch(**fields))
-        got = strong_wolfe_search(phi, dphi, StrongWolfeSearch(
-            **{k: np.float64(v) for k, v in fields.items()}))
-        assert want.status is LineSearchStatus.ZOOM_FAILED
-        assert (got.status, got.alpha, got.evals) == \
-            (want.status, want.alpha, want.evals)
-
-    def test_wide_brackets_return_a_status(self):
-        """Ledges and steps from 1e-3 to 1e300: the search returns a status,
-        and counts every phi call, without raising."""
-        rng = np.random.default_rng(13)
-        draws = zip(rng.uniform(-3.0, 300.0, (300, 3)).tolist(),
-                    rng.choice([0.0, math.inf], 300).tolist(),
-                    rng.uniform(1e-6, 0.5, 300).tolist())
-        for (log_ledge, log_alpha0, log_max), after, c1 in draws:
-            calls = []
-            phi, dphi = falls_to_a_ledge(10.0 ** log_ledge, after)
-            res = strong_wolfe_search(
-                recorded(phi, calls), dphi,
-                StrongWolfeSearch(c1=c1, alpha0=10.0 ** log_alpha0,
-                                  alpha_max=10.0 ** log_max))
-            assert isinstance(res.status, LineSearchStatus)
-            assert res.evals == len(calls)

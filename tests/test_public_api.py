@@ -29,9 +29,10 @@ def test_every_exported_name_resolves():
 
 
 
-# The step and stop specs, which validate their fields, and Objective and
-# Problem, which callers replace, stay frozen dataclasses; per-call results
-# are NamedTuples, which are cheaper to define at import.
+# The step and stop specs, which compare by value (FixedStep and
+# StoppingSpec validate their fields; the three searches have none), and
+# Objective and Problem, which callers replace, stay frozen dataclasses;
+# per-call results are NamedTuples, which are cheaper to define at import.
 DATACLASSES = {
     "objective.Objective", "problems.Problem",
     "line_search.ExactSearch", "line_search.ArmijoSearch",
@@ -97,8 +98,7 @@ def test_per_call_records_are_immutable():
         numerics.classify_symmetric(np.eye(2)),
         direction.block_decompose(obj, p.x0),
         direction.descent_direction(obj, p.x0),
-        line_search.exact_search(lambda a: (a - 1.0) ** 2,
-                                 line_search.ExactSearch()),
+        line_search.exact_search(lambda a: (a - 1.0) ** 2),
         objective.verify_derivatives(obj, [p.x0],
                                      rng=np.random.default_rng(42)),
         report.records[0],
